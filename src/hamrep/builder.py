@@ -1,11 +1,14 @@
 """Construction of faithful control representations (A, f, l).
 
-The pipeline per evaluation point: sample the Lagrangian slice L(t, x, .)
-on a velocity grid, truncate its epigraph to a polygon E, project the
-(scaled) control point a through P(a, E) = E intersect B(a, 2 d(a, E)), and
-select e(t, x, a) as the Steiner point of that projection body. Then
-f(t, x, a) and l(t, x, a) are the two components of e, and H is recovered
-as the sup of p f - l over the control samples.
+The pipeline per (t, x): sample the Lagrangian slice L(t, x, .) on a
+velocity grid and truncate its epigraph to a polygon E on a power-of-two
+cap ladder. Each (scaled) control point a selects e(t, x, a), the Steiner
+point of the projection body P(a, E) = E intersect B(a, 2 d(a, E)): a
+itself when a lies in E, else the exact closed form of
+`convex_geom.disc_steiner`. A whole sample plan is one batch per (t, x),
+with one vectorized distance per ladder rung. Then f(t, x, a) and
+l(t, x, a) are the two components of e, and H is recovered as the sup of
+p f - l over the control samples.
 
 Two control regimes ship: full-space controls with identity scaling, and
 unit-ball controls scaled by M(t, x) large enough that the scaled ball
@@ -15,7 +18,6 @@ covers the bounded epigraph slice below a bound lambda.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable
 
 import numpy as np
@@ -108,8 +110,6 @@ class GridPolicy:
     p_count: int = 10001
     v_count: int = 601
     v_window: tuple[float, float] | None = None  # fallback when c(t) is absent
-    steiner_dirs: int = 3600
-    arc_deg: float = 0.5
     use_oracle_L: bool = False
     blc_tol: float = 2e-2
 
@@ -130,7 +130,10 @@ class RepresentationTriple:
 
     e_eval returns the selected epigraph point (f, l) for one control;
     control_samples(t, x) yields the deterministic a-plan (including the
-    lift points for constructed triples, which e maps to themselves).
+    lift points for constructed triples, which e maps to themselves). The
+    e_eval of a constructed triple (one with a slice core) also maps an
+    (N, 2) stack of controls to an (N, 2) stack of points, and e_table
+    makes one such call per (t, x).
     """
 
     control: ControlSet
@@ -161,12 +164,16 @@ class RepresentationTriple:
                 return self._tables[key]
             a_samples = self.default_samples(t, x)
         A = np.atleast_2d(np.asarray(a_samples, dtype=float))
-        F = np.empty(len(A))
-        Lv = np.empty(len(A))
-        for i, a in enumerate(A):
-            e = np.asarray(self.e_eval(t, x, a), dtype=float)
-            F[i] = e[0]
-            Lv[i] = e[1]
+        if self._core is not None:
+            E = np.asarray(self.e_eval(t, x, A), dtype=float)
+            F, Lv = E[:, 0].copy(), E[:, 1].copy()
+        else:
+            F = np.empty(len(A))
+            Lv = np.empty(len(A))
+            for i, a in enumerate(A):
+                e = np.asarray(self.e_eval(t, x, a), dtype=float)
+                F[i] = e[0]
+                Lv[i] = e[1]
         out = (A, F, Lv)
         if key is not None:
             self._tables[key] = out
@@ -237,30 +244,52 @@ class _SliceCore:
         self._slices[key] = fn
         return fn
 
-    def epigraph(self, t: float, x: float, needed_cap: float) -> Epigraph:
-        """Truncated epigraph with the cap rounded up a power-of-two ladder
-        above the slice minimum, so evaluations share polygons."""
+    def _ladder(self, t: float, x: float, needed_caps) -> list[tuple[Epigraph, np.ndarray]]:
+        """Truncated epigraphs on a power-of-two cap ladder above the slice
+        minimum, so evaluations share polygons: for each rung j the needed
+        caps use, the epigraph capped at min L + 2**j (the lowest rung at or
+        above the cap, j >= 0) and the indices of the caps it serves."""
         fn = self.slice(t, x)
         lmin = fn.min_value()
-        j = max(0, int(math.ceil(math.log2(max(needed_cap - lmin, 1.0)))))
-        key = (float(t), float(x), j)
-        epi = self._epis.get(key)
-        if epi is None:
-            epi = build_epigraph(fn, lmin + float(2**j))
-            self._epis[key] = epi
-        return epi
+        # frexp keeps exact powers of two on their own rung
+        mant, expo = np.frexp(np.maximum(np.asarray(needed_caps, dtype=float) - lmin, 1.0))
+        rungs = np.where(mant == 0.5, expo - 1, expo)
+        out = []
+        for j in np.unique(rungs):
+            key = (float(t), float(x), int(j))
+            epi = self._epis.get(key)
+            if epi is None:
+                epi = self._epis[key] = build_epigraph(fn, lmin + float(2**j))
+            out.append((epi, np.nonzero(rungs == j)[0]))
+        return out
 
-    def e_point(self, t: float, x: float, z: np.ndarray) -> np.ndarray:
-        fn = self.slice(t, x)
-        lmin = fn.min_value()
-        prelim = self.epigraph(t, x, max(10.0, abs(z[1]) + 10.0, lmin + 10.0))
-        d1 = cg.distance(z, prelim.body)
-        if d1 == 0.0:
-            # z already lies in the truncated epigraph: P(z, E) = {z}
-            return np.asarray(z, dtype=float).copy()
-        E = self.epigraph(t, x, max(abs(z[1]), lmin) + 6.0 * d1 + 1.0)
-        phi = cg.proj_map(z, E.body, self.policy.arc_deg)
-        return cg.steiner(phi, self.policy.steiner_dirs)
+    def epigraph(self, t: float, x: float, needed_cap: float) -> Epigraph:
+        """Truncated epigraph on the cap ladder, capped at or above needed_cap."""
+        return self._ladder(t, x, [needed_cap])[0][0]
+
+    def e_points(self, t: float, x: float, Z: np.ndarray) -> np.ndarray:
+        """Selections e = Steiner point of P(z, E) for an (N, 2) stack of
+        (scaled) controls at one (t, x).
+
+        A preliminary epigraph capped above max(|z_eta|, min L) + 10 sorts
+        out the rows inside E, which map to themselves; the others are
+        measured again against E capped above max(|z_eta|, min L) + 6 d + 1
+        and go through the exact Steiner kernel with radius 2 d(z, E).
+        Each ladder rung takes one batched distance.
+        """
+        lmin = self.slice(t, x).min_value()
+        out = np.array(Z, dtype=float)
+        d = np.empty(len(out))
+        for epi, rows in self._ladder(t, x, np.maximum(np.abs(out[:, 1]), lmin) + 10.0):
+            d[rows] = cg.distance(out[rows], epi.body)
+        far = np.nonzero(d > 0.0)[0]
+        caps = np.maximum(np.abs(out[far, 1]), lmin) + 6.0 * d[far] + 1.0
+        for epi, rows in self._ladder(t, x, caps):
+            rows = far[rows]
+            d_far = cg.distance(out[rows], epi.body)
+            hit = d_far > 0.0
+            out[rows[hit]] = cg.disc_steiner(epi.body, out[rows[hit]], 2.0 * d_far[hit])
+        return out
 
     def lift_points(self, t: float, x: float) -> np.ndarray:
         nodes, vals = self.slice(t, x).finite_slice()
@@ -294,9 +323,9 @@ def build_noncompact(
 
     def e_eval(t, x, a):
         z = np.asarray(a, dtype=float)
-        if z.shape != (2,):
+        if z.ndim > 2 or z.shape[-1:] != (2,):
             raise ConfigError("full-space control points are 2-vectors")
-        return core.e_point(t, x, z)
+        return core.e_points(t, x, z.reshape(-1, 2)).reshape(z.shape)
 
     def samples(t, x):
         return np.concatenate([control.samples(plan), core.lift_points(t, x)], axis=0)
@@ -352,11 +381,12 @@ def build_compact(
 
     def e_eval(t, x, a):
         a = np.asarray(a, dtype=float)
-        if a.shape != (2,):
+        if a.ndim > 2 or a.shape[-1:] != (2,):
             raise ConfigError("unit-ball control points are 2-vectors")
-        if float(a @ a) > 1.0 + 1e-9:
+        rows = a.reshape(-1, 2)
+        if np.any(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] > 1.0 + 1e-9):
             raise ConfigError("control point outside the unit ball")
-        return core.e_point(t, x, M(t, x) * a)
+        return core.e_points(t, x, M(t, x) * rows).reshape(a.shape)
 
     def samples(t, x):
         m = M(t, x)

@@ -367,12 +367,12 @@ def epigraph_limit_check(
     slices = {i: cores[i].slice(t_star + dt / i, x_star + dx / i) for i in family.indices}
     cap = max([f0.min_value()] + [s.min_value() for s in slices.values()]) + 5.0
     E0 = build_epigraph(f0, cap)
-    d0 = np.array([cg.distance(y, E0.body) for y in probes])
+    d0 = cg.distance(probes, E0.body)
 
     errs, wit = [], []
     for i in family.indices:
         Ei = build_epigraph(slices[i], cap)
-        di = np.array([cg.distance(y, Ei.body) for y in probes])
+        di = cg.distance(probes, Ei.body)
         err = float(np.max(np.abs(di - d0)))
         errs.append(err)
         wit.append(

@@ -1,9 +1,10 @@
 """Reference values recomputed from first principles for the test suite.
 
 Nothing here calls into the package: the conjugate oracle is a brute
-maximum over a dense p grid, the Steiner oracle is the polygon
-exterior-angle formula, and the Hausdorff oracle works on raw vertex
-arrays with segment arithmetic. Tests compare library output against
+maximum over a dense p grid, the Steiner oracles are the polygon
+exterior-angle formula and a support-point quadrature over a polygonized
+E cap B(z, r), and the Hausdorff oracle works on raw vertex arrays with
+segment arithmetic. Tests compare library output against
 these so a regression cannot certify itself.
 """
 
@@ -69,13 +70,60 @@ def exterior_angle_steiner(verts):
     return out / total
 
 
-def _point_poly_dist(q, verts):
+def quadrature_disc_steiner(verts, center, radius, arc_deg=0.5, n_dirs=3600):
+    """Steiner point of E cap B(center, radius) by direction quadrature.
+
+    E is a CCW polygon given by its vertices (one or two vertices allowed).
+    The candidates are the vertices inside the disc, the edge-circle
+    crossings and the arc points at `arc_deg` spacing that lie in E; the
+    result is the mean support point (argmax over the candidates) over
+    `n_dirs` half-offset directions. Its error is about diam / n_dirs per
+    corner plus the arc sagitta.
+    """
+    v = np.asarray(verts, dtype=float)
+    c = np.asarray(center, dtype=float)
+    r = float(radius)
+    m = len(v)
+    cand = [v[np.hypot(v[:, 0] - c[0], v[:, 1] - c[1]) <= r]]
+    if m >= 2:
+        a = v if m >= 3 else v[:1]
+        e = np.roll(v, -1, axis=0) - v if m >= 3 else v[1:] - v[:1]
+        rel = a - c
+        qa = np.sum(e * e, axis=1)
+        qb = 2.0 * np.sum(e * rel, axis=1)
+        qc = np.sum(rel * rel, axis=1) - r * r
+        disc = qb * qb - 4.0 * qa * qc
+        ok = disc >= 0.0
+        for sign in (-1.0, 1.0):
+            t = (-qb[ok] + sign * np.sqrt(disc[ok])) / (2.0 * qa[ok])
+            hit = (t >= 0.0) & (t <= 1.0)
+            cand.append(a[ok][hit] + t[hit, None] * e[ok][hit])
+    if m >= 3:
+        n_arc = int(np.ceil(360.0 / arc_deg))
+        theta = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
+        arc = c + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        e = np.roll(v, -1, axis=0) - v
+        rel = arc[:, None, :] - v[None, :, :]
+        cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
+        cand.append(arc[np.all(cross >= 0.0, axis=1)])
+    pts = np.concatenate(cand, axis=0)
+    if len(pts) == 0:
+        raise ValueError("the disc misses the polygon")
+    phi = 2.0 * np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
+    dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    return pts[np.argmax(dirs @ pts.T, axis=1)].mean(axis=0)
+
+
+def point_polygon_distance(q, verts):
+    """Distance from q to a CCW polygon (one or two vertices allowed);
+    0 inside."""
     v = np.asarray(verts, dtype=float)
     m = len(v)
     if m == 1:
         d = q - v[0]
         return float(np.hypot(d[0], d[1]))
-    inside = True
+    # a segment has no interior: only the edge distance counts
+    inside = m >= 3
     best = np.inf
     for i in range(m):
         a, b = v[i], v[(i + 1) % m]
@@ -98,6 +146,6 @@ def brute_hausdorff(averts, bverts):
     """
     a = np.asarray(averts, dtype=float)
     b = np.asarray(bverts, dtype=float)
-    d_ab = max(_point_poly_dist(q, b) for q in a)
-    d_ba = max(_point_poly_dist(q, a) for q in b)
+    d_ab = max(point_polygon_distance(q, b) for q in a)
+    d_ba = max(point_polygon_distance(q, a) for q in b)
     return float(max(d_ab, d_ba))

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import point_polygon_distance, quadrature_disc_steiner
 from conftest import FAST_APLAN, FAST_PLAN, FAST_POLICY
 from hamrep import zoo
 from hamrep.builder import (
@@ -91,6 +94,56 @@ def test_e_eval_fixes_epigraph_points(ex22_noncompact_fast):
     a = lift[len(lift) // 3]
     out = np.asarray(triple.e_eval(T0, 0.5, a), dtype=float)
     assert np.array_equal(out, a)
+
+
+@pytest.mark.parametrize(
+    "name, kind, x",
+    [("ex_2_2", "noncompact", 0.5), ("ex_2_2", "compact", -1.0), ("ex_2_1", "noncompact", 0.0)],
+)
+def test_e_table_selections_match_quadrature_oracle(name, kind, x):
+    # production grids; for ex_2_1 at x = 0, dom L = {0} and every epigraph
+    # on the cap ladder is a 2-vertex segment
+    build = build_noncompact if kind == "noncompact" else build_compact
+    triple = build(zoo.builtin(name), plan=APlan(n_box=9, n_radii=4, n_angles=12))
+    core = triple._core
+    A, F, L = triple.e_table(T0, x)
+    Z = A * triple.scaling.eval(T0, x)
+    got = np.stack([F, L], axis=1)
+    moved = np.nonzero(np.any(got != Z, axis=1))[0]
+    assert len(moved) >= 20
+    # re-derive each moved row's body as e_points routes it: the distance
+    # to the preliminary epigraph sets the cap of the body it is projected on
+    lmin = core.slice(T0, x).min_value()
+    zcap = np.maximum(np.abs(Z[moved, 1]), lmin)
+    d = np.empty(len(moved))
+    for epi, rows in core._ladder(T0, x, zcap + 10.0):
+        d[rows] = [point_polygon_distance(z, epi.body.vertices) for z in Z[moved[rows]]]
+    worst = 0.0
+    for epi, rows in core._ladder(T0, x, zcap + 6.0 * d + 1.0):
+        verts = epi.body.vertices
+        if name == "ex_2_1":
+            assert len(verts) == 2
+        for i in moved[rows]:
+            r = 2.0 * point_polygon_distance(Z[i], verts)
+            want = quadrature_disc_steiner(verts, Z[i], r)
+            worst = max(worst, float(np.linalg.norm(got[i] - want)))
+    assert worst <= 5e-4
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_e_table_rows_equal_single_e_eval(ex22_noncompact_fast, ex22_compact_fast, seed):
+    rng = np.random.default_rng(seed)
+    x = float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]))
+    for triple in (ex22_noncompact_fast, ex22_compact_fast):
+        A, F, L = triple.e_table(T0, x)
+        # half the rows from the projected controls, half from the rest
+        moved = np.any(np.stack([F, L], axis=1) != triple.scaling.eval(T0, x) * A, axis=1)
+        rows = [rng.choice(np.nonzero(mask)[0], 4) for mask in (moved, ~moved)]
+        for i in np.concatenate(rows):
+            single = np.asarray(triple.e_eval(T0, x, A[i]))
+            assert single.shape == (2,)
+            assert single[0] == F[i] and single[1] == L[i]
 
 
 def test_e_eval_validates_controls(ex22_noncompact_fast, ex22_compact_fast):

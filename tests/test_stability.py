@@ -16,7 +16,7 @@ from hamrep.stability import (
 )
 
 PLAN = SamplePlan(seed=0)
-COARSE = GridPolicy(p_count=801, v_count=151, steiner_dirs=360, arc_deg=4.0)
+COARSE = GridPolicy(p_count=801, v_count=151)
 
 
 def test_family_registry_roundtrip():
