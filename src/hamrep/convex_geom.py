@@ -59,11 +59,13 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = pts[order]
 
     # eps-collinear input: the chain scan can drop true extremes when the
-    # transverse spread is below eps, so collapse to the segment directly
+    # transverse spread is below eps, so collapse to the segment directly.
+    # Its ends are the extremes along the axis of largest extent; the chord
+    # between the sorted end points can be short and point across the set.
     d = pts[-1] - pts[0]
     area = np.abs((pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0])
     if float(np.max(area)) <= eps:
-        proj = (pts - pts[0]) @ d
+        proj = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
         lo_i, hi_i = int(np.argmin(proj)), int(np.argmax(proj))
         if lo_i == hi_i:
             return pts[[lo_i]]
@@ -104,6 +106,14 @@ class ConvexBody:
         if pts.shape[1] != 2:
             raise DimMismatch(f"bodies are planar, got dim {pts.shape[1]}")
         self.vertices = convex_hull(pts)
+
+    @classmethod
+    def _from_loop(cls, vertices: np.ndarray) -> "ConvexBody":
+        """Body whose vertices are already a hull: a CCW loop in strictly
+        convex position from the lexicographically smallest vertex."""
+        body = cls.__new__(cls)
+        body.vertices = vertices
+        return body
 
     @property
     def scale(self) -> float:

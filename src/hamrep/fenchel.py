@@ -4,12 +4,18 @@ Convex functions of the momentum (or velocity) variable are carried as
 values on uniform grids with +inf marking points outside the effective
 domain. The conjugate is the exact maximum over finite nodes, so conjugates
 are convex by construction and every bound proved for the continuous
-transform holds here up to grid resolution h.
+transform holds here up to grid resolution h. It is computed as Lucet's
+linear-time Legendre transform (Numer. Algorithms 16, 1997): the maximum
+over the nodes is attained on the lower convex hull of the sampled graph,
+at the vertex where the hull slopes pass the query slope. Each grid
+function builds that hull once, on its first query, and every later query
+is a slope search.
 
 Epigraphs and bounded epigraph slices are materialized as polygon bodies in
 the (v, eta) plane; the lower boundary interpolates the sampled graph, so a
 convex source function yields an inner polygonal approximation of the true
-epigraph.
+epigraph. Their vertices come from the same lower-hull scan, so no general
+point-set hull is taken.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import dataclasses
 
 import numpy as np
 
-from .convex_geom import ConvexBody
+from .convex_geom import _EPS_BASE, ConvexBody
 from .errors import CapTooLow, EmptyResult, ImproperFunction, UnboundedSummand
-from .report import CheckReport
 
 INF_THRESHOLD = 1e12
 
@@ -60,12 +65,6 @@ class EffectiveDomain:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def shrink(self, delta: float) -> tuple[float, float] | None:
-        lo, hi = self.lo + delta, self.hi - delta
-        if lo > hi:
-            return None
-        return lo, hi
-
 
 class ConvexGridFunction:
     """Proper extended-real function sampled on a uniform grid.
@@ -75,7 +74,7 @@ class ConvexGridFunction:
     finite nodes is validated to 1e-9 at construction.
     """
 
-    __slots__ = ("grid", "values", "convex_flag")
+    __slots__ = ("grid", "values", "convex_flag", "_hull")
 
     def __init__(self, grid: UniformGrid, values, convex_flag: bool = False):
         vals = np.asarray(values, dtype=float).copy()
@@ -99,6 +98,14 @@ class ConvexGridFunction:
         self.grid = grid
         self.values = vals
         self.convex_flag = bool(convex_flag)
+        self._hull = None
+
+    def _conjugate_hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, values and edge slopes of the lower hull of the finite
+        run, built on the first call and kept (values never change)."""
+        if self._hull is None:
+            self._hull = _slope_hull(*self.finite_slice())
+        return self._hull
 
     def finite_slice(self) -> tuple[np.ndarray, np.ndarray]:
         finite = np.isfinite(self.values)
@@ -155,15 +162,59 @@ class Epigraph:
     grid_h: float = 0.0
 
 
+def _lower_hull(x: np.ndarray, y: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Indices of the lower convex hull of the points (x_i, y_i), x sorted.
+
+    One monotone-chain pass: a point leaves the chain when the turn from
+    its predecessor to the next point is at most eps (cross <= eps), so
+    eps = 0 keeps exactly the strictly convex corners. When no consecutive
+    triple turns by eps or less, nothing is ever popped and the scan is
+    skipped.
+    """
+    n = len(x)
+    if n < 3:
+        return np.arange(n)
+    dx, dy = x[1:-1] - x[:-2], y[1:-1] - y[:-2]
+    if np.all(dx * (y[2:] - y[:-2]) - dy * (x[2:] - x[:-2]) > eps):
+        return np.arange(n)
+    xs, ys = x.tolist(), y.tolist()
+    out = [0, 1]
+    for i in range(2, n):
+        xi, yi = xs[i], ys[i]
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            if (xs[a] - xs[o]) * (yi - ys[o]) - (ys[a] - ys[o]) * (xi - xs[o]) > eps:
+                break
+            out.pop()
+        out.append(i)
+    return np.asarray(out)
+
+
+def _slope_hull(nodes: np.ndarray, vals: np.ndarray):
+    # sampled slopes that already rise (every smooth convex H) make every
+    # node a hull vertex; rounding noise on a linear piece needs the scan
+    slopes = np.diff(vals) / np.diff(nodes)
+    if np.any(slopes[1:] < slopes[:-1]):
+        idx = _lower_hull(nodes, vals)
+        nodes, vals = nodes[idx], vals[idx]
+        slopes = np.diff(vals) / np.diff(nodes)
+    return nodes, vals, slopes
+
+
 def conjugate_values(fn: ConvexGridFunction, points) -> np.ndarray:
-    """Pointwise conjugate sup_p <w, p> - fn(p) over the finite grid nodes."""
+    """Pointwise conjugate sup_p <w, p> - fn(p) over the finite grid nodes.
+
+    The maximum is exact for the discrete sup: it sits on the lower hull
+    of the finite nodes (cached on fn), at the vertex k whose incoming
+    slope is below w and outgoing slope is not, so each query is a binary
+    search on the hull slopes. Vertex k - 1 is compared as well, which
+    absorbs rounding in the slopes. Results at or above 1e12 become +inf.
+    """
     w = np.atleast_1d(np.asarray(points, dtype=float))
-    nodes, vals = fn.finite_slice()
-    out = np.empty(len(w))
-    chunk = max(1, int(2_000_000 // max(1, len(nodes))))
-    for s in range(0, len(w), chunk):
-        block = w[s : s + chunk, None] * nodes[None, :] - vals[None, :]
-        out[s : s + chunk] = np.max(block, axis=1)
+    nodes, vals, slopes = fn._conjugate_hull()
+    k = np.searchsorted(slopes, w)
+    j = np.maximum(k - 1, 0)
+    out = np.maximum(w * nodes[k] - vals[k], w * nodes[j] - vals[j])
     out[out >= INF_THRESHOLD] = np.inf
     return out
 
@@ -264,7 +315,7 @@ def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:
     finite = np.isfinite(vals)
     keep = finite & (vals <= cap)
     idx = np.nonzero(keep)[0]
-    pts = [np.stack([nodes[idx], vals[idx]], axis=1)]
+    graph = np.stack([nodes[idx], vals[idx]], axis=1)
 
     i0, i1 = idx[0], idx[-1]
     if i0 > 0 and finite[i0 - 1]:
@@ -278,8 +329,26 @@ def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:
         v_right = nodes[i1 + 1] + t * (nodes[i1] - nodes[i1 + 1])
     else:
         v_right = nodes[i1]
-    pts.append(np.array([[v_left, cap], [v_right, cap]]))
-    return ConvexBody(np.concatenate(pts, axis=0))
+    top_left = np.array([v_left, cap])
+    top_right = np.array([v_right, cap])
+
+    # The hull of these points is the lower chain from the left cap point
+    # (or from the first node, when the graph ends below the cap) to the
+    # right cap point, closed by the cap edge: the same vertices, tolerance
+    # and start vertex as the general hull, without its sort or upper scan.
+    starts_on_cap = v_left < nodes[i0]
+    pts = np.vstack(([top_left] if starts_on_cap else []) + [graph, top_right])
+    scale = float(np.max(np.abs(pts)))
+    eps = _EPS_BASE * max(1.0, scale * scale)
+    loop = pts[_lower_hull(pts[:, 0], pts[:, 1], eps)]
+    if not starts_on_cap and (v_right - v_left) * (cap - loop[0, 1]) > eps:
+        loop = np.concatenate([loop, [top_left]])
+    # a flat slice is a segment or a point: leave it to the general hull
+    d = top_right - loop[0]
+    spread = np.abs((loop[:, 0] - loop[0, 0]) * d[1] - (loop[:, 1] - loop[0, 1]) * d[0])
+    if len(loop) < 3 or float(np.max(spread)) <= eps:
+        return ConvexBody(np.vstack([pts, top_left]))
+    return ConvexBody._from_loop(loop)
 
 
 def build_epigraph(fn: ConvexGridFunction, eta_cap: float) -> Epigraph:
@@ -299,122 +368,3 @@ def build_bounded_epigraph(fn: ConvexGridFunction, lambda_val: float) -> Epigrap
     if lambda_val < fn.min_value():
         raise EmptyResult(f"lambda {lambda_val} < min value {fn.min_value()}")
     return Epigraph(_truncated_polygon(fn, lambda_val), float(lambda_val), fn.grid.h)
-
-
-def check_lagrangian_properties(
-    family: list[tuple[tuple[float, float], ConvexGridFunction]],
-    modulus=None,
-    probe_tol: float = 5e-2,
-) -> list[CheckReport]:
-    """Structural checks on a family of Lagrangian slices.
-
-    family : list of ((t, x), slice) pairs.
-    modulus : optional growth/continuity data with attributes ``c`` (may be
-        None) and ``k_R`` used for the domain bound and probe windows.
-
-    Convexity/properness and the domain growth bound are checked
-    numerically; joint lower-semicontinuity and recession behaviour are only
-    probed on sampled slice pairs and reported as advisory.
-    """
-    reports: list[CheckReport] = []
-    reports.append(
-        CheckReport(
-            check="L1_L2_measurability",
-            worst_margin=0.0,
-            verdict="not numerically checkable",
-            witnesses=[{"note": "measurability/continuity in t are structural"}],
-        )
-    )
-
-    worst_cvx = 0.0
-    wit_cvx: list = []
-    for (t, x), fn in family:
-        nodes, vals = fn.finite_slice()
-        if len(vals) >= 3:
-            defect = float(np.max(2.0 * vals[1:-1] - vals[:-2] - vals[2:])) / 2.0
-            if defect > worst_cvx:
-                worst_cvx = defect
-                wit_cvx = [{"t": t, "x": x, "defect": defect}]
-    reports.append(
-        CheckReport(
-            check="L3_convexity",
-            worst_margin=worst_cvx,
-            verdict="pass" if worst_cvx <= 1e-9 else "fail",
-            witnesses=wit_cvx,
-        )
-    )
-
-    c = getattr(modulus, "c", None) if modulus is not None else None
-    if c is None:
-        reports.append(
-            CheckReport(
-                check="L5_domain_growth",
-                worst_margin=0.0,
-                verdict="pass",
-                witnesses=[
-                    {"note": "missing (H4): no growth modulus attached; c treated as +inf"}
-                ],
-            )
-        )
-    else:
-        worst = -np.inf
-        wit: list = []
-        for (t, x), fn in family:
-            nodes, _ = fn.finite_slice()
-            bound = c(t) * (1.0 + abs(x))
-            excess = float(np.max(np.abs(nodes))) - bound
-            if excess > worst:
-                worst = excess
-                wit = [{"t": t, "x": x, "excess": excess}]
-        h = max(fn.grid.h for _, fn in family)
-        reports.append(
-            CheckReport(
-                check="L5_domain_growth",
-                worst_margin=worst,
-                verdict="pass" if worst <= h + 1e-9 else "fail",
-                witnesses=wit,
-            )
-        )
-
-    # sampled semicontinuity probes on consecutive same-t slice pairs
-    worst_lsc = 0.0
-    worst_rec = 0.0
-    wit_probe: list = []
-    for ((t0, x0), f0), ((t1, x1), f1) in zip(family, family[1:]):
-        if t0 != t1:
-            continue
-        dx = abs(x1 - x0)
-        k = 0.0
-        if modulus is not None:
-            R = max(abs(x0), abs(x1)) + 1.0
-            k = float(modulus.k_R(R, t0))
-        delta = k * dx + 2.0 * f1.grid.h
-        nodes, vals = f1.finite_slice()
-        for v, lv in zip(nodes[:: max(1, len(nodes) // 16)], vals[:: max(1, len(vals) // 16)]):
-            window = np.linspace(v - delta, v + delta, 33)
-            near = f0(window)
-            near = near[np.isfinite(near)]
-            if len(near) == 0:
-                continue
-            m = float(np.min(near))
-            worst_lsc = max(worst_lsc, lv - m - delta)
-            worst_rec = max(worst_rec, m - lv - delta)
-            if lv - m - delta >= worst_lsc:
-                wit_probe = [{"t": t0, "x_from": x0, "x_to": x1, "v": float(v)}]
-    reports.append(
-        CheckReport(
-            check="L4_lsc_probe",
-            worst_margin=worst_lsc,
-            verdict="pass" if worst_lsc <= probe_tol else "fail",
-            witnesses=wit_probe + [{"note": "sampled probe only"}],
-        )
-    )
-    reports.append(
-        CheckReport(
-            check="L6_approach_probe",
-            worst_margin=worst_rec,
-            verdict="pass" if worst_rec <= probe_tol else "fail",
-            witnesses=[{"note": "sampled probe only"}],
-        )
-    )
-    return reports

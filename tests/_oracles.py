@@ -1,7 +1,8 @@
 """Reference values recomputed from first principles for the test suite.
 
-Nothing here calls into the package: the conjugate oracle is a brute
-maximum over a dense p grid, the Steiner oracles are the polygon
+Nothing here calls into the package: the conjugate oracles are a brute
+maximum over a dense p grid and the chunked all-pairs maximum over the
+finite nodes of a sampled function, the Steiner oracles are the polygon
 exterior-angle formula and a support-point quadrature over a polygonized
 E cap B(z, r), and the Hausdorff oracle works on raw vertex arrays with
 segment arithmetic. Tests compare library output against
@@ -44,6 +45,25 @@ def brute_conjugate(h_of_p, v, p_lo=-50.0, p_hi=50.0, n=200001):
     ps = np.linspace(p_lo, p_hi, n)
     vals = ps * v - np.asarray(h_of_p(ps), dtype=float)
     return float(np.max(vals))
+
+
+def brute_conjugate_values(nodes, values, points):
+    """sup over the finite nodes of w p - f(p) for every query slope w.
+
+    Every node is scanned for every query (no hull, no convexity), in
+    blocks of about 2e6 pairs; results at or above 1e12 become +inf, as in
+    the library.
+    """
+    fin = np.isfinite(values)
+    p = np.asarray(nodes, dtype=float)[fin]
+    f = np.asarray(values, dtype=float)[fin]
+    w = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.empty(len(w))
+    chunk = max(1, 2_000_000 // len(p))
+    for s in range(0, len(w), chunk):
+        out[s : s + chunk] = np.max(w[s : s + chunk, None] * p[None, :] - f[None, :], axis=1)
+    out[out >= 1e12] = np.inf
+    return out
 
 
 def exterior_angle_steiner(verts):

@@ -52,6 +52,14 @@ def test_hull_eps_collinear_vertical_column():
     assert ys[0] == 0.0 and ys[-1] == 3.0
 
 
+def test_hull_eps_collinear_column_with_level_sorted_ends():
+    # the lexicographic first and last points share y = 1.61, so their
+    # chord is horizontal: the segment must still run from (0, 0) to (0, 2.6)
+    pts = np.array([[-4e-16, 1.61], [0.0, 0.0], [0.0, 2.6], [0.0, 1.0], [4e-16, 1.61]])
+    hull = cg.convex_hull(pts)
+    assert {tuple(v) for v in hull} == {(0.0, 0.0), (0.0, 2.6)}
+
+
 def test_hull_single_and_duplicate_points():
     assert cg.convex_hull(np.array([[2.0, 3.0]])).shape == (1, 2)
     assert cg.convex_hull(np.array([[2.0, 3.0], [2.0, 3.0]])).shape == (1, 2)

@@ -1,12 +1,19 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
+from hamrep import zoo
+from hamrep.builder import build_compact, build_noncompact
 from hamrep.errors import ImproperFunction, UnboundedSummand
+from hamrep.exprs import compile_hamiltonian
 
-from _oracles import EPISUM_SUM_AT_ZERO, brute_conjugate
+from _oracles import EPISUM_SUM_AT_ZERO, brute_conjugate, brute_conjugate_values, brute_hausdorff
 
 P_GRID = fl.UniformGrid(-50.0, 50.0, 10001)
 V_GRID = fl.UniformGrid(-2.0, 2.0, 601)
@@ -166,6 +173,92 @@ def test_conjugate_values_matches_conjugate():
     assert np.array_equal(L.values, vals)
 
 
+MUTATION_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "accept_02_mutation.json"
+
+
+def _spec(name):
+    if name == "accept_02_mutation":
+        return compile_hamiltonian(json.loads(MUTATION_CONFIG.read_text())["hamiltonian"])
+    return zoo.builtin(name)
+
+
+def _assert_close(got, want, scale):
+    """Same +inf pattern, finite values within 1e-12 relative to scale."""
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.maximum(1.0, scale[fin]))
+
+
+@pytest.mark.parametrize("name", [*zoo.names(), "accept_02_mutation"])
+def test_conjugate_values_match_brute_force_on_zoo(name):
+    # production p-grid, a 601-node v-window wider than most slope ranges
+    spec = _spec(name)
+    w = fl.UniformGrid(-3.0, 3.0, 601).nodes()
+    for x in (-1.5, -0.5, 0.0, 0.7, 2.0):
+        fn = fl.ConvexGridFunction(P_GRID, np.asarray(spec.eval(0.5, x, P_GRID.nodes()), dtype=float))
+        want = brute_conjugate_values(P_GRID.nodes(), fn.values, w)
+        _assert_close(fl.conjugate_values(fn, w), want, np.abs(want))
+
+
+def _term_scale(fn, w):
+    # size of the terms w p and f(p) whose difference the maximum takes
+    nodes, vals = fn.finite_slice()
+    return np.abs(w) * float(np.max(np.abs(nodes))) + float(np.max(np.abs(vals)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=40),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+)
+def test_conjugate_values_match_brute_force_on_nonconvex_values(vals, pad_lo, pad_hi, w):
+    # arbitrary (non-convex) values with +inf runs at either end; the
+    # +-1e6 and 1e13 queries lie beyond every hull slope, the last one
+    # past the +inf threshold
+    values = np.concatenate([np.full(pad_lo, np.inf), vals, np.full(pad_hi + 1, np.inf)])
+    fn = fl.ConvexGridFunction(fl.UniformGrid(-3.0, 2.0, len(values)), values)
+    w = np.array(w + [-1e6, 1e6, 1e13])
+    want = brute_conjugate_values(fn.grid.nodes(), fn.values, w)
+    _assert_close(fl.conjugate_values(fn, w), want, _term_scale(fn, w))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.data(),
+    st.floats(-100.0, 100.0),
+    st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+)
+def test_conjugate_values_of_single_finite_node(count, data, value, w):
+    # one finite node p0: the conjugate is the line w p0 - f(p0)
+    k = data.draw(st.integers(0, count - 1))
+    values = np.full(count, np.inf)
+    values[k] = value
+    fn = fl.ConvexGridFunction(fl.UniformGrid(-1.0, 4.0, count), values)
+    w = np.array(w)
+    want = brute_conjugate_values(fn.grid.nodes(), fn.values, w)
+    assert np.array_equal(fl.conjugate_values(fn, w), want)
+
+
+def test_conjugate_hull_is_built_once_per_function(monkeypatch):
+    built = []
+    real = fl._slope_hull
+
+    def counting(nodes, vals):
+        built.append(len(nodes))
+        return real(nodes, vals)
+
+    monkeypatch.setattr(fl, "_slope_hull", counting)
+    fn = _on_grid(lambda p: np.maximum(np.abs(p) - 1.0, 0.0))
+    first = fl.conjugate_values(fn, np.array([0.5]))
+    again = fl.conjugate_values(fn, np.array([0.5, -2.0]))
+    fl.conjugate(fn, V_GRID)
+    assert built == [P_GRID.count]
+    assert again[0] == first[0]
+
+
 def test_slope_range_reports_window_edge_slopes():
     lo, hi = fl.slope_range(_on_grid(lambda p: np.sqrt(1.0 + p * p)))
     assert lo == pytest.approx(-1.0, abs=1e-3)
@@ -235,6 +328,54 @@ def test_epigraph_polygon_of_abs():
     verts = {tuple(v) for v in E.body.vertices}
     assert (0.0, 0.0) in verts
     assert (1.0, 1.5) in verts and (-1.0, 1.5) in verts
+
+
+def _epigraph_points(fn, cap):
+    """Generating points of the truncated epigraph: the graph nodes at or
+    below the cap and the two points where the graph meets the cap (an end
+    node's column when the finite run stops below it)."""
+    nodes, vals = fn.grid.nodes(), fn.values
+    keep = np.nonzero(vals <= cap)[0]
+    ends = []
+    for i, j in ((keep[0], keep[0] - 1), (keep[-1], keep[-1] + 1)):
+        if 0 <= j < len(vals) and np.isfinite(vals[j]):
+            t = (cap - vals[j]) / (vals[i] - vals[j])
+            ends.append([nodes[j] + t * (nodes[i] - nodes[j]), cap])
+        else:
+            ends.append([nodes[i], cap])
+    return np.vstack([np.stack([nodes[keep], vals[keep]], axis=1), ends])
+
+
+def _production_epigraph_cases():
+    # both builders on the criterion-5 (t, x) set, plus ex_2_6 slices
+    x_sets = {"ex_2_1": (-1.0, -0.5, 0.0, 0.5, 1.0), "ex_2_2": (-1.0, 0.0, 1.0)}
+    for name, xs in x_sets.items():
+        spec = zoo.builtin(name)
+        for triple in (build_noncompact(spec), build_compact(spec)):
+            for x in xs:
+                yield triple, 0.5, x
+    for x in (0.15, 1.0):
+        yield build_noncompact(zoo.builtin("ex_2_6")), 0.5, x
+
+
+def test_epigraph_polygons_match_general_hull_on_production_slices():
+    for triple, t, x in _production_epigraph_cases():
+        fn = triple._core.slice(t, x)
+        lmin = fn.min_value()
+        bodies = [(fl.build_epigraph(fn, lmin + 2.0**j), lmin + 2.0**j) for j in range(6)]
+        if triple.lam is not None:
+            lam = float(triple.lam(t, x))
+            bodies.append((fl.build_bounded_epigraph(fn, lam), lam))
+        for epi, cap in bodies:
+            want = cg.ConvexBody(_epigraph_points(fn, cap))
+            got = epi.body.vertices
+            # the same vertex count (no near-collinear vertex is kept), and
+            # usually the same vertices bit for bit; the vertex scan of the
+            # Hausdorff oracle runs only when they differ
+            assert len(got) == len(want.vertices), (triple.control.kind, x, cap)
+            if not np.array_equal(got, want.vertices):
+                gap = brute_hausdorff(got, want.vertices)
+                assert gap <= 1e-12 * want.scale, (triple.control.kind, x, cap, gap)
 
 
 def test_bounded_epigraph_truncates_at_lambda():
