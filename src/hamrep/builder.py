@@ -110,7 +110,6 @@ class GridPolicy:
     p_count: int = 10001
     v_count: int = 601
     v_window: tuple[float, float] | None = None  # fallback when c(t) is absent
-    use_oracle_L: bool = False
     blc_tol: float = 2e-2
 
     def p_grid(self) -> UniformGrid:
@@ -128,18 +127,17 @@ class ImageReport:
 class RepresentationTriple:
     """Representation data: H(t,x,p) = sup_a [ p f(t,x,a) - l(t,x,a) ].
 
-    e_eval returns the selected epigraph point (f, l) for one control;
-    control_samples(t, x) yields the deterministic a-plan (including the
-    lift points for constructed triples, which e maps to themselves). The
-    e_eval of a constructed triple (one with a slice core) also maps an
-    (N, 2) stack of controls to an (N, 2) stack of points, and e_table
-    makes one such call per (t, x).
+    e_eval(t, x, a) is the one evaluator of every triple: it maps a control
+    a of shape (q,) to the point e = (f, l) of shape (2,), and an (N, q)
+    stack of controls to the (N, 2) stack of their points, row by row (a
+    row's point does not depend on the other rows). e_table makes one such
+    call per (t, x). control_samples(t, x) yields the deterministic a-plan
+    (including the lift points for constructed triples, which e maps to
+    themselves).
     """
 
     control: ControlSet
-    e_eval: Callable  # (t, x, a) -> ndarray (2,)
-    f_eval: Callable  # (t, x, a) -> float
-    l_eval: Callable  # (t, x, a) -> float
+    e_eval: Callable  # (t, x, (q,) | (N, q)) -> (2,) | (N, 2)
     provenance: str
     source: HamiltonianSpec | None
     caps: str
@@ -164,17 +162,13 @@ class RepresentationTriple:
                 return self._tables[key]
             a_samples = self.default_samples(t, x)
         A = np.atleast_2d(np.asarray(a_samples, dtype=float))
-        if self._core is not None:
-            E = np.asarray(self.e_eval(t, x, A), dtype=float)
-            F, Lv = E[:, 0].copy(), E[:, 1].copy()
-        else:
-            F = np.empty(len(A))
-            Lv = np.empty(len(A))
-            for i, a in enumerate(A):
-                e = np.asarray(self.e_eval(t, x, a), dtype=float)
-                F[i] = e[0]
-                Lv[i] = e[1]
-        out = (A, F, Lv)
+        E = np.asarray(self.e_eval(t, x, A), dtype=float)
+        if E.shape != (len(A), 2):
+            raise ConfigError(
+                f"e_eval must map an (N, q) control stack to (N, 2) points; "
+                f"got shape {E.shape} for N = {len(A)}"
+            )
+        out = (A, E[:, 0].copy(), E[:, 1].copy())
         if key is not None:
             self._tables[key] = out
         return out
@@ -214,26 +208,20 @@ class _SliceCore:
         if fn is not None:
             return fn
         grid = self.v_grid(t, x)
-        if self.policy.use_oracle_L and self.spec.oracle_L is not None:
-            vals = np.asarray(self.spec.oracle_L(t, x, grid.nodes()), dtype=float)
-            if not np.any(np.isfinite(vals)):
-                raise GridUnderflow(f"window misses dom L at (t={t}, x={x})")
-            fn = ConvexGridFunction(grid, vals)
-        else:
-            pg = self.policy.p_grid()
-            hfn = ConvexGridFunction(pg, np.asarray(self.spec.eval(t, x, pg.nodes()), dtype=float))
-            raw = conjugate(hfn, grid)
-            s_lo, s_hi = slope_range(hfn)
-            nodes = grid.nodes()
-            keep = (nodes >= s_lo) & (nodes <= s_hi)
-            if not np.any(keep):
-                if s_lo > grid.hi or s_hi < grid.lo:
-                    raise GridUnderflow(
-                        f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window"
-                    )
-                # degenerate slice: keep the node nearest the trust interval
-                keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
-            fn = ConvexGridFunction(grid, np.where(keep, raw.values, np.inf))
+        pg = self.policy.p_grid()
+        hfn = ConvexGridFunction(pg, np.asarray(self.spec.eval(t, x, pg.nodes()), dtype=float))
+        raw = conjugate(hfn, grid)
+        s_lo, s_hi = slope_range(hfn)
+        nodes = grid.nodes()
+        keep = (nodes >= s_lo) & (nodes <= s_hi)
+        if not np.any(keep):
+            if s_lo > grid.hi or s_hi < grid.lo:
+                raise GridUnderflow(
+                    f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window"
+                )
+            # degenerate slice: keep the node nearest the trust interval
+            keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
+        fn = ConvexGridFunction(grid, np.where(keep, raw.values, np.inf))
         if self.lam is not None:
             finite = fn.values[np.isfinite(fn.values)]
             excess = float(np.max(finite)) - float(self.lam(t, x))
@@ -333,8 +321,6 @@ def build_noncompact(
     return RepresentationTriple(
         control=control,
         e_eval=e_eval,
-        f_eval=lambda t, x, a: float(e_eval(t, x, a)[0]),
-        l_eval=lambda t, x, a: float(e_eval(t, x, a)[1]),
         provenance="constructed-noncompact",
         source=spec,
         caps=_CAP_NOTE,
@@ -397,8 +383,6 @@ def build_compact(
     return RepresentationTriple(
         control=control,
         e_eval=e_eval,
-        f_eval=lambda t, x, a: float(e_eval(t, x, a)[0]),
-        l_eval=lambda t, x, a: float(e_eval(t, x, a)[1]),
         provenance="constructed-compact",
         source=spec,
         caps=_CAP_NOTE,

@@ -99,14 +99,10 @@ class RunConfig:
 
 
 def _range_pair(raw, name: str) -> tuple[float, float]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError(f"{name} must be a two-number list [lo, hi]")
-    lo, hi = float(raw[0]), float(raw[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    lo, hi = _float_field(raw[0], f"{name}[0]"), _float_field(raw[1], f"{name}[1]")
+    if hi <= lo:
         raise ConfigError(f"{name} must be a nonempty finite range, got [{lo}, {hi}]")
     return lo, hi
 
@@ -114,6 +110,23 @@ def _range_pair(raw, name: str) -> tuple[float, float]:
 def _int_field(raw, name: str, minimum: int) -> int:
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {raw!r}")
+    return raw
+
+
+def _float_field(raw, name: str) -> float:
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+
+
+def _bool_field(raw, name: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{name} must be true or false, got {raw!r}")
     return raw
 
 
@@ -149,7 +162,7 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
     ap_def = APlan()
     a_plan = APlan(
         n_box=_int_field(ap_doc.get("n_box", ap_def.n_box), "a_plan.n_box", 6),
-        box_half=float(ap_doc.get("box_half", ap_def.box_half)),
+        box_half=_float_field(ap_doc.get("box_half", ap_def.box_half), "a_plan.box_half"),
         n_radii=_int_field(ap_doc.get("n_radii", ap_def.n_radii), "a_plan.n_radii", 2),
         n_angles=_int_field(ap_doc.get("n_angles", ap_def.n_angles), "a_plan.n_angles", 8),
         n_interval=_int_field(ap_doc.get("n_interval", ap_def.n_interval), "a_plan.n_interval", 33),
@@ -179,9 +192,13 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
 
     fixed_t = doc.get("fixed_t")
     if fixed_t is not None:
-        fixed_t = float(fixed_t)
+        fixed_t = _float_field(fixed_t, "fixed_t")
         if not window.t_range[0] <= fixed_t <= window.t_range[1]:
             raise ConfigError(f"fixed_t={fixed_t} lies outside window.t_range")
+
+    R = _float_field(doc.get("R", 2.0), "R")
+    if R <= 0.0:
+        raise ConfigError(f"R must be positive, got {R}")
 
     family = doc.get("family")
     if family is not None and family != "all" and family not in stability.family_names():
@@ -224,10 +241,10 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
         family=family,
         fixed_t=fixed_t,
         triple=triple,
-        R=float(doc.get("R", 2.0)),
-        epigraph_check=bool(doc.get("epigraph_check", True)),
+        R=R,
+        epigraph_check=_bool_field(doc.get("epigraph_check", True), "epigraph_check"),
         summand=str(summand) if summand is not None else None,
-        geometry=bool(doc.get("geometry", False)),
+        geometry=_bool_field(doc.get("geometry", False), "geometry"),
     )
 
 

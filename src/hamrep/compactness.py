@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .builder import ControlSet, GridPolicy, RepresentationTriple, _SliceCore
-from .errors import NoncompactControl
+from .builder import ControlSet, GridPolicy, RepresentationTriple
+from .errors import ConfigError, NoncompactControl
 from .fenchel import ConvexGridFunction, UniformGrid
 from .report import CheckReport
 from .sampling import SamplePlan
@@ -36,14 +36,15 @@ def simplex_weights(denom: int = SIMPLEX_DENOM) -> np.ndarray:
 class ConvexifiedTriple:
     """Two-atom convex combinations of a compact-control representation.
 
-    Controls are packed rows (a, b, alpha_1, alpha_2) over A^2 x simplex;
-    the evaluators are exact convex combinations of the base evaluators.
+    Controls are packed rows (a, b, alpha_1, alpha_2) over A^2 x simplex,
+    and e_eval follows the RepresentationTriple contract: a packed row
+    gives (2,), an (N, 2q + 2) stack gives (N, 2). A stack takes one base
+    e_eval call on the a-rows stacked over the b-rows, combined exactly as
+    alpha_1 e(a) + alpha_2 e(b).
     """
 
     base: RepresentationTriple
     control: ControlSet
-    f_eval: Callable
-    l_eval: Callable
     e_eval: Callable
     control_samples: Callable
     weights: np.ndarray
@@ -52,8 +53,6 @@ class ConvexifiedTriple:
         return RepresentationTriple(
             control=self.control,
             e_eval=self.e_eval,
-            f_eval=self.f_eval,
-            l_eval=self.l_eval,
             provenance="convexified",
             source=self.base.source,
             caps=self.base.caps,
@@ -80,20 +79,15 @@ def convexify(
     q = base.control.dim
     weights = simplex_weights(denom)
 
-    def f_eval(t, x, packed):
-        packed = np.asarray(packed, dtype=float)
-        a, b = packed[:q], packed[q : 2 * q]
-        al = packed[2 * q :]
-        return float(al[0] * base.f_eval(t, x, a) + al[1] * base.f_eval(t, x, b))
-
-    def l_eval(t, x, packed):
-        packed = np.asarray(packed, dtype=float)
-        a, b = packed[:q], packed[q : 2 * q]
-        al = packed[2 * q :]
-        return float(al[0] * base.l_eval(t, x, a) + al[1] * base.l_eval(t, x, b))
-
     def e_eval(t, x, packed):
-        return np.array([f_eval(t, x, packed), l_eval(t, x, packed)])
+        packed = np.asarray(packed, dtype=float)
+        if packed.ndim > 2 or packed.shape[-1:] != (2 * q + 2,):
+            raise ConfigError(f"packed controls are ({2 * q + 2},)-rows (a, b, alpha_1, alpha_2)")
+        rows = packed.reshape(-1, 2 * q + 2)
+        n = len(rows)
+        E = np.asarray(base.e_eval(t, x, np.concatenate([rows[:, :q], rows[:, q : 2 * q]])), dtype=float)
+        e = rows[:, 2 * q, None] * E[:n] + rows[:, 2 * q + 1, None] * E[n:]
+        return e.reshape(packed.shape[:-1] + (2,))
 
     def control_samples(t, x):
         S = np.atleast_2d(np.asarray(base.default_samples(t, x), dtype=float))
@@ -102,19 +96,17 @@ def convexify(
             [S, S, np.broadcast_to([1.0, 0.0], (n, 2))], axis=1
         )
         idx = np.arange(0, n, max(1, -(-n // n_cross)))
-        cross = []
-        for i in idx:
-            for j in idx:
-                for al in weights:
-                    cross.append(np.concatenate([S[i], S[j], al]))
-        return np.concatenate([diag, np.asarray(cross)], axis=0)
+        # rows ordered by (i, j, weight), i outermost
+        m, k = len(idx), len(weights)
+        i = np.repeat(idx, m * k)
+        j = np.tile(np.repeat(idx, k), m)
+        cross = np.concatenate([S[i], S[j], np.tile(weights, (m * m, 1))], axis=1)
+        return np.concatenate([diag, cross], axis=0)
 
     control = ControlSet("finite", 2 * q + 2, points=control_samples(0.0, 0.0))
     return ConvexifiedTriple(
         base=base,
         control=control,
-        f_eval=f_eval,
-        l_eval=l_eval,
         e_eval=e_eval,
         control_samples=control_samples,
         weights=weights,

@@ -31,7 +31,7 @@ from .errors import HypothesisViolation
 from .fenchel import build_epigraph
 from .report import CheckReport
 from .sampling import SamplePlan, worker_count
-from .zoo import HamiltonianSpec, LambdaBound, builtin
+from .zoo import HamiltonianSpec, builtin
 
 DEFAULT_INDICES = (4, 16, 64)
 
@@ -315,20 +315,6 @@ def representation_convergence(
         window=window,
         rows=sorted(rows, key=lambda r: r.i),
         bound_slack=bound_slack,
-    )
-
-
-def fixed_t_convergence(
-    family: PerturbationFamily,
-    t: float,
-    window: Window | None = None,
-    plan: SamplePlan | None = None,
-    kind: str = "noncompact",
-    policy: GridPolicy | None = None,
-) -> StabilityReport:
-    """representation_convergence restricted to a single time slice."""
-    return representation_convergence(
-        family, kind=kind, window=window, plan=plan, policy=policy, fixed_t=t
     )
 
 

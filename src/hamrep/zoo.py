@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import convex_geom as cg
-from .errors import UnknownName
+from .errors import ConfigError, UnknownName
 from .fenchel import (
     ConvexGridFunction,
     EffectiveDomain,
@@ -548,18 +548,22 @@ def check_MLC(
 
 
 def _triple_from_formulas(control, f, l, source, note=""):
+    """User triple whose f and l map an (N, q) stack of control rows to
+    (N,) arrays; e_eval takes one control (q,) or a stack (N, q)."""
     # builder imports zoo at module level, so import it lazily here
     from .builder import RepresentationTriple
 
     def e_eval(t, x, a):
         a = np.atleast_1d(np.asarray(a, dtype=float))
-        return np.array([f(t, x, a), l(t, x, a)])
+        if a.ndim > 2 or a.shape[-1] != control.dim:
+            raise ConfigError(f"control points of this triple have {control.dim} coordinates")
+        rows = a.reshape(-1, control.dim)
+        e = np.stack([f(t, x, rows), l(t, x, rows)], axis=1)
+        return e.reshape(a.shape[:-1] + (2,))
 
     return RepresentationTriple(
         control=control,
         e_eval=e_eval,
-        f_eval=lambda t, x, a: float(f(t, x, np.atleast_1d(np.asarray(a, dtype=float)))),
-        l_eval=lambda t, x, a: float(l(t, x, np.atleast_1d(np.asarray(a, dtype=float)))),
         provenance="user",
         source=source,
         caps=note,
@@ -582,10 +586,10 @@ def hat_rep_ex_2_1(n_side: int = 21):
     control = ControlSet("finite", 2, points=pts)
 
     def f(t, x, a):
-        return float(a[0] * abs(x))
+        return a[:, 0] * abs(x)
 
     def l(t, x, a):
-        return float(abs(a[0]) + abs(a[1]) * (1.0 - abs(a[0])))
+        return abs(a[:, 0]) + abs(a[:, 1]) * (1.0 - abs(a[:, 0]))
 
     return _triple_from_formulas(control, f, l, builtin("ex_2_1"), "square control grid")
 
@@ -611,10 +615,10 @@ def circle_rep_ex_2_2(n_points: int = 144):
     control = ControlSet("finite", 2, points=pts)
 
     def f(t, x, a):
-        return float(a[0])
+        return a[:, 0]
 
     def l(t, x, a):
-        return float(a[1] + abs(x))
+        return a[:, 1] + abs(x)
 
     return _triple_from_formulas(control, f, l, builtin("ex_2_2"), "unit-circle control")
 
@@ -635,9 +639,9 @@ def family_p_abs(h=0.0, k=0.0):
 
     def f(t, x, a):
         hv = float(h_fn(x))
-        return float(a[0] * (1.0 + abs(a[0]) * hv) / (1.0 + hv))
+        return a[:, 0] * (1.0 + abs(a[:, 0]) * hv) / (1.0 + hv)
 
     def l(t, x, a):
-        return float((1.0 - abs(a[0])) * k_fn(x))
+        return (1.0 - abs(a[:, 0])) * k_fn(x)
 
     return _triple_from_formulas(control, f, l, builtin("abs_p"), "interval control family")

@@ -4,8 +4,11 @@ Nothing here calls into the package: the conjugate oracles are a brute
 maximum over a dense p grid and the chunked all-pairs maximum over the
 finite nodes of a sampled function, the Steiner oracles are the polygon
 exterior-angle formula and a support-point quadrature over a polygonized
-E cap B(z, r), and the Hausdorff oracle works on raw vertex arrays with
-segment arithmetic. Tests compare library output against
+E cap B(z, r), the Hausdorff oracle works on raw vertex arrays with
+segment arithmetic, and the representation oracles evaluate one control
+at a time in scalar floats (the hand-written triples from their
+formulas, a convexified triple from one evaluation per atom of a base
+evaluator the test passes in). Tests compare library output against
 these so a regression cannot certify itself.
 """
 
@@ -169,3 +172,44 @@ def brute_hausdorff(averts, bverts):
     d_ab = max(point_polygon_distance(q, b) for q in a)
     d_ba = max(point_polygon_distance(q, a) for q in b)
     return float(max(d_ab, d_ba))
+
+
+def user_triple_point(name, x, a, h=0.0, k=0.0):
+    """(f, l) of the zoo's hand-written triple `name` at one control a,
+    from its formulas in scalar floats (h and k are the family's
+    constants)."""
+    if name == "hat_rep_ex_2_1":
+        return float(a[0] * abs(x)), float(abs(a[0]) + abs(a[1]) * (1.0 - abs(a[0])))
+    if name == "circle_rep_ex_2_2":
+        return float(a[0]), float(a[1] + abs(x))
+    if name == "family_p_abs":
+        return float(a[0] * (1.0 + abs(a[0]) * h) / (1.0 + h)), float((1.0 - abs(a[0])) * k)
+    raise ValueError(f"no formulas for {name!r}")
+
+
+def convexified_plan(samples, weights, n_cross=16):
+    """Packed control plan of a convexified triple, row by row: each base
+    sample paired with itself at weight (1, 0), then every pair (i, j) of
+    a strided subset of the samples at every simplex weight."""
+    S = np.asarray(samples, dtype=float)
+    rows = [np.concatenate([s, s, [1.0, 0.0]]) for s in S]
+    idx = range(0, len(S), max(1, -(-len(S) // n_cross)))
+    for i in idx:
+        for j in idx:
+            for al in weights:
+                rows.append(np.concatenate([S[i], S[j], al]))
+    return np.array(rows)
+
+
+def convexified_points(point_of, packed_rows, q):
+    """e of a convexified triple, one packed row (a, b, alpha_1, alpha_2)
+    at a time: one base evaluation `point_of(control) -> (f, l)` per atom,
+    combined in scalar floats as alpha_1 e(a) + alpha_2 e(b)."""
+    rows = np.asarray(packed_rows, dtype=float)
+    out = np.empty((len(rows), 2))
+    for r, row in enumerate(rows):
+        a, b, al = row[:q], row[q : 2 * q], row[2 * q :]
+        fa, la = (float(v) for v in point_of(a))
+        fb, lb = (float(v) for v in point_of(b))
+        out[r] = (float(al[0] * fa + al[1] * fb), float(al[0] * la + al[1] * lb))
+    return out

@@ -12,6 +12,7 @@ from hamrep.builder import (
     APlan,
     ControlSet,
     GridPolicy,
+    RepresentationTriple,
     Window,
     build_compact,
     build_noncompact,
@@ -151,6 +152,21 @@ def test_e_eval_validates_controls(ex22_noncompact_fast, ex22_compact_fast):
         ex22_noncompact_fast.e_eval(T0, 0.0, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ConfigError):
         ex22_compact_fast.e_eval(T0, 0.0, np.array([1.2, 0.9]))
+    with pytest.raises(ConfigError):
+        zoo.hat_rep_ex_2_1().e_eval(T0, 0.0, np.array([0.1, 0.2, 0.3]))
+
+
+def test_e_table_rejects_e_eval_breaking_the_shape_contract():
+    # one point for the whole stack instead of one per control
+    bad = RepresentationTriple(
+        control=ControlSet("interval", 1),
+        e_eval=lambda t, x, a: np.array([0.0, 0.0]),
+        provenance="user",
+        source=None,
+        caps="",
+    )
+    with pytest.raises(ConfigError, match=r"\(N, 2\)"):
+        bad.e_table(T0, 0.0)
 
 
 @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0])

@@ -135,6 +135,30 @@ def test_main_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"command": "check", "R": "abc"},
+        {"command": "check", "R": -2},
+        {"command": "check", "R": 0},
+        {"command": "check", "R": float("nan")},
+        {"command": "check", "R": 10**400},
+        {"command": "stability", "family": "ex_2_6_absx", "fixed_t": "x"},
+        {"command": "represent", "grids": {"a_plan": {"box_half": "q"}}},
+        {"command": "conjugate", "window": {"x_range": [-1.0, float("inf")]}},
+        {"command": "stability", "family": "ex_2_6_absx", "epigraph_check": "false"},
+        {"command": "conjugate", "geometry": 0},
+    ],
+)
+def test_main_rejects_bad_field_values(tmp_path, capsys, doc):
+    out = tmp_path / "out"
+    code = cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_main_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     assert "hamrep" in capsys.readouterr().out

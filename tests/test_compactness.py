@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import convexified_plan, convexified_points, user_triple_point
 from hamrep import compactness, zoo
 from hamrep.builder import ControlSet, RepresentationTriple
 from hamrep.compactness import (
@@ -13,7 +14,7 @@ from hamrep.compactness import (
     lemma41_check,
     simplex_weights,
 )
-from hamrep.errors import NoncompactControl
+from hamrep.errors import ConfigError, NoncompactControl
 from hamrep.sampling import SamplePlan
 
 PLAN = SamplePlan(seed=0)
@@ -32,8 +33,9 @@ def test_convexify_diagonal_reproduces_base():
     ct = convexify(base)
     a = np.array([0.5, -0.75])
     packed = np.concatenate([a, a, [1.0, 0.0]])
-    assert ct.f_eval(0.3, 0.4, packed) == pytest.approx(base.f_eval(0.3, 0.4, a))
-    assert ct.l_eval(0.3, 0.4, packed) == pytest.approx(base.l_eval(0.3, 0.4, a))
+    got, want = ct.e_eval(0.3, 0.4, packed), base.e_eval(0.3, 0.4, a)
+    assert got[0] == pytest.approx(want[0])
+    assert got[1] == pytest.approx(want[1])
 
 
 def test_convexify_mixes_atoms():
@@ -43,8 +45,61 @@ def test_convexify_mixes_atoms():
     right = np.array([1.0, 0.0])
     packed = np.concatenate([top, right, [0.5, 0.5]])
     x = 0.4
-    assert ct.f_eval(0.2, x, packed) == pytest.approx(0.5)
-    assert ct.l_eval(0.2, x, packed) == pytest.approx(0.5 + abs(x))
+    e = ct.e_eval(0.2, x, packed)
+    assert e[0] == pytest.approx(0.5)
+    assert e[1] == pytest.approx(0.5 + abs(x))
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("hat_rep_ex_2_1", {}),
+        ("circle_rep_ex_2_2", {}),
+        ("family_p_abs", {}),
+        ("family_p_abs", {"h": 0.3, "k": 0.7}),
+    ],
+)
+def test_convexified_e_table_matches_per_control_oracle(name, kwargs):
+    base = getattr(zoo, name)(**kwargs)
+    view = convexify(base).view()
+    q = base.control.dim
+    for t, x in ((0.2, -0.7), (0.5, 0.0), (0.9, 0.35)):
+        A, F, Lv = view.e_table(t, x)
+        assert np.array_equal(A, convexified_plan(base.default_samples(t, x), simplex_weights()))
+        want = convexified_points(lambda a: user_triple_point(name, x, a, **kwargs), A, q)
+        assert np.array_equal(F, want[:, 0])
+        assert np.array_equal(Lv, want[:, 1])
+
+
+def test_convexified_constructed_triple_matches_per_control_oracle(ex22_compact_fast):
+    base = ex22_compact_fast
+    ct = convexify(base)
+    t, x = 0.4, -0.3
+    packed = ct.control_samples(t, x)[::97]
+    _, F, Lv = ct.view().e_table(t, x, packed)
+    want = convexified_points(lambda a: base.e_eval(t, x, a), packed, 2)
+    assert np.array_equal(F, want[:, 0])
+    assert np.array_equal(Lv, want[:, 1])
+
+
+@pytest.mark.parametrize("name", ["hat_rep_ex_2_1", "circle_rep_ex_2_2", "family_p_abs"])
+def test_single_control_e_eval_equals_stacked_row(name):
+    triples = [getattr(zoo, name)()]
+    triples.append(convexify(triples[0]))
+    for triple in triples:
+        for t, x in ((0.3, -0.6), (0.7, 0.45)):
+            A = triple.control_samples(t, x) if triple.control_samples else triple.control.samples()
+            E = triple.e_eval(t, x, A)
+            assert E.shape == (len(A), 2)
+            for i in range(0, len(A), max(1, len(A) // 40)):
+                single = triple.e_eval(t, x, A[i])
+                assert single.shape == (2,)
+                assert np.array_equal(single, E[i])
+
+
+def test_convexified_e_eval_rejects_wrong_packed_width():
+    with pytest.raises(ConfigError):
+        convexify(zoo.family_p_abs()).e_eval(0.5, 0.0, np.zeros((3, 5)))
 
 
 def test_convexify_rejects_full_space(ex22_noncompact_fast):
@@ -87,9 +142,7 @@ def test_lemma41_fails_below_epigraph():
     control = ControlSet("interval", 1, lo=-1.0, hi=1.0)
     bad = RepresentationTriple(
         control=control,
-        e_eval=lambda t, x, a: np.array([float(np.atleast_1d(a)[0]), -0.3]),
-        f_eval=lambda t, x, a: float(np.atleast_1d(a)[0]),
-        l_eval=lambda t, x, a: -0.3,
+        e_eval=lambda t, x, a: np.stack([a[..., 0], np.full(a.shape[:-1], -0.3)], axis=-1),
         provenance="user",
         source=zoo.builtin("abs_p"),
         caps="deliberately broken",

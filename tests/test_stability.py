@@ -10,7 +10,6 @@ from hamrep.stability import (
     PerturbationFamily,
     epigraph_limit_check,
     family_names,
-    fixed_t_convergence,
     named_family,
     representation_convergence,
 )
@@ -107,8 +106,8 @@ def test_compact_route_lambda_family():
 
 
 def test_fixed_t_pins_time_slice():
-    report = fixed_t_convergence(
-        named_family("ex_2_6_absx"), t=0.5, policy=COARSE, plan=PLAN
+    report = representation_convergence(
+        named_family("ex_2_6_absx"), fixed_t=0.5, policy=COARSE, plan=PLAN
     )
     assert all(np.isfinite(r.sup_e_err) for r in report.rows)
     assert report.rows[-1].sup_e_err <= 0.3 * report.rows[0].sup_e_err
