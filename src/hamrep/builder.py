@@ -23,21 +23,14 @@ from typing import Callable
 import numpy as np
 
 from . import convex_geom as cg
-from .errors import (
-    BLCViolation,
-    ConfigError,
-    GridUnderflow,
-    HypothesisViolation,
-    MissingC,
-)
+from .errors import BLCViolation, ConfigError, HypothesisViolation, MissingC
 from .fenchel import (
     ConvexGridFunction,
     EffectiveDomain,
     Epigraph,
+    LagrangianSlices,
     UniformGrid,
     build_epigraph,
-    conjugate,
-    slope_range,
 )
 from .report import CheckReport
 from .sampling import SamplePlan
@@ -109,7 +102,6 @@ class GridPolicy:
     p_hi: float = 50.0
     p_count: int = 10001
     v_count: int = 601
-    v_window: tuple[float, float] | None = None  # fallback when c(t) is absent
     blc_tol: float = 2e-2
 
     def p_grid(self) -> UniformGrid:
@@ -187,41 +179,19 @@ class _SliceCore:
         self.spec = spec
         self.policy = policy
         self.lam = lam
-        self._slices: dict[tuple[float, float], ConvexGridFunction] = {}
+        self.slices = LagrangianSlices(spec.eval, policy.p_grid())
+        self._kept: dict[tuple[float, float], ConvexGridFunction] = {}
         self._epis: dict[tuple[float, float, int], Epigraph] = {}
 
-    def v_grid(self, t: float, x: float) -> UniformGrid:
-        c = self.spec.modulus.c
-        if c is not None:
-            w = float(c(t)) * (1.0 + abs(x)) + 1.0
-            return UniformGrid(-w, w, self.policy.v_count)
-        if self.policy.v_window is None:
-            raise ConfigError(
-                f"{self.spec.name} has no growth bound c(t); set GridPolicy.v_window"
-            )
-        lo, hi = self.policy.v_window
-        return UniformGrid(lo, hi, self.policy.v_count)
-
     def slice(self, t: float, x: float) -> ConvexGridFunction:
+        """Trusted L(t, x, .) on the v-grid, kept per (t, x)."""
         key = (float(t), float(x))
-        fn = self._slices.get(key)
+        fn = self._kept.get(key)
         if fn is not None:
             return fn
-        grid = self.v_grid(t, x)
-        pg = self.policy.p_grid()
-        hfn = ConvexGridFunction(pg, np.asarray(self.spec.eval(t, x, pg.nodes()), dtype=float))
-        raw = conjugate(hfn, grid)
-        s_lo, s_hi = slope_range(hfn)
-        nodes = grid.nodes()
-        keep = (nodes >= s_lo) & (nodes <= s_hi)
-        if not np.any(keep):
-            if s_lo > grid.hi or s_hi < grid.lo:
-                raise GridUnderflow(
-                    f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window"
-                )
-            # degenerate slice: keep the node nearest the trust interval
-            keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
-        fn = ConvexGridFunction(grid, np.where(keep, raw.values, np.inf))
+        # without c, on_grid takes the half-width from the sample it conjugates
+        w = self.spec.modulus.v_halfwidth(t, abs(x))
+        fn = self.slices.on_grid(t, x, self.policy.v_count, w)
         if self.lam is not None:
             finite = fn.values[np.isfinite(fn.values)]
             excess = float(np.max(finite)) - float(self.lam(t, x))
@@ -229,7 +199,7 @@ class _SliceCore:
                 raise BLCViolation(
                     f"sampled L exceeds lambda by {excess:.3g} at (t={t}, x={x})"
                 )
-        self._slices[key] = fn
+        self._kept[key] = fn
         return fn
 
     def _ladder(self, t: float, x: float, needed_caps) -> list[tuple[Epigraph, np.ndarray]]:
@@ -285,12 +255,11 @@ class _SliceCore:
 
 
 def _typical_h(core: _SliceCore) -> float:
-    spec = core.spec
-    t0 = 0.5 * (spec.t_range[0] + spec.t_range[1])
-    try:
-        return core.v_grid(t0, 0.0).h
-    except ConfigError:
-        return 0.0
+    t0 = 0.5 * (core.spec.t_range[0] + core.spec.t_range[1])
+    w = core.spec.modulus.v_halfwidth(t0, 0.0)
+    if w is None:
+        w = core.slices.halfwidth(t0, 0.0)
+    return UniformGrid(-w, w, core.policy.v_count).h
 
 
 _CAP_NOTE = "power-of-two ladder over max(|a_eta|, min L) + 3*(2 d) + 1"
@@ -407,12 +376,26 @@ def reconstruct_H(
     return float(np.max(p * F - L))
 
 
+def induced_H(
+    triple: RepresentationTriple,
+    t: float,
+    x: float,
+    p_values: np.ndarray,
+    a_samples: np.ndarray | None = None,
+) -> np.ndarray:
+    """H induced by the triple: max over sampled controls of p f - l."""
+    _, F, Lv = triple.e_table(t, x, a_samples)
+    p = np.asarray(p_values, dtype=float)
+    return np.max(p[:, None] * F[None, :] - Lv[None, :], axis=1)
+
+
 def _reference_domain(triple: RepresentationTriple, t: float, x: float) -> EffectiveDomain:
     spec = triple.source
     if spec is None:
         raise ConfigError("triple has no source Hamiltonian to compare against")
-    use_oracle = spec.oracle_dom is not None
-    return domain_evaluator(spec, use_oracle=use_oracle)(t, x)
+    # a constructed triple's numeric domain samples H on the triple's own p-grid
+    p_grid = triple._core.policy.p_grid() if triple._core is not None else None
+    return domain_evaluator(spec, p_grid=p_grid)(t, x)
 
 
 def image_of_controls(
@@ -453,20 +436,21 @@ def _draw_pair_controls(triple: RepresentationTriple, rng: np.random.Generator) 
     return pts[rng.integers(0, len(pts), 2)]
 
 
-def _slice_access(triple: RepresentationTriple):
-    """Access to L(t, x, .) consistent with the triple's own discretization
-    (oracle or pointwise-conjugate access for user triples)."""
+def lagrangian_access(triple: RepresentationTriple) -> Callable:
+    """(t, x) -> vectorized L(t, x, .), consistent with the triple's own
+    discretization: a constructed triple's trusted v-grid slice (the
+    ConvexGridFunction it was built from), else the source's oracle or
+    pointwise conjugate, else the raw conjugate of the induced H on the
+    default grids."""
+    if triple._core is not None:
+        return triple._core.slice
     spec = triple.source
-    if triple.provenance == "user":
-        ev = lagrangian_evaluator(spec, use_oracle=spec.oracle_L is not None)
+    if spec is not None:
+        ev = lagrangian_evaluator(spec)
         return lambda t, x: (lambda vs: np.asarray(ev(t, x, np.asarray(vs, dtype=float)), dtype=float))
-    core = triple._core if isinstance(triple._core, _SliceCore) else _SliceCore(spec, GridPolicy())
-
-    def access(t, x):
-        fn = core.slice(t, x)
-        return lambda vs: fn(np.asarray(vs, dtype=float))
-
-    return access
+    policy = GridPolicy()
+    slices = LagrangianSlices(lambda t, x, p: induced_H(triple, t, x, p), policy.p_grid())
+    return lambda t, x: slices.on_grid(t, x, policy.v_count, trusted=False)
 
 
 def verify_triple(
@@ -574,7 +558,7 @@ def verify_triple(
     )
 
     mtol = membership_tol if membership_tol is not None else max(2.0 * h, 1e-9)
-    L_of = _slice_access(triple)
+    L_of = lagrangian_access(triple)
     worst_mem, wit_mem = -np.inf, []
     for t, x in slabs[:4]:
         _, F, Lv = triple.e_table(t, x)

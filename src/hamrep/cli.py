@@ -35,11 +35,22 @@ from .builder import (
 )
 from .errors import ConfigError, HamrepError, UnknownName
 from .exprs import compile_expr, compile_hamiltonian
-from .fenchel import ConvexGridFunction, UniformGrid, conjugate, epi_sum, restrict, slope_range
+from .fenchel import LagrangianSlices, UniformGrid, epi_sum
 from .report import CheckReport, reports_to_json
 from .sampling import SamplePlan
 
 COMMANDS = ("conjugate", "check", "represent", "verify", "compactness", "stability", "zoo-list")
+
+# the tolerance names each command reads
+_TOLERANCES = {
+    "conjugate": ("abs_err", "margin", "episum"),
+    "check": ("hlc", "llc", "mlc"),
+    "represent": ("reconstruction", "soundness", "l_lower", "lip_slack", "image_gap", "sandwich"),
+    "verify": ("l_lower", "lip_slack", "image_gap"),
+    "compactness": ("lemma41", "blc", "blc_threshold"),
+    "stability": ("bound_slack", "decay_ratio", "epigraph_abs"),
+    "zoo-list": (),
+}
 
 _TRIPLES = {
     "hat_rep_ex_2_1": zoo.hat_rep_ex_2_1,
@@ -184,6 +195,10 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"tolerance {key!r} must be a number")
     tolerances.update(tols or {})
+    unknown = sorted(set(tolerances) - set(_TOLERANCES[command]))
+    if unknown:
+        valid = ", ".join(_TOLERANCES[command]) or "none"
+        raise ConfigError(f"unknown tolerance name(s) for {command}: {', '.join(unknown)}; valid: {valid}")
 
     kind = doc.get("kind", "noncompact")
     allowed_kinds = ("noncompact", "compact", "both") if command in ("represent", "verify") else ("noncompact", "compact")
@@ -379,24 +394,21 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
     x = _mid(cfg.window.x_range)
     tol = cfg.tol("episum", 2e-2)
     h2 = compile_expr(cfg.summand, ("t", "x", "p"))
-    nodes = p_grid.nodes()
-    h1_vals = np.asarray(spec.eval(t, x, nodes), dtype=float)
-    h2_vals = np.asarray(h2(t, x, nodes), dtype=float)
-    h1_fn = ConvexGridFunction(p_grid, h1_vals)
-    h2_fn = ConvexGridFunction(p_grid, h2_vals)
-    sum_fn = ConvexGridFunction(p_grid, h1_vals + h2_vals)
-    width = max(abs(s) for s in slope_range(sum_fn)) + 0.5
-    v_grid = UniformGrid(-width, width, cfg.v_count)
-    lhs = restrict(conjugate(sum_fn, v_grid), *slope_range(sum_fn))
-    f1 = restrict(conjugate(h1_fn, v_grid), *slope_range(h1_fn))
-    f2 = restrict(conjugate(h2_fn, v_grid), *slope_range(h2_fn))
+
+    def h_sum(t, x, p):
+        return np.asarray(spec.eval(t, x, p), dtype=float) + np.asarray(h2(t, x, p), dtype=float)
+
+    width = max(abs(s) for s in LagrangianSlices(h_sum, p_grid).trust(t, x)) + 0.5
+    lhs, f1, f2 = (
+        LagrangianSlices(h, p_grid).on_grid(t, x, cfg.v_count, width) for h in (h_sum, spec.eval, h2)
+    )
     rhs = epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)
     mismatch = int(np.sum(np.isfinite(lhs.values) != np.isfinite(rhs.values)))
     worst = float(np.max(np.abs(lhs.values[both] - rhs.values[both]))) if np.any(both) else np.inf
     # a one-node skirt per side covers the trust-window vs sum-window seam
     verdict = "pass" if worst <= tol and mismatch <= 2 else "fail"
-    vs = v_grid.nodes()
+    vs = lhs.grid.nodes()
     for v, a, b in zip(vs[both], lhs.values[both], rhs.values[both]):
         rows.append((f"{spec.name}+summand", t, x, float(v), float(a), float(b), float(abs(a - b))))
     return CheckReport(
@@ -415,7 +427,7 @@ def _run_check(cfg: RunConfig):
     for spec in specs:
         got = [
             zoo.check_HLC(spec, cfg.R, samples=plan, tol=cfg.tol("hlc", 1e-9)),
-            zoo.check_LLC(spec, cfg.R, samples=plan, tol=cfg.tol("llc", 2e-2)),
+            zoo.check_LLC(spec, cfg.R, samples=plan, tol=cfg.tol("llc", 2e-2), p_grid=p_grid),
             zoo.check_MLC(
                 spec,
                 cfg.R,
@@ -558,6 +570,7 @@ def _run_compactness(cfg: RunConfig):
                 x_range=x_range,
                 threshold=cfg.tol("blc_threshold", 1e3),
                 plan=plan,
+                p_grid=cfg.policy().p_grid(),
             )
             reports.extend(_tag_reports([rep], ham))
         header = ["triple", "t", "x", "lambda"]
@@ -588,6 +601,7 @@ def _run_compactness(cfg: RunConfig):
         x_range=x_range,
         threshold=cfg.tol("blc_threshold", 1e3),
         plan=plan,
+        p_grid=cfg.policy().p_grid(),
     )
     header = ["margin", "interior_sup"]
     rows = [

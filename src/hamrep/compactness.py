@@ -16,9 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .builder import ControlSet, GridPolicy, RepresentationTriple
+from .builder import induced_H  # noqa: F401  (part of this module's API)
+from .builder import ControlSet, RepresentationTriple, lagrangian_access
 from .errors import ConfigError, NoncompactControl
-from .fenchel import ConvexGridFunction, UniformGrid
+from .fenchel import UniformGrid
 from .report import CheckReport
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound, domain_evaluator, lagrangian_evaluator
@@ -113,42 +114,6 @@ def convexify(
     )
 
 
-def induced_H(
-    triple: RepresentationTriple,
-    t: float,
-    x: float,
-    p_values: np.ndarray,
-    a_samples: np.ndarray | None = None,
-) -> np.ndarray:
-    """H induced by the triple: max over sampled controls of p f - l."""
-    _, F, Lv = triple.e_table(t, x, a_samples)
-    p = np.asarray(p_values, dtype=float)
-    return np.max(p[:, None] * F[None, :] - Lv[None, :], axis=1)
-
-
-def _lagrangian_access(triple: RepresentationTriple, policy: GridPolicy | None = None):
-    """(t, x) -> vectorized L(t, x, .) for the triple's source Hamiltonian;
-    falls back to the numeric conjugate of the induced H when no source is
-    attached."""
-    spec = triple.source
-    if spec is not None:
-        ev = lagrangian_evaluator(spec, use_oracle=spec.oracle_L is not None)
-        return lambda t, x: (lambda vs: np.asarray(ev(t, x, np.asarray(vs, dtype=float)), dtype=float))
-    policy = policy or GridPolicy()
-    pg = policy.p_grid()
-
-    def access(t, x):
-        hv = induced_H(triple, t, x, pg.nodes())
-        hfn = ConvexGridFunction(pg, hv)
-        from .fenchel import conjugate, slope_range
-
-        w = max(abs(s) for s in slope_range(hfn)) + 1.0
-        fn = conjugate(hfn, UniformGrid(-w, w, policy.v_count))
-        return lambda vs: fn(np.asarray(vs, dtype=float))
-
-    return access
-
-
 def lemma41_check(
     triple: RepresentationTriple | ConvexifiedTriple,
     L_source: Callable | None = None,
@@ -168,7 +133,7 @@ def lemma41_check(
     if tri.control.kind == "full_space":
         raise NoncompactControl("lemma41_check applies to compact control sets")
     plan = plan or SamplePlan()
-    L_of = L_source if L_source is not None else _lagrangian_access(tri)
+    L_of = L_source if L_source is not None else lagrangian_access(tri)
     rng = plan.rng(41)
     worst, wit = -np.inf, []
     for _ in range(6):
@@ -217,10 +182,8 @@ def extract_lambda(
     plan = plan or SamplePlan()
     rng = plan.rng(33)
     spec = tri.source
-    L_of = _lagrangian_access(tri)
-    dom_of = None
-    if spec is not None:
-        dom_of = domain_evaluator(spec, use_oracle=spec.oracle_dom is not None)
+    L_of = lagrangian_access(tri)
+    dom_of = domain_evaluator(spec) if spec is not None else None
     worst, wit = -np.inf, []
     for _ in range(6):
         t = float(rng.uniform(*t_range))
@@ -275,6 +238,7 @@ def detect_blc_failure(
     threshold: float = 1e3,
     plan: SamplePlan | None = None,
     n_v: int = 2001,
+    p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Interior-sup ladder for Lagrangian boundedness on the domain.
 
@@ -283,20 +247,21 @@ def detect_blc_failure(
     past the threshold, or sup growth of 8x per rung ending above half the
     threshold) yields the violated verdict; otherwise the final sups double
     as a candidate lambda. Both verdicts are findings, not failures.
+    Numeric slices sample H on p_grid.
     """
     plan = plan or SamplePlan()
     rng = plan.rng(101)
     use_oracle = spec.oracle_L is not None and spec.oracle_dom is not None
-    L_ev = lagrangian_evaluator(spec, use_oracle=use_oracle)
-    dom_ev = domain_evaluator(spec, use_oracle=use_oracle)
+    L_ev = lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=p_grid)
+    dom_ev = domain_evaluator(spec, use_oracle=use_oracle, p_grid=p_grid)
     slabs = [
         (float(t), float(x))
         for t, x in zip(rng.uniform(*t_range, 8), rng.uniform(*x_range, 8))
     ]
     sups = []
-    candidates = []
     for delta in margins:
-        sup_d = -np.inf
+        # the sups per slab at the final margin double as the candidate lambda
+        sup_d, candidates = -np.inf, []
         for t, x in slabs:
             dom = dom_ev(t, x)
             lo, hi = dom.lo + delta, dom.hi - delta
@@ -306,17 +271,8 @@ def detect_blc_failure(
             vals = vals[np.isfinite(vals)]
             if len(vals):
                 sup_d = max(sup_d, float(np.max(vals)))
-        sups.append(sup_d)
-    if np.isfinite(sups[-1]):
-        for t, x in slabs:
-            dom = dom_ev(t, x)
-            lo, hi = dom.lo + margins[-1], dom.hi - margins[-1]
-            if hi <= lo:
-                continue
-            vals = np.asarray(L_ev(t, x, np.linspace(lo, hi, n_v)), dtype=float)
-            vals = vals[np.isfinite(vals)]
-            if len(vals):
                 candidates.append({"t": t, "x": x, "sup_L": float(np.max(vals))})
+        sups.append(sup_d)
     ratios = [
         sups[i + 1] / max(sups[i], 1e-12)
         for i in range(len(sups) - 1)

@@ -459,105 +459,6 @@ def disc_steiner(body: ConvexBody, centers, radii) -> np.ndarray:
     return out
 
 
-def _clip_segment_by_polygon(seg: np.ndarray, poly: ConvexBody) -> np.ndarray | None:
-    a, b = seg[0], seg[1]
-    verts = poly.vertices
-    e0 = verts
-    e1 = np.roll(verts, -1, axis=0)
-    t_lo, t_hi = 0.0, 1.0
-    d = b - a
-    for p0, p1 in zip(e0, e1):
-        n = np.array([-(p1[1] - p0[1]), p1[0] - p0[0]])  # inward normal, CCW
-        num = float(n @ (a - p0))
-        den = float(n @ d)
-        if abs(den) < 1e-300:
-            if num < -_EPS_BASE * poly.scale:
-                return None
-            continue
-        t = -num / den
-        if den > 0:
-            t_lo = max(t_lo, t)
-        else:
-            t_hi = min(t_hi, t)
-        if t_lo > t_hi + 1e-12:
-            return None
-    t_lo = min(max(t_lo, 0.0), 1.0)
-    t_hi = min(max(t_hi, 0.0), 1.0)
-    if t_lo > t_hi:
-        return None
-    return np.stack([a + t_lo * d, a + t_hi * d])
-
-
-def intersect_convex(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """Intersection of two polygon bodies (Sutherland-Hodgman clipping).
-
-    Raises EmptyBody when the intersection is empty.
-    """
-    na, nb = len(a.vertices), len(b.vertices)
-    if na == 1 or nb == 1:
-        pt, other = (a, b) if na == 1 else (b, a)
-        if distance(pt.vertices[0], other) <= _EPS_BASE * other.scale * 10.0:
-            return ConvexBody(pt.vertices)
-        raise EmptyBody("point lies outside the other body")
-    if na == 2 or nb == 2:
-        seg, other = (a, b) if na == 2 else (b, a)
-        if len(other.vertices) == 2:
-            return _intersect_segments(seg.vertices, other.vertices)
-        out = _clip_segment_by_polygon(seg.vertices, other)
-        if out is None:
-            raise EmptyBody("segment misses the body")
-        return ConvexBody(out)
-
-    eps = _EPS_BASE * max(a.scale, b.scale) * 10.0
-    pts = [tuple(v) for v in a.vertices]
-    clip = b.vertices
-    for i in range(len(clip)):
-        p0, p1 = clip[i], clip[(i + 1) % len(clip)]
-        nrm = np.array([-(p1[1] - p0[1]), p1[0] - p0[0]])
-        out = []
-        m = len(pts)
-        if m == 0:
-            break
-        side = [float(nrm @ (np.asarray(q) - p0)) for q in pts]
-        for j in range(m):
-            q0, s0 = np.asarray(pts[j]), side[j]
-            q1, s1 = np.asarray(pts[(j + 1) % m]), side[(j + 1) % m]
-            if s0 >= -eps:
-                out.append(tuple(q0))
-            if (s0 > eps and s1 < -eps) or (s0 < -eps and s1 > eps):
-                t = s0 / (s0 - s1)
-                out.append(tuple(q0 + t * (q1 - q0)))
-        pts = out
-    if not pts:
-        raise EmptyBody("empty intersection")
-    return ConvexBody(np.asarray(pts))
-
-
-def _intersect_segments(s1: np.ndarray, s2: np.ndarray) -> ConvexBody:
-    a, b = s1[0], s1[1]
-    c, d = s2[0], s2[1]
-    r = b - a
-    s = d - c
-    denom = float(r[0] * s[1] - r[1] * s[0])
-    scale = max(1.0, float(np.max(np.abs(np.stack([s1, s2])))))
-    if abs(denom) > _EPS_BASE * scale * scale:
-        t = float(((c - a)[0] * s[1] - (c - a)[1] * s[0]) / denom)
-        u = float(((c - a)[0] * r[1] - (c - a)[1] * r[0]) / denom)
-        if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-            return ConvexBody((a + min(max(t, 0.0), 1.0) * r)[None, :])
-        raise EmptyBody("segments do not meet")
-    # parallel: collinear overlap or nothing
-    if abs(float(r[0] * (c - a)[1] - r[1] * (c - a)[0])) > _EPS_BASE * scale * scale:
-        raise EmptyBody("parallel segments")
-    rr = float(r @ r)
-    t0 = float((c - a) @ r) / rr
-    t1 = float((d - a) @ r) / rr
-    lo, hi = max(0.0, min(t0, t1)), min(1.0, max(t0, t1))
-    if lo > hi + 1e-12:
-        raise EmptyBody("collinear segments do not overlap")
-    return ConvexBody(np.stack([a + lo * r, a + hi * r]))
-
-
 def _random_polygon(rng: np.random.Generator, center_scale: float = 6.0, spread: float = 2.5) -> ConvexBody:
     c = rng.uniform(-center_scale, center_scale, 2)
     k = int(rng.integers(3, 10))

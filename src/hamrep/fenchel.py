@@ -11,6 +11,10 @@ at the vertex where the hull slopes pass the query slope. Each grid
 function builds that hull once, on its first query, and every later query
 is a slope search.
 
+`LagrangianSlices` is the one path from a Hamiltonian to its Lagrangian
+slices L(t, x, .) = H(t, x, .)*: it samples H on the p-grid, reads the
+trust interval, evaluates L pointwise and conjugates onto velocity grids.
+
 Epigraphs and bounded epigraph slices are materialized as polygon bodies in
 the (v, eta) plane; the lower boundary interpolates the sampled graph, so a
 convex source function yields an inner polygonal approximation of the true
@@ -21,11 +25,12 @@ point-set hull is taken.
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 import numpy as np
 
 from .convex_geom import _EPS_BASE, ConvexBody
-from .errors import CapTooLow, EmptyResult, ImproperFunction, UnboundedSummand
+from .errors import CapTooLow, EmptyResult, GridUnderflow, ImproperFunction, UnboundedSummand
 
 INF_THRESHOLD = 1e12
 
@@ -307,6 +312,80 @@ def restrict(fn: ConvexGridFunction, lo: float, hi: float) -> ConvexGridFunction
     vals = fn.values.copy()
     vals[(nodes < lo) | (nodes > hi)] = np.inf
     return ConvexGridFunction(fn.grid, vals, convex_flag=fn.convex_flag)
+
+
+def _trust_halfwidth(s_lo: float, s_hi: float) -> float:
+    return max(abs(s_lo), abs(s_hi)) + 1.0
+
+
+class LagrangianSlices:
+    """The Lagrangian slices L(t, x, .) = H(t, x, .)* of one Hamiltonian.
+
+    Every slice starts from H(t, x, .) sampled on the p-grid, and its
+    conjugate is data only on the trust interval between the edge slopes
+    of that sample (`slope_range`). `values` keeps each sample, with its
+    lower hull, per (t, x), so repeated queries on a slice are slope
+    searches; `trust`, `halfwidth` and `on_grid` keep nothing, so callers
+    cache the grid slices they reuse.
+    """
+
+    def __init__(self, h_eval: Callable, p_grid: UniformGrid):
+        self.h_eval = h_eval  # (t, x, p-array) -> array, convex in p
+        self.p_grid = p_grid
+        self._kept: dict[tuple[float, float], ConvexGridFunction] = {}
+
+    def _sample(self, t: float, x: float) -> ConvexGridFunction:
+        vals = np.asarray(self.h_eval(t, x, self.p_grid.nodes()), dtype=float)
+        return ConvexGridFunction(self.p_grid, vals)
+
+    def trust(self, t: float, x: float) -> tuple[float, float]:
+        """Trust interval of L(t, x, .): the edge slopes of the H sample."""
+        return slope_range(self._sample(t, x))
+
+    def halfwidth(self, t: float, x: float) -> float:
+        """max |edge slope| + 1: half-width of the symmetric v-window that
+        holds the trust interval with a unit margin."""
+        return _trust_halfwidth(*self.trust(t, x))
+
+    def values(self, t: float, x: float, v) -> np.ndarray:
+        """L(t, x, v) pointwise (see conjugate_values)."""
+        key = (float(t), float(x))
+        hfn = self._kept.get(key)
+        if hfn is None:
+            hfn = self._kept[key] = self._sample(t, x)
+        return conjugate_values(hfn, v)
+
+    def on_grid(
+        self,
+        t: float,
+        x: float,
+        count: int,
+        halfwidth: float | None = None,
+        trusted: bool = True,
+    ) -> ConvexGridFunction:
+        """L(t, x, .) on the v-grid of count nodes over [-w, w].
+
+        w is halfwidth, or the sample's own max |edge slope| + 1 when it is
+        None. The raw slice (trusted False) is the grid conjugate on the
+        whole window. The trusted slice is +inf outside the trust
+        interval; an interval that falls between two nodes keeps the node
+        nearest its midpoint, and one that misses the window raises
+        GridUnderflow.
+        """
+        hfn = self._sample(t, x)
+        s_lo, s_hi = slope_range(hfn)
+        w = _trust_halfwidth(s_lo, s_hi) if halfwidth is None else halfwidth
+        grid = UniformGrid(-w, w, count)
+        raw = conjugate(hfn, grid)
+        if not trusted:
+            return raw
+        nodes = grid.nodes()
+        keep = (nodes >= s_lo) & (nodes <= s_hi)
+        if not np.any(keep):
+            if s_lo > grid.hi or s_hi < grid.lo:
+                raise GridUnderflow(f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window")
+            keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
+        return ConvexGridFunction(grid, np.where(keep, raw.values, np.inf))
 
 
 def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:

@@ -8,7 +8,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 
@@ -37,12 +36,3 @@ class SamplePlan:
         """n_v points in (0, 1) used to sample effective-domain interiors."""
         return (np.arange(self.n_v) + 0.5) / self.n_v
 
-
-def worker_count() -> int:
-    """Worker cap for embarrassingly parallel sweeps; HAMREP_THREADS wins."""
-    raw = os.environ.get("HAMREP_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)

@@ -10,7 +10,6 @@ pointwise. Decay is judged by the ratio of the final to the first index.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import io
 from typing import Callable
@@ -23,14 +22,14 @@ from .builder import (
     GridPolicy,
     RepresentationTriple,
     Window,
-    _SliceCore,
     build_compact,
     build_noncompact,
+    lagrangian_access,
 )
 from .errors import HypothesisViolation
 from .fenchel import build_epigraph
 from .report import CheckReport
-from .sampling import SamplePlan, worker_count
+from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, builtin
 
 DEFAULT_INDICES = (4, 16, 64)
@@ -246,8 +245,8 @@ def _build(kind: str, spec: HamiltonianSpec, lam, policy: GridPolicy) -> Represe
     return build_noncompact(spec, grids=policy)
 
 
-def _common_cap_hausdorff(core_i: _SliceCore, core: _SliceCore, t: float, x: float) -> float:
-    fi, f0 = core_i.slice(t, x), core.slice(t, x)
+def _common_cap_hausdorff(tri: RepresentationTriple, limit: RepresentationTriple, t: float, x: float) -> float:
+    fi, f0 = lagrangian_access(tri)(t, x), lagrangian_access(limit)(t, x)
     cap = max(fi.min_value(), f0.min_value()) + 5.0
     Ei = build_epigraph(fi, cap)
     E0 = build_epigraph(f0, cap)
@@ -295,7 +294,7 @@ def representation_convergence(
             sup_e = max(sup_e, float(np.max(e_err)))
             sup_f = max(sup_f, float(np.max(np.abs(F_i - F_0))))
             sup_l = max(sup_l, float(np.max(np.abs(L_i - L_0))))
-            hd = _common_cap_hausdorff(tri._core, limit._core, t, x)
+            hd = _common_cap_hausdorff(tri, limit, t, x)
             sup_h = max(sup_h, hd)
             dM = abs(tri.scaling.eval(t, x) - limit.scaling.eval(t, x))
             norms = np.linalg.norm(np.atleast_2d(a_samples), axis=1)
@@ -303,17 +302,11 @@ def representation_convergence(
             margin = max(margin, float(np.max(e_err - rhs)))
         return IndexRow(i, sup_e, sup_f, sup_l, sup_h, margin)
 
-    workers = worker_count()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(measure, family.indices))
-    else:
-        rows = [measure(i) for i in family.indices]
     return StabilityReport(
         family=family.name,
         kind=kind,
         window=window,
-        rows=sorted(rows, key=lambda r: r.i),
+        rows=sorted((measure(i) for i in family.indices), key=lambda r: r.i),
         bound_slack=bound_slack,
     )
 
@@ -341,16 +334,17 @@ def epigraph_limit_check(
     x_star = float(rng.uniform(0.5 * x_lo, 0.5 * x_hi))
     dt, dx = 0.3 * (t_hi - t_star), 0.3 * (x_hi - x_star)
 
-    limit_core = _SliceCore(family.limit_spec(), policy)
-    f0 = limit_core.slice(t_star, x_star)
+    def slice_of(spec, t, x):
+        return lagrangian_access(build_noncompact(spec, grids=policy))(t, x)
+
+    f0 = slice_of(family.limit_spec(), t_star, x_star)
     lmin = f0.min_value()
     probes = np.stack(
         [rng.uniform(-2.0, 2.0, n_probes), rng.uniform(lmin - 1.0, lmin + 4.0, n_probes)],
         axis=1,
     )
 
-    cores = {i: _SliceCore(family.spec_for(i), policy) for i in family.indices}
-    slices = {i: cores[i].slice(t_star + dt / i, x_star + dx / i) for i in family.indices}
+    slices = {i: slice_of(family.spec_for(i), t_star + dt / i, x_star + dx / i) for i in family.indices}
     cap = max([f0.min_value()] + [s.min_value() for s in slices.values()]) + 5.0
     E0 = build_epigraph(f0, cap)
     d0 = cg.distance(probes, E0.body)

@@ -21,15 +21,7 @@ import numpy as np
 
 from . import convex_geom as cg
 from .errors import ConfigError, UnknownName
-from .fenchel import (
-    ConvexGridFunction,
-    EffectiveDomain,
-    UniformGrid,
-    build_epigraph,
-    conjugate,
-    conjugate_values,
-    slope_range,
-)
+from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
 from .report import CheckReport
 from .sampling import SamplePlan
 
@@ -54,6 +46,11 @@ class ModulusData:
             c=self.c,
             null_set_note=self.null_set_note,
         )
+
+    def v_halfwidth(self, t: float, r: float) -> float | None:
+        """c(t)(1 + r) + 1, a v-window half-width holding dom L(t, x, .)
+        for |x| <= r; None without the growth bound."""
+        return None if self.c is None else float(self.c(t)) * (1.0 + r) + 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,20 +290,10 @@ def builtin(name: str) -> HamiltonianSpec:
 
 def lagrangian_evaluator(spec: HamiltonianSpec, use_oracle: bool = True, p_grid: UniformGrid | None = None):
     """Pointwise Lagrangian access: oracle when present (and wanted), else
-    the pointwise conjugate of the sampled H slice, cached per (t, x)."""
+    the pointwise conjugate of the sampled H slice, kept per (t, x)."""
     if use_oracle and spec.oracle_L is not None:
         return lambda t, x, v: spec.oracle_L(t, x, np.asarray(v, dtype=float))
-    grid = p_grid if p_grid is not None else DEFAULT_P_GRID
-    cache: dict[tuple[float, float], ConvexGridFunction] = {}
-
-    def ev(t, x, v):
-        key = (float(t), float(x))
-        if key not in cache:
-            vals = np.asarray(spec.eval(t, x, grid.nodes()), dtype=float)
-            cache[key] = ConvexGridFunction(grid, vals)
-        return conjugate_values(cache[key], v)
-
-    return ev
+    return LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID).values
 
 
 def domain_evaluator(spec: HamiltonianSpec, use_oracle: bool = True, p_grid: UniformGrid | None = None):
@@ -314,14 +301,8 @@ def domain_evaluator(spec: HamiltonianSpec, use_oracle: bool = True, p_grid: Uni
     trust interval of the sampled H slice (closedness flags advisory)."""
     if use_oracle and spec.oracle_dom is not None:
         return spec.oracle_dom
-    grid = p_grid if p_grid is not None else DEFAULT_P_GRID
-
-    def dom(t, x):
-        vals = np.asarray(spec.eval(t, x, grid.nodes()), dtype=float)
-        s_lo, s_hi = slope_range(ConvexGridFunction(grid, vals))
-        return EffectiveDomain(s_lo, s_hi, True, True)
-
-    return dom
+    slices = LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID)
+    return lambda t, x: EffectiveDomain(*slices.trust(t, x))
 
 
 def _dom_interval(dom: EffectiveDomain, window: tuple[float, float] | None = None):
@@ -330,15 +311,15 @@ def _dom_interval(dom: EffectiveDomain, window: tuple[float, float] | None = Non
     return lo, hi
 
 
-def _probe_halfwidth(spec: HamiltonianSpec, mod: ModulusData, t: float, xval: float) -> float:
-    """Finite half-width for velocity probes when dom L is unbounded: the
-    growth bound when available, else the slope range of the H slice."""
-    if mod.c is not None:
-        return float(mod.c(t)) * (1.0 + abs(xval)) + 1.0
-    grid = DEFAULT_P_GRID
-    hfn = ConvexGridFunction(grid, np.asarray(spec.eval(t, xval, grid.nodes()), dtype=float))
-    s_lo, s_hi = slope_range(hfn)
-    return max(abs(s_lo), abs(s_hi)) + 1.0
+def _probe_window(spec: HamiltonianSpec, mod: ModulusData, t: float, x: float, dom, p_grid):
+    """dom clamped to a finite velocity window where it is unbounded: the
+    growth bound when available, else the half-width of the H slice."""
+    if np.isfinite(dom.lo) and np.isfinite(dom.hi):
+        return dom.lo, dom.hi
+    W = mod.v_halfwidth(t, abs(x))
+    if W is None:
+        W = LagrangianSlices(spec.eval, p_grid).halfwidth(t, x)
+    return (dom.lo if np.isfinite(dom.lo) else -W), (dom.hi if np.isfinite(dom.hi) else W)
 
 
 def oracle_probe_values(
@@ -359,14 +340,12 @@ def oracle_probe_values(
     shrink the probe set accordingly. Degenerate domains return their
     single point.
     """
-    grid = p_grid if p_grid is not None else DEFAULT_P_GRID
-    dom = domain_evaluator(spec, p_grid=grid)(t, x)
-    lo = dom.lo if np.isfinite(dom.lo) else -_probe_halfwidth(spec, spec.modulus, t, x)
-    hi = dom.hi if np.isfinite(dom.hi) else _probe_halfwidth(spec, spec.modulus, t, x)
+    grid = p_grid or DEFAULT_P_GRID
+    s_lo, s_hi = LagrangianSlices(spec.eval, grid).trust(t, x)
+    dom = EffectiveDomain(s_lo, s_hi) if spec.oracle_dom is None else spec.oracle_dom(t, x)
+    lo, hi = _probe_window(spec, spec.modulus, t, x, dom, grid)
     if hi - lo <= 2.0 * margin:
         return np.array([0.5 * (lo + hi)])
-    hfn = ConvexGridFunction(grid, np.asarray(spec.eval(t, x, grid.nodes()), dtype=float))
-    s_lo, s_hi = slope_range(hfn)
     vlo = max(lo + margin, s_lo)
     vhi = min(hi - margin, s_hi)
     if vhi <= vlo:
@@ -432,17 +411,19 @@ def check_LLC(
     tol: float = 2e-2,
     n_u: int = 65,
     use_oracle: bool = True,
+    p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Lagrangian-level continuity: every v in dom L(t,x) admits u within
     k|x-y| of v with L(t,y,u) <= L(t,x,v) + w(|x-y|). The u-search combines
     a coarse grid over the window intersected with dom L(t,y) and a ternary
     refinement (the slice is convex in u), so steep slices near domain
     boundaries resolve to machine precision; an empty search window counts
-    as +inf excess."""
+    as +inf excess. Numeric slices sample H on p_grid."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
-    L = lagrangian_evaluator(spec, use_oracle=use_oracle)
-    dom = domain_evaluator(spec, use_oracle=use_oracle)
+    grid = p_grid or DEFAULT_P_GRID
+    L = lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
+    dom = domain_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
     fracs = plan.unit_fractions()
     worst = -np.inf
     wit: list = []
@@ -453,16 +434,10 @@ def check_LLC(
             w = mod.w_R(R, t, d)
             dom_a = dom(t, a)
             dom_b = dom(t, b)
-            if np.isfinite(dom_a.lo) and np.isfinite(dom_a.hi):
-                lo, hi = dom_a.lo, dom_a.hi
-                lo_closed, hi_closed = dom_a.lo_closed, dom_a.hi_closed
-            else:
-                # unbounded slice: probe a finite window, closed at the clamps
-                W = _probe_halfwidth(spec, mod, t, a)
-                lo = dom_a.lo if np.isfinite(dom_a.lo) else -W
-                hi = dom_a.hi if np.isfinite(dom_a.hi) else W
-                lo_closed = dom_a.lo_closed or not np.isfinite(dom_a.lo)
-                hi_closed = dom_a.hi_closed or not np.isfinite(dom_a.hi)
+            # an unbounded slice is probed on a finite window, closed at the clamps
+            lo, hi = _probe_window(spec, mod, t, a, dom_a, grid)
+            lo_closed = dom_a.lo_closed or not np.isfinite(dom_a.lo)
+            hi_closed = dom_a.hi_closed or not np.isfinite(dom_a.hi)
             inset = 1e-4 * max(hi - lo, 1e-12)
             lo_s = lo + (0.0 if lo_closed else inset)
             hi_s = hi - (0.0 if hi_closed else inset)
@@ -508,30 +483,17 @@ def check_MLC(
     the numeric conjugate so the check exercises the full grid pipeline."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
-    grid = p_grid if p_grid is not None else DEFAULT_P_GRID
-    slice_cache: dict[tuple[float, float], ConvexGridFunction] = {}
-
-    def conj_slice(t, x, v_grid):
-        key = (float(t), float(x))
-        if key not in slice_cache:
-            H = ConvexGridFunction(grid, np.asarray(spec.eval(t, x, grid.nodes()), dtype=float))
-            slice_cache[key] = conjugate(H, v_grid)
-        return slice_cache[key]
-
+    slices = LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID)
     worst = -np.inf
     wit: list = []
     h_used = 0.0
     for t, x, y in plan.triples(spec.t_range, R):
-        if mod.c is not None:
-            W = mod.c(t) * (1.0 + R) + 1.0
-        else:
-            Hx = ConvexGridFunction(grid, np.asarray(spec.eval(t, x, grid.nodes()), dtype=float))
-            Hy = ConvexGridFunction(grid, np.asarray(spec.eval(t, y, grid.nodes()), dtype=float))
-            W = max(abs(s) for s in slope_range(Hx) + slope_range(Hy)) + 1.0
-        v_grid = UniformGrid(-W, W, v_count)
-        h_used = max(h_used, v_grid.h)
-        Lx = conj_slice(t, x, v_grid)
-        Ly = conj_slice(t, y, v_grid)
+        W = mod.v_halfwidth(t, R)
+        if W is None:
+            W = max(slices.halfwidth(t, x), slices.halfwidth(t, y))
+        h_used = max(h_used, UniformGrid(-W, W, v_count).h)
+        Lx = slices.on_grid(t, x, v_count, W, trusted=False)
+        Ly = slices.on_grid(t, y, v_count, W, trusted=False)
         d = abs(x - y)
         kd = mod.k_R(R, t) * d
         w = mod.w_R(R, t, d)

@@ -1,6 +1,10 @@
 """Reference values recomputed from first principles for the test suite.
 
-Nothing here calls into the package: the conjugate oracles are a brute
+Apart from the slice oracles, nothing here calls into the package: the
+slice oracles compose the package's grid primitives (a sampled H, its
+conjugate, its edge slopes) the way each caller once wrote them out
+inline, so the slice service can be held to them bit for bit. The
+conjugate oracles are a brute
 maximum over a dense p grid and the chunked all-pairs maximum over the
 finite nodes of a sampled function, the Steiner oracles are the polygon
 exterior-angle formula and a support-point quadrature over a polygonized
@@ -13,6 +17,8 @@ these so a regression cannot certify itself.
 """
 
 import numpy as np
+
+from hamrep import fenchel as fl
 
 # sup over |p| <= 50 of (0.1 p - H_2_3(t, 0, p)) sits at p = -50 where
 # H = -2 sqrt(50); the true L(0.1) = 10 needs slope 100, outside the
@@ -213,3 +219,43 @@ def convexified_points(point_of, packed_rows, q):
         fb, lb = (float(v) for v in point_of(b))
         out[r] = (float(al[0] * fa + al[1] * fb), float(al[0] * la + al[1] * lb))
     return out
+
+
+def inline_h_slice(h_eval, t, x, p_grid):
+    """H(t, x, .) sampled on p_grid."""
+    return fl.ConvexGridFunction(p_grid, np.asarray(h_eval(t, x, p_grid.nodes()), dtype=float))
+
+
+def inline_lagrangian_slice(h_eval, t, x, p_grid, v_grid, trusted=True):
+    """L(t, x, .) on v_grid: the conjugate of the H sample and, when
+    trusted, +inf outside its edge slopes (the node nearest their midpoint
+    kept when no node lies between them)."""
+    hfn = inline_h_slice(h_eval, t, x, p_grid)
+    raw = fl.conjugate(hfn, v_grid)
+    if not trusted:
+        return raw
+    s_lo, s_hi = fl.slope_range(hfn)
+    nodes = v_grid.nodes()
+    keep = (nodes >= s_lo) & (nodes <= s_hi)
+    if not np.any(keep):
+        keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
+    return fl.ConvexGridFunction(v_grid, np.where(keep, raw.values, np.inf))
+
+
+def inline_probe_values(spec, t, x, p_grid, margin=0.1, count=201):
+    """Velocity probes at least `margin` inside the oracle domain (else the
+    trust interval) and inside the trust interval; an unbounded domain is
+    clamped at c(t)(1 + |x|) + 1, or at the H sample's max |edge slope| + 1
+    without c."""
+    s_lo, s_hi = fl.slope_range(inline_h_slice(spec.eval, t, x, p_grid))
+    dom = spec.oracle_dom(t, x) if spec.oracle_dom is not None else fl.EffectiveDomain(s_lo, s_hi)
+    c = spec.modulus.c
+    W = float(c(t)) * (1.0 + abs(x)) + 1.0 if c is not None else max(abs(s_lo), abs(s_hi)) + 1.0
+    lo = dom.lo if np.isfinite(dom.lo) else -W
+    hi = dom.hi if np.isfinite(dom.hi) else W
+    if hi - lo <= 2.0 * margin:
+        return np.array([0.5 * (lo + hi)])
+    vlo, vhi = max(lo + margin, s_lo), min(hi - margin, s_hi)
+    if vhi <= vlo:
+        return np.array([0.5 * (max(lo, s_lo) + min(hi, s_hi))])
+    return np.linspace(vlo, vhi, count)

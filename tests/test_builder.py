@@ -11,7 +11,6 @@ from hamrep import zoo
 from hamrep.builder import (
     APlan,
     ControlSet,
-    GridPolicy,
     RepresentationTriple,
     Window,
     build_compact,
@@ -255,12 +254,12 @@ def test_compact_raises_on_violated_lambda():
         triple.e_table(T0, 0.5)
 
 
-def test_noncompact_without_c_needs_v_window():
+def test_noncompact_without_c_derives_v_window():
+    # ex_2_5 has no c(t): the v-window comes from the H slice's edge slopes
     spec = zoo.builtin("ex_2_5")
-    no_window = build_noncompact(spec, grids=FAST_POLICY, plan=FAST_APLAN)
-    with pytest.raises(ConfigError):
-        no_window.e_table(T0, 0.7)
-    policy = GridPolicy(p_count=801, v_count=201, v_window=(-35.0, 35.0))
-    triple = build_noncompact(spec, grids=policy, plan=FAST_APLAN)
+    triple = build_noncompact(spec, plan=FAST_APLAN)
     want = float(np.asarray(spec.eval(T0, 0.7, np.array([1.0])))[0])
     assert reconstruct_H(triple, T0, 0.7, 1.0) == pytest.approx(want, abs=5e-2)
+    # H = p^2 / 3 - 0.7 has edge slopes near +-50 / 1.5 on the [-50, 50] window
+    grid = triple._core.slice(T0, 0.7).grid
+    assert grid.hi == -grid.lo == pytest.approx(50.0 / 1.5 + 1.0, abs=1e-2)

@@ -148,6 +148,9 @@ def test_main_config_errors(tmp_path, capsys):
         {"command": "conjugate", "window": {"x_range": [-1.0, float("inf")]}},
         {"command": "stability", "family": "ex_2_6_absx", "epigraph_check": "false"},
         {"command": "conjugate", "geometry": 0},
+        {"command": "check", "tolerances": {"hcl": 1e-30}},
+        {"command": "verify", "tolerances": {"reconstruction": 0.1}},
+        {"command": "zoo-list", "tolerances": {"abs_err": 0.1}},
     ],
 )
 def test_main_rejects_bad_field_values(tmp_path, capsys, doc):
@@ -157,6 +160,32 @@ def test_main_rejects_bad_field_values(tmp_path, capsys, doc):
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_main_rejects_unknown_tolerance_flag(tmp_path, capsys):
+    config = _write_config(tmp_path, {"command": "check", "tolerances": {"llc": 0.1}})
+    out = tmp_path / "out"
+    assert cli.main(["--config", config, "--out", str(out), "--tol", "lip=0"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: unknown tolerance name(s) for check: lip; valid: hlc, llc, mlc"]
+    assert not out.exists()
+
+
+def test_main_definition_without_c(tmp_path, capsys):
+    # noncompact builds take the v-window from the H slice; compact ones need c
+    doc = {
+        "command": "represent",
+        "hamiltonian": {"name": "quad", "H": "p^2/2 - abs(x)"},
+        "grids": {"p_count": 801, "v_count": 201, "a_plan": {"n_box": 6, "n_radii": 3, "n_angles": 12}},
+    }
+    out = tmp_path / "noncompact"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out), "--quiet"]) in (0, 2)
+    assert (out / "represent_quad_0.csv").exists() and (out / "represent_quad_0.json").exists()
+    capsys.readouterr()
+    compact = _write_config(tmp_path, dict(doc, kind="compact"), "compact.json")
+    assert cli.main(["--config", compact, "--out", str(tmp_path / "compact"), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_main_help_exits_zero(capsys):

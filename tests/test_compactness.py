@@ -187,6 +187,13 @@ def test_detect_blc_failure_verdicts(name, want):
     assert report.verdict == want
 
 
+def test_detect_blc_failure_candidates_are_final_margin_sups():
+    report = detect_blc_failure(zoo.builtin("ex_2_2"), plan=PLAN)
+    candidates = report.witnesses[-1]["candidate_lambda"]
+    assert len(candidates) == 8
+    assert max(c["sup_L"] for c in candidates) == report.worst_margin == report.witnesses[-2]["sup"]
+
+
 def test_detect_blc_failure_indicator_lagrangian():
     report = detect_blc_failure(zoo.builtin("abs_p"), plan=PLAN)
     assert report.verdict == VERDICT_BOUNDED

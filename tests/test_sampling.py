@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hamrep.sampling import SamplePlan, worker_count
+from hamrep.sampling import SamplePlan
 
 
 def test_rng_streams_are_salted_and_reproducible():
@@ -34,11 +34,3 @@ def test_p_values_and_unit_fractions():
     assert np.all((fr > 0.0) & (fr < 1.0))
     assert np.all(np.diff(fr) > 0)
 
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.setenv("HAMREP_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("HAMREP_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.delenv("HAMREP_THREADS", raising=False)
-    assert worker_count() >= 1

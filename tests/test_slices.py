@@ -1,0 +1,152 @@
+"""The Lagrangian-slice service against the inline path it replaced.
+
+Every H -> L slice of the package goes through `fenchel.LagrangianSlices`;
+these tests hold each consumer to the old inline composition bit for bit,
+check that the p-grid a caller passes reaches the numeric slices, and keep
+the grid primitives from being called outside `fenchel` again.
+"""
+
+import ast
+import dataclasses
+import pathlib
+
+import numpy as np
+import pytest
+
+from _oracles import inline_h_slice, inline_lagrangian_slice, inline_probe_values
+from conftest import FAST_APLAN
+from hamrep import fenchel as fl
+from hamrep import zoo
+from hamrep.builder import GridPolicy, Window, build_noncompact, verify_triple
+from hamrep.errors import GridUnderflow
+from hamrep.sampling import SamplePlan
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hamrep"
+P_GRID = fl.UniformGrid(-50.0, 50.0, 10001)
+V_COUNT = 601
+T0 = 0.5
+XS = (-0.7, 0.0, 0.4)
+ALL = ["ex_2_1", "ex_2_2", "ex_2_3", "ex_2_4", "ex_2_5", "ex_2_6", "abs_p"]
+
+
+def _same(got: fl.ConvexGridFunction, want: fl.ConvexGridFunction) -> bool:
+    return got.grid == want.grid and np.array_equal(got.values, want.values)
+
+
+def _line(slope: float) -> zoo.HamiltonianSpec:
+    # H = slope * p + |x|: dom L is the single velocity `slope`
+    return zoo.HamiltonianSpec(
+        name=f"line_{slope}",
+        eval=lambda t, x, p: slope * np.asarray(p, dtype=float) + abs(x),
+        modulus=zoo.ModulusData(k_R=lambda R, t: 0.0, w_R=lambda R, t, r: r, c=lambda t: 1.0),
+    )
+
+
+@pytest.mark.parametrize("name", ALL + ["line"])
+def test_builder_slices_match_inline_path(name):
+    # at slope 0.3 the one-point domain falls between v-nodes, so the
+    # slice keeps the node nearest to it
+    spec = _line(0.3) if name == "line" else zoo.builtin(name)
+    core = build_noncompact(spec)._core
+    for x in XS:
+        c = spec.modulus.c
+        if c is not None:
+            w = float(c(T0)) * (1.0 + abs(x)) + 1.0
+        else:
+            w = max(abs(s) for s in fl.slope_range(inline_h_slice(spec.eval, T0, x, P_GRID))) + 1.0
+        v_grid = fl.UniformGrid(-w, w, V_COUNT)
+        assert _same(core.slice(T0, x), inline_lagrangian_slice(spec.eval, T0, x, P_GRID, v_grid))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_numeric_evaluators_and_probes_match_inline_path(name):
+    spec = zoo.builtin(name)
+    L = zoo.lagrangian_evaluator(spec, use_oracle=False, p_grid=P_GRID)
+    dom = zoo.domain_evaluator(spec, use_oracle=False, p_grid=P_GRID)
+    vs = np.linspace(-2.0, 2.0, 41)
+    for x in XS:
+        hfn = inline_h_slice(spec.eval, T0, x, P_GRID)
+        assert np.array_equal(L(T0, x, vs), fl.conjugate_values(hfn, vs))
+        assert dom(T0, x) == fl.EffectiveDomain(*fl.slope_range(hfn))
+        got = zoo.oracle_probe_values(spec, T0, x, p_grid=P_GRID)
+        assert np.array_equal(got, inline_probe_values(spec, T0, x, P_GRID))
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_check_MLC_slices_match_inline_path(name, monkeypatch):
+    spec = zoo.builtin(name)
+    seen = []
+    real = zoo.build_epigraph
+    monkeypatch.setattr(zoo, "build_epigraph", lambda fn, cap: seen.append(fn) or real(fn, cap))
+    plan = SamplePlan(seed=0, n_triples=3)
+    R = 2.0
+    zoo.check_MLC(spec, R, samples=plan, p_grid=P_GRID, v_count=V_COUNT)
+    triples = plan.triples(spec.t_range, R)
+    assert len(seen) == 2 * len(triples)
+    for (t, x, y), got_x, got_y in zip(triples, seen[0::2], seen[1::2]):
+        if spec.modulus.c is not None:
+            W = spec.modulus.c(t) * (1.0 + R) + 1.0
+        else:
+            Hx, Hy = (inline_h_slice(spec.eval, t, z, P_GRID) for z in (x, y))
+            W = max(abs(s) for s in fl.slope_range(Hx) + fl.slope_range(Hy)) + 1.0
+        v_grid = fl.UniformGrid(-W, W, V_COUNT)
+        for z, got in ((x, got_x), (y, got_y)):
+            assert _same(got, inline_lagrangian_slice(spec.eval, t, z, P_GRID, v_grid, trusted=False))
+
+
+def test_builder_slice_raises_when_the_domain_misses_the_window():
+    # dom L = {5} lies outside the v-window [-2.4, 2.4] at x = 0.4
+    with pytest.raises(GridUnderflow):
+        build_noncompact(_line(5.0))._core.slice(T0, 0.4)
+
+
+def _recording_spec(name, **stripped):
+    # a builtin with some oracles removed, recording the size of every
+    # p-array H sees
+    sizes = []
+    base = zoo.builtin(name)
+
+    def ev(t, x, p):
+        sizes.append(np.size(p))
+        return base.eval(t, x, p)
+
+    return dataclasses.replace(base, eval=ev, **stripped), sizes
+
+
+def test_numeric_slices_use_the_callers_p_grid():
+    grid = fl.UniformGrid(-50.0, 50.0, 201)
+    plan = SamplePlan(seed=0, n_triples=4)
+    spec, sizes = _recording_spec("ex_2_2", oracle_L=None, oracle_dom=None)
+    zoo.check_LLC(spec, 2.0, samples=plan, p_grid=grid)
+    assert sizes and {n for n in sizes if n > 1} == {201}
+    # ex_2_5 keeps its unbounded oracle domain and has no c(t), so the
+    # probe window comes from the H slice's edge slopes
+    spec, sizes = _recording_spec("ex_2_5", oracle_L=None)
+    zoo.check_LLC(spec, 2.0, samples=plan, p_grid=grid)
+    assert sizes and {n for n in sizes if n > 1} == {201}
+
+    spec, sizes = _recording_spec("ex_2_2", oracle_L=None, oracle_dom=None)
+    triple = build_noncompact(spec, grids=GridPolicy(p_count=201, v_count=201), plan=FAST_APLAN)
+    reports = verify_triple(triple, Window(), plan=SamplePlan(seed=0), n_pairs=4)
+    assert "triple_image_gap" in [r.check for r in reports]
+    assert sizes and {n for n in sizes if n > 1} == {201}
+
+
+def test_slice_primitives_are_called_only_in_fenchel():
+    primitives = {"conjugate", "conjugate_values", "slope_range"}
+    paths = sorted(SRC.glob("*.py"))
+    assert "fenchel.py" in [p.name for p in paths]
+    calls = []
+    for path in paths:
+        if path.name == "fenchel.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in primitives:
+                    calls.append(f"{path.name}:{node.lineno} {name}(")
+            elif isinstance(node, ast.ImportFrom):
+                # an imported primitive could be called under another name
+                calls += [f"{path.name}:{node.lineno} import {a.name}" for a in node.names if a.name in primitives]
+    assert calls == []
