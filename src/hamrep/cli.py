@@ -188,7 +188,10 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
     if not isinstance(cfg_seed, int) or isinstance(cfg_seed, bool) or cfg_seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {cfg_seed!r}")
 
-    tolerances = dict(doc.get("tolerances", {}))
+    tolerances = doc.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError('"tolerances" must be an object of name: number')
+    tolerances = dict(tolerances)
     if not all(isinstance(k, str) for k in tolerances):
         raise ConfigError("tolerance names must be strings")
     for key, val in tolerances.items():
@@ -220,6 +223,8 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
         raise ConfigError(f"unknown family {family!r}; know {stability.family_names()} or \"all\"")
 
     triple = doc.get("triple")
+    if triple is not None and not isinstance(triple, str):
+        raise ConfigError(f'"triple" must be a triple name or "all", got {triple!r}')
     if triple == "all" and command != "compactness":
         raise ConfigError('triple "all" is only valid for the compactness command')
     if triple is not None and triple != "all" and triple not in _TRIPLES:

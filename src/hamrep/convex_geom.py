@@ -79,8 +79,11 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(pts[::-1])
+    # plain float rows: the same IEEE arithmetic as numpy scalars, without
+    # their per-element overhead
+    rows = pts.tolist()
+    lower = half(rows)
+    upper = half(rows[::-1])
     hull = lower[:-1] + upper[:-1]
     if not hull:
         # fully collinear input collapses both chains; keep the extremes

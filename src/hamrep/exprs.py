@@ -146,7 +146,9 @@ def compile_expr(src: str, variables: tuple[str, ...] = ("t", "x", "p")) -> Call
     Returns
     -------
     callable
-        Positional evaluator fn(*values) broadcasting over numpy arrays.
+        Positional evaluator fn(*values) broadcasting over numpy arrays;
+        the result has the broadcast shape of all the values, also when
+        the expression leaves some of them (or all: a constant) unused.
     """
     if not isinstance(src, str) or not src.strip():
         raise ConfigError("expression must be a nonempty string")
@@ -161,7 +163,11 @@ def compile_expr(src: str, variables: tuple[str, ...] = ("t", "x", "p")) -> Call
             raise ConfigError(f"expression over {variables} called with {len(values)} value(s)")
         env = dict(zip(variables, values))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return body(env)
+            out = body(env)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+        if np.shape(out) != shape:
+            out = np.broadcast_to(out, shape).copy()
+        return out
 
     fn.source = src
     return fn

@@ -167,24 +167,45 @@ class Epigraph:
     grid_h: float = 0.0
 
 
-def _lower_hull(x: np.ndarray, y: np.ndarray, eps: float = 0.0) -> np.ndarray:
-    """Indices of the lower convex hull of the points (x_i, y_i), x sorted.
+_PRUNE_PASSES = 32
 
-    One monotone-chain pass: a point leaves the chain when the turn from
-    its predecessor to the next point is at most eps (cross <= eps), so
-    eps = 0 keeps exactly the strictly convex corners. When no consecutive
-    triple turns by eps or less, nothing is ever popped and the scan is
-    skipped.
+
+def _lower_hull(x: np.ndarray, y: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Indices of the lower convex hull of the points (x_i, y_i); x must
+    rise strictly.
+
+    Vectorized pruning: each pass drops every interior point whose turn
+    from its current predecessor to its current successor is at most eps
+    (cross <= eps), so eps = 0 keeps exactly the strictly convex corners.
+    Passes repeat until none is dropped; input whose turns all exceed eps
+    returns after one pass. Dropping many points at once is safe only
+    because x rises strictly: within a maximal run of dropped points the
+    edge slopes do not increase, so the run lies on or above the chord
+    between the survivors at its ends. For general point sets (repeated
+    or unsorted x, as in `convex_geom.convex_hull`) that argument fails
+    and simultaneous dropping can remove true vertices. A deep drop (one
+    low point behind a long convex run) peels one point per pass, so
+    after 32 passes the sequential chain finishes on the survivors.
     """
-    n = len(x)
-    if n < 3:
-        return np.arange(n)
-    dx, dy = x[1:-1] - x[:-2], y[1:-1] - y[:-2]
-    if np.all(dx * (y[2:] - y[:-2]) - dy * (x[2:] - x[:-2]) > eps):
-        return np.arange(n)
+    idx = np.arange(len(x))
+    for _ in range(_PRUNE_PASSES):
+        if len(idx) < 3:
+            return idx
+        xs, ys = x[idx], y[idx]
+        dx, dy = xs[1:-1] - xs[:-2], ys[1:-1] - ys[:-2]
+        keep = dx * (ys[2:] - ys[:-2]) - dy * (xs[2:] - xs[:-2]) > eps
+        if np.all(keep):
+            return idx
+        idx = idx[np.concatenate(([True], keep, [True]))]
+    return idx[_chain_lower_hull(x[idx], y[idx], eps)]
+
+
+def _chain_lower_hull(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    # sequential monotone chain: a point leaves when the turn from its
+    # predecessor to the next point is at most eps
     xs, ys = x.tolist(), y.tolist()
     out = [0, 1]
-    for i in range(2, n):
+    for i in range(2, len(xs)):
         xi, yi = xs[i], ys[i]
         while len(out) >= 2:
             o, a = out[-2], out[-1]

@@ -382,8 +382,9 @@ def check_HLC(
 def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
     """Vectorized ternary search for the minimum of a convex scalar family.
 
-    f maps an array of abscissas to function values (NaN treated as +inf);
-    lo/hi bound each search window elementwise. 72 iterations shrink the
+    f maps a 1-D array of abscissas to function values elementwise (NaN
+    treated as +inf), so both probes of an iteration go through one call;
+    the 1-D lo/hi bound each search window. 72 iterations shrink the
     windows by (2/3)^72, far below double precision."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -391,10 +392,9 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third
-        f1 = np.asarray(f(m1), dtype=float)
-        f2 = np.asarray(f(m2), dtype=float)
-        f1 = np.where(np.isnan(f1), np.inf, f1)
-        f2 = np.where(np.isnan(f2), np.inf, f2)
+        f12 = np.asarray(f(np.concatenate([m1, m2])), dtype=float)
+        f12 = np.where(np.isnan(f12), np.inf, f12)
+        f1, f2 = f12[: len(lo)], f12[len(lo) :]
         move_lo = f1 > f2
         lo = np.where(move_lo, m1, lo)
         hi = np.where(move_lo, hi, m2)

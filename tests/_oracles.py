@@ -6,7 +6,9 @@ conjugate, its edge slopes) the way each caller once wrote them out
 inline, so the slice service can be held to them bit for bit. The
 conjugate oracles are a brute
 maximum over a dense p grid and the chunked all-pairs maximum over the
-finite nodes of a sampled function, the Steiner oracles are the polygon
+finite nodes of a sampled function, the hull oracles are the sequential
+monotone chains (the lower chain over sorted x, and the general 2D hull
+scanning numpy rows), the Steiner oracles are the polygon
 exterior-angle formula and a support-point quadrature over a polygonized
 E cap B(z, r), the Hausdorff oracle works on raw vertex arrays with
 segment arithmetic, and the representation oracles evaluate one control
@@ -73,6 +75,58 @@ def brute_conjugate_values(nodes, values, points):
         out[s : s + chunk] = np.max(w[s : s + chunk, None] * p[None, :] - f[None, :], axis=1)
     out[out >= 1e12] = np.inf
     return out
+
+
+def monotone_chain_lower_hull(x, y, eps=0.0):
+    """Indices of the lower hull of (x_i, y_i), x sorted, by one sequential
+    monotone-chain scan: a point leaves the chain when the turn from its
+    predecessor to the next point is at most eps (cross <= eps)."""
+    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    if len(xs) < 3:
+        return np.arange(len(xs))
+    out = [0, 1]
+    for i in range(2, len(xs)):
+        xi, yi = xs[i], ys[i]
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            if (xs[a] - xs[o]) * (yi - ys[o]) - (ys[a] - ys[o]) * (xi - xs[o]) > eps:
+                break
+            out.pop()
+        out.append(i)
+    return np.asarray(out)
+
+
+def numpy_row_convex_hull(points):
+    """2D convex hull (CCW from the lexicographically smallest vertex) by
+    the monotone chain over numpy row views, with the library's tolerance
+    1e-12 max(1, scale^2) and its collapse of an eps-collinear set to the
+    extremes along its widest axis."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) == 1:
+        return pts
+    scale = float(np.max(np.abs(pts)))
+    eps = 1e-12 * max(1.0, scale * scale)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    d = pts[-1] - pts[0]
+    area = np.abs((pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0])
+    if float(np.max(area)) <= eps:
+        proj = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+        lo_i, hi_i = int(np.argmin(proj)), int(np.argmax(proj))
+        return pts[[lo_i]] if lo_i == hi_i else pts[[lo_i, hi_i]]
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= eps:
+                out.pop()
+            out.append(p)
+        return out
+
+    hull = half(pts)[:-1] + half(pts[::-1])[:-1]
+    return np.asarray(hull if hull else [pts[0], pts[-1]], dtype=float)
 
 
 def exterior_angle_steiner(verts):

@@ -151,6 +151,8 @@ def test_main_config_errors(tmp_path, capsys):
         {"command": "check", "tolerances": {"hcl": 1e-30}},
         {"command": "verify", "tolerances": {"reconstruction": 0.1}},
         {"command": "zoo-list", "tolerances": {"abs_err": 0.1}},
+        {"command": "check", "tolerances": [1]},
+        {"command": "compactness", "triple": ["x"]},
     ],
 )
 def test_main_rejects_bad_field_values(tmp_path, capsys, doc):
@@ -186,6 +188,29 @@ def test_main_definition_without_c(tmp_path, capsys):
     assert cli.main(["--config", compact, "--out", str(tmp_path / "compact"), "--quiet"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_main_constant_summand(tmp_path, capsys):
+    # a summand without a variable is a constant shift of H
+    doc = {"command": "conjugate", "hamiltonian": "ex_2_2", "summand": "0.1"}
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "conjugate_ex_2_2_0.json").read_text())
+    assert [r["verdict"] for r in report["reports"] if r["check"] == "episum_identity"] == ["pass"]
+    assert capsys.readouterr().err == ""
+
+
+def test_main_constant_hamiltonian(tmp_path, capsys):
+    # H = 1 has L = -1 at v = 0 and +inf elsewhere
+    doc = {
+        "command": "represent",
+        "hamiltonian": {"name": "one", "H": "1"},
+        "grids": {"p_count": 801, "v_count": 201, "a_plan": {"n_box": 6, "n_radii": 3, "n_angles": 12}},
+    }
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+    assert (out / "represent_one_0.csv").exists() and (out / "represent_one_0.json").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_main_help_exits_zero(capsys):

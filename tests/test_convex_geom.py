@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,11 @@ from _oracles import (
     STEINER_TRIANGLE,
     brute_hausdorff,
     exterior_angle_steiner,
+    numpy_row_convex_hull,
     quadrature_disc_steiner,
 )
+
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -63,6 +69,52 @@ def test_hull_eps_collinear_column_with_level_sorted_ends():
 def test_hull_single_and_duplicate_points():
     assert cg.convex_hull(np.array([[2.0, 3.0]])).shape == (1, 2)
     assert cg.convex_hull(np.array([[2.0, 3.0], [2.0, 3.0]])).shape == (1, 2)
+
+
+def _sandwich_hull_input():
+    return np.array(json.loads((DATA / "sandwich_hull_ex_2_1.json").read_text())["points"])
+
+
+def _hull_point_sets():
+    rng = np.random.default_rng(7)
+    for n in (3, 5, 40, 400):
+        yield rng.normal(size=(n, 2)) * rng.uniform(0.1, 100.0)
+    for n in (8, 97, 720):
+        # every point a vertex, with rounding noise in the collinearity tests
+        theta = 2.0 * np.pi * np.arange(n) / n
+        yield np.stack([3.0 + 2.0 * np.cos(theta), -1.0 + 2.0 * np.sin(theta)], axis=1)
+    for n in (10, 200):
+        # lattice points: exact collinear runs and duplicates
+        yield rng.integers(-4, 5, size=(n, 2)).astype(float)
+    # points on the edges of a square, off them by less than the
+    # collinearity tolerance
+    s, jitter = rng.uniform(0.0, 10.0, 300), rng.uniform(-1e-12, 1e-12, 300)
+    side = rng.integers(0, 4, 300)
+    yield np.select(
+        [side[:, None] == k for k in range(4)],
+        [np.stack(c, axis=1) for c in ((s, jitter), (10.0 + jitter, s), (s, 10.0 + jitter), (jitter, s))],
+    )
+    yield _sandwich_hull_input()
+
+
+def test_hull_matches_numpy_row_chain_bit_for_bit():
+    for pts in _hull_point_sets():
+        got = cg.convex_hull(pts)
+        want = numpy_row_convex_hull(pts)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_hull_keeps_vertices_of_a_near_vertical_zigzag_column():
+    # the (f, l) samples of the compact ex_2_1 triple in accept_05 hold a
+    # column of about 15 points zig-zagging within |f| <= 5e-15; dropping
+    # every eps-flat point at once (pruning, as the lower hull of a graph
+    # may) loses its ends, the true vertices (0, 0) and (2.4e-16, 4.0)
+    pts = _sandwich_hull_input()
+    assert pts.shape == (520, 2)
+    verts = {tuple(v) for v in cg.convex_hull(pts)}
+    assert (0.0, 0.0) in verts
+    assert (2.4492935982947064e-16, 4.0) in verts
 
 
 def test_hull_rejects_bad_input():

@@ -40,6 +40,16 @@ def test_vectorized_over_p():
     assert np.allclose(got, [2.0, 0.0, 0.0, 1.0])
 
 
+def test_expressions_take_the_broadcast_shape_of_all_values():
+    # a constant, or an expression without p, still follows the p-array
+    ps = np.array([-1.0, 0.0, 2.0])
+    assert np.array_equal(compile_expr("1", ("t", "x", "p"))(0.5, 0.2, ps), np.ones(3))
+    assert np.array_equal(compile_expr("abs(x)", ("t", "x", "p"))(0.5, -2.0, ps), np.full(3, 2.0))
+    assert compile_expr("x > 0", ("t", "x", "p"))(0.5, 1.0, ps).tolist() == [True] * 3
+    # all-scalar input keeps a scalar result
+    assert compile_expr("2", ("R", "t"))(1.0, 0.5) == 2.0
+
+
 @pytest.mark.parametrize(
     "bad",
     [

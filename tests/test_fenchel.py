@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hamrep.builder import build_compact, build_noncompact
 from hamrep.errors import ImproperFunction, UnboundedSummand
 from hamrep.exprs import compile_hamiltonian
 
-from _oracles import EPISUM_SUM_AT_ZERO, brute_conjugate, brute_conjugate_values, brute_hausdorff
+from _oracles import (
+    EPISUM_SUM_AT_ZERO,
+    brute_conjugate,
+    brute_conjugate_values,
+    brute_hausdorff,
+    monotone_chain_lower_hull,
+)
 
 P_GRID = fl.UniformGrid(-50.0, 50.0, 10001)
 V_GRID = fl.UniformGrid(-2.0, 2.0, 601)
@@ -316,6 +323,117 @@ def test_epi_sum_unbounded_summand_raises():
     slope = fl.ConvexGridFunction(V_GRID, -3.0 * V_GRID.nodes())
     with pytest.raises(UnboundedSummand):
         fl.epi_sum(f, slope)
+
+
+@st.composite
+def _rising_points(draw):
+    """Strictly rising integer x and a piecewise-linear y with integer
+    slopes (exact collinear runs, any order of slopes), optionally with
+    relative noise at the rounding level."""
+    n = draw(st.integers(3, 80))
+    gaps = np.array(draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1)))
+    slopes = np.array(draw(st.lists(st.integers(-6, 6), min_size=n - 1, max_size=n - 1)))
+    x = np.concatenate([[0.0], np.cumsum(gaps)]).astype(float)
+    y = np.concatenate([[0.0], np.cumsum(gaps * slopes)]).astype(float)
+    if draw(st.booleans()):
+        noise = draw(st.lists(st.sampled_from([0.0, 3e-16, -3e-16, 1e-13, -1e-13]), min_size=n, max_size=n))
+        y = y + np.array(noise) * (1.0 + np.abs(y))
+    return x, y
+
+
+def _eps_of(x, y, production):
+    # production eps is the epigraph loops': 1e-12 max(1, scale^2)
+    return 1e-12 * max(1.0, float(np.max(np.abs(np.concatenate([x, y])))) ** 2) if production else 0.0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rising_points(), st.booleans())
+def test_lower_hull_is_a_strictly_convex_minorant(points, production):
+    x, y = points
+    eps = _eps_of(x, y, production)
+    idx = fl._lower_hull(x, y, eps)
+    assert idx[0] == 0 and idx[-1] == len(x) - 1 and np.all(np.diff(idx) > 0)
+    # every turn of the hull exceeds eps, as in the sequential chain
+    hx, hy = x[idx], y[idx]
+    turns = (hx[1:-1] - hx[:-2]) * (hy[2:] - hy[:-2]) - (hy[1:-1] - hy[:-2]) * (hx[2:] - hx[:-2])
+    assert np.all(turns > eps)
+    # every input point lies on or above the hull; a point dropped at a
+    # turn of at most eps sits at most eps / (chord width) below its chord
+    scale = 1.0 + float(np.max(np.abs(y)))
+    below = np.interp(x, hx, hy) - y
+    assert float(np.max(below)) <= 1e-12 * scale + len(x) * eps
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rising_points())
+def test_lower_hull_matches_monotone_chain_on_exact_input(points):
+    # exact integer data: the lower hull is unique, its slopes rise strictly
+    # in exact arithmetic, and pruning finds the chain's vertices
+    x, y = points
+    y = np.round(y)  # without the noise
+    idx = fl._lower_hull(x, y)
+    assert np.array_equal(idx, monotone_chain_lower_hull(x, y))
+    slopes = [Fraction(int(y[j]) - int(y[i]), int(x[j]) - int(x[i])) for i, j in zip(idx[:-1], idx[1:])]
+    assert all(a < b for a, b in zip(slopes[:-1], slopes[1:]))
+    for k in range(len(x)):
+        j = int(np.searchsorted(x[idx], x[k]))
+        if x[idx[j]] == x[k]:
+            continue
+        a, b = idx[j - 1], idx[j]
+        chord = Fraction(int(y[a])) + Fraction(int(y[b]) - int(y[a]), int(x[b]) - int(x[a])) * (int(x[k]) - int(x[a]))
+        assert Fraction(int(y[k])) >= chord
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_rising_points(), st.integers(0, 4), st.integers(0, 4))
+def test_conjugate_values_of_piecewise_linear_samples(points, pad_lo, pad_hi):
+    # the y of _rising_points on a uniform grid with +inf pads: collinear
+    # runs with rounding noise, the case that sends slices to the pruning
+    _, y = points
+    values = np.concatenate([np.full(pad_lo, np.inf), y, np.full(pad_hi, np.inf)])
+    fn = fl.ConvexGridFunction(fl.UniformGrid(-3.0, 2.0, len(values)), values)
+    w = np.linspace(-40.0, 40.0, 161)
+    want = brute_conjugate_values(fn.grid.nodes(), fn.values, w)
+    _assert_close(fl.conjugate_values(fn, w), want, _term_scale(fn, w))
+
+
+def test_lower_hull_of_a_deep_drop_finishes_with_the_chain(monkeypatch):
+    # one very low end node behind a long convex run: each pruning pass
+    # drops only the node next to it, so the pass cap hands the survivors
+    # to the sequential chain
+    ps = P_GRID.nodes()
+    vals = 0.5 * ps * ps
+    vals[-1] = -1e6
+    chained = []
+    real = fl._chain_lower_hull
+
+    def counting(x, y, eps):
+        chained.append(len(x))
+        return real(x, y, eps)
+
+    monkeypatch.setattr(fl, "_chain_lower_hull", counting)
+    idx = fl._lower_hull(ps, vals)
+    assert chained == [P_GRID.count - 32]
+    assert np.array_equal(idx, monotone_chain_lower_hull(ps, vals))
+    w = np.linspace(-3.0, 3.0, 601)
+    want = brute_conjugate_values(ps, vals, w)
+    _assert_close(fl.conjugate_values(fl.ConvexGridFunction(P_GRID, vals), w), want, np.abs(want))
+
+
+def test_lower_hull_of_production_slices_skips_the_chain(monkeypatch):
+    # the piecewise-linear zoo slices need the pruning but never its fallback
+    def forbidden(x, y, eps):
+        raise AssertionError("chain fallback reached")
+
+    monkeypatch.setattr(fl, "_chain_lower_hull", forbidden)
+    ps = P_GRID.nodes()
+    for name, xs in (("ex_2_1", np.linspace(-2.0, 2.0, 9)), ("ex_2_6", (0.15, 1.0, 1.9))):
+        spec = zoo.builtin(name)
+        for x in xs:
+            vals = np.asarray(spec.eval(0.5, x, ps), dtype=float)
+            idx = fl._lower_hull(ps, vals)
+            assert idx[0] == 0 and idx[-1] == len(ps) - 1
+            assert np.all(vals >= np.interp(ps, ps[idx], vals[idx]) - 1e-12 * (1.0 + np.abs(vals)))
 
 
 # ------------------------------------------------------------ epigraph

@@ -122,3 +122,20 @@ def test_oracle_probes_stay_inside_domain(seed):
     assert np.all(probes >= dom.lo - 1e-12)
     assert np.all(probes <= dom.hi + 1e-12)
     assert np.all(np.isfinite(spec.oracle_L(t, x, probes)))
+
+
+def test_convex_argmin_probes_both_thirds_in_one_call():
+    # (u - 0.3)^2, NaN (read as +inf) beyond u = 1.5, on windows that hold
+    # the minimizer, end left of it, start right of it or cross the NaN edge
+    calls = []
+
+    def f(u):
+        calls.append(u.shape)
+        return np.where(u > 1.5, np.nan, (u - 0.3) ** 2)
+
+    lo = np.array([-1.0, 0.5, -2.0, 1.0])
+    hi = np.array([1.0, 2.0, 0.0, 3.0])
+    arg, val = zoo._convex_argmin(f, lo, hi)
+    assert np.allclose(arg, [0.3, 0.5, 0.0, 1.0], atol=1e-9)
+    assert np.allclose(val, (arg - 0.3) ** 2, rtol=0.0, atol=1e-15)
+    assert calls == [(8,)] * 72 + [(4,)]
