@@ -41,39 +41,26 @@ from .sampling import SamplePlan
 
 COMMANDS = ("conjugate", "check", "represent", "verify", "compactness", "stability", "zoo-list")
 
-# the tolerance names each command reads
+# largest v_count/p_count a config may ask for: twice the production p-grid
+GRID_CAP = 20_001
+
+# the tolerances each command reads, with their defaults; None lets the
+# check derive its own (mlc: 2h + 5e-4 from the v-grid spacing h)
+_TRIPLE_TOLERANCES = {"l_lower": 2e-2, "lip_slack": 5e-3, "image_gap": 5e-2}
 _TOLERANCES = {
-    "conjugate": ("abs_err", "margin", "episum"),
-    "check": ("hlc", "llc", "mlc"),
-    "represent": ("reconstruction", "soundness", "l_lower", "lip_slack", "image_gap", "sandwich"),
-    "verify": ("l_lower", "lip_slack", "image_gap"),
-    "compactness": ("lemma41", "blc", "blc_threshold"),
-    "stability": ("bound_slack", "decay_ratio", "epigraph_abs"),
-    "zoo-list": (),
+    "conjugate": {"abs_err": 1e-2, "margin": 0.1, "episum": 2e-2},
+    "check": {"hlc": 1e-9, "llc": 2e-2, "mlc": None},
+    "represent": {"reconstruction": 5e-2, "soundness": 2e-2, **_TRIPLE_TOLERANCES, "sandwich": 5e-2},
+    "verify": _TRIPLE_TOLERANCES,
+    "compactness": {"lemma41": 2e-2, "blc": 2e-2, "blc_threshold": 1e3},
+    "stability": {"bound_slack": 5e-3, "decay_ratio": 0.3, "epigraph_abs": 5e-2},
+    "zoo-list": {},
 }
 
 _TRIPLES = {
     "hat_rep_ex_2_1": zoo.hat_rep_ex_2_1,
     "circle_rep_ex_2_2": zoo.circle_rep_ex_2_2,
     "family_p_abs": zoo.family_p_abs,
-}
-
-_CONFIG_KEYS = {
-    "command",
-    "hamiltonian",
-    "window",
-    "grids",
-    "seed",
-    "output_dir",
-    "tolerances",
-    "kind",
-    "family",
-    "fixed_t",
-    "triple",
-    "R",
-    "epigraph_check",
-    "summand",
-    "geometry",
 }
 
 
@@ -99,8 +86,9 @@ class RunConfig:
     summand: str | None = None
     geometry: bool = False
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float | None:
+        """The configured tolerance `name`, else the command's default."""
+        return self.tolerances.get(name, _TOLERANCES[self.command][name])
 
     def plan(self) -> SamplePlan:
         return SamplePlan(seed=self.seed)
@@ -118,21 +106,23 @@ def _range_pair(raw, name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _int_field(raw, name: str, minimum: int) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {raw!r}")
-    return raw
+def _int_field(raw, name: str, minimum: int, maximum: int | None = None) -> int:
+    if isinstance(raw, int) and not isinstance(raw, bool) and minimum <= raw:
+        if maximum is None or raw <= maximum:
+            return raw
+    bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+    raise ConfigError(f"{name} must be an integer {bound}, got {raw!r}")
 
 
-def _float_field(raw, name: str) -> float:
+def _float_field(raw, name: str, positive: bool = False) -> float:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
             value = float(raw)
         except OverflowError:  # an integer beyond the float range
             value = math.inf
-        if math.isfinite(value):
+        if math.isfinite(value) and (value > 0.0 or not positive):
             return value
-    raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+    raise ConfigError(f"{name} must be a finite{' positive' if positive else ''} number, got {raw!r}")
 
 
 def _bool_field(raw, name: str) -> bool:
@@ -141,131 +131,140 @@ def _bool_field(raw, name: str) -> bool:
     return raw
 
 
+def _str_field(raw, name: str, choices: tuple[str, ...] | None = None) -> str:
+    if isinstance(raw, str) and raw and (choices is None or raw in choices):
+        return raw
+    if choices is None:
+        raise ConfigError(f"{name} must be a nonempty string, got {raw!r}")
+    raise ConfigError(f"{name} must be one of {', '.join(choices)}; got {raw!r}")
+
+
+def _hamiltonian_field(raw, name: str) -> str | list | dict:
+    if isinstance(raw, list) and raw and all(isinstance(n, str) for n in raw):
+        return raw
+    if isinstance(raw, dict) or isinstance(raw, str) and raw:
+        return raw
+    raise ConfigError(f'{name} must be a builtin name, "all", a name list, or a definition object; got {raw!r}')
+
+
+# the commands that build triples from a Hamiltonian, and those that sample (t, x)
+_BUILDERS = ("represent", "verify")
+_WINDOWED = ("conjugate", "represent", "verify", "compactness", "stability")
+
+# every config key, dotted below an object: (reader, its bounds, the commands
+# that read the key); a key the running command does not read is rejected
+_KEYS = {
+    "command": (_str_field, (COMMANDS,), COMMANDS),
+    "hamiltonian": (_hamiltonian_field, (), ("conjugate", "check", "represent", "verify", "compactness")),
+    "window.t_range": (_range_pair, (), _WINDOWED),
+    "window.x_range": (_range_pair, (), _WINDOWED),
+    "window.p_range": (_range_pair, (), ("represent", "stability")),
+    "grids.v_count": (_int_field, (33, GRID_CAP), ("conjugate", "check", "represent", "verify", "stability")),
+    "grids.p_count": (
+        _int_field,
+        (33, GRID_CAP),
+        ("conjugate", "check", "represent", "verify", "compactness", "stability"),
+    ),
+    "grids.a_plan.n_box": (_int_field, (6,), _BUILDERS),
+    "grids.a_plan.box_half": (_float_field, (True,), _BUILDERS),
+    "grids.a_plan.n_radii": (_int_field, (2,), _BUILDERS),
+    "grids.a_plan.n_angles": (_int_field, (8,), _BUILDERS),
+    "grids.a_plan.n_interval": (_int_field, (33,), _BUILDERS),
+    "seed": (_int_field, (0,), COMMANDS),
+    "output_dir": (_str_field, (), COMMANDS),
+    "kind": (_str_field, (("noncompact", "compact", "both"),), ("represent", "verify", "stability")),
+    "family": (_str_field, ((*stability.family_names(), "all"),), ("stability",)),
+    "fixed_t": (_float_field, (), ("stability",)),
+    "triple": (_str_field, ((*_TRIPLES, "all"),), ("verify", "compactness")),
+    "R": (_float_field, (True,), ("check",)),
+    "epigraph_check": (_bool_field, (), ("stability",)),
+    "summand": (_str_field, (), ("conjugate",)),
+    "geometry": (_bool_field, (), ("check",)),
+    **{
+        f"tolerances.{name}": (_float_field, (), tuple(c for c in COMMANDS if name in _TOLERANCES[c]))
+        for name in dict.fromkeys(n for names in _TOLERANCES.values() for n in names)
+    },
+}
+
+
+def _objects() -> dict[str, tuple[str, ...]]:
+    """Each object holding nested keys, with the commands that read a key in it."""
+    found: dict[str, set[str]] = {}
+    for key, (_, _, commands) in _KEYS.items():
+        parts = key.split(".")
+        for depth in range(1, len(parts)):
+            found.setdefault(".".join(parts[:depth]), set()).update(commands)
+    return {name: tuple(c for c in COMMANDS if c in commands) for name, commands in found.items()}
+
+
+_OBJECTS = _objects()
+
+
+def _walk(doc: dict, prefix: str, command: str, values: dict) -> None:
+    """Read each key of the object at `prefix` into `values`, by dotted name."""
+    for key, raw in doc.items():
+        name = f"{prefix}{key}"
+        if "." in str(key) or name not in _OBJECTS and name not in _KEYS:
+            valid = dict.fromkeys(
+                k[len(prefix) :].partition(".")[0]
+                for k, (_, _, cmds) in _KEYS.items()
+                if k.startswith(prefix) and command in cmds
+            )
+            where = f" in {prefix[:-1]}" if prefix else ""
+            raise ConfigError(f"unknown config key {name!r}; {command} reads{where}: {', '.join(valid) or 'none'}")
+        commands = _OBJECTS[name] if name in _OBJECTS else _KEYS[name][2]
+        if command not in commands:
+            raise ConfigError(f"config key {name} is not read by {command}, only by {', '.join(commands)}")
+        if name in _OBJECTS:
+            if not isinstance(raw, dict):
+                raise ConfigError(f'"{name}" must be an object')
+            _walk(raw, f"{name}.", command, values)
+        else:
+            reader, bounds, _ = _KEYS[name]
+            values[name] = reader(raw, name, *bounds)
+
+
 def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tols: dict | None = None) -> RunConfig:
     """Validate the JSON document plus flag overrides into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    command = doc.get("command")
-    if command not in COMMANDS:
-        raise ConfigError(f"command must be one of {', '.join(COMMANDS)}; got {command!r}")
-
-    win_doc = doc.get("window", {})
-    if not isinstance(win_doc, dict):
-        raise ConfigError('"window" must be an object')
-    defaults = Window()
-    window = Window(
-        t_range=_range_pair(win_doc.get("t_range", defaults.t_range), "window.t_range"),
-        x_range=_range_pair(win_doc.get("x_range", defaults.x_range), "window.x_range"),
-        p_range=_range_pair(win_doc.get("p_range", defaults.p_range), "window.p_range"),
+    command = _str_field(doc.get("command"), "command", COMMANDS)
+    values: dict = {}
+    _walk(doc, "", command, values)
+    _walk(tols or {}, "tolerances.", command, values)
+    if seed is not None:
+        values["seed"] = _int_field(seed, "seed", 0)
+    if out is not None:
+        values["output_dir"] = _str_field(out, "output_dir")
+    groups: dict[str, dict] = {"": {}, **{name: {} for name in _OBJECTS}}
+    for name, value in values.items():
+        group, _, field = name.rpartition(".")
+        groups[group][field] = value
+    cfg = RunConfig(
+        **groups[""],
+        **groups["grids"],
+        window=Window(**groups["window"]),
+        a_plan=APlan(**groups["grids.a_plan"]),
+        tolerances=groups["tolerances"],
     )
 
-    grids = doc.get("grids", {})
-    if not isinstance(grids, dict):
-        raise ConfigError('"grids" must be an object')
-    v_count = _int_field(grids.get("v_count", 601), "grids.v_count", 33)
-    p_count = _int_field(grids.get("p_count", 10001), "grids.p_count", 33)
-    ap_doc = grids.get("a_plan", {})
-    if not isinstance(ap_doc, dict):
-        raise ConfigError('"grids.a_plan" must be an object')
-    ap_def = APlan()
-    a_plan = APlan(
-        n_box=_int_field(ap_doc.get("n_box", ap_def.n_box), "a_plan.n_box", 6),
-        box_half=_float_field(ap_doc.get("box_half", ap_def.box_half), "a_plan.box_half"),
-        n_radii=_int_field(ap_doc.get("n_radii", ap_def.n_radii), "a_plan.n_radii", 2),
-        n_angles=_int_field(ap_doc.get("n_angles", ap_def.n_angles), "a_plan.n_angles", 8),
-        n_interval=_int_field(ap_doc.get("n_interval", ap_def.n_interval), "a_plan.n_interval", 33),
-    )
-    # every sample family stays at or above the 33-point floor
-    if a_plan.n_box * a_plan.n_box < 33 or a_plan.n_radii * a_plan.n_angles < 33:
+    # rules that tie one key to another or to the command
+    plan = cfg.a_plan
+    if plan.n_box * plan.n_box < 33 or plan.n_radii * plan.n_angles < 33:
         raise ConfigError("a_plan must keep at least 33 samples per control family")
-    if a_plan.box_half <= 0.0:
-        raise ConfigError("a_plan.box_half must be positive")
-
-    cfg_seed = doc.get("seed", 0) if seed is None else seed
-    if not isinstance(cfg_seed, int) or isinstance(cfg_seed, bool) or cfg_seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {cfg_seed!r}")
-
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError('"tolerances" must be an object of name: number')
-    tolerances = dict(tolerances)
-    if not all(isinstance(k, str) for k in tolerances):
-        raise ConfigError("tolerance names must be strings")
-    for key, val in tolerances.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"tolerance {key!r} must be a number")
-    tolerances.update(tols or {})
-    unknown = sorted(set(tolerances) - set(_TOLERANCES[command]))
-    if unknown:
-        valid = ", ".join(_TOLERANCES[command]) or "none"
-        raise ConfigError(f"unknown tolerance name(s) for {command}: {', '.join(unknown)}; valid: {valid}")
-
-    kind = doc.get("kind", "noncompact")
-    allowed_kinds = ("noncompact", "compact", "both") if command in ("represent", "verify") else ("noncompact", "compact")
-    if kind not in allowed_kinds:
-        raise ConfigError(f"kind must be one of {', '.join(allowed_kinds)}; got {kind!r}")
-
-    fixed_t = doc.get("fixed_t")
-    if fixed_t is not None:
-        fixed_t = _float_field(fixed_t, "fixed_t")
-        if not window.t_range[0] <= fixed_t <= window.t_range[1]:
-            raise ConfigError(f"fixed_t={fixed_t} lies outside window.t_range")
-
-    R = _float_field(doc.get("R", 2.0), "R")
-    if R <= 0.0:
-        raise ConfigError(f"R must be positive, got {R}")
-
-    family = doc.get("family")
-    if family is not None and family != "all" and family not in stability.family_names():
-        raise ConfigError(f"unknown family {family!r}; know {stability.family_names()} or \"all\"")
-
-    triple = doc.get("triple")
-    if triple is not None and not isinstance(triple, str):
-        raise ConfigError(f'"triple" must be a triple name or "all", got {triple!r}')
-    if triple == "all" and command != "compactness":
+    if cfg.kind == "both" and command not in _BUILDERS:
+        raise ConfigError(f'kind "both" is only valid for represent and verify, not {command}')
+    if cfg.fixed_t is not None and not cfg.window.t_range[0] <= cfg.fixed_t <= cfg.window.t_range[1]:
+        raise ConfigError(f"fixed_t={cfg.fixed_t} lies outside window.t_range")
+    if cfg.triple == "all" and command != "compactness":
         raise ConfigError('triple "all" is only valid for the compactness command')
-    if triple is not None and triple != "all" and triple not in _TRIPLES:
-        raise ConfigError(f"unknown triple {triple!r}; know {sorted(_TRIPLES)}")
-
-    ham = doc.get("hamiltonian", "ex_2_2")
-    if isinstance(ham, list):
-        if command not in ("check", "represent", "verify") or not ham or not all(
-            isinstance(n, str) for n in ham
-        ):
-            raise ConfigError('a "hamiltonian" list of builtin names is only valid for check/represent/verify')
-    elif not isinstance(ham, (str, dict)):
-        raise ConfigError('"hamiltonian" must be a builtin name, "all", a name list, or a definition object')
-
-    summand = doc.get("summand")
-    if summand is not None:
-        if command != "conjugate":
-            raise ConfigError('"summand" only applies to the conjugate command')
-        if ham == "all":
+    if isinstance(cfg.hamiltonian, list) and command not in ("check", *_BUILDERS):
+        raise ConfigError('a "hamiltonian" list of builtin names is only valid for check/represent/verify')
+    if cfg.summand is not None:
+        if cfg.hamiltonian == "all":
             raise ConfigError('"summand" needs a single hamiltonian, not "all"')
-        compile_expr(str(summand), ("t", "x", "p"))
-
-    return RunConfig(
-        command=command,
-        hamiltonian=ham,
-        window=window,
-        v_count=v_count,
-        p_count=p_count,
-        a_plan=a_plan,
-        seed=cfg_seed,
-        output_dir=str(doc.get("output_dir", "out")) if out is None else out,
-        tolerances=tolerances,
-        kind=kind,
-        family=family,
-        fixed_t=fixed_t,
-        triple=triple,
-        R=R,
-        epigraph_check=_bool_field(doc.get("epigraph_check", True), "epigraph_check"),
-        summand=str(summand) if summand is not None else None,
-        geometry=_bool_field(doc.get("geometry", False), "geometry"),
-    )
+        compile_expr(cfg.summand, ("t", "x", "p"))
+    return cfg
 
 
 def _resolve_specs(cfg: RunConfig, allow_all: bool) -> list:
@@ -330,8 +329,8 @@ def _mid(rng: tuple[float, float]) -> float:
 
 def _run_conjugate(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
-    abs_tol = cfg.tol("abs_err", 1e-2)
-    margin = cfg.tol("margin", 0.1)
+    abs_tol = cfg.tol("abs_err")
+    margin = cfg.tol("margin")
     p_grid = UniformGrid(-50.0, 50.0, cfg.p_count)
     t = _mid(cfg.window.t_range)
     reports: list[CheckReport] = []
@@ -397,7 +396,7 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
     conjugate of H + summand against the epi-sum of the two conjugates,
     each restricted to its edge-slope trust interval."""
     x = _mid(cfg.window.x_range)
-    tol = cfg.tol("episum", 2e-2)
+    tol = cfg.tol("episum")
     h2 = compile_expr(cfg.summand, ("t", "x", "p"))
 
     def h_sum(t, x, p):
@@ -431,15 +430,15 @@ def _run_check(cfg: RunConfig):
     reports: list[CheckReport] = []
     for spec in specs:
         got = [
-            zoo.check_HLC(spec, cfg.R, samples=plan, tol=cfg.tol("hlc", 1e-9)),
-            zoo.check_LLC(spec, cfg.R, samples=plan, tol=cfg.tol("llc", 2e-2), p_grid=p_grid),
+            zoo.check_HLC(spec, cfg.R, samples=plan, tol=cfg.tol("hlc")),
+            zoo.check_LLC(spec, cfg.R, samples=plan, tol=cfg.tol("llc"), p_grid=p_grid),
             zoo.check_MLC(
                 spec,
                 cfg.R,
                 samples=plan,
                 p_grid=p_grid,
                 v_count=cfg.v_count,
-                tol=cfg.tolerances.get("mlc"),
+                tol=cfg.tol("mlc"),
             ),
         ]
         reports.extend(_tag_reports(got, spec.name) if len(specs) > 1 else got)
@@ -463,8 +462,8 @@ def _build_triple(cfg: RunConfig, spec, kind: str):
 def _run_represent(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=False)
     multi = len(specs) > 1 or cfg.kind == "both"
-    recon_tol = cfg.tol("reconstruction", 5e-2)
-    sound_tol = cfg.tol("soundness", 2e-2)
+    recon_tol = cfg.tol("reconstruction")
+    sound_tol = cfg.tol("soundness")
     t = _mid(cfg.window.t_range)
     ps = np.linspace(cfg.window.p_range[0], cfg.window.p_range[1], 41)
     rows: list[tuple] = []
@@ -501,14 +500,14 @@ def _run_represent(cfg: RunConfig):
                     triple,
                     cfg.window,
                     plan=cfg.plan(),
-                    l_tol=cfg.tol("l_lower", 2e-2),
-                    lip_slack=cfg.tol("lip_slack", 5e-3),
-                    image_gap_tol=cfg.tol("image_gap", 5e-2),
+                    l_tol=cfg.tol("l_lower"),
+                    lip_slack=cfg.tol("lip_slack"),
+                    image_gap_tol=cfg.tol("image_gap"),
                 )
             )
             if kind == "compact":
                 for x in _x_values(cfg, 3):
-                    local.append(sandwich_check(triple, t, float(x), tol=cfg.tol("sandwich", 5e-2)))
+                    local.append(sandwich_check(triple, t, float(x), tol=cfg.tol("sandwich")))
             reports.extend(_tag_reports(local, f"{spec.name}:{kind}") if multi else local)
             extra[f"caps[{spec.name}:{kind}]"] = triple.caps
     header = ["hamiltonian", "kind", "t", "x", "p", "H", "H_reconstructed", "abs_err"]
@@ -529,9 +528,9 @@ def _run_verify(cfg: RunConfig):
             triple,
             cfg.window,
             plan=cfg.plan(),
-            l_tol=cfg.tol("l_lower", 2e-2),
-            lip_slack=cfg.tol("lip_slack", 5e-3),
-            image_gap_tol=cfg.tol("image_gap", 5e-2),
+            l_tol=cfg.tol("l_lower"),
+            lip_slack=cfg.tol("lip_slack"),
+            image_gap_tol=cfg.tol("image_gap"),
         )
         reports.extend(_tag_reports(local, tag) if len(jobs) > 1 else local)
     header = ["check", "worst_margin", "verdict"]
@@ -555,13 +554,13 @@ def _run_compactness(cfg: RunConfig):
             base = _TRIPLES[name]()
             local = [
                 compactness.lemma41_check(
-                    base, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("lemma41", 2e-2)
+                    base, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("lemma41")
                 )
             ]
             if name in _CERTIFIED_TRIPLES:
                 ct = compactness.convexify(base)
                 lam = compactness.extract_lambda(
-                    ct, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("blc", 2e-2)
+                    ct, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("blc")
                 )
                 local.append(lam.certification)
                 for t in np.linspace(t_range[0], t_range[1], 3):
@@ -573,7 +572,7 @@ def _run_compactness(cfg: RunConfig):
                 zoo.builtin(ham),
                 t_range=t_range,
                 x_range=x_range,
-                threshold=cfg.tol("blc_threshold", 1e3),
+                threshold=cfg.tol("blc_threshold"),
                 plan=plan,
                 p_grid=cfg.policy().p_grid(),
             )
@@ -584,11 +583,11 @@ def _run_compactness(cfg: RunConfig):
         base = _TRIPLES[cfg.triple]()
         ct = compactness.convexify(base)
         lam = compactness.extract_lambda(
-            ct, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("blc", 2e-2)
+            ct, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("blc")
         )
         reports = [
             compactness.lemma41_check(
-                base, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("lemma41", 2e-2)
+                base, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("lemma41")
             ),
             lam.certification,
         ]
@@ -604,7 +603,7 @@ def _run_compactness(cfg: RunConfig):
         spec,
         t_range=t_range,
         x_range=x_range,
-        threshold=cfg.tol("blc_threshold", 1e3),
+        threshold=cfg.tol("blc_threshold"),
         plan=plan,
         p_grid=cfg.policy().p_grid(),
     )
@@ -635,10 +634,10 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
         window=cfg.window,
         plan=cfg.plan(),
         policy=cfg.policy(),
-        bound_slack=cfg.tol("bound_slack", 5e-3),
+        bound_slack=cfg.tol("bound_slack"),
         fixed_t=fixed_t,
     )
-    reports = [rep.decay_report(ratio=cfg.tol("decay_ratio", 0.3)), rep.bound_report()]
+    reports = [rep.decay_report(ratio=cfg.tol("decay_ratio")), rep.bound_report()]
     if name.endswith("_zero"):
         worst = max((float(r.sup_e_err) for r in rep.rows), default=0.0)
         reports.append(
@@ -656,8 +655,8 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
                 window=cfg.window,
                 plan=cfg.plan(),
                 policy=cfg.policy(),
-                abs_tol=cfg.tol("epigraph_abs", 5e-2),
-                ratio=cfg.tol("decay_ratio", 0.3),
+                abs_tol=cfg.tol("epigraph_abs"),
+                ratio=cfg.tol("decay_ratio"),
             )
         )
     rows = [

@@ -292,11 +292,6 @@ def containment_gap(outer: ConvexBody, inner: ConvexBody) -> float:
     return float(np.max(_points_to_body(inner.vertices, outer)))
 
 
-def contains_body(outer: ConvexBody, inner: ConvexBody, tol: float) -> bool:
-    """True when every extreme point of inner is within tol of outer."""
-    return containment_gap(outer, inner) <= tol
-
-
 def proj_map(y, body: ConvexBody, arc_deg: float = 0.5) -> ConvexBody:
     """Projection-map body P(y, K) = K intersected with B(y, 2 d(y, K)).
 

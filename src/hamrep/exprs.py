@@ -133,6 +133,10 @@ def _build(node: ast.AST, variables: tuple[str, ...], src: str) -> Callable:
     raise ConfigError(f"syntax element {type(node).__name__} not allowed in {src!r}")
 
 
+def _too_deep(src: str) -> str:
+    return f"expression nests too deeply ({len(src)} characters, starting {src[:20]!r})"
+
+
 def compile_expr(src: str, variables: tuple[str, ...] = ("t", "x", "p")) -> Callable:
     """Compile one expression string to a vectorized callable.
 
@@ -154,16 +158,21 @@ def compile_expr(src: str, variables: tuple[str, ...] = ("t", "x", "p")) -> Call
         raise ConfigError("expression must be a nonempty string")
     try:
         tree = ast.parse(_normalize(src), mode="eval")
+        body = _build(tree, tuple(variables), src)
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {src!r}: {exc.msg}") from exc
-    body = _build(tree, tuple(variables), src)
+    except RecursionError:
+        raise ConfigError(_too_deep(src)) from None
 
     def fn(*values):
         if len(values) != len(variables):
             raise ConfigError(f"expression over {variables} called with {len(values)} value(s)")
         env = dict(zip(variables, values))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = body(env)
+            try:
+                out = body(env)
+            except RecursionError:  # compiled near the limit, called deeper in the stack
+                raise ConfigError(_too_deep(src)) from None
         shape = np.broadcast_shapes(*(np.shape(v) for v in values))
         if np.shape(out) != shape:
             out = np.broadcast_to(out, shape).copy()
@@ -258,9 +267,12 @@ def compile_hamiltonian(defn: dict):
         lam = LambdaBound(eval=lambda t, x: float(lam_fn(t, x)), note="config-supplied bound")
     flags = {"H1": True, "H2": True, "H3": True, "H4": c_fn is not None, "HLC": True, "BLC": lam is not None}
     user_flags = defn.get("flags", {})
-    if not isinstance(user_flags, dict):
-        raise ConfigError('"flags" must be an object of booleans')
-    flags.update({k: bool(v) for k, v in user_flags.items()})
+    if not isinstance(user_flags, dict) or not all(isinstance(v, bool) for v in user_flags.values()):
+        raise ConfigError('"flags" must be an object of JSON booleans')
+    unknown = [repr(k) for k in user_flags if k not in flags]
+    if unknown:
+        raise ConfigError(f"unknown flag(s) {', '.join(unknown)}; know {', '.join(flags)}")
+    flags.update(user_flags)
     return HamiltonianSpec(
         name=name,
         eval=ev,

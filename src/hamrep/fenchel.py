@@ -150,13 +150,6 @@ class ConvexGridFunction:
         out[inside] = res
         return out
 
-    def to_csv(self) -> str:
-        lines = ["v,value"]
-        for v, val in zip(self.grid.nodes(), self.values):
-            sval = "inf" if np.isinf(val) else repr(float(val))
-            lines.append(f"{float(v)!r},{sval}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclasses.dataclass(frozen=True)
 class Epigraph:
@@ -256,13 +249,6 @@ def conjugate(fn: ConvexGridFunction, out_grid: UniformGrid) -> ConvexGridFuncti
     return ConvexGridFunction(out_grid, conjugate_values(fn, out_grid.nodes()), convex_flag=True)
 
 
-def biconjugate(fn: ConvexGridFunction, mid_grid: UniformGrid | None = None) -> ConvexGridFunction:
-    """Conjugate twice; lands back on fn's grid. mid_grid defaults to fn's
-    own window, which is adequate whenever the relevant slopes fit in it."""
-    inner = conjugate(fn, mid_grid if mid_grid is not None else fn.grid)
-    return conjugate(inner, fn.grid)
-
-
 def epi_sum(f1: ConvexGridFunction, f2: ConvexGridFunction) -> ConvexGridFunction:
     """Epigraphical (infimal-convolution) sum on f1's grid.
 
@@ -288,29 +274,6 @@ def epi_sum(f1: ConvexGridFunction, f2: ConvexGridFunction) -> ConvexGridFunctio
         raise ImproperFunction("epigraphical sum is +inf on the whole window")
     convex = f1.convex_flag and f2.convex_flag
     return ConvexGridFunction(f1.grid, out, convex_flag=False if not convex else True)
-
-
-def effective_domain(fn: ConvexGridFunction, value_cap: float = 1e6) -> EffectiveDomain:
-    """Interval hull of the finite nodes with advisory closedness flags.
-
-    An endpoint is marked closed when the boundary value stays under
-    value_cap and the one-sided slope stays under 1/h: a pole at the
-    boundary diverges like 1/h^2 in slope while a closed vertical-tangent
-    endpoint grows only like 1/sqrt(h). Flags are advisory.
-    """
-    nodes, vals = fn.finite_slice()
-    h = fn.grid.h
-
-    def closed(boundary: float, neighbor: float | None) -> bool:
-        if abs(boundary) >= value_cap:
-            return False
-        if neighbor is None:
-            return True
-        return abs(boundary - neighbor) / h <= 1.0 / h
-
-    lo_closed = closed(float(vals[0]), float(vals[1]) if len(vals) > 1 else None)
-    hi_closed = closed(float(vals[-1]), float(vals[-2]) if len(vals) > 1 else None)
-    return EffectiveDomain(float(nodes[0]), float(nodes[-1]), bool(lo_closed), bool(hi_closed))
 
 
 def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:

@@ -11,7 +11,6 @@ pointwise. Decay is judged by the ratio of the final to the first index.
 from __future__ import annotations
 
 import dataclasses
-import io
 from typing import Callable
 
 import numpy as np
@@ -209,20 +208,6 @@ class StabilityReport:
             "pass" if worst <= 0.0 else "fail",
             wit,
         )
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("i,sup_e_err,sup_f_err,sup_l_err,sup_hausdorff_EL\n")
-        for r in sorted(self.rows, key=lambda q: q.i):
-            cells = [
-                str(r.i),
-                repr(float(r.sup_e_err)),
-                repr(float(r.sup_f_err)),
-                repr(float(r.sup_l_err)),
-                repr(float(r.sup_hausdorff_EL)),
-            ]
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
 
 
 def _stability_a_plan(kind: str) -> APlan:

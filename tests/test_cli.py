@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamrep import cli
+from hamrep.builder import APlan, Window
 from hamrep.errors import ConfigError
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -35,42 +42,46 @@ def test_parse_flag_overrides_win():
     cfg = cli.parse_config(doc, seed=9, out="flagout", tols={"abs_err": 0.25})
     assert cfg.seed == 9
     assert cfg.output_dir == "flagout"
-    assert cfg.tol("abs_err", 1e-2) == 0.25
+    assert cfg.tol("abs_err") == 0.25
+
+
+# each case names the bound it breaks; a key a command does not read is
+# tried on a command that reads it, so the case still reaches its reader
+_BAD_CONFIGS = [
+    ({"command": "fourier"}, "command must be one of"),
+    ({"command": "conjugate", "bogus": 1}, "unknown config key 'bogus'"),
+    ({"command": "conjugate", "window": {"t_range": [1.0, 0.0]}}, "window.t_range must be a nonempty"),
+    ({"command": "conjugate", "window": {"x_range": [0.0]}}, "window.x_range must be a two-number"),
+    ({"command": "conjugate", "window": "narrow"}, '"window" must be an object'),
+    ({"command": "conjugate", "grids": {"v_count": 32}}, r"grids.v_count must be an integer in \[33"),
+    ({"command": "conjugate", "grids": {"p_count": True}}, "grids.p_count must be an integer"),
+    ({"command": "represent", "grids": {"a_plan": {"n_box": 5}}}, "n_box must be an integer >= 6"),
+    ({"command": "represent", "grids": {"a_plan": {"n_angles": 4}}}, "n_angles must be an integer >= 8"),
+    ({"command": "represent", "grids": {"a_plan": {"box_half": 0.0}}}, "box_half must be a finite positive"),
+    ({"command": "conjugate", "seed": -1}, "seed must be an integer >= 0"),
+    ({"command": "conjugate", "seed": True}, "seed must be an integer >= 0"),
+    ({"command": "conjugate", "tolerances": {"abs_err": "tight"}}, "tolerances.abs_err must be a finite"),
+    ({"command": "stability", "family": "ex_2_6_absx", "kind": "both"}, 'kind "both" is only valid'),
+    ({"command": "represent", "kind": "inflated"}, "kind must be one of"),
+    ({"command": "stability", "family": "ex_9_9", "fixed_t": 0.5}, "family must be one of"),
+    ({"command": "stability", "family": "ex_2_6_absx", "fixed_t": 2.0}, "outside window.t_range"),
+    ({"command": "verify", "triple": "all"}, 'triple "all" is only valid'),
+    ({"command": "verify", "triple": "mystery_rep"}, "triple must be one of"),
+    ({"command": "conjugate", "hamiltonian": ["ex_2_1", "ex_2_2"]}, "list of builtin names is only valid"),
+    ({"command": "check", "hamiltonian": []}, "hamiltonian must be a builtin name"),
+    ({"command": "check", "hamiltonian": ["ex_2_1", 7]}, "hamiltonian must be a builtin name"),
+    ({"command": "conjugate", "hamiltonian": 42}, "hamiltonian must be a builtin name"),
+    ({"command": "check", "summand": "abs(p)"}, "summand is not read by check, only by conjugate"),
+    ({"command": "conjugate", "hamiltonian": "all", "summand": "abs(p)"}, "needs a single hamiltonian"),
+    ({"command": "conjugate", "summand": "while True: p"}, "cannot parse expression"),
+]
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [
-        {"command": "fourier"},
-        {"command": "conjugate", "bogus": 1},
-        {"command": "conjugate", "window": {"t_range": [1.0, 0.0]}},
-        {"command": "conjugate", "window": {"x_range": [0.0]}},
-        {"command": "conjugate", "window": "narrow"},
-        {"command": "conjugate", "grids": {"v_count": 32}},
-        {"command": "conjugate", "grids": {"p_count": True}},
-        {"command": "conjugate", "grids": {"a_plan": {"n_box": 5}}},
-        {"command": "conjugate", "grids": {"a_plan": {"n_angles": 4}}},
-        {"command": "conjugate", "grids": {"a_plan": {"box_half": 0.0}}},
-        {"command": "conjugate", "seed": -1},
-        {"command": "conjugate", "seed": True},
-        {"command": "conjugate", "tolerances": {"abs_err": "tight"}},
-        {"command": "check", "kind": "both"},
-        {"command": "represent", "kind": "inflated"},
-        {"command": "stability", "family": "ex_9_9", "fixed_t": 0.5},
-        {"command": "conjugate", "fixed_t": 2.0},
-        {"command": "verify", "triple": "all"},
-        {"command": "verify", "triple": "mystery_rep"},
-        {"command": "conjugate", "hamiltonian": ["ex_2_1", "ex_2_2"]},
-        {"command": "check", "hamiltonian": []},
-        {"command": "check", "hamiltonian": ["ex_2_1", 7]},
-        {"command": "conjugate", "hamiltonian": 42},
-        {"command": "check", "summand": "abs(p)"},
-        {"command": "conjugate", "hamiltonian": "all", "summand": "abs(p)"},
-        {"command": "conjugate", "summand": "while True: p"},
-    ],
+    "doc, match", _BAD_CONFIGS, ids=[f"doc{i}" for i in range(len(_BAD_CONFIGS))]
 )
-def test_parse_rejects_bad_configs(doc):
-    with pytest.raises(ConfigError):
+def test_parse_rejects_bad_configs(doc, match):
+    with pytest.raises(ConfigError, match=match):
         cli.parse_config(doc)
 
 
@@ -147,12 +158,30 @@ def test_main_config_errors(tmp_path, capsys):
         {"command": "represent", "grids": {"a_plan": {"box_half": "q"}}},
         {"command": "conjugate", "window": {"x_range": [-1.0, float("inf")]}},
         {"command": "stability", "family": "ex_2_6_absx", "epigraph_check": "false"},
-        {"command": "conjugate", "geometry": 0},
+        {"command": "check", "geometry": 0},
         {"command": "check", "tolerances": {"hcl": 1e-30}},
         {"command": "verify", "tolerances": {"reconstruction": 0.1}},
         {"command": "zoo-list", "tolerances": {"abs_err": 0.1}},
         {"command": "check", "tolerances": [1]},
         {"command": "compactness", "triple": ["x"]},
+        # unknown keys at each depth
+        {"command": "check", "bogus": 1},
+        {"command": "represent", "grids": {"v_cout": 100}},
+        {"command": "conjugate", "window": {"x_rnge": [0, 1]}},
+        {"command": "represent", "grids": {"a_plan": {"nbox": 3}}},
+        {"command": "conjugate", "output_dir": None},
+        {"command": "conjugate", "output_dir": 7},
+        {"command": "check", "tolerances": {"llc": float("nan")}},
+        {"command": "check", "tolerances": {"llc": float("inf")}},
+        # keys the command does not read
+        {"command": "represent", "fixed_t": 0.5},
+        {"command": "conjugate", "kind": "compact"},
+        {"command": "check", "family": "all"},
+        # grid counts above the cap, refused before any grid is built
+        {"command": "represent", "grids": {"v_count": 100_000_000}},
+        {"command": "conjugate", "grids": {"p_count": cli.GRID_CAP + 1}},
+        {"command": "conjugate", "summand": "-" * 5000 + "p"},
+        {"command": "check", "hamiltonian": {"name": "h", "H": "abs(p)", "flags": {"H4": "false"}}},
     ],
 )
 def test_main_rejects_bad_field_values(tmp_path, capsys, doc):
@@ -169,7 +198,17 @@ def test_main_rejects_unknown_tolerance_flag(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["--config", config, "--out", str(out), "--tol", "lip=0"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: unknown tolerance name(s) for check: lip; valid: hlc, llc, mlc"]
+    assert err == ["error: unknown config key 'tolerances.lip'; check reads in tolerances: hlc, llc, mlc"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["llc=nan", "llc=inf", "llc=-inf"])
+def test_main_rejects_non_finite_tolerance_flag(tmp_path, capsys, flag):
+    config = _write_config(tmp_path, {"command": "check"})
+    out = tmp_path / "out"
+    assert cli.main(["--config", config, "--out", str(out), "--tol", flag]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tolerances.llc must be a finite number")
     assert not out.exists()
 
 
@@ -274,3 +313,114 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     for stem in ("conjugate_ex_2_6_0.csv", "conjugate_ex_2_6_0.json"):
         assert (out_a / stem).read_bytes() == (out_b / stem).read_bytes()
     capsys.readouterr()
+
+
+# ------------------------------------------------------ key table vs README
+
+
+def _readme_rows() -> dict[str, list[str]]:
+    text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip().strip("|").split(" | ")]
+            rows[cells[0].strip("`")] = cells[1:]
+    return rows
+
+
+def _config_default(key: str):
+    group, _, name = key.rpartition(".")
+    owner = {"": cli.RunConfig, "grids": cli.RunConfig, "window": Window, "grids.a_plan": APlan}[group]
+    field = {f.name: f for f in dataclasses.fields(owner)}[name]
+    if field.default is not dataclasses.MISSING:
+        return field.default
+    return field.default_factory() if field.default_factory is not dataclasses.MISSING else "required"
+
+
+def test_readme_lists_every_key_with_its_default_bounds_and_readers():
+    rows = _readme_rows()
+    assert set(rows) == set(cli._KEYS)
+    for key, (_, bounds, commands) in cli._KEYS.items():
+        default, value, read_by = rows[key]
+        assert read_by.split(", ") == (["all"] if commands == cli.COMMANDS else list(commands)), key
+        for bound in bounds:
+            if isinstance(bound, int) and not isinstance(bound, bool):
+                assert str(bound) in value, key
+        if key.startswith("tolerances."):
+            want = cli._TOLERANCES[commands[0]][key.split(".", 1)[1]]
+            assert all(cli._TOLERANCES[c][key.split(".", 1)[1]] == want for c in commands)
+            assert default.startswith("derived") if want is None else float(default.strip("`")) == want, key
+        else:
+            want = _config_default(key)
+            words = {"-": None, "required": "required"}
+            got = words[default] if default in words else json.loads(default.strip("`"))
+            assert (list(want) if isinstance(want, tuple) else want) == got, key
+
+
+# ----------------------------------------------------------- parse fuzz
+
+_JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=10**6)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(
+        ["ex_2_1", "all", "compact", "both", "hat_rep_ex_2_1", "ex_2_6_absx", "abs(p)", "-" * 3000 + "p"]
+    )
+    | st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# every table key but "command" (drawn on its own), plus misspelt keys and
+# leaf values where an object belongs
+_FUZZ_KEYS = st.sampled_from(
+    [k for k in cli._KEYS if k != "command"]
+    + ["bogus", "grids.v_cout", "window.x_rnge", "grids.a_plan.nbox", "tolerances.lip", "window", "grids"]
+)
+_TOL_NAMES = st.sampled_from([*dict.fromkeys(n for names in cli._TOLERANCES.values() for n in names), "lip"])
+
+
+def _nest(command: str, flat: dict) -> dict:
+    """The document holding each dotted key of `flat` at its depth."""
+    doc: dict = {"command": command}
+    for key, value in flat.items():
+        *path, leaf = key.split(".")
+        node = doc
+        for part in path:
+            if not isinstance(node.get(part), dict):
+                node[part] = {}
+            node = node[part]
+        node[leaf] = value
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.builds(
+        _nest,
+        st.sampled_from([*cli.COMMANDS, "fourier", None, ["check"]]),
+        st.dictionaries(_FUZZ_KEYS, _JUNK, max_size=5),
+    ),
+    st.dictionaries(_TOL_NAMES, st.floats(), max_size=2),
+)
+def test_fuzzed_documents_parse_or_fail_cleanly(doc, tols):
+    try:
+        cfg = cli.parse_config(doc, tols=tols)
+    except ConfigError:
+        pass
+    else:
+        assert isinstance(cfg, cli.RunConfig)
+        return
+    # a rejected document never reaches the runner or the output directory
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = pathlib.Path(tmp) / "run.json", pathlib.Path(tmp) / "out"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        flags = [arg for name, value in tols.items() for arg in ("--tol", f"{name}={value!r}")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--config", str(config), "--out", str(out), "--quiet", *flags])
+        lines = stderr.getvalue().strip().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
+        assert not out.exists()

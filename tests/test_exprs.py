@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +134,34 @@ def test_compile_hamiltonian_defaults_flags():
 def test_compile_hamiltonian_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         compile_hamiltonian({"name": "x", "H": "p", "bogus": 1})
+
+
+def test_compile_hamiltonian_flags_are_json_booleans():
+    base = {"name": "x", "H": "abs(p)"}
+    assert not compile_hamiltonian(dict(base, flags={"H4": False}, c="1")).flags["H4"]
+    # the string "false" is truthy: it must not set H4
+    with pytest.raises(ConfigError, match="JSON booleans"):
+        compile_hamiltonian(dict(base, flags={"H4": "false"}))
+    with pytest.raises(ConfigError, match="unknown flag"):
+        compile_hamiltonian(dict(base, flags={"H5": True}))
+
+
+@pytest.mark.parametrize("src", ["-" * 5000 + "p", "abs(" * 2000 + "p" + ")" * 2000])
+def test_deep_nesting_is_a_config_error(src):
+    with pytest.raises(ConfigError, match="nests too deeply|cannot parse"):
+        compile_expr(src, ("t", "x", "p"))
+
+
+def test_deep_expression_called_near_the_recursion_limit():
+    # compiled with room to spare, then called with less room than it nests
+    f = compile_expr("-" * 400 + "p", ("t", "x", "p"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        with pytest.raises(ConfigError, match="nests too deeply"):
+            f(0.0, 0.0, np.array([1.0]))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

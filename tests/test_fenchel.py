@@ -50,20 +50,11 @@ def test_grid_function_interp_propagates_inf():
     assert got[2] == 0.0
 
 
-def test_effective_domain_of_indicator():
-    g = fl.UniformGrid(-2.0, 2.0, 5)
-    f = fl.ConvexGridFunction(g, np.array([np.inf, 1.0, 0.0, 1.0, np.inf]))
-    dom = fl.effective_domain(f)
-    assert (dom.lo, dom.hi) == (-1.0, 1.0)
-    assert dom.lo_closed and dom.hi_closed
-
-
 def test_restrict_drops_outside_nodes():
     g = fl.UniformGrid(-2.0, 2.0, 5)
     f = fl.ConvexGridFunction(g, np.zeros(5))
-    r = fl.restrict(f, -1.0, 1.0)
-    dom = fl.effective_domain(r)
-    assert (dom.lo, dom.hi) == (-1.0, 1.0)
+    nodes, vals = fl.restrict(f, -1.0, 1.0).finite_slice()
+    assert nodes.tolist() == [-1.0, 0.0, 1.0] and vals.tolist() == [0.0, 0.0, 0.0]
     # an empty window leaves no finite node: the improper guard fires
     with pytest.raises(ImproperFunction):
         fl.restrict(f, 5.0, 6.0)
@@ -149,7 +140,7 @@ def test_fenchel_young_inequality(seed):
 
 def test_biconjugate_recovers_convex_function():
     h = _on_grid(lambda p: np.sqrt(1.0 + p * p))
-    bc = fl.biconjugate(h)
+    bc = fl.conjugate(fl.conjugate(h, P_GRID), P_GRID)
     fin = np.isfinite(bc.values)
     err = np.abs(bc.values[fin] - h.values[fin])
     ps = P_GRID.nodes()[fin]
@@ -163,7 +154,7 @@ def test_biconjugate_recovers_convex_function():
 def test_biconjugate_is_convex_envelope():
     # double well: envelope is 0 on [-1, 1]
     h = _on_grid(lambda p: np.minimum((p - 1.0) ** 2, (p + 1.0) ** 2))
-    bc = fl.biconjugate(h)
+    bc = fl.conjugate(fl.conjugate(h, P_GRID), P_GRID)
     ps = P_GRID.nodes()
     flat = np.abs(ps) <= 0.9
     assert float(np.max(np.abs(bc.values[flat]))) <= 1e-3
@@ -313,9 +304,9 @@ def test_epi_sum_interval_indicators():
         return fl.ConvexGridFunction(g, vals)
 
     out = fl.epi_sum(indicator(-0.5, 0.25), indicator(-0.25, 0.5))
-    dom = fl.effective_domain(out)
-    assert dom.lo == pytest.approx(-0.75, abs=g.h + 1e-12)
-    assert dom.hi == pytest.approx(0.75, abs=g.h + 1e-12)
+    nodes, _ = out.finite_slice()
+    assert nodes[0] == pytest.approx(-0.75, abs=g.h + 1e-12)
+    assert nodes[-1] == pytest.approx(0.75, abs=g.h + 1e-12)
 
 
 def test_epi_sum_unbounded_summand_raises():

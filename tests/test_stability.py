@@ -113,16 +113,6 @@ def test_fixed_t_pins_time_slice():
     assert report.rows[-1].sup_e_err <= 0.3 * report.rows[0].sup_e_err
 
 
-def test_csv_layout():
-    report = representation_convergence(
-        named_family("ex_2_2_zero"), policy=COARSE, plan=PLAN, n_slabs=1
-    )
-    lines = report.to_csv().strip().split("\n")
-    assert lines[0] == "i,sup_e_err,sup_f_err,sup_l_err,sup_hausdorff_EL"
-    assert len(lines) == 1 + len(DEFAULT_INDICES)
-    assert lines[1].startswith("4,")
-
-
 def test_epigraph_limit_check_ex_2_2_cos():
     report = epigraph_limit_check(named_family("ex_2_2_cos"), policy=COARSE, plan=PLAN)
     assert report.check == "epigraph_limit[ex_2_2_cos]"
