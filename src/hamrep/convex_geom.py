@@ -23,10 +23,6 @@ from .errors import DimMismatch, EmptyBody
 _EPS_BASE = 1e-12
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Convex hull of a 2D point set via the monotone chain.
 
@@ -74,8 +70,14 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= eps:
-                out.pop()
+            px, py = p
+            # pop a while o -> a -> p turns left by no more than eps
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= eps:
+                    out.pop()
+                else:
+                    break
             out.append(p)
         return out
 
@@ -144,52 +146,72 @@ def ball(center, radius: float, n: int = 360) -> ConvexBody:
 _PAIR_BLOCK = 1 << 17
 
 
+def _edges(verts: np.ndarray):
+    """Start points and direction vectors of the edges: the closed loop of
+    a polygon, the one segment of a two-vertex body."""
+    if len(verts) >= 3:
+        return verts, np.roll(verts, -1, axis=0) - verts
+    return verts[:1], verts[1:] - verts[:1]
+
+
+def _left_of_edges(rx, ry, ab, tol) -> np.ndarray:
+    """Rows whose offsets (rx, ry) from the edge starts lie left of every
+    edge line of a CCW polygon, each within tol of its line."""
+    # signed distance to each edge line, times the edge length
+    cross = ab[None, :, 0] * ry - ab[None, :, 1] * rx
+    return np.all(cross >= -tol, axis=1)
+
+
 def _inside_mask(points: np.ndarray, body: ConvexBody, slack: float = 0.0) -> np.ndarray:
     """Boolean mask of points lying in the polygon (distance <= slack)."""
     verts = body.vertices
-    n = len(verts)
-    if n >= 3:
-        ab = np.roll(verts, -1, axis=0) - verts
-        lens = np.hypot(ab[:, 0], ab[:, 1])
-        # signed distance to each edge line; CCW interior is the left side
+    if len(verts) >= 3:
+        _, ab = _edges(verts)
+        tol = (_EPS_BASE * body.scale + slack) * np.hypot(ab[:, 0], ab[:, 1])[None, :]
         rx = points[:, 0, None] - verts[None, :, 0]
         ry = points[:, 1, None] - verts[None, :, 1]
-        cross = ab[None, :, 0] * ry - ab[None, :, 1] * rx
-        tol = (_EPS_BASE * body.scale + slack) * lens[None, :]
-        return np.all(cross >= -tol, axis=1)
+        return _left_of_edges(rx, ry, ab, tol)
     d = _points_to_body(points, body)
     return d <= _EPS_BASE * body.scale + slack
 
 
-def _points_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Distances and nearest points from (P,2) points to (E,2)+(E,2) segments."""
-    ab = b - a
+def _segment_params(rx, ry, ab):
+    """Parameter in [0, 1] of the nearest point on each segment."""
     denom = np.maximum(ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1], 1e-300)
-    rx = points[:, 0, None] - a[None, :, 0]
-    ry = points[:, 1, None] - a[None, :, 1]
-    t = np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / denom, 0.0, 1.0)
-    dx = rx - t * ab[:, 0]
-    dy = ry - t * ab[:, 1]
-    d2 = dx * dx + dy * dy
-    k = np.argmin(d2, axis=1)
-    rows = np.arange(len(points))
-    return np.sqrt(d2[rows, k]), a[k] + t[rows, k, None] * ab[k]
+    return np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / denom, 0.0, 1.0)
 
 
 def _points_to_body(points: np.ndarray, body: ConvexBody) -> np.ndarray:
+    """Distances from (N, 2) points to the body, 0 inside.
+
+    Rows run in blocks of about _PAIR_BLOCK point-edge pairs. On a polygon
+    the inside test runs first, and only the rows it rejects pay for the
+    segment distances; the offsets from the edge starts serve both.
+    """
     verts = body.vertices
     if len(verts) == 1:
         return np.hypot(points[:, 0] - verts[0, 0], points[:, 1] - verts[0, 1])
-    a = verts if len(verts) >= 3 else verts[:1]
-    b = np.roll(verts, -1, axis=0) if len(verts) >= 3 else verts[1:]
-    out = np.empty(len(points))
+    a, ab = _edges(verts)
+    polygon = len(verts) >= 3
+    if polygon:
+        tol = _EPS_BASE * body.scale * np.hypot(ab[:, 0], ab[:, 1])[None, :]
+    out = np.zeros(len(points))
     step = max(1, _PAIR_BLOCK // len(a))
     for s in range(0, len(points), step):
         blk = points[s : s + step]
-        d, _ = _points_to_segments(blk, a, b)
-        if len(verts) >= 3:
-            d[_inside_mask(blk, body)] = 0.0
-        out[s : s + step] = d
+        rx = blk[:, 0, None] - a[None, :, 0]
+        ry = blk[:, 1, None] - a[None, :, 1]
+        rows = slice(s, s + len(blk))
+        if polygon:
+            outside = ~_left_of_edges(rx, ry, ab, tol)
+            if not np.any(outside):
+                continue
+            rx, ry = rx[outside], ry[outside]
+            rows = np.flatnonzero(outside) + s
+        t = _segment_params(rx, ry, ab)
+        dx = rx - t * ab[:, 0]
+        dy = ry - t * ab[:, 1]
+        out[rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
     return out
 
 
@@ -215,12 +237,13 @@ def project_point(y, body: ConvexBody) -> np.ndarray:
         return verts[0].copy()
     if len(verts) >= 3 and bool(_inside_mask(p[None, :], body)[0]):
         return p.copy()
-    a = verts
-    b = np.roll(verts, -1, axis=0) if len(verts) >= 3 else verts[1:]
-    if len(verts) == 2:
-        a = verts[:1]
-    _, proj = _points_to_segments(p[None, :], a, b)
-    return proj[0]
+    a, ab = _edges(verts)
+    rx, ry = p[0] - a[:, 0], p[1] - a[:, 1]
+    t = _segment_params(rx, ry, ab)
+    dx = rx - t * ab[:, 0]
+    dy = ry - t * ab[:, 1]
+    k = int(np.argmin(dx * dx + dy * dy))
+    return a[k] + t[k] * ab[k]
 
 
 def support(body: ConvexBody, direction) -> tuple[float, np.ndarray]:

@@ -384,8 +384,10 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
 
     f maps a 1-D array of abscissas to function values elementwise (NaN
     treated as +inf), so both probes of an iteration go through one call;
-    the 1-D lo/hi bound each search window. 72 iterations shrink the
-    windows by (2/3)^72, far below double precision."""
+    the 1-D lo/hi bound each search window. 72 iterations shrink each
+    window to (2/3)^72, about 2.1e-13, of its width; that is below the
+    double spacing only for windows narrower than about 1e-3 of their
+    magnitude."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     for _ in range(iters):
@@ -403,6 +405,21 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
     return mid, np.where(np.isnan(fm), np.inf, fm)
 
 
+def _window_min(f, u0: np.ndarray, u1: np.ndarray, n_u: int) -> np.ndarray:
+    """Minimum of the convex f (NaN read as +inf) over each window
+    [u0_i, u1_i], u1 >= u0: the lower of an n_u-node grid and a ternary
+    search. When every window has zero width, each grid node and ternary
+    probe is u0 itself, so one call of f gives the same values."""
+    if np.all(u1 == u0):
+        best = np.asarray(f(u0), dtype=float)
+        return np.where(np.isnan(best), np.inf, best)
+    U = u0[:, None] + np.linspace(0.0, 1.0, n_u)[None, :] * (u1 - u0)[:, None]
+    grid = np.asarray(f(U.ravel()), dtype=float).reshape(U.shape)
+    grid_min = np.min(np.where(np.isnan(grid), np.inf, grid), axis=1)
+    _, tern_min = _convex_argmin(f, u0, u1)
+    return np.minimum(grid_min, tern_min)
+
+
 def check_LLC(
     spec: HamiltonianSpec,
     R: float,
@@ -417,8 +434,11 @@ def check_LLC(
     k|x-y| of v with L(t,y,u) <= L(t,x,v) + w(|x-y|). The u-search combines
     a coarse grid over the window intersected with dom L(t,y) and a ternary
     refinement (the slice is convex in u), so steep slices near domain
-    boundaries resolve to machine precision; an empty search window counts
-    as +inf excess. Numeric slices sample H on p_grid."""
+    boundaries resolve to within the ternary's 2e-13 of the window width;
+    an empty search window counts as +inf excess. Windows of zero width
+    (always so when k|x-y| = 0) are their own minimizer, and one L call
+    decides them. Numeric slices sample H on p_grid. A run that judges no
+    sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     grid = p_grid or DEFAULT_P_GRID
@@ -427,6 +447,7 @@ def check_LLC(
     fracs = plan.unit_fractions()
     worst = -np.inf
     wit: list = []
+    n_judged = 0
     for t, x, y in plan.triples(spec.t_range, R):
         for a, b in ((x, y), (y, x)):
             d = abs(a - b)
@@ -453,18 +474,16 @@ def check_LLC(
             u0 = np.maximum(vs_f - kd, blo)
             u1 = np.minimum(vs_f + kd, bhi)
             empty = u0 > u1
-            u1c = np.maximum(u1, u0)
-            U = u0[:, None] + np.linspace(0.0, 1.0, n_u)[None, :] * (u1c - u0)[:, None]
-            LB = np.asarray(L(t, b, U.ravel()), dtype=float).reshape(U.shape)
-            LB = np.where(np.isnan(LB), np.inf, LB)
-            grid_min = np.min(LB, axis=1)
-            _, tern_min = _convex_argmin(lambda uu: L(t, b, uu), u0, u1c)
-            best = np.minimum(grid_min, tern_min)
+            best = _window_min(lambda uu: L(t, b, uu), u0, np.maximum(u1, u0), n_u)
+            n_judged += len(vs_f)
             excess = np.where(empty, np.inf, best - la_f - w)
             j = int(np.argmax(excess))
             if float(excess[j]) > worst:
                 worst = float(excess[j])
                 wit = [{"t": float(t), "x": float(a), "y": float(b), "v": float(vs_f[j])}]
+    if n_judged == 0:
+        note = "no sample judged: every probe window or Lagrangian slice was empty"
+        return CheckReport("llc", worst, "fail", [{"note": note}])
     return CheckReport("llc", worst, "pass" if worst <= tol else "fail", wit)
 
 

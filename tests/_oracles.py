@@ -11,7 +11,9 @@ monotone chains (the lower chain over sorted x, and the general 2D hull
 scanning numpy rows), the Steiner oracles are the polygon
 exterior-angle formula and a support-point quadrature over a polygonized
 E cap B(z, r), the Hausdorff oracle works on raw vertex arrays with
-segment arithmetic, and the representation oracles evaluate one control
+segment arithmetic, the distance oracle measures every point against
+every edge before its inside test, the LLC window oracle runs the grid
+plus ternary search one window at a time, and the representation oracles evaluate one control
 at a time in scalar floats (the hand-written triples from their
 formulas, a convexified triple from one evaluation per atom of a base
 evaluator the test passes in). Tests compare library output against
@@ -219,6 +221,58 @@ def point_polygon_distance(q, verts):
         r = q - (a + s * e)
         best = min(best, float(np.hypot(r[0], r[1])))
     return 0.0 if inside else best
+
+
+def dense_points_to_body(points, verts):
+    """Distances from (N, 2) points to a CCW polygon (one or two vertices
+    allowed), 0 inside, by the library's arithmetic done densely: the
+    nearest point on every edge segment for every point, then 0 for the
+    points left of every edge line within 1e-12 max(1, max |vertex|)
+    times the edge length."""
+    p = np.asarray(points, dtype=float)
+    v = np.asarray(verts, dtype=float)
+    if len(v) == 1:
+        return np.hypot(p[:, 0] - v[0, 0], p[:, 1] - v[0, 1])
+    a = v if len(v) >= 3 else v[:1]
+    ab = (np.roll(v, -1, axis=0) if len(v) >= 3 else v[1:]) - a
+    denom = np.maximum(ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1], 1e-300)
+    rx = p[:, 0, None] - a[None, :, 0]
+    ry = p[:, 1, None] - a[None, :, 1]
+    t = np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / denom, 0.0, 1.0)
+    dx = rx - t * ab[:, 0]
+    dy = ry - t * ab[:, 1]
+    d2 = dx * dx + dy * dy
+    d = np.sqrt(d2[np.arange(len(p)), np.argmin(d2, axis=1)])
+    if len(v) >= 3:
+        tol = 1e-12 * float(max(1.0, np.max(np.abs(v)))) * np.hypot(ab[:, 0], ab[:, 1])
+        d[np.all(ab[None, :, 0] * ry - ab[None, :, 1] * rx >= -tol[None, :], axis=1)] = 0.0
+    return d
+
+
+def grid_ternary_window_min(f, u0, u1, n_u=65, iters=72):
+    """Minimum of f (NaN read as +inf) over each window [u0_i, u1_i], one
+    window at a time: the lowest of n_u evenly spaced nodes, then a ternary
+    search of iters steps (both thirds probed in one call) and its final
+    midpoint, whichever is lower."""
+
+    def finite(vals):
+        vals = np.asarray(vals, dtype=float)
+        return np.where(np.isnan(vals), np.inf, vals)
+
+    out = np.empty(len(u0))
+    for i, (lo, hi) in enumerate(zip(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float))):
+        nodes = lo + np.linspace(0.0, 1.0, n_u) * (hi - lo)
+        best = float(np.min(finite(f(nodes))))
+        for _ in range(iters):
+            third = (hi - lo) / 3.0
+            m1, m2 = lo + third, hi - third
+            f1, f2 = finite(f(np.array([m1, m2])))
+            if f1 > f2:
+                lo = m1
+            else:
+                hi = m2
+        out[i] = np.minimum(best, finite(f(np.array([0.5 * (lo + hi)])))[0])
+    return out
 
 
 def brute_hausdorff(averts, bverts):

@@ -212,6 +212,14 @@ def test_main_rejects_non_finite_tolerance_flag(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def test_main_check_exits_2_when_llc_judges_no_sample(tmp_path, capsys):
+    doc = {"command": "check", "hamiltonian": {"name": "neg_quad", "H": "-p^2"}}
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL llc: worst_margin=-inf (fail)" in lines
+
+
 def test_main_definition_without_c(tmp_path, capsys):
     # noncompact builds take the v-window from the H slice; compact ones need c
     doc = {

@@ -13,6 +13,7 @@ from _oracles import (
     STEINER_SQUARE,
     STEINER_TRIANGLE,
     brute_hausdorff,
+    dense_points_to_body,
     exterior_angle_steiner,
     numpy_row_convex_hull,
     quadrature_disc_steiner,
@@ -288,6 +289,53 @@ def test_distance_batches_match_single_points():
     assert np.array_equal(cg.distance(pts, body), [cg.distance(p, body) for p in pts])
     with pytest.raises(DimMismatch):
         cg.distance(np.zeros((4, 3)), body)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _probe_points(rng, body):
+    """Vertices, edge midpoints, points within a few eps of each edge line
+    (eps the inside test's tolerance), and scattered points."""
+    v = body.vertices
+    ab = np.roll(v, -1, axis=0) - v
+    mids = v + 0.5 * ab
+    outward = np.stack([ab[:, 1], -ab[:, 0]], axis=1) / np.hypot(ab[:, 0], ab[:, 1])[:, None]
+    eps = 1e-12 * body.scale
+    offsets = np.array([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]) * eps
+    near = (mids[:, None, :] + offsets[None, :, None] * outward[:, None, :]).reshape(-1, 2)
+    return np.vstack([v, mids, near, rng.uniform(-12.0, 12.0, (100, 2))])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_points_to_body_matches_dense_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    body = _random_poly(rng)
+    pts = _probe_points(rng, body)
+    want = dense_points_to_body(pts, body.vertices)
+    # both the inside rows and the measured ones are exercised
+    assert np.any(want == 0.0) and np.any(want > 0.0)
+    _assert_same_bits(cg._points_to_body(pts, body), want)
+    for degenerate in (body.vertices[:1], body.vertices[:2]):
+        small = cg.ConvexBody(degenerate)
+        assert len(small.vertices) == len(degenerate)
+        _assert_same_bits(cg._points_to_body(pts, small), dense_points_to_body(pts, small.vertices))
+
+
+def test_points_to_body_across_pair_blocks_matches_dense_oracle():
+    # the square's 4 edges give blocks of _PAIR_BLOCK // 4 rows: the first
+    # block lies wholly inside, the next straddles the boundary, the last
+    # is partial
+    body = cg.ConvexBody(SQUARE)
+    step = cg._PAIR_BLOCK // 4
+    rng = np.random.default_rng(5)
+    pts = np.vstack([rng.uniform(0.1, 0.9, (step, 2)), rng.uniform(-1.0, 2.0, (step + 17, 2))])
+    want = dense_points_to_body(pts, body.vertices)
+    assert not np.any(want[:step]) and np.any(want[step:])
+    _assert_same_bits(cg._points_to_body(pts, body), want)
 
 
 # ----------------------------------------------------------- hausdorff

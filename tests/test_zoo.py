@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import EX_2_3_WINDOW_VALUE, brute_conjugate
+from _oracles import EX_2_3_WINDOW_VALUE, brute_conjugate, grid_ternary_window_min
 from hamrep import zoo
 from hamrep.errors import UnknownName
+from hamrep.exprs import compile_hamiltonian
 from hamrep.sampling import SamplePlan
 
 SMALL_PLAN = SamplePlan(seed=0, n_triples=16)
@@ -139,3 +140,49 @@ def test_convex_argmin_probes_both_thirds_in_one_call():
     assert np.allclose(arg, [0.3, 0.5, 0.0, 1.0], atol=1e-9)
     assert np.allclose(val, (arg - 0.3) ** 2, rtol=0.0, atol=1e-15)
     assert calls == [(8,)] * 72 + [(4,)]
+
+
+@pytest.mark.parametrize("use_oracle", [True, False])
+def test_window_min_matches_grid_ternary_search_bit_for_bit(use_oracle):
+    # point windows (k|x-y| = 0) take one L call; windows of positive
+    # width keep the grid and the ternary; both give the oracle's bits
+    spec = zoo.builtin("ex_2_2")
+    L = zoo.lagrangian_evaluator(spec, use_oracle=use_oracle)
+
+    def f(u):
+        return L(0.5, 0.7, u)
+
+    rng = np.random.default_rng(2)
+    u = np.concatenate([rng.uniform(-1.2, 1.2, 30), [-1.5, -1.0, 0.0, 1.0, 1.5]])
+    for lo, hi in ((u, u.copy()), (u - 0.05, u + 0.05)):
+        got = zoo._window_min(f, lo, hi, 65)
+        want = grid_ternary_window_min(f, lo, hi)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # the oracle L is +inf beyond |u| = 1; the numeric one stays finite
+    assert np.any(np.isinf(want)) == use_oracle and np.any(np.isfinite(want))
+
+
+def test_check_LLC_searches_no_window_when_k_is_zero(monkeypatch):
+    calls = []
+    real = zoo._convex_argmin
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "_convex_argmin", counting)
+    # ex_2_2 has k_R = 0: every u-window is a point
+    assert zoo.check_LLC(zoo.builtin("ex_2_2"), R=2.0, samples=SMALL_PLAN).verdict == "pass"
+    assert calls == []
+    # ex_2_1 has k_R = 1: its windows still get the ternary search
+    assert zoo.check_LLC(zoo.builtin("ex_2_1"), R=2.0, samples=SMALL_PLAN).verdict == "pass"
+    assert calls
+
+
+def test_check_LLC_fails_when_it_judges_no_sample():
+    # the edge slopes of the concave -p^2 fall, so its trust interval is
+    # inverted and every probe window is empty
+    spec = compile_hamiltonian({"name": "neg_quad", "H": "-p^2"})
+    rep = zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN)
+    assert rep.verdict == "fail" and rep.worst_margin == -np.inf
+    assert rep.witnesses == [{"note": "no sample judged: every probe window or Lagrangian slice was empty"}]
