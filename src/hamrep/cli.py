@@ -44,6 +44,10 @@ COMMANDS = ("conjugate", "check", "represent", "verify", "compactness", "stabili
 # largest v_count/p_count a config may ask for: twice the production p-grid
 GRID_CAP = 20_001
 
+# largest continuity radius R: every builtin's HLC, LLC and MLC margins stay
+# finite there, while at R = 1e300 the MLC slices overflow into NaN gaps
+R_CAP = 1e6
+
 # the tolerances each command reads, with their defaults; None lets the
 # check derive its own (mlc: 2h + 5e-4 from the v-grid spacing h)
 _TRIPLE_TOLERANCES = {"l_lower": 2e-2, "lip_slack": 5e-3, "image_gap": 5e-2}
@@ -114,15 +118,16 @@ def _int_field(raw, name: str, minimum: int, maximum: int | None = None) -> int:
     raise ConfigError(f"{name} must be an integer {bound}, got {raw!r}")
 
 
-def _float_field(raw, name: str, positive: bool = False) -> float:
+def _float_field(raw, name: str, positive: bool = False, maximum: float | None = None) -> float:
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         try:
             value = float(raw)
         except OverflowError:  # an integer beyond the float range
             value = math.inf
-        if math.isfinite(value) and (value > 0.0 or not positive):
+        if math.isfinite(value) and (value > 0.0 or not positive) and (maximum is None or value <= maximum):
             return value
-    raise ConfigError(f"{name} must be a finite{' positive' if positive else ''} number, got {raw!r}")
+    bound = "" if maximum is None else f" <= {maximum:g}"
+    raise ConfigError(f"{name} must be a finite{' positive' if positive else ''} number{bound}, got {raw!r}")
 
 
 def _bool_field(raw, name: str) -> bool:
@@ -176,7 +181,7 @@ _KEYS = {
     "family": (_str_field, ((*stability.family_names(), "all"),), ("stability",)),
     "fixed_t": (_float_field, (), ("stability",)),
     "triple": (_str_field, ((*_TRIPLES, "all"),), ("verify", "compactness")),
-    "R": (_float_field, (True,), ("check",)),
+    "R": (_float_field, (True, R_CAP), ("check",)),
     "epigraph_check": (_bool_field, (), ("stability",)),
     "summand": (_str_field, (), ("conjugate",)),
     "geometry": (_bool_field, (), ("check",)),

@@ -298,14 +298,44 @@ def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
     return max(d_ab, d_ba)
 
 
+# the signs of the box corners (r_v, r_eta), (r_v, -r_eta), (-r_v, r_eta),
+# (-r_v, -r_eta): each corner is the box's extreme point on the closed
+# quadrant of directions with its signs. Turning counterclockwise, that
+# quadrant starts on the axis of coordinate _START_AXIS with sign
+# _START_SIGN: (1, 0), (0, -1), (0, 1), (-1, 0).
+_CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+_START_AXIS = np.array([0, 1, 1, 0])
+_START_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
-    """Minkowski sum with the box [-r_v, r_v] x [-r_eta, r_eta]."""
+    """Minkowski sum with the box [-r_v, r_v] x [-r_eta, r_eta].
+
+    Vertex v plus corner c can be extreme in the sum only for directions
+    in both the normal cone of v and the closed quadrant of c, so only the
+    corners whose quadrant meets the cone go to the hull. The cone turns
+    counterclockwise from n_in = (e_y, -e_x), the outward normal of the
+    edge e into v, to that of the edge out of v. It meets a quadrant when
+    n_in lies in the quadrant, or when the quadrant's starting axis lies in
+    the cone, that is, when v is extreme along that axis (the edges' motion
+    along it turns at v). Both tests read signs of edge coordinates, so
+    they are exact. A segment's ends and a single point (zero edges) pass
+    the same tests.
+    """
     if r_v < 0 or r_eta < 0:
         raise ValueError("inflation radii must be nonnegative")
+    verts = body.vertices
+    e_out = np.concatenate([verts[1:], verts[:1]]) - verts
+    e_in = np.concatenate([e_out[-1:], e_out[:-1]])
+    sx, sy = _CORNER_SIGNS[:, 0], _CORNER_SIGNS[:, 1]
+    n_in_inside = (e_in[:, 1, None] * sx >= 0.0) & (e_in[:, 0, None] * sy <= 0.0)
+    axis_inside = (e_in[:, _START_AXIS] * _START_SIGN >= 0.0) & (
+        e_out[:, _START_AXIS] * _START_SIGN <= 0.0
+    )
     corners = np.array(
         [[r_v, r_eta], [r_v, -r_eta], [-r_v, r_eta], [-r_v, -r_eta]], dtype=float
     )
-    pts = (body.vertices[:, None, :] + corners[None, :, :]).reshape(-1, 2)
+    pts = (verts[:, None, :] + corners[None, :, :])[n_in_inside | axis_inside]
     return ConvexBody(pts)
 
 

@@ -2,7 +2,9 @@
 
 Convex functions of the momentum (or velocity) variable are carried as
 values on uniform grids with +inf marking points outside the effective
-domain. The conjugate is the exact maximum over finite nodes, so conjugates
+domain. A grid builds its nodes once and shares them read-only, and a grid
+function keeps the bounds of its finite run, so the per-slice cost is the
+sampling and the hull, not repeated node and mask arrays. The conjugate is the exact maximum over finite nodes, so conjugates
 are convex by construction and every bound proved for the continuous
 transform holds here up to grid resolution h. It is computed as Lucet's
 linear-time Legendre transform (Numer. Algorithms 16, 1997): the maximum
@@ -25,6 +27,7 @@ point-set hull is taken.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
 
 import numpy as np
@@ -54,7 +57,16 @@ class UniformGrid:
         return (self.hi - self.lo) / (self.count - 1)
 
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
+        """The count nodes from lo to hi. They are built on the first call
+        and kept on this grid instance, read-only, so every caller shares
+        one array and none can change it for the others."""
+        return self._nodes
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
+        nodes = np.linspace(self.lo, self.hi, self.count)
+        nodes.flags.writeable = False
+        return nodes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,28 +86,36 @@ class EffectiveDomain:
 class ConvexGridFunction:
     """Proper extended-real function sampled on a uniform grid.
 
-    Values may be +inf (never -inf, never NaN); the finite nodes must form
-    one contiguous run. With convex_flag set, midpoint convexity on the
-    finite nodes is validated to 1e-9 at construction.
+    Values may be +inf (never -inf, never NaN); values at or above 1e12
+    become +inf, and the finite nodes must form one contiguous run, whose
+    bounds are kept so that `finite_slice` and `min_value` read plain
+    slices. With convex_flag set, midpoint convexity on the finite nodes is
+    validated to 1e-9 at construction.
     """
 
-    __slots__ = ("grid", "values", "convex_flag", "_hull")
+    __slots__ = ("grid", "values", "convex_flag", "_run", "_hull")
 
     def __init__(self, grid: UniformGrid, values, convex_flag: bool = False):
         vals = np.asarray(values, dtype=float).copy()
         if vals.shape != (grid.count,):
             raise ValueError(f"values shape {vals.shape} vs grid count {grid.count}")
-        if np.any(np.isnan(vals)) or np.any(np.isneginf(vals)):
+        # the minimum is NaN when any value is, and -inf when any value is;
+        # values that stay below the threshold are all finite, so only
+        # values reaching it need the mask and the contiguity scan
+        if not vals.min() > -np.inf:
             raise ImproperFunction("values must avoid NaN and -inf")
-        vals[vals >= INF_THRESHOLD] = np.inf
-        finite = np.isfinite(vals)
-        if not np.any(finite):
-            raise ImproperFunction("function is +inf everywhere on the grid")
-        idx = np.nonzero(finite)[0]
-        if idx[-1] - idx[0] + 1 != len(idx):
-            raise ImproperFunction("finite nodes must be contiguous")
-        if convex_flag and len(idx) >= 3:
-            f = vals[idx[0] : idx[-1] + 1]
+        first, last = 0, len(vals)
+        if vals.max() >= INF_THRESHOLD:
+            big = vals >= INF_THRESHOLD
+            vals[big] = np.inf
+            idx = np.flatnonzero(~big)
+            if len(idx) == 0:
+                raise ImproperFunction("function is +inf everywhere on the grid")
+            first, last = int(idx[0]), int(idx[-1]) + 1
+            if last - first != len(idx):
+                raise ImproperFunction("finite nodes must be contiguous")
+        if convex_flag and last - first >= 3:
+            f = vals[first:last]
             defect = 2.0 * f[1:-1] - f[:-2] - f[2:]
             tol = 1e-9 * max(1.0, float(np.max(np.abs(f))))
             if float(np.max(defect)) > 2.0 * tol:
@@ -103,6 +123,7 @@ class ConvexGridFunction:
         self.grid = grid
         self.values = vals
         self.convex_flag = bool(convex_flag)
+        self._run = slice(first, last)
         self._hull = None
 
     def _conjugate_hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,11 +134,11 @@ class ConvexGridFunction:
         return self._hull
 
     def finite_slice(self) -> tuple[np.ndarray, np.ndarray]:
-        finite = np.isfinite(self.values)
-        return self.grid.nodes()[finite], self.values[finite]
+        """Nodes and values of the finite run: views, the nodes read-only."""
+        return self.grid.nodes()[self._run], self.values[self._run]
 
     def min_value(self) -> float:
-        return float(np.min(self.values[np.isfinite(self.values)]))
+        return float(np.min(self.values[self._run]))
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """Inf-propagating linear interpolation between nodes."""
@@ -180,17 +201,21 @@ def _lower_hull(x: np.ndarray, y: np.ndarray, eps: float = 0.0) -> np.ndarray:
     low point behind a long convex run) peels one point per pass, so
     after 32 passes the sequential chain finishes on the survivors.
     """
-    idx = np.arange(len(x))
+    # the first pass reads x and y themselves; later ones their survivors
+    idx, xs, ys = None, x, y
     for _ in range(_PRUNE_PASSES):
-        if len(idx) < 3:
-            return idx
-        xs, ys = x[idx], y[idx]
+        if len(xs) < 3:
+            break
         dx, dy = xs[1:-1] - xs[:-2], ys[1:-1] - ys[:-2]
         keep = dx * (ys[2:] - ys[:-2]) - dy * (xs[2:] - xs[:-2]) > eps
         if np.all(keep):
-            return idx
-        idx = idx[np.concatenate(([True], keep, [True]))]
-    return idx[_chain_lower_hull(x[idx], y[idx], eps)]
+            break
+        kept = np.concatenate(([True], keep, [True]))
+        idx = np.flatnonzero(kept) if idx is None else idx[kept]
+        xs, ys = x[idx], y[idx]
+    else:
+        return idx[_chain_lower_hull(xs, ys, eps)]
+    return np.arange(len(x)) if idx is None else idx
 
 
 def _chain_lower_hull(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:

@@ -379,6 +379,11 @@ def check_HLC(
     return CheckReport("hlc", worst, "pass" if worst <= tol else "fail", wit)
 
 
+def _finite(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    return np.where(np.isnan(vals), np.inf, vals)
+
+
 def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
     """Vectorized ternary search for the minimum of a convex scalar family.
 
@@ -394,30 +399,67 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third
-        f12 = np.asarray(f(np.concatenate([m1, m2])), dtype=float)
-        f12 = np.where(np.isnan(f12), np.inf, f12)
+        f12 = _finite(f(np.concatenate([m1, m2])))
         f1, f2 = f12[: len(lo)], f12[len(lo) :]
         move_lo = f1 > f2
         lo = np.where(move_lo, m1, lo)
         hi = np.where(move_lo, hi, m2)
     mid = 0.5 * (lo + hi)
-    fm = np.asarray(f(mid), dtype=float)
-    return mid, np.where(np.isnan(fm), np.inf, fm)
+    return mid, _finite(f(mid))
 
 
 def _window_min(f, u0: np.ndarray, u1: np.ndarray, n_u: int) -> np.ndarray:
     """Minimum of the convex f (NaN read as +inf) over each window
     [u0_i, u1_i], u1 >= u0: the lower of an n_u-node grid and a ternary
-    search. When every window has zero width, each grid node and ternary
-    probe is u0 itself, so one call of f gives the same values."""
+    search. f maps an (N, m) stack of abscissas, row i inside window i, to
+    their values, so a caller can tell the windows apart. When every
+    window has zero width, each grid node and ternary probe is u0 itself,
+    so one call of f gives the same values."""
     if np.all(u1 == u0):
-        best = np.asarray(f(u0), dtype=float)
-        return np.where(np.isnan(best), np.inf, best)
+        return _finite(f(u0[:, None]))[:, 0]
     U = u0[:, None] + np.linspace(0.0, 1.0, n_u)[None, :] * (u1 - u0)[:, None]
-    grid = np.asarray(f(U.ravel()), dtype=float).reshape(U.shape)
-    grid_min = np.min(np.where(np.isnan(grid), np.inf, grid), axis=1)
-    _, tern_min = _convex_argmin(f, u0, u1)
+    grid_min = np.min(_finite(f(U)), axis=1)
+    # _convex_argmin probes the flat stack [m1, m2] (or the N midpoints)
+    n = len(u0)
+    _, tern_min = _convex_argmin(lambda u: f(u.reshape(-1, n).T).T.ravel(), u0, u1)
     return np.minimum(grid_min, tern_min)
+
+
+def _stacked_slices(L, keys, bounds):
+    """f for `_window_min` over stacked window sets: rows bounds[k] to
+    bounds[k + 1] are the windows of set k, and its slice L(t, b, .) with
+    (t, b) = keys[k] gets them in one call, as a flat array."""
+
+    def f(U):
+        out = np.empty(U.shape)
+        for (t, b), s, e in zip(keys, bounds[:-1], bounds[1:]):
+            out[s:e] = np.asarray(L(t, b, U[s:e].ravel()), dtype=float).reshape(e - s, -1)
+        return out
+
+    return f
+
+
+def _window_sets_min(L, sets, n_u: int) -> list:
+    """Window minima of L(t, b, .) for each window set (t, b, u0, u1).
+
+    `_window_min` decides per call whether every window has zero width, so
+    the sets where all do and the rest run as two batched searches; each
+    call of their f makes one L call per set, and every value is the one a
+    search of that set alone would give."""
+    best: list = [None] * len(sets)
+    point = [bool(np.all(u1 == u0)) for _, _, u0, u1 in sets]
+    for kind in (True, False):
+        group = [k for k in range(len(sets)) if point[k] == kind]
+        if not group:
+            continue
+        bounds = np.cumsum([0] + [len(sets[k][2]) for k in group])
+        f = _stacked_slices(L, [sets[k][:2] for k in group], bounds)
+        u0 = np.concatenate([sets[k][2] for k in group])
+        u1 = np.concatenate([sets[k][3] for k in group])
+        got = _window_min(f, u0, u1, n_u)
+        for k, s, e in zip(group, bounds[:-1], bounds[1:]):
+            best[k] = got[s:e]
+    return best
 
 
 def check_LLC(
@@ -437,7 +479,9 @@ def check_LLC(
     boundaries resolve to within the ternary's 2e-13 of the window width;
     an empty search window counts as +inf excess. Windows of zero width
     (always so when k|x-y| = 0) are their own minimizer, and one L call
-    decides them. Numeric slices sample H on p_grid. A run that judges no
+    decides them. Every judged window is collected first and searched in
+    one batch (see `_window_sets_min`); the worst excess is then taken in
+    loop order. Numeric slices sample H on p_grid. A run that judges no
     sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
@@ -445,9 +489,7 @@ def check_LLC(
     L = lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
     dom = domain_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
     fracs = plan.unit_fractions()
-    worst = -np.inf
-    wit: list = []
-    n_judged = 0
+    judged: list = []  # (t, a, b, w, probes, L(t, a, probes), u0, u1)
     for t, x, y in plan.triples(spec.t_range, R):
         for a, b in ((x, y), (y, x)):
             d = abs(a - b)
@@ -470,20 +512,22 @@ def check_LLC(
             keep = np.isfinite(la)
             if not np.any(keep):
                 continue
-            vs_f, la_f = vs[keep], la[keep]
+            vs_f = vs[keep]
             u0 = np.maximum(vs_f - kd, blo)
             u1 = np.minimum(vs_f + kd, bhi)
-            empty = u0 > u1
-            best = _window_min(lambda uu: L(t, b, uu), u0, np.maximum(u1, u0), n_u)
-            n_judged += len(vs_f)
-            excess = np.where(empty, np.inf, best - la_f - w)
-            j = int(np.argmax(excess))
-            if float(excess[j]) > worst:
-                worst = float(excess[j])
-                wit = [{"t": float(t), "x": float(a), "y": float(b), "v": float(vs_f[j])}]
-    if n_judged == 0:
+            judged.append((t, a, b, w, vs_f, la[keep], u0, u1))
+    if not judged:
         note = "no sample judged: every probe window or Lagrangian slice was empty"
-        return CheckReport("llc", worst, "fail", [{"note": note}])
+        return CheckReport("llc", -np.inf, "fail", [{"note": note}])
+    sets = [(t, b, u0, np.maximum(u1, u0)) for t, _, b, _, _, _, u0, u1 in judged]
+    worst = -np.inf
+    wit: list = []
+    for (t, a, b, w, vs_f, la_f, u0, u1), best in zip(judged, _window_sets_min(L, sets, n_u)):
+        excess = np.where(u0 > u1, np.inf, best - la_f - w)
+        j = int(np.argmax(excess))
+        if float(excess[j]) > worst:
+            worst = float(excess[j])
+            wit = [{"t": float(t), "x": float(a), "y": float(b), "v": float(vs_f[j])}]
     return CheckReport("llc", worst, "pass" if worst <= tol else "fail", wit)
 
 
@@ -499,14 +543,19 @@ def check_MLC(
 ) -> CheckReport:
     """Epigraph-level continuity: the truncated E_L(t,x) sits inside the
     (k|x-y|, w)-inflation of E_L(t,y) truncated w higher. Slices come from
-    the numeric conjugate so the check exercises the full grid pipeline."""
+    the numeric conjugate so the check exercises the full grid pipeline.
+    A NaN containment gap fails the run and its first triple is the
+    witness; a run that judges no triple fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     slices = LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID)
     worst = -np.inf
     wit: list = []
     h_used = 0.0
-    for t, x, y in plan.triples(spec.t_range, R):
+    triples = plan.triples(spec.t_range, R)
+    if len(triples) == 0:
+        return CheckReport("mlc", worst, "fail", [{"note": "no triple judged: the sample plan is empty"}])
+    for t, x, y in triples:
         W = mod.v_halfwidth(t, R)
         if W is None:
             W = max(slices.halfwidth(t, x), slices.halfwidth(t, y))
@@ -521,6 +570,10 @@ def check_MLC(
         Ey = build_epigraph(Ly, cap + w)
         inflated = cg.minkowski_inflate(Ey.body, kd, w)
         gap = cg.containment_gap(inflated, Ex.body)
+        if np.isnan(gap):
+            worst = np.nan
+            wit = [{"t": float(t), "x": float(x), "y": float(y), "note": "containment gap is NaN"}]
+            break
         if gap > worst:
             worst = float(gap)
             wit = [{"t": float(t), "x": float(x), "y": float(y)}]

@@ -22,7 +22,9 @@ these so a regression cannot certify itself.
 
 import numpy as np
 
+from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
+from hamrep import zoo
 
 # sup over |p| <= 50 of (0.1 p - H_2_3(t, 0, p)) sits at p = -50 where
 # H = -2 sqrt(50); the true L(0.1) = 10 needs slope 100, outside the
@@ -273,6 +275,59 @@ def grid_ternary_window_min(f, u0, u1, n_u=65, iters=72):
                 hi = m2
         out[i] = np.minimum(best, finite(f(np.array([0.5 * (lo + hi)])))[0])
     return out
+
+
+def all_corners_inflate(body, r_v, r_eta):
+    """Minkowski sum of a body with the box [-r_v, r_v] x [-r_eta, r_eta]:
+    the package's hull of every vertex plus every box corner (4n points)."""
+    corners = np.array([[r_v, r_eta], [r_v, -r_eta], [-r_v, r_eta], [-r_v, -r_eta]], dtype=float)
+    return cg.ConvexBody((body.vertices[:, None, :] + corners[None, :, :]).reshape(-1, 2))
+
+
+def per_set_check_LLC(spec, R, samples, use_oracle=True, p_grid=None, n_u=65, tol=2e-2):
+    """check_LLC with one window search per (triple, direction): the same
+    probes and windows, each set's windows searched on their own by
+    `zoo._window_min`, and the worst excess kept in loop order."""
+    mod = spec.modulus
+    grid = p_grid or zoo.DEFAULT_P_GRID
+    L = zoo.lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
+    dom = zoo.domain_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
+    fracs = samples.unit_fractions()
+    worst, wit, n_judged = -np.inf, [], 0
+    for t, x, y in samples.triples(spec.t_range, R):
+        for a, b in ((x, y), (y, x)):
+            d = abs(a - b)
+            kd, w = mod.k_R(R, t) * d, mod.w_R(R, t, d)
+            dom_a, dom_b = dom(t, a), dom(t, b)
+            lo, hi = zoo._probe_window(spec, mod, t, a, dom_a, grid)
+            inset = 1e-4 * max(hi - lo, 1e-12)
+            lo_s = lo + (0.0 if dom_a.lo_closed or not np.isfinite(dom_a.lo) else inset)
+            hi_s = hi - (0.0 if dom_a.hi_closed or not np.isfinite(dom_a.hi) else inset)
+            if lo_s > hi_s:
+                continue
+            vs = lo_s + fracs * (hi_s - lo_s)
+            la = np.asarray(L(t, a, vs), dtype=float)
+            blo, bhi = zoo._dom_interval(dom_b)
+            keep = np.isfinite(la)
+            if not np.any(keep):
+                continue
+            vs_f, la_f = vs[keep], la[keep]
+            u0 = np.maximum(vs_f - kd, blo)
+            u1 = np.minimum(vs_f + kd, bhi)
+
+            def f(U, t=t, b=b):
+                return np.asarray(L(t, b, U.ravel()), dtype=float).reshape(U.shape)
+
+            best = zoo._window_min(f, u0, np.maximum(u1, u0), n_u)
+            n_judged += len(vs_f)
+            excess = np.where(u0 > u1, np.inf, best - la_f - w)
+            j = int(np.argmax(excess))
+            if float(excess[j]) > worst:
+                worst = float(excess[j])
+                wit = [{"t": float(t), "x": float(a), "y": float(b), "v": float(vs_f[j])}]
+    if n_judged == 0:
+        return -np.inf, "fail", []
+    return worst, "pass" if worst <= tol else "fail", wit
 
 
 def brute_hausdorff(averts, bverts):

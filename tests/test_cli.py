@@ -94,6 +94,7 @@ def test_parse_accepts_gated_shapes():
     assert _parse(command="compactness", triple="all").triple == "all"
     assert _parse(command="stability", family="all").family == "all"
     assert _parse(command="conjugate", summand="0.5*abs(p) + 0.1").summand == "0.5*abs(p) + 0.1"
+    assert _parse(command="check", R=cli.R_CAP).R == cli.R_CAP
 
 
 def test_shipped_configs_parse():
@@ -182,6 +183,8 @@ def test_main_config_errors(tmp_path, capsys):
         {"command": "conjugate", "grids": {"p_count": cli.GRID_CAP + 1}},
         {"command": "conjugate", "summand": "-" * 5000 + "p"},
         {"command": "check", "hamiltonian": {"name": "h", "H": "abs(p)", "flags": {"H4": "false"}}},
+        # a radius past R_CAP: at 1e300 every MLC gap of ex_2_1 was NaN and the check passed
+        {"command": "check", "hamiltonian": "ex_2_1", "R": 1e300},
     ],
 )
 def test_main_rejects_bad_field_values(tmp_path, capsys, doc):

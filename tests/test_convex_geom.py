@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamrep import convex_geom as cg
+from hamrep import zoo
 from hamrep.errors import DimMismatch, EmptyBody
+from hamrep.sampling import SamplePlan
 
 from _oracles import (
     STEINER_SQUARE,
     STEINER_TRIANGLE,
+    all_corners_inflate,
     brute_hausdorff,
     dense_points_to_body,
     exterior_angle_steiner,
@@ -401,6 +404,69 @@ def test_ball_and_inflate():
     h, _ = cg.support(fat, np.array([0.0, 1.0]))
     assert v == pytest.approx(1.5, abs=1e-3)
     assert h == pytest.approx(1.25, abs=1e-3)
+
+
+def _assert_same_inflation(body, r_v, r_eta):
+    # equal values; of two points that differ only in the sign of a zero
+    # coordinate, np.unique in the hull keeps either, and no distance reads it
+    got = cg.minkowski_inflate(body, r_v, r_eta).vertices
+    want = all_corners_inflate(body, r_v, r_eta).vertices
+    assert got.shape == want.shape and np.array_equal(got, want), (body.vertices, r_v, r_eta)
+
+
+def test_minkowski_inflate_matches_all_corner_hull_on_zoo_mlc_polygons(monkeypatch):
+    seen = []
+    real = cg.minkowski_inflate
+
+    def spy(body, r_v, r_eta):
+        seen.append((body, r_v, r_eta))
+        return real(body, r_v, r_eta)
+
+    monkeypatch.setattr(cg, "minkowski_inflate", spy)
+    for name in zoo.names():
+        for R in (0.5, 2.0):
+            zoo.check_MLC(zoo.builtin(name), R, samples=SamplePlan(seed=0, n_triples=8))
+    monkeypatch.undo()
+    # ex_2_2 inflates with k|x-y| = 0, ex_2_1 with w = 0
+    assert any(r_v == 0.0 < r_eta for _, r_v, r_eta in seen)
+    assert any(r_eta == 0.0 < r_v for _, r_v, r_eta in seen)
+    for body, r_v, r_eta in seen:
+        for radii in ((r_v, r_eta), (0.0, r_eta), (r_v, 0.0), (0.0, 0.0)):
+            _assert_same_inflation(body, *radii)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_minkowski_inflate_matches_all_corner_hull_on_random_bodies(seed):
+    # radii are 0 or at least 1e-3: far below the hull's eps band its rule
+    # can drop other points of one vertex's tiny corner cluster
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 12))
+    circle = rng.uniform(0.0, 2.0 * np.pi, n)
+    clouds = (
+        rng.normal(scale=rng.uniform(0.01, 50.0), size=(n, 2)),
+        np.stack([np.cos(circle), np.sin(circle)], axis=1) * rng.uniform(0.1, 10.0),
+        np.round(rng.normal(scale=3.0, size=(n, 2))),  # lattice: axis-parallel and collinear edges
+    )
+    shift = rng.uniform(-5.0, 5.0, 2)
+    radii = [0.0 if rng.random() < 0.3 else float(rng.uniform(1e-3, 5.0)) for _ in range(4)]
+    for pts in clouds:
+        body = cg.ConvexBody(pts + shift)
+        for small in (body, cg.ConvexBody(body.vertices[:1]), cg.ConvexBody(body.vertices[:2])):
+            _assert_same_inflation(small, radii[0], radii[1])
+            _assert_same_inflation(small, radii[2], radii[3])
+
+
+def test_minkowski_inflate_hulls_only_candidate_corners(monkeypatch):
+    # a 64-gon with no axis-parallel edge: each vertex's normal cone meets one
+    # quadrant, or two at the four vertices extreme along an axis
+    ang = 2.0 * np.pi * (np.arange(64) + 0.25) / 64
+    body = cg.ConvexBody(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    sizes = []
+    real = cg.convex_hull
+    monkeypatch.setattr(cg, "convex_hull", lambda pts: sizes.append(len(pts)) or real(pts))
+    cg.minkowski_inflate(body, 0.5, 0.25)
+    assert sizes == [64 + 4]
 
 
 def test_intersect_and_containment():

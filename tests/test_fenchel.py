@@ -106,6 +106,49 @@ def test_all_inf_function_rejected_at_construction():
         fl.ConvexGridFunction(g, np.full(33, np.inf))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, np.nan, 1.0, 2.0, 3.0],
+        [0.0, 1.0, -np.inf, 2.0, 3.0],
+        [np.nan, np.inf, np.inf, np.inf, np.inf],
+        [2e12, 1e12, np.inf, 5e12, np.inf],
+        [1.0, np.inf, 0.0, 1.0, 2.0],
+        [1.0, 0.0, 1e12, 0.0, 1.0],
+    ],
+    ids=["nan", "neg_inf", "nan_among_inf", "all_above_threshold", "gap", "gap_at_threshold"],
+)
+def test_improper_values_rejected_at_construction(values):
+    with pytest.raises(ImproperFunction):
+        fl.ConvexGridFunction(fl.UniformGrid(-2.0, 2.0, 5), values)
+
+
+def test_convexity_failure_rejected_on_the_finite_run():
+    g = fl.UniformGrid(-2.0, 2.0, 5)
+    with pytest.raises(ValueError, match="midpoint convexity"):
+        fl.ConvexGridFunction(g, [np.inf, 0.0, 1.0, 0.0, np.inf], convex_flag=True)
+    # the +inf ends are not part of the run the check reads
+    fl.ConvexGridFunction(g, [np.inf, 1.0, 0.0, 1.0, 1e12], convex_flag=True)
+
+
+def test_finite_run_is_kept_for_slices_and_minimum():
+    g = fl.UniformGrid(-2.0, 2.0, 5)
+    fn = fl.ConvexGridFunction(g, [3e12, 2.0, 1.0, 1e12 - 1.0, np.inf])
+    nodes, vals = fn.finite_slice()
+    assert nodes.tolist() == [-1.0, 0.0, 1.0] and vals.tolist() == [2.0, 1.0, 1e12 - 1.0]
+    assert fn.min_value() == 1.0 and fn.values.tolist()[::4] == [np.inf, np.inf]
+
+
+def test_grid_nodes_are_built_once_and_read_only():
+    g = fl.UniformGrid(-1.0, 3.0, 5)
+    nodes = g.nodes()
+    assert g.nodes() is nodes and not nodes.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 7.0
+    # equal grids stay equal, and each builds its own nodes
+    assert fl.UniformGrid(-1.0, 3.0, 5) == g and fl.UniformGrid(-1.0, 3.0, 5).nodes() is not nodes
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(
     st.floats(min_value=0.2, max_value=3.0),

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import EX_2_3_WINDOW_VALUE, brute_conjugate, grid_ternary_window_min
+from _oracles import EX_2_3_WINDOW_VALUE, brute_conjugate, grid_ternary_window_min, per_set_check_LLC
 from hamrep import zoo
 from hamrep.errors import UnknownName
 from hamrep.exprs import compile_hamiltonian
@@ -186,3 +188,71 @@ def test_check_LLC_fails_when_it_judges_no_sample():
     rep = zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN)
     assert rep.verdict == "fail" and rep.worst_margin == -np.inf
     assert rep.witnesses == [{"note": "no sample judged: every probe window or Lagrangian slice was empty"}]
+
+
+@pytest.mark.parametrize("use_oracle", [True, False])
+@pytest.mark.parametrize("name", zoo.names())
+def test_batched_check_LLC_matches_per_set_search_bit_for_bit(name, use_oracle):
+    spec = zoo.builtin(name)
+    for seed in (0, 1, 2):
+        for R in (0.5, 2.0):
+            plan = SamplePlan(seed=seed, n_triples=8)
+            rep = zoo.check_LLC(spec, R, samples=plan, use_oracle=use_oracle)
+            worst, verdict, wit = per_set_check_LLC(spec, R, plan, use_oracle=use_oracle)
+            assert np.float64(rep.worst_margin).tobytes() == np.float64(worst).tobytes()
+            assert (rep.verdict, rep.witnesses) == (verdict, wit)
+
+
+def test_check_LLC_runs_one_ternary_search_for_all_windows(monkeypatch):
+    calls = []
+    real = zoo._convex_argmin
+
+    def counting(f, lo, hi):
+        calls.append(len(lo))
+        return real(f, lo, hi)
+
+    monkeypatch.setattr(zoo, "_convex_argmin", counting)
+    # 16 triples, two directions each, 33 probes per direction at most
+    assert zoo.check_LLC(zoo.builtin("ex_2_1"), R=2.0, samples=SMALL_PLAN).verdict == "pass"
+    assert len(calls) == 1 and 33 < calls[0] <= 16 * 2 * 33
+
+
+def test_check_LLC_keeps_one_L_call_for_point_sets_beside_searched_ones(monkeypatch):
+    # k_R = 0 before t = 0.5 and 1 after: the early triples' windows are
+    # points and the late ones' are intervals, in one run
+    base = zoo.builtin("ex_2_1")
+    mod = zoo.ModulusData(k_R=lambda R, t: 0.0 if t < 0.5 else 1.0, w_R=base.modulus.w_R, c=base.modulus.c)
+    spec = dataclasses.replace(base, modulus=mod)
+    calls = []
+    real = zoo.lagrangian_evaluator
+
+    def counting(*args, **kwargs):
+        L = real(*args, **kwargs)
+        return lambda t, x, v: calls.append(t) or L(t, x, v)
+
+    monkeypatch.setattr(zoo, "lagrangian_evaluator", counting)
+    rep = zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN)
+    monkeypatch.undo()
+    assert (rep.worst_margin, rep.verdict, rep.witnesses) == per_set_check_LLC(spec, 2.0, SMALL_PLAN)
+    ts = SMALL_PLAN.triples(spec.t_range, 2.0)[:, 0]
+    assert np.any(ts < 0.5) and np.any(ts >= 0.5)
+    # per triple: two probe calls, then one search call per point set and
+    # 1 + 72 + 1 (grid, ternary, midpoint) per searched set
+    for t in ts:
+        assert calls.count(t) == (4 if t < 0.5 else 2 + 2 * 74)
+
+
+def test_check_MLC_fails_on_a_nan_gap_and_names_its_triple():
+    # at R = 1e300 the v-window overflows and every containment gap is NaN
+    spec = zoo.builtin("ex_2_1")
+    with np.errstate(all="ignore"):
+        rep = zoo.check_MLC(spec, R=1e300, samples=SMALL_PLAN)
+    t, x, y = SMALL_PLAN.triples(spec.t_range, 1e300)[0]
+    assert rep.verdict == "fail" and np.isnan(rep.worst_margin)
+    assert rep.witnesses == [{"t": t, "x": x, "y": y, "note": "containment gap is NaN"}]
+
+
+def test_check_MLC_fails_when_it_judges_no_triple():
+    rep = zoo.check_MLC(zoo.builtin("ex_2_2"), R=2.0, samples=SamplePlan(n_triples=0))
+    assert rep.verdict == "fail" and rep.worst_margin == -np.inf
+    assert rep.witnesses == [{"note": "no triple judged: the sample plan is empty"}]
