@@ -5,10 +5,13 @@ velocity grid and truncate its epigraph to a polygon E on a power-of-two
 cap ladder. Each (scaled) control point a selects e(t, x, a), the Steiner
 point of the projection body P(a, E) = E intersect B(a, 2 d(a, E)): a
 itself when a lies in E, else the exact closed form of
-`convex_geom.disc_steiner`. A whole sample plan is one batch per (t, x),
-with one vectorized distance per ladder rung. Then f(t, x, a) and
-l(t, x, a) are the two components of e, and H is recovered as the sup of
-p f - l over the control samples.
+`convex_geom.disc_steiner`. One batch holds rows at one or many (t, x): a
+whole sample plan at one (t, x), or the Lipschitz pairs of
+`verify_triple` at their own (t, x) each. Every row keeps the slice and
+ladder rung of its own (t, x), and the rung bodies of the batch are
+stacked, so a batch makes two distance calls and one Steiner call. Then
+f(t, x, a) and l(t, x, a) are the two components of e, and H is
+recovered as the sup of p f - l over the control samples.
 
 Two control regimes ship: full-space controls with identity scaling, and
 unit-ball controls scaled by M(t, x) large enough that the scaled ball
@@ -123,9 +126,14 @@ class RepresentationTriple:
     a of shape (q,) to the point e = (f, l) of shape (2,), and an (N, q)
     stack of controls to the (N, 2) stack of their points, row by row (a
     row's point does not depend on the other rows). e_table makes one such
-    call per (t, x). control_samples(t, x) yields the deterministic a-plan
-    (including the lift points for constructed triples, which e maps to
-    themselves).
+    call per (t, x). e_rows(ts, xs, A) evaluates rows at many (t, x): row i
+    of the (N, 2) result is e(ts[i], xs[i], A[i]), bit for bit what e_eval
+    gives for that control alone (a scalar t or x serves every row).
+    Constructed triples answer it with one e_eval call, which for them
+    takes one (t, x) per row and runs as one batch through their slice
+    core; any other triple loops over e_eval. control_samples(t, x) yields
+    the deterministic a-plan (including the lift points for constructed
+    triples, which e maps to themselves).
     """
 
     control: ControlSet
@@ -144,6 +152,18 @@ class RepresentationTriple:
         if self.control_samples is not None:
             return self.control_samples(t, x)
         return self.control.samples()
+
+    def e_rows(self, ts, xs, A) -> np.ndarray:
+        """(N, 2) points e(ts[i], xs[i], A[i]) of an (N, q) control stack."""
+        if self._core is not None:
+            # a constructed triple's e_eval takes one (t, x) per row
+            return self.e_eval(ts, xs, A)
+        n = len(A)
+        ts = np.broadcast_to(np.asarray(ts, dtype=float), (n,)).tolist()
+        xs = np.broadcast_to(np.asarray(xs, dtype=float), (n,)).tolist()
+        return np.array(
+            [np.asarray(self.e_eval(t, x, a), dtype=float) for t, x, a in zip(ts, xs, A)]
+        ).reshape(n, 2)
 
     def e_table(self, t: float, x: float, a_samples: np.ndarray | None = None):
         """(A, F, L) arrays over the sample plan; cached for the default plan."""
@@ -170,6 +190,33 @@ def _require_flags(spec: HamiltonianSpec, keys: tuple[str, ...]):
     bad = [k for k in keys if not spec.flags.get(k, True)]
     if bad:
         raise HypothesisViolation(f"{spec.name} violates {bad}")
+
+
+# rungs are frexp exponents of doubles, so below this; (slab, rung) keys
+# pack into one integer
+_RUNG_SPAN = 2048
+
+
+def _rung_index(caps: np.ndarray, lmin) -> np.ndarray:
+    """Ladder rung j of each cap: the lowest j >= 0 with min L + 2**j at or
+    above it."""
+    # frexp keeps exact powers of two on their own rung
+    mant, expo = np.frexp(np.maximum(caps - lmin, 1.0))
+    return np.where(mant == 0.5, expo - 1, expo)
+
+
+def _slabs(ts, xs, n: int):
+    """The distinct (t, x) of n rows, in order of first appearance (a
+    scalar t or x serves every row), and each row's index into them."""
+    if np.ndim(ts) == 0 and np.ndim(xs) == 0:
+        return [(float(ts), float(xs))], np.zeros(n, dtype=np.intp)
+    index: dict[tuple[float, float], int] = {}
+    pairs = zip(
+        np.broadcast_to(np.asarray(ts, dtype=float), (n,)).tolist(),
+        np.broadcast_to(np.asarray(xs, dtype=float), (n,)).tolist(),
+    )
+    slab_of = np.array([index.setdefault(p, len(index)) for p in pairs], dtype=np.intp)
+    return list(index), slab_of
 
 
 class _SliceCore:
@@ -202,51 +249,64 @@ class _SliceCore:
         self._kept[key] = fn
         return fn
 
-    def _ladder(self, t: float, x: float, needed_caps) -> list[tuple[Epigraph, np.ndarray]]:
-        """Truncated epigraphs on a power-of-two cap ladder above the slice
-        minimum, so evaluations share polygons: for each rung j the needed
-        caps use, the epigraph capped at min L + 2**j (the lowest rung at or
-        above the cap, j >= 0) and the indices of the caps it serves."""
-        fn = self.slice(t, x)
-        lmin = fn.min_value()
-        # frexp keeps exact powers of two on their own rung
-        mant, expo = np.frexp(np.maximum(np.asarray(needed_caps, dtype=float) - lmin, 1.0))
-        rungs = np.where(mant == 0.5, expo - 1, expo)
-        out = []
-        for j in np.unique(rungs):
-            key = (float(t), float(x), int(j))
-            epi = self._epis.get(key)
-            if epi is None:
-                epi = self._epis[key] = build_epigraph(fn, lmin + float(2**j))
-            out.append((epi, np.nonzero(rungs == j)[0]))
-        return out
+    def _rung(self, t: float, x: float, j: int) -> Epigraph:
+        """The epigraph of L(t, x, .) capped at min L + 2**j, kept per rung."""
+        key = (t, x, j)
+        epi = self._epis.get(key)
+        if epi is None:
+            fn = self.slice(t, x)
+            epi = self._epis[key] = build_epigraph(fn, fn.min_value() + float(2**j))
+        return epi
+
+    def _rung_stack(self, slabs, slab_of: np.ndarray, caps: np.ndarray, lmin: np.ndarray):
+        """Truncated epigraphs on a power-of-two cap ladder above each
+        slice's minimum, so evaluations share polygons: row i gets the
+        epigraph of slab slab_of[i] capped at min L + 2**j, the lowest rung
+        at or above caps[i] (j >= 0). Returns the distinct rung bodies as
+        one stack (a lone body's own stack of one) and each row's index
+        into it."""
+        rungs = _rung_index(caps, lmin)
+        keys, owner = np.unique(slab_of * _RUNG_SPAN + rungs, return_inverse=True)
+        bodies = [
+            self._rung(*slabs[key // _RUNG_SPAN], key % _RUNG_SPAN).body for key in keys.tolist()
+        ]
+        return (bodies[0].stack if len(bodies) == 1 else cg.BodyStack(bodies)), owner
 
     def epigraph(self, t: float, x: float, needed_cap: float) -> Epigraph:
         """Truncated epigraph on the cap ladder, capped at or above needed_cap."""
-        return self._ladder(t, x, [needed_cap])[0][0]
+        t, x = float(t), float(x)
+        rung = _rung_index(np.array([needed_cap], dtype=float), self.slice(t, x).min_value())
+        return self._rung(t, x, int(rung[0]))
 
-    def e_points(self, t: float, x: float, Z: np.ndarray) -> np.ndarray:
+    def e_points(self, ts, xs, Z: np.ndarray) -> np.ndarray:
         """Selections e = Steiner point of P(z, E) for an (N, 2) stack of
-        (scaled) controls at one (t, x).
+        (scaled) controls, row i at (ts[i], xs[i]); a scalar t or x serves
+        every row.
 
-        A preliminary epigraph capped above max(|z_eta|, min L) + 10 sorts
+        Each row keeps the slice and cap ladder of its own (t, x). A
+        preliminary epigraph capped above max(|z_eta|, min L) + 10 sorts
         out the rows inside E, which map to themselves; the others are
         measured again against E capped above max(|z_eta|, min L) + 6 d + 1
-        and go through the exact Steiner kernel with radius 2 d(z, E).
-        Each ladder rung takes one batched distance.
+        and go through the exact Steiner kernel with radius 2 d(z, E). The
+        rung bodies of all rows are stacked, so each of the two distances
+        and the Steiner step is one kernel call.
         """
-        lmin = self.slice(t, x).min_value()
         out = np.array(Z, dtype=float)
-        d = np.empty(len(out))
-        for epi, rows in self._ladder(t, x, np.maximum(np.abs(out[:, 1]), lmin) + 10.0):
-            d[rows] = cg.distance(out[rows], epi.body)
+        slabs, slab_of = _slabs(ts, xs, len(out))
+        lmin = np.array([self.slice(t, x).min_value() for t, x in slabs])[slab_of]
+        if len(out) == 0:
+            return out
+        caps = np.maximum(np.abs(out[:, 1]), lmin) + 10.0
+        stack, owner = self._rung_stack(slabs, slab_of, caps, lmin)
+        d = cg.distance(out, stack, owner)
         far = np.nonzero(d > 0.0)[0]
-        caps = np.maximum(np.abs(out[far, 1]), lmin) + 6.0 * d[far] + 1.0
-        for epi, rows in self._ladder(t, x, caps):
-            rows = far[rows]
-            d_far = cg.distance(out[rows], epi.body)
-            hit = d_far > 0.0
-            out[rows[hit]] = cg.disc_steiner(epi.body, out[rows[hit]], 2.0 * d_far[hit])
+        if len(far) == 0:
+            return out
+        caps = np.maximum(np.abs(out[far, 1]), lmin[far]) + 6.0 * d[far] + 1.0
+        stack, owner = self._rung_stack(slabs, slab_of[far], caps, lmin[far])
+        d_far = cg.distance(out[far], stack, owner)
+        hit = d_far > 0.0
+        out[far[hit]] = cg.disc_steiner(stack, out[far[hit]], 2.0 * d_far[hit], owner[hit])
         return out
 
     def lift_points(self, t: float, x: float) -> np.ndarray:
@@ -278,11 +338,11 @@ def build_noncompact(
     plan = plan or APlan()
     control = ControlSet("full_space", 2)
 
-    def e_eval(t, x, a):
+    def e_eval(ts, xs, a):
         z = np.asarray(a, dtype=float)
         if z.ndim > 2 or z.shape[-1:] != (2,):
             raise ConfigError("full-space control points are 2-vectors")
-        return core.e_points(t, x, z.reshape(-1, 2)).reshape(z.shape)
+        return core.e_points(ts, xs, z.reshape(-1, 2)).reshape(z.shape)
 
     def samples(t, x):
         return np.concatenate([control.samples(plan), core.lift_points(t, x)], axis=0)
@@ -334,14 +394,19 @@ def build_compact(
     def M(t, x):
         return scaling_bound(spec, lam_fn, t, x)
 
-    def e_eval(t, x, a):
+    def e_eval(ts, xs, a):
         a = np.asarray(a, dtype=float)
         if a.ndim > 2 or a.shape[-1:] != (2,):
             raise ConfigError("unit-ball control points are 2-vectors")
         rows = a.reshape(-1, 2)
         if np.any(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] > 1.0 + 1e-9):
             raise ConfigError("control point outside the unit ball")
-        return core.e_points(t, x, M(t, x) * rows).reshape(a.shape)
+        if np.ndim(ts) == 0 and np.ndim(xs) == 0:
+            m = M(ts, xs)
+        else:
+            slabs, slab_of = _slabs(ts, xs, len(rows))
+            m = np.array([M(t, x) for t, x in slabs])[slab_of, None]
+        return core.e_points(ts, xs, m * rows).reshape(a.shape)
 
     def samples(t, x):
         m = M(t, x)
@@ -523,14 +588,20 @@ def verify_triple(
             CheckReport("triple_f_growth", 0.0, "pass", [{"note": "missing (H4): no c(t) bound"}])
         )
 
-    worst_lip, wit_lip = -np.inf, []
+    # every pair is drawn first, then each side is one batch of rows
+    pairs = []
     for _ in range(n_pairs):
         t = float(rng.uniform(t_lo, t_hi))
         x = float(rng.uniform(x_lo, x_hi))
         y = float(rng.uniform(x_lo, x_hi))
         a, b = _draw_pair_controls(triple, rng)
-        ea = np.asarray(triple.e_eval(t, x, a), dtype=float)
-        eb = np.asarray(triple.e_eval(t, y, b), dtype=float)
+        pairs.append((t, x, y, a, b))
+    EA = EB = ()
+    if pairs:
+        ts, xs, ys, A, B = (np.array(col) for col in zip(*pairs))
+        EA, EB = triple.e_rows(ts, xs, A), triple.e_rows(ts, ys, B)
+    worst_lip, wit_lip = -np.inf, []
+    for (t, x, y, a, b), ea, eb in zip(pairs, EA, EB):
         lhs = float(np.linalg.norm(ea - eb))
         d = abs(x - y)
         Ma, Mb = triple.scaling.eval(t, x), triple.scaling.eval(t, y)

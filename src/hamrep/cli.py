@@ -29,7 +29,7 @@ from .builder import (
     Window,
     build_compact,
     build_noncompact,
-    reconstruct_H,
+    induced_H,
     sandwich_check,
     verify_triple,
 )
@@ -480,7 +480,7 @@ def _run_represent(cfg: RunConfig):
             worst_rec, worst_sound = -np.inf, -np.inf
             for x in _x_values(cfg):
                 Hp = np.asarray(spec.eval(t, float(x), ps), dtype=float)
-                rec = np.array([reconstruct_H(triple, t, float(x), float(p)) for p in ps])
+                rec = induced_H(triple, t, float(x), ps)
                 err = np.abs(rec - Hp)
                 worst_rec = max(worst_rec, float(np.max(err)))
                 worst_sound = max(worst_sound, float(np.max(rec - Hp)))

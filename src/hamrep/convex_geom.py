@@ -9,6 +9,12 @@ selection e = Steiner point of P(z, E) = E cap B(z, 2 d(z, E)) without
 building P. Discretization enters only through the circle arcs of
 `proj_map`, which builds P as a polygon for the projection-map audit of
 `geometry_suite`.
+
+`distance` and `disc_steiner` are stacked kernels: they take one body, or
+a `BodyStack` of bodies padded into common edge arrays together with the
+body of each row, so rows against many bodies cost one call. A single
+body is a stack of one (kept on the body), whose arrays broadcast over
+the rows. Each row's result is bit for bit what its body alone gives.
 """
 
 from __future__ import annotations
@@ -102,7 +108,7 @@ class ConvexBody:
         Generating points; the body is their convex hull.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_stack")
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -111,6 +117,7 @@ class ConvexBody:
         if pts.shape[1] != 2:
             raise DimMismatch(f"bodies are planar, got dim {pts.shape[1]}")
         self.vertices = convex_hull(pts)
+        self._stack = None
 
     @classmethod
     def _from_loop(cls, vertices: np.ndarray) -> "ConvexBody":
@@ -118,14 +125,97 @@ class ConvexBody:
         convex position from the lexicographically smallest vertex."""
         body = cls.__new__(cls)
         body.vertices = vertices
+        body._stack = None
         return body
 
     @property
     def scale(self) -> float:
         return float(max(1.0, np.max(np.abs(self.vertices))))
 
+    @property
+    def stack(self) -> "BodyStack":
+        """The body as a stack of one, built on first use."""
+        if self._stack is None:
+            self._stack = BodyStack([self])
+        return self._stack
+
     def __repr__(self):
         return f"ConvexBody(<{len(self.vertices)} vertices>)"
+
+
+class BodyStack:
+    """Bodies stacked into padded edge arrays, so that one kernel call can
+    measure rows against different bodies.
+
+    Row b holds body b: `counts[b]` vertices, the edge starts (ax, ay), the
+    edge vectors (ex, ey) and their squared lengths `den` (floored at
+    1e-300). A polygon has one edge per vertex, from vertex j to vertex
+    j + 1 (mod n); a segment has the one edge from its first to its second
+    vertex; a point has none, and its column 0 holds the point. Pad columns
+    repeat column 0, so a minimum or an all-test over a row is unchanged by
+    them; `valid` marks the real edges for the kernels that sum. The inside
+    test allows `tol`: 1e-12 max(1, max |vertex|) times the edge length.
+    """
+
+    __slots__ = ("counts", "ax", "ay", "ex", "ey", "den", "tol", "valid")
+
+    def __init__(self, bodies):
+        verts = [b.vertices for b in bodies]
+        if not verts:
+            raise EmptyBody("no bodies to stack")
+        # a[b, j] and b[b, j]: indices into the vertex list of the start and
+        # end of the edge in column j (the edge out of vertex j; pads take
+        # column 0, and a point's edge ends where it starts)
+        if len(verts) == 1:
+            V = verts[0]
+            n = len(V)
+            self.counts = np.array([n])
+            if n >= 3:
+                a = np.arange(n)[None, :]
+                b = a + 1
+                b[0, -1] = 0
+                self.valid = np.ones((1, n), dtype=bool)
+            else:
+                a, b = np.zeros((1, n), dtype=np.intp), np.full((1, n), n - 1)
+                self.valid = np.arange(n)[None, :] < n - 1
+            scale = np.array([max(1.0, float(np.max(np.abs(V))))])
+        else:
+            self.counts = counts = np.array([len(v) for v in verts])
+            V = np.concatenate(verts)
+            start = np.cumsum(counts) - counts
+            col = np.arange(int(counts.max()))
+            self.valid = col < np.where(counts >= 3, counts, counts - 1)[:, None]
+            a = np.where(self.valid, start[:, None] + col, start[:, None])
+            b = a + 1
+            # the last vertex of a polygon wraps to the first, a point to itself
+            polygon, point = counts >= 3, counts == 1
+            b[polygon, counts[polygon] - 1] = start[polygon]
+            b[point] = start[point, None]
+            scale = np.maximum(np.maximum.reduceat(np.abs(V).ravel(), 2 * start), 1.0)
+        vx, vy = V[:, 0].copy(), V[:, 1].copy()
+        self.ax, self.ay = vx[a], vy[a]
+        self.ex, self.ey = vx[b] - self.ax, vy[b] - self.ay
+        self.den = np.maximum(self.ex * self.ex + self.ey * self.ey, 1e-300)
+        self.tol = (_EPS_BASE * scale)[:, None] * np.hypot(self.ex, self.ey)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+
+def _rows_of(bodies, owner, n_rows: int):
+    """The stack of one body or a BodyStack, and the owner of each row: an
+    (N,) index array, or 0 for a stack of one (the kernels then broadcast
+    its edge arrays, gathering nothing)."""
+    stack = bodies.stack if isinstance(bodies, ConvexBody) else bodies
+    if owner is not None:
+        owner = np.asarray(owner, dtype=np.intp)
+        if owner.shape != (n_rows,):
+            raise DimMismatch(f"expected {n_rows} row owners, got shape {owner.shape}")
+    if len(stack) == 1:
+        return stack, 0
+    if owner is None:
+        raise ValueError("a stack of several bodies needs an owner per row")
+    return stack, owner
 
 
 def ball(center, radius: float, n: int = 360) -> ConvexBody:
@@ -146,87 +236,85 @@ def ball(center, radius: float, n: int = 360) -> ConvexBody:
 _PAIR_BLOCK = 1 << 17
 
 
-def _edges(verts: np.ndarray):
-    """Start points and direction vectors of the edges: the closed loop of
-    a polygon, the one segment of a two-vertex body."""
-    if len(verts) >= 3:
-        return verts, np.roll(verts, -1, axis=0) - verts
-    return verts[:1], verts[1:] - verts[:1]
-
-
-def _left_of_edges(rx, ry, ab, tol) -> np.ndarray:
+def _left_of_edges(rx, ry, ex, ey, tol) -> np.ndarray:
     """Rows whose offsets (rx, ry) from the edge starts lie left of every
-    edge line of a CCW polygon, each within tol of its line."""
+    edge (ex, ey) of their CCW polygon, each within tol of its line."""
     # signed distance to each edge line, times the edge length
-    cross = ab[None, :, 0] * ry - ab[None, :, 1] * rx
+    cross = ex * ry - ey * rx
     return np.all(cross >= -tol, axis=1)
 
 
-def _inside_mask(points: np.ndarray, body: ConvexBody, slack: float = 0.0) -> np.ndarray:
-    """Boolean mask of points lying in the polygon (distance <= slack)."""
-    verts = body.vertices
-    if len(verts) >= 3:
-        _, ab = _edges(verts)
-        tol = (_EPS_BASE * body.scale + slack) * np.hypot(ab[:, 0], ab[:, 1])[None, :]
-        rx = points[:, 0, None] - verts[None, :, 0]
-        ry = points[:, 1, None] - verts[None, :, 1]
-        return _left_of_edges(rx, ry, ab, tol)
-    d = _points_to_body(points, body)
-    return d <= _EPS_BASE * body.scale + slack
+def _inside_mask(points: np.ndarray, body: ConvexBody) -> np.ndarray:
+    """Boolean mask of points lying in the body (within its eps)."""
+    if len(body.vertices) >= 3:
+        s = body.stack
+        rx, ry = points[:, 0, None] - s.ax[0], points[:, 1, None] - s.ay[0]
+        return _left_of_edges(rx, ry, s.ex[0], s.ey[0], s.tol[0])
+    return _points_to_body(points, body) <= _EPS_BASE * body.scale
 
 
-def _segment_params(rx, ry, ab):
+def _segment_params(rx, ry, ex, ey, den):
     """Parameter in [0, 1] of the nearest point on each segment."""
-    denom = np.maximum(ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1], 1e-300)
-    return np.clip((rx * ab[:, 0] + ry * ab[:, 1]) / denom, 0.0, 1.0)
+    return np.clip((rx * ex + ry * ey) / den, 0.0, 1.0)
 
 
-def _points_to_body(points: np.ndarray, body: ConvexBody) -> np.ndarray:
-    """Distances from (N, 2) points to the body, 0 inside.
+def _points_to_body(points: np.ndarray, bodies, owner=None) -> np.ndarray:
+    """Distances from (N, 2) points to bodies, 0 inside: row i against body
+    owner[i] of a stack, or against one body (a stack of one).
 
-    Rows run in blocks of about _PAIR_BLOCK point-edge pairs. On a polygon
-    the inside test runs first, and only the rows it rejects pay for the
-    segment distances; the offsets from the edge starts serve both.
+    A point body gives the plain hypot. Other rows run in blocks of about
+    _PAIR_BLOCK point-edge pairs. On a polygon the inside test runs first,
+    and only the rows it rejects pay for the segment distances; the
+    offsets from the edge starts serve both. Pad columns repeat a real
+    edge, so they change neither test nor minimum.
     """
-    verts = body.vertices
-    if len(verts) == 1:
-        return np.hypot(points[:, 0] - verts[0, 0], points[:, 1] - verts[0, 1])
-    a, ab = _edges(verts)
-    polygon = len(verts) >= 3
-    if polygon:
-        tol = _EPS_BASE * body.scale * np.hypot(ab[:, 0], ab[:, 1])[None, :]
+    stack, k = _rows_of(bodies, owner, len(points))
     out = np.zeros(len(points))
-    step = max(1, _PAIR_BLOCK // len(a))
-    for s in range(0, len(points), step):
-        blk = points[s : s + step]
-        rx = blk[:, 0, None] - a[None, :, 0]
-        ry = blk[:, 1, None] - a[None, :, 1]
-        rows = slice(s, s + len(blk))
-        if polygon:
-            outside = ~_left_of_edges(rx, ry, ab, tol)
+    if np.ndim(k) == 0:
+        if stack.counts[0] == 1:
+            return np.hypot(points[:, 0] - stack.ax[0, 0], points[:, 1] - stack.ay[0, 0])
+        rows = np.arange(len(points))
+    else:
+        point = stack.counts[k] == 1
+        if np.any(point):
+            kp = k[point]
+            out[point] = np.hypot(points[point, 0] - stack.ax[kp, 0], points[point, 1] - stack.ay[kp, 0])
+        rows = np.flatnonzero(~point)
+    step = max(1, _PAIR_BLOCK // stack.ax.shape[1])
+    for s in range(0, len(rows), step):
+        idx = rows[s : s + step]
+        kb = k if np.ndim(k) == 0 else k[idx]
+        ex, ey = stack.ex[kb], stack.ey[kb]
+        rx = points[idx, 0][:, None] - stack.ax[kb]
+        ry = points[idx, 1][:, None] - stack.ay[kb]
+        polygon = stack.counts[kb] >= 3
+        if np.any(polygon):
+            outside = ~(_left_of_edges(rx, ry, ex, ey, stack.tol[kb]) & polygon)
             if not np.any(outside):
                 continue
-            rx, ry = rx[outside], ry[outside]
-            rows = np.flatnonzero(outside) + s
-        t = _segment_params(rx, ry, ab)
-        dx = rx - t * ab[:, 0]
-        dy = ry - t * ab[:, 1]
-        out[rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+            rx, ry, idx = rx[outside], ry[outside], idx[outside]
+            if np.ndim(kb):
+                kb, ex, ey = kb[outside], ex[outside], ey[outside]
+        t = _segment_params(rx, ry, ex, ey, stack.den[kb])
+        dx = rx - t * ex
+        dy = ry - t * ey
+        out[idx] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
     return out
 
 
-def distance(y, body: ConvexBody):
-    """Euclidean distance from y to the body (0 inside).
+def distance(y, bodies, owner=None):
+    """Euclidean distance from y to a body (0 inside).
 
     y is one point (2,), giving a float, or a stack (N, 2), giving an (N,)
-    array; stacks run in blocks, so their temporaries stay small.
+    array; stacks run in blocks, so their temporaries stay small. `bodies`
+    is one ConvexBody, or a BodyStack with `owner[i]` the body of row i.
     """
     p = np.asarray(y, dtype=float)
     if p.shape == (2,):
-        return float(_points_to_body(p[None, :], body)[0])
+        return float(_points_to_body(p[None, :], bodies, None if owner is None else [owner])[0])
     if p.ndim != 2 or p.shape[1] != 2:
         raise DimMismatch(f"expected a 2-vector or (N, 2) points, got shape {p.shape}")
-    return _points_to_body(p, body)
+    return _points_to_body(p, bodies, owner)
 
 
 def project_point(y, body: ConvexBody) -> np.ndarray:
@@ -237,13 +325,15 @@ def project_point(y, body: ConvexBody) -> np.ndarray:
         return verts[0].copy()
     if len(verts) >= 3 and bool(_inside_mask(p[None, :], body)[0]):
         return p.copy()
-    a, ab = _edges(verts)
-    rx, ry = p[0] - a[:, 0], p[1] - a[:, 1]
-    t = _segment_params(rx, ry, ab)
-    dx = rx - t * ab[:, 0]
-    dy = ry - t * ab[:, 1]
+    s = body.stack
+    m = len(verts) if len(verts) >= 3 else 1
+    ax, ay, ex, ey = s.ax[0, :m], s.ay[0, :m], s.ex[0, :m], s.ey[0, :m]
+    rx, ry = p[0] - ax, p[1] - ay
+    t = _segment_params(rx, ry, ex, ey, s.den[0, :m])
+    dx = rx - t * ex
+    dy = ry - t * ey
     k = int(np.argmin(dx * dx + dy * dy))
-    return a[k] + t[k] * ab[k]
+    return np.array([ax[k] + t[k] * ex[k], ay[k] + t[k] * ey[k]])
 
 
 def support(body: ConvexBody, direction) -> tuple[float, np.ndarray]:
@@ -402,6 +492,13 @@ def _turn(ux, uy, wx, wy):
     return np.arctan2(np.abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
+def _vertex_turns(stack: BodyStack, k, cols) -> np.ndarray:
+    """Turns at the vertices cols of the polygons k (0, or one per entry),
+    from the edge into each vertex to the edge out of it."""
+    prev = np.where(cols == 0, stack.counts[k] - 1, cols - 1)
+    return _turn(stack.ex[k, prev], stack.ey[k, prev], stack.ex[k, cols], stack.ey[k, cols])
+
+
 def steiner(body: ConvexBody) -> np.ndarray:
     """Steiner point (1/2 pi) of the integral of the support point over the
     circle of directions, in closed form (Schneider, Convex Bodies, 1.7).
@@ -412,27 +509,26 @@ def steiner(body: ConvexBody) -> np.ndarray:
     verts = body.vertices
     if len(verts) < 3:
         return verts.mean(axis=0)
-    inc = verts - np.roll(verts, 1, axis=0)
-    out = np.roll(verts, -1, axis=0) - verts
-    ang = _turn(inc[:, 0], inc[:, 1], out[:, 0], out[:, 1])
+    ang = _vertex_turns(body.stack, 0, np.arange(len(verts)))
     return (verts * ang[:, None]).sum(axis=0) / ang.sum()
 
 
-def _segment_disc_steiner(verts, C, R):
+def _segment_disc_steiner(stack, k, C, R):
     # midpoint of the clipped segment, computed on the segment itself so a
     # coordinate the segment keeps constant stays exact; a disc that misses
     # the segment gives the point nearest its centre
-    ab = verts[1] - verts[0]
-    rx = verts[0, 0] - C[:, 0]
-    ry = verts[0, 1] - C[:, 1]
-    qa = ab[0] * ab[0] + ab[1] * ab[1]
-    hb = rx * ab[0] + ry * ab[1]
+    vx, vy = stack.ax[k, 0], stack.ay[k, 0]
+    ex, ey = stack.ex[k, 0], stack.ey[k, 0]
+    rx = vx - C[:, 0]
+    ry = vy - C[:, 1]
+    qa = ex * ex + ey * ey
+    hb = rx * ex + ry * ey
     sq = np.sqrt(np.maximum(hb * hb - qa * (rx * rx + ry * ry - R * R), 0.0))
     mid = 0.5 * (np.clip((-hb - sq) / qa, 0.0, 1.0) + np.clip((-hb + sq) / qa, 0.0, 1.0))
-    return verts[0] + mid[:, None] * ab
+    return np.stack([vx + mid * ex, vy + mid * ey], axis=-1)
 
 
-def _polygon_disc_steiner(verts, C, R):
+def _polygon_disc_steiner(stack, k, C, R):
     # The boundary of K = E cap B alternates between edge pieces inside the
     # disc and circle arcs inside E. Corners (vertices in the disc and
     # edge-circle crossings) add point x turn; an arc from normal angle a to
@@ -440,73 +536,93 @@ def _polygon_disc_steiner(verts, C, R):
     # times the arc angle plus its chord turned by -90 degrees. Relative to
     # the centre the arc angles drop out, and the chords of all arcs sum to
     # (sum of entry points) - (sum of exit points), so no arc pairing is
-    # needed.
+    # needed. Pad columns are masked out of every sum, and each row's
+    # columns stay in vertex order, so the sums add in the same order as
+    # for the body alone.
     n_rows = len(C)
-    ab = np.roll(verts, -1, axis=0) - verts
-    rx = verts[None, :, 0] - C[:, 0, None]
-    ry = verts[None, :, 1] - C[:, 1, None]
+    shape = (n_rows, stack.ax.shape[1])
+    ex, ey = stack.ex[k], stack.ey[k]
+    valid = stack.valid[k]
+    rx = stack.ax[k] - C[:, 0, None]
+    ry = stack.ay[k] - C[:, 1, None]
     r2 = (R * R)[:, None]
-    inside = rx * rx + ry * ry <= r2
-    inside_next = np.roll(inside, -1, axis=1)
+    inside = (rx * rx + ry * ry <= r2) & valid
+    # the next vertex of each: one column on, and column 0 after the last
+    inside_next = np.zeros(shape, dtype=bool)
+    inside_next[:, :-1] = inside[:, 1:]
+    inside_next[np.arange(n_rows), stack.counts[k] - 1] = inside[:, 0]
     # edge parameters t where |v + t ab - c| = r
-    qa = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
-    hb = rx * ab[:, 0] + ry * ab[:, 1]
+    qa = ex * ex + ey * ey
+    hb = rx * ex + ry * ey
     disc = hb * hb - qa * (rx * rx + ry * ry - r2)
     sq = np.sqrt(np.maximum(disc, 0.0))
     t0 = np.where(inside, 0.0, np.clip((-hb - sq) / qa, 0.0, 1.0))
     t1 = np.where(inside_next, 1.0, np.clip((-hb + sq) / qa, 0.0, 1.0))
-    piece = inside | inside_next | ((disc > 0.0) & (t1 > t0))
+    piece = (inside | inside_next | ((disc > 0.0) & (t1 > t0))) & valid
 
-    prev = np.roll(ab, 1, axis=0)
-    vertex_turn = _turn(prev[:, 0], prev[:, 1], ab[:, 0], ab[:, 1])
+    ex, ey = np.broadcast_to(ex, shape), np.broadcast_to(ey, shape)
     rows, cols = np.nonzero(inside)
+    turn = _vertex_turns(stack, k if np.ndim(k) == 0 else k[rows], cols)
     sx = np.zeros(n_rows)
     sy = np.zeros(n_rows)
-    sx += np.bincount(rows, vertex_turn[cols] * rx[rows, cols], minlength=n_rows)
-    sy += np.bincount(rows, vertex_turn[cols] * ry[rows, cols], minlength=n_rows)
+    sx += np.bincount(rows, turn * rx[rows, cols], minlength=n_rows)
+    sy += np.bincount(rows, turn * ry[rows, cols], minlength=n_rows)
     for t, mask, sign in ((t0, piece & ~inside, 1.0), (t1, piece & ~inside_next, -1.0)):
         rows, cols = np.nonzero(mask)
-        qx = rx[rows, cols] + t[rows, cols] * ab[cols, 0]
-        qy = ry[rows, cols] + t[rows, cols] * ab[cols, 1]
+        ax, ay = ex[rows, cols], ey[rows, cols]
+        qx = rx[rows, cols] + t[rows, cols] * ax
+        qy = ry[rows, cols] + t[rows, cols] * ay
         # circle tangent (-qy, qx); entries turn from it onto the edge,
         # exits from the edge onto it
-        turn = _turn(-qy, qx, ab[cols, 0], ab[cols, 1])
+        turn = _turn(-qy, qx, ax, ay)
         sx += np.bincount(rows, turn * qx + sign * qy, minlength=n_rows)
         sy += np.bincount(rows, turn * qy - sign * qx, minlength=n_rows)
     return C + np.stack([sx, sy], axis=1) / (2.0 * np.pi)
 
 
-def disc_steiner(body: ConvexBody, centers, radii) -> np.ndarray:
-    """Exact Steiner points of body cap B(c_i, r_i) for a stack of discs.
+def disc_steiner(bodies, centers, radii, owner=None) -> np.ndarray:
+    """Exact Steiner points of E cap B(c_i, r_i) for a stack of discs.
 
     Parameters
     ----------
-    body : ConvexBody
-        Polygon E; one- and two-vertex bodies are handled exactly (a point
-        maps to itself, a segment to the midpoint of its clipped part).
+    bodies : ConvexBody or BodyStack
+        Polygon E, or a stack with E_i = body owner[i] for row i; one- and
+        two-vertex bodies are handled exactly (a point maps to itself, a
+        segment to the midpoint of its clipped part).
     centers : (N, 2) array_like
-        Disc centres, outside E.
+        Disc centres, outside E_i.
     radii : (N,) array_like or float
-        Radii above d(c_i, E), so that every disc meets E.
+        Radii above d(c_i, E_i), so that every disc meets its body.
+    owner : (N,) int array_like, optional
+        Body of each row; needed for a stack of several bodies.
 
     Returns
     -------
     (N, 2) ndarray
-        Row i is the Steiner point of E cap B(c_i, r_i). Rows are computed
-        independently, in blocks that keep the temporaries small.
+        Row i is the Steiner point of E_i cap B(c_i, r_i). Rows are
+        computed independently, in blocks that keep the temporaries small.
     """
     C = np.atleast_2d(np.asarray(centers, dtype=float))
     if C.ndim != 2 or C.shape[1] != 2:
         raise DimMismatch(f"expected (N, 2) centres, got shape {C.shape}")
     R = np.broadcast_to(np.asarray(radii, dtype=float), (len(C),))
-    verts = body.vertices
-    if len(verts) == 1:
-        return np.repeat(verts, len(C), axis=0)
-    kernel = _segment_disc_steiner if len(verts) == 2 else _polygon_disc_steiner
+    stack, k = _rows_of(bodies, owner, len(C))
+    counts = np.broadcast_to(stack.counts[k], (len(C),))
     out = np.empty((len(C), 2))
-    step = max(1, _PAIR_BLOCK // len(verts))
-    for s in range(0, len(C), step):
-        out[s : s + step] = kernel(verts, C[s : s + step], R[s : s + step])
+    point = counts == 1
+    if np.any(point):
+        kp = k if np.ndim(k) == 0 else k[point]
+        out[point, 0], out[point, 1] = stack.ax[kp, 0], stack.ay[kp, 0]
+    segment = np.flatnonzero(counts == 2)
+    if len(segment):
+        kb = k if np.ndim(k) == 0 else k[segment]
+        out[segment] = _segment_disc_steiner(stack, kb, C[segment], R[segment])
+    polygon = np.flatnonzero(counts >= 3)
+    step = max(1, _PAIR_BLOCK // stack.ax.shape[1])
+    for s in range(0, len(polygon), step):
+        idx = polygon[s : s + step]
+        kb = k if np.ndim(k) == 0 else k[idx]
+        out[idx] = _polygon_disc_steiner(stack, kb, C[idx], R[idx])
     return out
 
 

@@ -362,16 +362,28 @@ def check_HLC(
     tol: float = 1e-9,
 ) -> CheckReport:
     """Value-level continuity: |H(t,x,p) - H(t,y,p)| <= k|p||x-y| + w(|x-y|)
-    on seeded triples; pass when the worst relative excess stays under tol."""
+    on seeded triples; pass when the worst relative excess stays under tol.
+    A NaN excess fails the run and its first (t, x, y, p) is the witness;
+    a run that judges no sample (no triple or no p in the plan) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     worst = -np.inf
     wit: list = []
     ps = plan.p_values(p_max)
-    for t, x, y in plan.triples(spec.t_range, R):
+    triples = plan.triples(spec.t_range, R)
+    if len(triples) == 0 or len(ps) == 0:
+        note = "no sample judged: the sample plan has no (t, x, y) triple or no p"
+        return CheckReport("hlc", worst, "fail", [{"note": note}])
+    for t, x, y in triples:
         lhs = np.abs(np.asarray(spec.eval(t, x, ps)) - np.asarray(spec.eval(t, y, ps)))
         rhs = mod.k_R(R, t) * np.abs(ps) * abs(x - y) + mod.w_R(R, t, abs(x - y))
         rel = (lhs - rhs) / np.maximum(1.0, np.abs(rhs))
+        nan = np.isnan(rel)
+        if np.any(nan):
+            k = int(np.argmax(nan))
+            worst = np.nan
+            wit = [{"t": float(t), "x": float(x), "y": float(y), "p": float(ps[k]), "note": "excess is NaN"}]
+            break
         k = int(np.argmax(rel))
         if rel[k] > worst:
             worst = float(rel[k])

@@ -1,20 +1,22 @@
 """Reference values recomputed from first principles for the test suite.
 
-Apart from the slice oracles, nothing here calls into the package: the
-slice oracles compose the package's grid primitives (a sampled H, its
-conjugate, its edge slopes) the way each caller once wrote them out
-inline, so the slice service can be held to them bit for bit. The
-conjugate oracles are a brute
-maximum over a dense p grid and the chunked all-pairs maximum over the
-finite nodes of a sampled function, the hull oracles are the sequential
-monotone chains (the lower chain over sorted x, and the general 2D hull
-scanning numpy rows), the Steiner oracles are the polygon
-exterior-angle formula and a support-point quadrature over a polygonized
-E cap B(z, r), the Hausdorff oracle works on raw vertex arrays with
-segment arithmetic, the distance oracle measures every point against
-every edge before its inside test, the LLC window oracle runs the grid
-plus ternary search one window at a time, and the representation oracles evaluate one control
-at a time in scalar floats (the hand-written triples from their
+Apart from the slice oracles and the ones handed a triple or an
+evaluator, nothing here calls into the package: the slice oracles compose
+the package's grid primitives (a sampled H, its conjugate, its edge
+slopes) the way each caller once wrote them out inline, so the slice
+service can be held to them bit for bit. The conjugate oracles are a
+brute maximum over a dense p grid and the chunked all-pairs maximum over
+the finite nodes of a sampled function, the hull oracles are the
+sequential monotone chains (the lower chain over sorted x, and the
+general 2D hull scanning numpy rows), the Steiner oracles are the polygon
+exterior-angle formula, a support-point quadrature over a polygonized
+E cap B(z, r) and the closed form written for one body alone, the
+Hausdorff oracle works on raw vertex arrays with segment arithmetic, the
+distance oracle measures every point against every edge before its inside
+test, the LLC window oracle runs the grid plus ternary search one window
+at a time, the Lipschitz oracle audits verify_triple's pairs one control
+at a time through e_eval, and the representation oracles evaluate one
+control at a time in scalar floats (the hand-written triples from their
 formulas, a convexified triple from one evaluation per atom of a base
 evaluator the test passes in). Tests compare library output against
 these so a regression cannot certify itself.
@@ -251,6 +253,59 @@ def dense_points_to_body(points, verts):
     return d
 
 
+def _oracle_turn(ux, uy, wx, wy):
+    return np.arctan2(np.abs(ux * wy - uy * wx), ux * wx + uy * wy)
+
+
+def per_body_disc_steiner(verts, centers, radii):
+    """Steiner points of E cap B(c_i, r_i) for one CCW body E (one or two
+    vertices allowed), by the library's closed form written for that body
+    alone: np.roll edges, its own turns, and one bincount sum per term."""
+    v = np.asarray(verts, dtype=float)
+    C = np.atleast_2d(np.asarray(centers, dtype=float))
+    R = np.broadcast_to(np.asarray(radii, dtype=float), (len(C),))
+    if len(v) == 1:
+        return np.repeat(v, len(C), axis=0)
+    if len(v) == 2:
+        ab = v[1] - v[0]
+        rx = v[0, 0] - C[:, 0]
+        ry = v[0, 1] - C[:, 1]
+        qa = ab[0] * ab[0] + ab[1] * ab[1]
+        hb = rx * ab[0] + ry * ab[1]
+        sq = np.sqrt(np.maximum(hb * hb - qa * (rx * rx + ry * ry - R * R), 0.0))
+        mid = 0.5 * (np.clip((-hb - sq) / qa, 0.0, 1.0) + np.clip((-hb + sq) / qa, 0.0, 1.0))
+        return v[0] + mid[:, None] * ab
+    n_rows = len(C)
+    ab = np.roll(v, -1, axis=0) - v
+    rx = v[None, :, 0] - C[:, 0, None]
+    ry = v[None, :, 1] - C[:, 1, None]
+    r2 = (R * R)[:, None]
+    inside = rx * rx + ry * ry <= r2
+    inside_next = np.roll(inside, -1, axis=1)
+    qa = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+    hb = rx * ab[:, 0] + ry * ab[:, 1]
+    disc = hb * hb - qa * (rx * rx + ry * ry - r2)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t0 = np.where(inside, 0.0, np.clip((-hb - sq) / qa, 0.0, 1.0))
+    t1 = np.where(inside_next, 1.0, np.clip((-hb + sq) / qa, 0.0, 1.0))
+    piece = inside | inside_next | ((disc > 0.0) & (t1 > t0))
+    prev = np.roll(ab, 1, axis=0)
+    vertex_turn = _oracle_turn(prev[:, 0], prev[:, 1], ab[:, 0], ab[:, 1])
+    rows, cols = np.nonzero(inside)
+    sx = np.zeros(n_rows)
+    sy = np.zeros(n_rows)
+    sx += np.bincount(rows, vertex_turn[cols] * rx[rows, cols], minlength=n_rows)
+    sy += np.bincount(rows, vertex_turn[cols] * ry[rows, cols], minlength=n_rows)
+    for t, mask, sign in ((t0, piece & ~inside, 1.0), (t1, piece & ~inside_next, -1.0)):
+        rows, cols = np.nonzero(mask)
+        qx = rx[rows, cols] + t[rows, cols] * ab[cols, 0]
+        qy = ry[rows, cols] + t[rows, cols] * ab[cols, 1]
+        turn = _oracle_turn(-qy, qx, ab[cols, 0], ab[cols, 1])
+        sx += np.bincount(rows, turn * qx + sign * qy, minlength=n_rows)
+        sy += np.bincount(rows, turn * qy - sign * qx, minlength=n_rows)
+    return C + np.stack([sx, sy], axis=1) / (2.0 * np.pi)
+
+
 def grid_ternary_window_min(f, u0, u1, n_u=65, iters=72):
     """Minimum of f (NaN read as +inf) over each window [u0_i, u1_i], one
     window at a time: the lowest of n_u evenly spaced nodes, then a ternary
@@ -328,6 +383,51 @@ def per_set_check_LLC(spec, R, samples, use_oracle=True, p_grid=None, n_u=65, to
     if n_judged == 0:
         return -np.inf, "fail", []
     return worst, "pass" if worst <= tol else "fail", wit
+
+
+def per_pair_lipschitz(triple, window, plan, n_pairs=48, lip_slack=5e-3):
+    """verify_triple's Lipschitz audit one pair at a time: the same draws
+    from the plan's stream 7 (the six (t, x) slabs first, then t, x, y and
+    the two controls of each pair), each side through its own single-control
+    e_eval call. Returns (worst margin, verdict, witness)."""
+    spec = triple.source
+    mod = spec.modulus
+    rng = plan.rng(7)
+    t_lo, t_hi = window.t_range
+    x_lo, x_hi = window.x_range
+    R = max(abs(x_lo), abs(x_hi))
+    rng.uniform(t_lo, t_hi, 6)
+    rng.uniform(x_lo, x_hi, 6)
+    control = triple.control
+    worst, wit = -np.inf, []
+    for _ in range(n_pairs):
+        t = float(rng.uniform(t_lo, t_hi))
+        x = float(rng.uniform(x_lo, x_hi))
+        y = float(rng.uniform(x_lo, x_hi))
+        if control.kind == "unit_ball":
+            raw = rng.normal(size=(2, 2))
+            nrm = np.linalg.norm(raw, axis=1, keepdims=True)
+            a, b = raw / np.maximum(nrm, 1e-12) * rng.uniform(0.0, 1.0, (2, 1))
+        elif control.kind == "full_space":
+            a, b = rng.uniform(-2.0, 2.0, (2, 2))
+        elif control.kind == "interval":
+            a, b = rng.uniform(control.lo, control.hi, (2, 1))
+        else:
+            a, b = control.points[rng.integers(0, len(control.points), 2)]
+        ea = np.asarray(triple.e_eval(t, x, a), dtype=float)
+        eb = np.asarray(triple.e_eval(t, y, b), dtype=float)
+        lhs = float(np.linalg.norm(ea - eb))
+        d = abs(x - y)
+        Ma, Mb = triple.scaling.eval(t, x), triple.scaling.eval(t, y)
+        scaled = float(np.linalg.norm(Ma * np.atleast_1d(a) - Mb * np.atleast_1d(b)))
+        k = float(mod.k_R(R, t))
+        w = float(mod.w_R(R, t, d))
+        rhs = 10.0 * (spec.n + 1) * (k * d + w + scaled)
+        if lhs - rhs > worst:
+            worst = lhs - rhs
+            mixed = 5.0 * (spec.n + 1) * (2.0 * k * d + 2.0 * w + scaled)
+            wit = [{"t": t, "x": x, "y": y, "lhs": lhs, "rhs_combined": rhs, "rhs_mixed": mixed}]
+    return worst, "pass" if worst <= lip_slack else "fail", wit
 
 
 def brute_hausdorff(averts, bverts):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import point_polygon_distance, quadrature_disc_steiner
+from _oracles import per_pair_lipschitz, point_polygon_distance, quadrature_disc_steiner
 from conftest import FAST_APLAN, FAST_PLAN, FAST_POLICY
 from hamrep import zoo
 from hamrep.builder import (
@@ -114,19 +114,16 @@ def test_e_table_selections_match_quadrature_oracle(name, kind, x):
     # re-derive each moved row's body as e_points routes it: the distance
     # to the preliminary epigraph sets the cap of the body it is projected on
     lmin = core.slice(T0, x).min_value()
-    zcap = np.maximum(np.abs(Z[moved, 1]), lmin)
-    d = np.empty(len(moved))
-    for epi, rows in core._ladder(T0, x, zcap + 10.0):
-        d[rows] = [point_polygon_distance(z, epi.body.vertices) for z in Z[moved[rows]]]
     worst = 0.0
-    for epi, rows in core._ladder(T0, x, zcap + 6.0 * d + 1.0):
-        verts = epi.body.vertices
+    for i in moved:
+        zcap = max(abs(Z[i, 1]), lmin)
+        d = point_polygon_distance(Z[i], core.epigraph(T0, x, zcap + 10.0).body.vertices)
+        verts = core.epigraph(T0, x, zcap + 6.0 * d + 1.0).body.vertices
         if name == "ex_2_1":
             assert len(verts) == 2
-        for i in moved[rows]:
-            r = 2.0 * point_polygon_distance(Z[i], verts)
-            want = quadrature_disc_steiner(verts, Z[i], r)
-            worst = max(worst, float(np.linalg.norm(got[i] - want)))
+        r = 2.0 * point_polygon_distance(Z[i], verts)
+        want = quadrature_disc_steiner(verts, Z[i], r)
+        worst = max(worst, float(np.linalg.norm(got[i] - want)))
     assert worst <= 5e-4
 
 
@@ -196,6 +193,77 @@ def test_verify_triple_noncompact(ex22_noncompact_fast):
 def test_verify_triple_compact(ex22_compact_fast):
     reports = verify_triple(ex22_compact_fast, Window(), plan=FAST_PLAN, n_pairs=12)
     assert all(r.verdict == "pass" for r in reports)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_e_rows_equal_single_e_eval(ex22_noncompact_fast, ex22_compact_fast, seed):
+    # rows at many (t, x), some repeated so that slabs share a batch, and a
+    # scalar (t, x) serving every row, against one e_eval call per control
+    rng = np.random.default_rng(seed)
+    n = 24
+    ts = rng.choice([0.2, 0.5, rng.uniform(0.0, 1.0)], n)
+    xs = rng.choice([-1.0, 0.0, 0.3, rng.uniform(-1.0, 1.0)], n)
+    for triple in (ex22_noncompact_fast, ex22_compact_fast):
+        if triple.control.kind == "unit_ball":
+            A = rng.normal(size=(n, 2))
+            A *= rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(A, axis=1, keepdims=True)
+        else:
+            A = rng.uniform(-3.0, 3.0, (n, 2))
+        got = triple.e_rows(ts, xs, A)
+        want = np.array([triple.e_eval(t, x, a) for t, x, a in zip(ts.tolist(), xs.tolist(), A)])
+        assert got.shape == (n, 2) and np.array_equal(got, want)
+        one = triple.e_rows(0.5, xs[0], A)
+        assert np.array_equal(one, triple.e_eval(0.5, xs[0], A))
+
+
+def test_e_rows_validates_controls(ex22_compact_fast):
+    with pytest.raises(ConfigError):
+        ex22_compact_fast.e_rows([0.5, 0.5], [0.0, 0.1], np.array([[0.1, 0.2], [1.2, 0.9]]))
+
+
+def _lipschitz_cases():
+    near_zero = Window(x_range=(-0.15, 0.15))
+    return [
+        ("ex_2_2", build_noncompact, Window()),
+        ("ex_2_2", build_compact, Window()),
+        # ex_2_1 near x = 0: two-vertex slices mixed with small polygons
+        ("ex_2_1", build_noncompact, near_zero),
+        ("ex_2_1", build_compact, near_zero),
+        # a formula triple answers e_rows with its default loop over e_eval
+        ("hat_rep_ex_2_1", None, Window()),
+    ]
+
+
+@pytest.mark.parametrize("name, build, window", _lipschitz_cases())
+def test_verify_triple_lipschitz_matches_per_pair_oracle(name, build, window):
+    def fresh():
+        if build is None:
+            return getattr(zoo, name)()
+        return build(zoo.builtin(name), grids=FAST_POLICY, plan=FAST_APLAN)
+
+    reports = {r.check: r for r in verify_triple(fresh(), window, plan=FAST_PLAN, n_pairs=24)}
+    got = reports["triple_lipschitz"]
+    worst, verdict, wit = per_pair_lipschitz(fresh(), window, FAST_PLAN, n_pairs=24)
+    assert np.float64(got.worst_margin).tobytes() == np.float64(worst).tobytes()
+    assert (got.verdict, got.witnesses) == (verdict, wit)
+
+
+def test_verify_triple_batches_each_side_of_the_pairs(monkeypatch):
+    # one e_rows call per side; e_eval only ever sees e_table's control stacks
+    triple = build_compact(zoo.builtin("ex_2_2"), grids=FAST_POLICY, plan=FAST_APLAN)
+    rows, singles = [], []
+    e_rows, e_eval = triple.e_rows, triple.e_eval
+    monkeypatch.setattr(triple, "e_rows", lambda ts, xs, A: rows.append(len(A)) or e_rows(ts, xs, A))
+
+    def counted(t, x, a):
+        singles.append(np.ndim(a) < 2)
+        return e_eval(t, x, a)
+
+    monkeypatch.setattr(triple, "e_eval", counted)
+    verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=12)
+    assert rows == [12, 12]
+    assert singles and not any(singles)
 
 
 @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0])

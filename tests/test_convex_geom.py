@@ -19,6 +19,7 @@ from _oracles import (
     dense_points_to_body,
     exterior_angle_steiner,
     numpy_row_convex_hull,
+    per_body_disc_steiner,
     quadrature_disc_steiner,
 )
 
@@ -339,6 +340,84 @@ def test_points_to_body_across_pair_blocks_matches_dense_oracle():
     want = dense_points_to_body(pts, body.vertices)
     assert not np.any(want[:step]) and np.any(want[step:])
     _assert_same_bits(cg._points_to_body(pts, body), want)
+
+
+def _mixed_bodies(rng, n_bodies, n_max=12):
+    """Random bodies of mixed vertex counts, always with a point, a segment
+    and a polygon among them, so the stack pads some rows."""
+    counts = [1, 2, 3] + [int(rng.integers(1, n_max + 1)) for _ in range(n_bodies - 3)]
+    rng.shuffle(counts)
+    bodies = []
+    for n in counts:
+        while True:
+            body = cg.ConvexBody(rng.normal(scale=2.0, size=(n, 2)) + rng.uniform(-4.0, 4.0, 2))
+            # redraw a degenerate point, segment or triangle
+            if n > 3 or len(body.vertices) == n:
+                break
+        bodies.append(body)
+    return bodies
+
+
+def _assert_stacked_kernels_match(rng, bodies, rows_per_body):
+    stack = cg.BodyStack(bodies)
+    owner = np.concatenate([np.full(rows_per_body, b) for b in range(len(bodies))])
+    pts = []
+    for body in bodies:
+        probes = _probe_points(rng, body) if len(body.vertices) >= 3 else body.vertices
+        fill = rng.uniform(-9.0, 9.0, (max(0, rows_per_body - len(probes)), 2))
+        pts.append(np.vstack([probes, fill])[:rows_per_body])
+    pts = np.vstack(pts)
+    order = rng.permutation(len(owner))
+    owner, pts = owner[order], pts[order]
+    d = cg.distance(pts, stack, owner)
+    for b, body in enumerate(bodies):
+        rows = owner == b
+        _assert_same_bits(d[rows], dense_points_to_body(pts[rows], body.vertices))
+    # the selection's radius 2 d, and radii that clip or swallow the body
+    far = np.flatnonzero(d > 0.0)
+    radii = 2.0 * d[far] * rng.choice([1.0, 0.6, 3.0], len(far))
+    radii = np.maximum(radii, d[far] * (1.0 + 1e-9))
+    got = cg.disc_steiner(stack, pts[far], radii, owner[far])
+    for b, body in enumerate(bodies):
+        rows = owner[far] == b
+        want = per_body_disc_steiner(body.vertices, pts[far][rows], radii[rows])
+        _assert_same_bits(got[rows], want)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_stacked_kernels_match_per_body_oracles_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    bodies = _mixed_bodies(rng, int(rng.integers(3, 9)))
+    assert len({len(b.vertices) for b in bodies}) >= 3
+    _assert_stacked_kernels_match(rng, bodies, 40)
+
+
+def test_stacked_kernels_across_pair_blocks_match_per_body_oracles():
+    # 12 columns give blocks of _PAIR_BLOCK // 12 rows; 3 bodies x 4000 rows
+    # make one full block and a partial one, each mixing bodies
+    rng = np.random.default_rng(9)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 12))
+    ellipse = cg.ConvexBody(np.stack([3.0 * np.cos(ang), np.sin(ang)], axis=1))
+    bodies = [ellipse, _random_poly(rng), cg.ConvexBody(SQUARE)]
+    stack = cg.BodyStack(bodies)
+    assert stack.ax.shape[1] == 12 and 3 * 4000 > cg._PAIR_BLOCK // 12
+    _assert_stacked_kernels_match(rng, bodies, 4000)
+
+
+def test_body_stack_rejects_missing_or_misshapen_owners():
+    bodies = [cg.ConvexBody(SQUARE), cg.ConvexBody(TRIANGLE)]
+    stack = cg.BodyStack(bodies)
+    with pytest.raises(ValueError):
+        cg.distance(np.zeros((3, 2)), stack)
+    with pytest.raises(DimMismatch):
+        cg.disc_steiner(stack, np.ones((3, 2)) * 5.0, 6.0, owner=[0, 1])
+    with pytest.raises(EmptyBody):
+        cg.BodyStack([])
+    # a stack of one is the body itself
+    pts = np.array([[0.5, 0.5], [3.0, -1.0]])
+    one = cg.BodyStack(bodies[:1])
+    assert np.array_equal(cg.distance(pts, one, owner=[0, 0]), cg.distance(pts, bodies[0]))
 
 
 # ----------------------------------------------------------- hausdorff

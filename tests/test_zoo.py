@@ -256,3 +256,23 @@ def test_check_MLC_fails_when_it_judges_no_triple():
     rep = zoo.check_MLC(zoo.builtin("ex_2_2"), R=2.0, samples=SamplePlan(n_triples=0))
     assert rep.verdict == "fail" and rep.worst_margin == -np.inf
     assert rep.witnesses == [{"note": "no triple judged: the sample plan is empty"}]
+
+
+def test_check_HLC_fails_on_a_nan_excess_and_names_its_sample():
+    # sqrt(p) is NaN for every p < 0, so the first triple's first negative p
+    # is the witness
+    spec = compile_hamiltonian({"name": "nanny", "H": "sqrt(p) + abs(x)"})
+    with np.errstate(all="ignore"):
+        rep = zoo.check_HLC(spec, R=2.0, samples=SMALL_PLAN)
+    t, x, y = SMALL_PLAN.triples(spec.t_range, 2.0)[0]
+    ps = SMALL_PLAN.p_values(10.0)
+    p = ps[np.argmax(ps < 0.0)]
+    assert rep.verdict == "fail" and np.isnan(rep.worst_margin)
+    assert rep.witnesses == [{"t": t, "x": x, "y": y, "p": p, "note": "excess is NaN"}]
+
+
+@pytest.mark.parametrize("plan", [SamplePlan(n_triples=0), SamplePlan(n_p=0)])
+def test_check_HLC_fails_when_it_judges_no_sample(plan):
+    rep = zoo.check_HLC(zoo.builtin("ex_2_2"), R=2.0, samples=plan)
+    assert rep.verdict == "fail" and rep.worst_margin == -np.inf
+    assert rep.witnesses == [{"note": "no sample judged: the sample plan has no (t, x, y) triple or no p"}]
