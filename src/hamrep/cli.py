@@ -263,6 +263,13 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
         raise ConfigError(f"fixed_t={cfg.fixed_t} lies outside window.t_range")
     if cfg.triple == "all" and command != "compactness":
         raise ConfigError('triple "all" is only valid for the compactness command')
+    # keys the document sets that the chosen branch would ignore
+    for key in ("hamiltonian", "kind"):
+        if cfg.triple is not None and key in values:
+            raise ConfigError(f'"{key}" has no effect next to a "triple": {command} runs the named triple')
+    for key in ("kind", "fixed_t"):
+        if cfg.family == "all" and key in values:
+            raise ConfigError(f'"{key}" has no effect with family "all": the suite sets each family\'s own')
     if isinstance(cfg.hamiltonian, list) and command not in ("check", *_BUILDERS):
         raise ConfigError('a "hamiltonian" list of builtin names is only valid for check/represent/verify')
     if cfg.summand is not None:

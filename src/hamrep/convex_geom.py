@@ -2,13 +2,13 @@
 
 Bodies are convex polygons in the (v, eta) plane stored as CCW vertex loops
 in strictly convex position (degenerate bodies with one or two vertices are
-first-class). All metric operations (support, distance, Hausdorff) are exact
-on polygons up to float rounding, and so are the Steiner points: `steiner`
-of a body and `disc_steiner` of a body cut by discs, which gives the
-selection e = Steiner point of P(z, E) = E cap B(z, 2 d(z, E)) without
-building P. Discretization enters only through the circle arcs of
-`proj_map`, which builds P as a polygon for the projection-map audit of
-`geometry_suite`.
+first-class). All metric operations (distance, Hausdorff) are exact on
+polygons up to float rounding, and so are the Steiner points: `steiner` of
+a body and `disc_steiner` of a body cut by discs. `steiner_selection`
+composes them into the selection e = Steiner point of P(z, E) =
+E cap B(z, 2 d(z, E)) without building P; it is the selection the
+builders run and the one `geometry_suite` audits. Only `ball` polygonizes
+a disc, for the Hausdorff audit.
 
 `distance` and `disc_steiner` are stacked kernels: they take one body, or
 a `BodyStack` of bodies padded into common edge arrays together with the
@@ -18,8 +18,6 @@ the rows. Each row's result is bit for bit what its body alone gives.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -127,10 +125,6 @@ class ConvexBody:
         body.vertices = vertices
         body._stack = None
         return body
-
-    @property
-    def scale(self) -> float:
-        return float(max(1.0, np.max(np.abs(self.vertices))))
 
     @property
     def stack(self) -> "BodyStack":
@@ -244,15 +238,6 @@ def _left_of_edges(rx, ry, ex, ey, tol) -> np.ndarray:
     return np.all(cross >= -tol, axis=1)
 
 
-def _inside_mask(points: np.ndarray, body: ConvexBody) -> np.ndarray:
-    """Boolean mask of points lying in the body (within its eps)."""
-    if len(body.vertices) >= 3:
-        s = body.stack
-        rx, ry = points[:, 0, None] - s.ax[0], points[:, 1, None] - s.ay[0]
-        return _left_of_edges(rx, ry, s.ex[0], s.ey[0], s.tol[0])
-    return _points_to_body(points, body) <= _EPS_BASE * body.scale
-
-
 def _segment_params(rx, ry, ex, ey, den):
     """Parameter in [0, 1] of the nearest point on each segment."""
     return np.clip((rx * ex + ry * ey) / den, 0.0, 1.0)
@@ -317,69 +302,6 @@ def distance(y, bodies, owner=None):
     return _points_to_body(p, bodies, owner)
 
 
-def project_point(y, body: ConvexBody) -> np.ndarray:
-    """Nearest point of the body to y (y itself when inside)."""
-    p = np.asarray(y, dtype=float)
-    verts = body.vertices
-    if len(verts) == 1:
-        return verts[0].copy()
-    if len(verts) >= 3 and bool(_inside_mask(p[None, :], body)[0]):
-        return p.copy()
-    s = body.stack
-    m = len(verts) if len(verts) >= 3 else 1
-    ax, ay, ex, ey = s.ax[0, :m], s.ay[0, :m], s.ex[0, :m], s.ey[0, :m]
-    rx, ry = p[0] - ax, p[1] - ay
-    t = _segment_params(rx, ry, ex, ey, s.den[0, :m])
-    dx = rx - t * ex
-    dy = ry - t * ey
-    k = int(np.argmin(dx * dx + dy * dy))
-    return np.array([ax[k] + t[k] * ex[k], ay[k] + t[k] * ey[k]])
-
-
-def support(body: ConvexBody, direction) -> tuple[float, np.ndarray]:
-    """Support value and a canonical support point.
-
-    Parameters
-    ----------
-    body : ConvexBody
-    direction : array_like
-        Nonzero direction; rescaling it leaves the support point unchanged
-        (the value scales linearly when not normalized here, so the input
-        is normalized first).
-
-    Returns
-    -------
-    (float, ndarray)
-        max_{z in body} <u, z> over the normalized direction u, and the
-        minimal-norm point of the maximizing face.
-    """
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (2,):
-        raise DimMismatch(f"direction must be a 2-vector, got shape {u.shape}")
-    nrm = float(np.linalg.norm(u))
-    if nrm == 0.0 or not np.isfinite(nrm):
-        raise ValueError("direction must be nonzero and finite")
-    u = u / nrm
-    verts = body.vertices
-    vals = verts @ u
-    vmax = float(np.max(vals))
-    tie_tol = _EPS_BASE * max(1.0, abs(vmax)) * 10.0
-    idx = np.nonzero(vals >= vmax - tie_tol)[0]
-    if len(idx) == 1:
-        return vmax, verts[idx[0]].copy()
-    # maximizing face is a segment; take its minimal-norm point
-    perp = np.array([-u[1], u[0]])
-    s = verts[idx] @ perp
-    a = verts[idx[int(np.argmin(s))]]
-    b = verts[idx[int(np.argmax(s))]]
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom <= 1e-300:
-        return vmax, a.copy()
-    t = min(1.0, max(0.0, float(-(a @ ab) / denom)))
-    return vmax, a + t * ab
-
-
 def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
     """Hausdorff distance between two polygon bodies (exact for polygons:
     each directed excess is attained at a vertex)."""
@@ -433,56 +355,6 @@ def containment_gap(outer: ConvexBody, inner: ConvexBody) -> float:
     """Worst distance from an extreme point of inner to outer (0 when
     inner is contained)."""
     return float(np.max(_points_to_body(inner.vertices, outer)))
-
-
-def proj_map(y, body: ConvexBody, arc_deg: float = 0.5) -> ConvexBody:
-    """Projection-map body P(y, K) = K intersected with B(y, 2 d(y, K)).
-
-    The disc radius is the exact doubled distance; only the circular arcs
-    are discretized, at `arc_deg` degree resolution. For y inside K the
-    result is the singleton {y}.
-    """
-    p = np.asarray(y, dtype=float)
-    if p.shape != (2,):
-        raise DimMismatch("point must be a 2-vector")
-    verts = body.vertices
-    if len(verts) == 1:
-        return ConvexBody(verts)
-    d = distance(p, body)
-    if d == 0.0:
-        return ConvexBody(p[None, :])
-    r = 2.0 * d
-    cand = [project_point(p, body)[None, :]]
-
-    keep = np.linalg.norm(verts - p, axis=1) <= r * (1.0 + 1e-12)
-    if np.any(keep):
-        cand.append(verts[keep])
-
-    a = verts if len(verts) >= 3 else verts[:1]
-    b = np.roll(verts, -1, axis=0) if len(verts) >= 3 else verts[1:]
-    ab = b - a
-    qa = np.einsum("ij,ij->i", ab, ab)
-    qb = 2.0 * np.einsum("ij,ij->i", ab, a - p[None, :])
-    qc = np.einsum("ij,ij->i", a - p[None, :], a - p[None, :]) - r * r
-    disc = qb * qb - 4.0 * qa * qc
-    ok = (disc >= 0) & (qa > 1e-300)
-    if np.any(ok):
-        sq = np.sqrt(disc[ok])
-        for sign in (-1.0, 1.0):
-            t = (-qb[ok] + sign * sq) / (2.0 * qa[ok])
-            good = (t >= -1e-12) & (t <= 1.0 + 1e-12)
-            if np.any(good):
-                tt = np.clip(t[good], 0.0, 1.0)
-                cand.append(a[ok][good] + tt[:, None] * ab[ok][good])
-
-    n_arc = max(8, int(math.ceil(360.0 / arc_deg)))
-    theta = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
-    circ = p[None, :] + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    inside = _inside_mask(circ, body)
-    if np.any(inside):
-        cand.append(circ[inside])
-
-    return ConvexBody(np.concatenate(cand, axis=0))
 
 
 def _turn(ux, uy, wx, wy):
@@ -626,6 +498,20 @@ def disc_steiner(bodies, centers, radii, owner=None) -> np.ndarray:
     return out
 
 
+def steiner_selection(points, bodies, owner=None) -> np.ndarray:
+    """Selections e(z, E) = Steiner point of P(z, E) = E cap B(z, 2 d(z, E))
+    for an (N, 2) stack of points, row i against body owner[i] of a
+    BodyStack (or one body for all rows). A row inside its body (d = 0)
+    maps to itself; the others go through `disc_steiner` at radius 2 d."""
+    out = np.array(points, dtype=float)
+    d = distance(out, bodies, owner)
+    far = np.flatnonzero(d > 0.0)
+    if len(far):
+        rows_owner = None if owner is None else np.asarray(owner)[far]
+        out[far] = disc_steiner(bodies, out[far], 2.0 * d[far], rows_owner)
+    return out
+
+
 def _random_polygon(rng: np.random.Generator, center_scale: float = 6.0, spread: float = 2.5) -> ConvexBody:
     c = rng.uniform(-center_scale, center_scale, 2)
     k = int(rng.integers(3, 10))
@@ -633,15 +519,22 @@ def _random_polygon(rng: np.random.Generator, center_scale: float = 6.0, spread:
 
 
 def geometry_suite(plan=None, n_pairs: int = 200) -> list:
-    """Seeded property audit of the selection-map kernels.
+    """Seeded property audit of the selection kernels.
 
-    Checks, with the slacks stated next to each: the projection map is
-    5-Lipschitz jointly in point and body (+1e-3 arc-discretization slack),
-    the Steiner point is 2-Lipschitz in Hausdorff distance (5% slack, kept
-    from the former quadrature) and lies in its body (1e-6), the reference
-    triangle matches its exterior-angle value (2e-3), polygonized balls obey
+    Checks, with the slacks stated next to each: the production selection
+    `steiner_selection` is (20/pi)-Lipschitz jointly in point and body, and
+    the Steiner point is (4/pi)-Lipschitz in Hausdorff distance (both
+    1e-9) and lies in its body (1e-6); the reference triangle matches its
+    exterior-angle value (2e-3), polygonized balls obey
     H(B(x,r),B(y,s)) <= |x-y|+|r-s| (5e-4), and hausdorff behaves as a
     metric (symmetry exact, triangle inequality 1e-9).
+
+    The Steiner bound: in the plane s(K) = (1/pi) int h_K(u) u dtheta over
+    the unit directions u = (cos theta, sin theta) (Schneider, Convex
+    Bodies, 1.7), and |h_K - h_L| <= delta = H(K, L), so for a unit vector
+    w, <s(K) - s(L), w> <= (delta/pi) int |cos theta| dtheta = 4 delta/pi.
+    The projection map P(z, E) is 5-Lipschitz jointly in point and body,
+    so e = s(P) is (5 * 4/pi)-Lipschitz.
     """
     from .report import CheckReport
     from .sampling import SamplePlan
@@ -650,7 +543,7 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     rng = plan.rng(11)
     reports: list[CheckReport] = []
 
-    worst_proj, wit_proj = -np.inf, []
+    pairs = []
     worst_st, wit_st = -np.inf, []
     worst_member = -np.inf
     for i in range(n_pairs):
@@ -660,22 +553,29 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
         else:
             D = _random_polygon(rng)
         hKD = hausdorff(K, D)
-
         x = rng.uniform(-9.0, 9.0, 2)
         y = x + rng.normal(0.0, 0.5, 2) if i % 2 == 0 else rng.uniform(-9.0, 9.0, 2)
-        lhs = hausdorff(proj_map(x, K), proj_map(y, D))
-        gap = lhs - 5.0 * (hKD + float(np.linalg.norm(x - y)))
-        if gap > worst_proj:
-            worst_proj, wit_proj = float(gap), [{"pair": i, "hKD": float(hKD)}]
+        pairs.append((K, D, x, y, hKD))
 
         sK = steiner(K)
         sD = steiner(D)
-        gap = float(np.linalg.norm(sK - sD)) - 2.0 * 1.05 * hKD
+        gap = float(np.linalg.norm(sK - sD)) - (4.0 / np.pi) * hKD
         if gap > worst_st:
             worst_st, wit_st = float(gap), [{"pair": i, "hKD": float(hKD)}]
         worst_member = max(worst_member, distance(sK, K), distance(sD, D))
+
+    worst_sel, wit_sel = -np.inf, []
+    if pairs:
+        Ks, Ds, X, Y, H = zip(*pairs)
+        X, Y, H = np.array(X), np.array(Y), np.array(H)
+        rows = np.arange(len(pairs))
+        eK = steiner_selection(X, BodyStack(Ks), rows)
+        eD = steiner_selection(Y, BodyStack(Ds), rows)
+        gaps = np.linalg.norm(eK - eD, axis=1) - (20.0 / np.pi) * (H + np.linalg.norm(X - Y, axis=1))
+        i = int(np.argmax(gaps))
+        worst_sel, wit_sel = float(gaps[i]), [{"pair": i, "hKD": float(H[i])}]
     reports.append(
-        CheckReport("projection_lipschitz", worst_proj, "pass" if worst_proj <= 1e-3 else "fail", wit_proj)
+        CheckReport("selection_lipschitz", worst_sel, "pass" if worst_sel <= 1e-9 else "fail", wit_sel)
     )
     reports.append(
         CheckReport("steiner_lipschitz", worst_st, "pass" if worst_st <= 1e-9 else "fail", wit_st)

@@ -172,15 +172,6 @@ class ConvexGridFunction:
         return out
 
 
-@dataclasses.dataclass(frozen=True)
-class Epigraph:
-    """Truncated epigraph {(v, eta) : fn(v) <= eta <= eta_cap} as a polygon."""
-
-    body: ConvexBody
-    eta_cap: float
-    grid_h: float = 0.0
-
-
 _PRUNE_PASSES = 32
 
 
@@ -315,14 +306,6 @@ def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:
     return float((vals[1] - vals[0]) / h), float((vals[-1] - vals[-2]) / h)
 
 
-def restrict(fn: ConvexGridFunction, lo: float, hi: float) -> ConvexGridFunction:
-    """Copy of fn with values outside [lo, hi] set to +inf."""
-    nodes = fn.grid.nodes()
-    vals = fn.values.copy()
-    vals[(nodes < lo) | (nodes > hi)] = np.inf
-    return ConvexGridFunction(fn.grid, vals, convex_flag=fn.convex_flag)
-
-
 def _trust_halfwidth(s_lo: float, s_hi: float) -> float:
     return max(abs(s_lo), abs(s_hi)) + 1.0
 
@@ -439,20 +422,20 @@ def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:
     return ConvexBody._from_loop(loop)
 
 
-def build_epigraph(fn: ConvexGridFunction, eta_cap: float) -> Epigraph:
+def build_epigraph(fn: ConvexGridFunction, eta_cap: float) -> ConvexBody:
     """Polygon for {(v, eta) : fn(v) <= eta <= eta_cap}.
 
     Raises CapTooLow when the cap does not rise strictly above min fn.
     """
     if eta_cap <= fn.min_value():
         raise CapTooLow(f"eta_cap {eta_cap} <= min value {fn.min_value()}")
-    return Epigraph(_truncated_polygon(fn, eta_cap), float(eta_cap), fn.grid.h)
+    return _truncated_polygon(fn, eta_cap)
 
 
-def build_bounded_epigraph(fn: ConvexGridFunction, lambda_val: float) -> Epigraph:
+def build_bounded_epigraph(fn: ConvexGridFunction, lambda_val: float) -> ConvexBody:
     """Polygon for the slice {fn <= eta <= lambda_val}; lambda_val may sit
     exactly at min fn (degenerate argmin segment). Raises EmptyResult when
     the slice is empty."""
     if lambda_val < fn.min_value():
         raise EmptyResult(f"lambda {lambda_val} < min value {fn.min_value()}")
-    return Epigraph(_truncated_polygon(fn, lambda_val), float(lambda_val), fn.grid.h)
+    return _truncated_polygon(fn, lambda_val)

@@ -235,7 +235,7 @@ def _common_cap_hausdorff(tri: RepresentationTriple, limit: RepresentationTriple
     cap = max(fi.min_value(), f0.min_value()) + 5.0
     Ei = build_epigraph(fi, cap)
     E0 = build_epigraph(f0, cap)
-    return float(cg.hausdorff(Ei.body, E0.body))
+    return float(cg.hausdorff(Ei, E0))
 
 
 def representation_convergence(
@@ -332,19 +332,19 @@ def epigraph_limit_check(
     slices = {i: slice_of(family.spec_for(i), t_star + dt / i, x_star + dx / i) for i in family.indices}
     cap = max([f0.min_value()] + [s.min_value() for s in slices.values()]) + 5.0
     E0 = build_epigraph(f0, cap)
-    d0 = cg.distance(probes, E0.body)
+    d0 = cg.distance(probes, E0)
 
     errs, wit = [], []
     for i in family.indices:
         Ei = build_epigraph(slices[i], cap)
-        di = cg.distance(probes, Ei.body)
+        di = cg.distance(probes, Ei)
         err = float(np.max(np.abs(di - d0)))
         errs.append(err)
         wit.append(
             {
                 "i": i,
                 "worst_distance_err": err,
-                "hausdorff": float(cg.hausdorff(Ei.body, E0.body)),
+                "hausdorff": float(cg.hausdorff(Ei, E0)),
             }
         )
     ok = errs[-1] <= max(ratio * errs[0], 0.0) and errs[-1] <= abs_tol

@@ -580,8 +580,8 @@ def check_MLC(
         cap = max(Lx.min_value(), Ly.min_value()) + cap_rise
         Ex = build_epigraph(Lx, cap)
         Ey = build_epigraph(Ly, cap + w)
-        inflated = cg.minkowski_inflate(Ey.body, kd, w)
-        gap = cg.containment_gap(inflated, Ex.body)
+        inflated = cg.minkowski_inflate(Ey, kd, w)
+        gap = cg.containment_gap(inflated, Ex)
         if np.isnan(gap):
             worst = np.nan
             wit = [{"t": float(t), "x": float(x), "y": float(y), "note": "containment gap is NaN"}]

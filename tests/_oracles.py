@@ -1,7 +1,12 @@
 """Reference values recomputed from first principles for the test suite.
 
-Apart from the slice oracles and the ones handed a triple or an
-evaluator, nothing here calls into the package: the slice oracles compose
+Apart from the slice oracles, the ones handed a triple or an evaluator,
+and the former library kernels, nothing here calls into the package. The
+former library kernels are `support`, `restrict`, `project_point`,
+`inside_mask`, `body_scale` and the polygonized projection map `proj_map`
+with its `arc_deg` arc resolution: they left the package when nothing in
+it called them any more, and they stay here as references on the
+package's bodies and grid functions. The slice oracles compose
 the package's grid primitives (a sampled H, its conjugate, its edge
 slopes) the way each caller once wrote them out inline, so the slice
 service can be held to them bit for bit. The conjugate oracles are a
@@ -22,11 +27,14 @@ evaluator the test passes in). Tests compare library output against
 these so a regression cannot certify itself.
 """
 
+import math
+
 import numpy as np
 
 from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
 from hamrep import zoo
+from hamrep.errors import DimMismatch
 
 # sup over |p| <= 50 of (0.1 p - H_2_3(t, 0, p)) sits at p = -50 where
 # H = -2 sqrt(50); the true L(0.1) = 10 needs slope 100, outside the
@@ -522,3 +530,133 @@ def inline_probe_values(spec, t, x, p_grid, margin=0.1, count=201):
     if vhi <= vlo:
         return np.array([0.5 * (max(lo, s_lo) + min(hi, s_hi))])
     return np.linspace(vlo, vhi, count)
+
+
+# ------------------------------------------ former library kernels
+#
+# Kept as references after leaving the package: the production selection is
+# `convex_geom.steiner_selection`, exact, and nothing in the package called
+# these. Each is the library code as it was, on the package's public bodies.
+
+
+def body_scale(body):
+    """max(1, max |vertex coordinate|): the size the package's tolerances
+    scale with (the former `ConvexBody.scale`)."""
+    return float(max(1.0, np.max(np.abs(body.vertices))))
+
+
+def support(body, direction):
+    """Support value and a canonical support point (the former
+    `convex_geom.support`): max over the body of <u, z> for the normalized
+    direction u, and the minimal-norm point of the maximizing face."""
+    u = np.asarray(direction, dtype=float)
+    if u.shape != (2,):
+        raise DimMismatch(f"direction must be a 2-vector, got shape {u.shape}")
+    nrm = float(np.linalg.norm(u))
+    if nrm == 0.0 or not np.isfinite(nrm):
+        raise ValueError("direction must be nonzero and finite")
+    u = u / nrm
+    verts = body.vertices
+    vals = verts @ u
+    vmax = float(np.max(vals))
+    tie_tol = 1e-12 * max(1.0, abs(vmax)) * 10.0
+    idx = np.nonzero(vals >= vmax - tie_tol)[0]
+    if len(idx) == 1:
+        return vmax, verts[idx[0]].copy()
+    # maximizing face is a segment; take its minimal-norm point
+    perp = np.array([-u[1], u[0]])
+    s = verts[idx] @ perp
+    a = verts[idx[int(np.argmin(s))]]
+    b = verts[idx[int(np.argmax(s))]]
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom <= 1e-300:
+        return vmax, a.copy()
+    t = min(1.0, max(0.0, float(-(a @ ab) / denom)))
+    return vmax, a + t * ab
+
+
+def restrict(fn, lo, hi):
+    """Copy of a grid function with values outside [lo, hi] set to +inf
+    (the former `fenchel.restrict`)."""
+    nodes = fn.grid.nodes()
+    vals = fn.values.copy()
+    vals[(nodes < lo) | (nodes > hi)] = np.inf
+    return fl.ConvexGridFunction(fn.grid, vals, convex_flag=fn.convex_flag)
+
+
+def inside_mask(points, body):
+    """Points lying in the body within its inside tolerance (the former
+    `convex_geom._inside_mask`): left of every edge of a polygon, within
+    1e-12 max(1, max |vertex|) of a point or segment."""
+    if len(body.vertices) >= 3:
+        s = body.stack
+        rx, ry = points[:, 0, None] - s.ax[0], points[:, 1, None] - s.ay[0]
+        return np.all(s.ex[0] * ry - s.ey[0] * rx >= -s.tol[0], axis=1)
+    return cg.distance(points, body) <= 1e-12 * body_scale(body)
+
+
+def project_point(y, body):
+    """Nearest point of the body to y, y itself when inside (the former
+    `convex_geom.project_point`)."""
+    p = np.asarray(y, dtype=float)
+    verts = body.vertices
+    if len(verts) == 1:
+        return verts[0].copy()
+    if len(verts) >= 3 and bool(inside_mask(p[None, :], body)[0]):
+        return p.copy()
+    s = body.stack
+    m = len(verts) if len(verts) >= 3 else 1
+    ax, ay, ex, ey = s.ax[0, :m], s.ay[0, :m], s.ex[0, :m], s.ey[0, :m]
+    rx, ry = p[0] - ax, p[1] - ay
+    t = np.clip((rx * ex + ry * ey) / s.den[0, :m], 0.0, 1.0)
+    dx = rx - t * ex
+    dy = ry - t * ey
+    k = int(np.argmin(dx * dx + dy * dy))
+    return np.array([ax[k] + t[k] * ex[k], ay[k] + t[k] * ey[k]])
+
+
+def proj_map(y, body, arc_deg=0.5):
+    """Projection-map body P(y, K) = K cap B(y, 2 d(y, K)) as a polygon
+    (the former `convex_geom.proj_map`). The disc radius is the exact
+    doubled distance; only the circular arcs are discretized, at `arc_deg`
+    degree resolution. For y inside K the result is the singleton {y}."""
+    p = np.asarray(y, dtype=float)
+    verts = body.vertices
+    if len(verts) == 1:
+        return cg.ConvexBody(verts)
+    d = cg.distance(p, body)
+    if d == 0.0:
+        return cg.ConvexBody(p[None, :])
+    r = 2.0 * d
+    cand = [project_point(p, body)[None, :]]
+
+    keep = np.linalg.norm(verts - p, axis=1) <= r * (1.0 + 1e-12)
+    if np.any(keep):
+        cand.append(verts[keep])
+
+    a = verts if len(verts) >= 3 else verts[:1]
+    b = np.roll(verts, -1, axis=0) if len(verts) >= 3 else verts[1:]
+    ab = b - a
+    qa = np.einsum("ij,ij->i", ab, ab)
+    qb = 2.0 * np.einsum("ij,ij->i", ab, a - p[None, :])
+    qc = np.einsum("ij,ij->i", a - p[None, :], a - p[None, :]) - r * r
+    disc = qb * qb - 4.0 * qa * qc
+    ok = (disc >= 0) & (qa > 1e-300)
+    if np.any(ok):
+        sq = np.sqrt(disc[ok])
+        for sign in (-1.0, 1.0):
+            t = (-qb[ok] + sign * sq) / (2.0 * qa[ok])
+            good = (t >= -1e-12) & (t <= 1.0 + 1e-12)
+            if np.any(good):
+                tt = np.clip(t[good], 0.0, 1.0)
+                cand.append(a[ok][good] + tt[:, None] * ab[ok][good])
+
+    n_arc = max(8, int(math.ceil(360.0 / arc_deg)))
+    theta = 2.0 * np.pi * (np.arange(n_arc) + 0.5) / n_arc
+    circ = p[None, :] + r * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    inside = inside_mask(circ, body)
+    if np.any(inside):
+        cand.append(circ[inside])
+
+    return cg.ConvexBody(np.concatenate(cand, axis=0))

@@ -28,7 +28,7 @@ from hamrep.builder import (
 from hamrep.exprs import compile_expr
 from hamrep.sampling import SamplePlan
 
-from _oracles import exterior_angle_steiner
+from _oracles import exterior_angle_steiner, restrict
 
 T_MID = 0.5
 X_FIVE = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -149,9 +149,9 @@ def test_criterion_03_sum_conjugate_epi_sum_identity():
     sum_fn = fl.ConvexGridFunction(grid, h1_vals + h2_vals)
     width = max(abs(s) for s in fl.slope_range(sum_fn)) + 0.5
     v_grid = fl.UniformGrid(-width, width, 601)
-    lhs = fl.restrict(fl.conjugate(sum_fn, v_grid), *fl.slope_range(sum_fn))
-    f1 = fl.restrict(fl.conjugate(h1_fn, v_grid), *fl.slope_range(h1_fn))
-    f2 = fl.restrict(fl.conjugate(h2_fn, v_grid), *fl.slope_range(h2_fn))
+    lhs = restrict(fl.conjugate(sum_fn, v_grid), *fl.slope_range(sum_fn))
+    f1 = restrict(fl.conjugate(h1_fn, v_grid), *fl.slope_range(h1_fn))
+    f2 = restrict(fl.conjugate(h2_fn, v_grid), *fl.slope_range(h2_fn))
     rhs = fl.epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)
     mismatch = int(np.sum(np.isfinite(lhs.values) != np.isfinite(rhs.values)))
@@ -175,7 +175,7 @@ def test_criterion_04_geometry_suite():
     tri_err = float(np.max(np.abs(got - exterior_angle_steiner(triangle))))
     ok = not failing and tri_err <= 2e-3
     return ok, (
-        f"{len(reports)} projection/Steiner/Hausdorff checks pass on 200 seeded pairs "
+        f"{len(reports)} selection/Steiner/Hausdorff checks pass on 200 seeded pairs "
         f"(failing: {failing or 'none'}); triangle Steiner vs exterior-angle oracle "
         f"err {tri_err:.1e} (tol 2e-3)"
     )

@@ -13,6 +13,7 @@ from hamrep.builder import (
     ControlSet,
     RepresentationTriple,
     Window,
+    _reference_domain,
     build_compact,
     build_noncompact,
     image_of_controls,
@@ -117,8 +118,8 @@ def test_e_table_selections_match_quadrature_oracle(name, kind, x):
     worst = 0.0
     for i in moved:
         zcap = max(abs(Z[i, 1]), lmin)
-        d = point_polygon_distance(Z[i], core.epigraph(T0, x, zcap + 10.0).body.vertices)
-        verts = core.epigraph(T0, x, zcap + 6.0 * d + 1.0).body.vertices
+        d = point_polygon_distance(Z[i], core.epigraph(T0, x, zcap + 10.0).vertices)
+        verts = core.epigraph(T0, x, zcap + 6.0 * d + 1.0).vertices
         if name == "ex_2_1":
             assert len(verts) == 2
         r = 2.0 * point_polygon_distance(Z[i], verts)
@@ -167,9 +168,9 @@ def test_e_table_rejects_e_eval_breaking_the_shape_contract():
 
 @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0])
 def test_image_matches_domain_ex_2_2(ex22_noncompact_fast, x):
-    report = image_of_controls(ex22_noncompact_fast, T0, x)
-    assert report.reference.lo == -1.0 and report.reference.hi == 1.0
-    assert report.gap <= 5e-2
+    ref = _reference_domain(ex22_noncompact_fast, T0, x)
+    assert ref.lo == -1.0 and ref.hi == 1.0
+    assert image_of_controls(ex22_noncompact_fast, T0, x).gap <= 5e-2
 
 
 def test_image_degenerate_domain_ex_2_1(ex21_noncompact_fast):
@@ -188,6 +189,15 @@ def test_verify_triple_noncompact(ex22_noncompact_fast):
         "triple_image_gap",
     ]
     assert all(r.verdict == "pass" for r in reports)
+
+
+def test_verify_triple_skips_f_growth_without_c():
+    # ex_2_5 carries no c(t), so the growth bound (H4) cannot be judged
+    triple = build_noncompact(zoo.builtin("ex_2_5"), grids=FAST_POLICY, plan=FAST_APLAN)
+    reports = verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=2)
+    growth = next(r for r in reports if r.check == "triple_f_growth")
+    assert growth.verdict == "skipped" and growth.worst_margin == 0.0 and growth.passed
+    assert growth.witnesses == [{"note": "missing (H4): no c(t) bound"}]
 
 
 def test_verify_triple_compact(ex22_compact_fast):

@@ -74,6 +74,14 @@ _BAD_CONFIGS = [
     ({"command": "check", "summand": "abs(p)"}, "summand is not read by check, only by conjugate"),
     ({"command": "conjugate", "hamiltonian": "all", "summand": "abs(p)"}, "needs a single hamiltonian"),
     ({"command": "conjugate", "summand": "while True: p"}, "cannot parse expression"),
+    # keys the document sets that the chosen branch would ignore
+    ({"command": "verify", "triple": "hat_rep_ex_2_1", "hamiltonian": "ex_2_1"}, '"hamiltonian" has no effect'),
+    ({"command": "verify", "triple": "hat_rep_ex_2_1", "kind": "compact"}, '"kind" has no effect next to'),
+    ({"command": "verify", "triple": "hat_rep_ex_2_1", "kind": "noncompact"}, '"kind" has no effect next to'),
+    ({"command": "compactness", "triple": "family_p_abs", "hamiltonian": "ex_2_2"}, '"hamiltonian" has no effect'),
+    ({"command": "compactness", "triple": "all", "hamiltonian": "ex_2_2"}, '"hamiltonian" has no effect'),
+    ({"command": "stability", "family": "all", "kind": "compact"}, '"kind" has no effect with'),
+    ({"command": "stability", "family": "all", "fixed_t": 0.5}, '"fixed_t" has no effect'),
 ]
 
 
@@ -93,6 +101,9 @@ def test_parse_accepts_gated_shapes():
     ]
     assert _parse(command="compactness", triple="all").triple == "all"
     assert _parse(command="stability", family="all").family == "all"
+    # criterion 10's verify config: grids next to a triple stay accepted
+    assert _parse(command="verify", triple="hat_rep_ex_2_1", grids={"v_count": 201}).v_count == 201
+    assert _parse(command="stability", family="ex_2_6_absx", kind="compact", fixed_t=0.5).fixed_t == 0.5
     assert _parse(command="conjugate", summand="0.5*abs(p) + 0.1").summand == "0.5*abs(p) + 0.1"
     assert _parse(command="check", R=cli.R_CAP).R == cli.R_CAP
 

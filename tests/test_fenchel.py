@@ -18,8 +18,10 @@ from _oracles import (
     EPISUM_SUM_AT_ZERO,
     brute_conjugate,
     brute_conjugate_values,
+    body_scale,
     brute_hausdorff,
     monotone_chain_lower_hull,
+    restrict,
 )
 
 P_GRID = fl.UniformGrid(-50.0, 50.0, 10001)
@@ -53,11 +55,11 @@ def test_grid_function_interp_propagates_inf():
 def test_restrict_drops_outside_nodes():
     g = fl.UniformGrid(-2.0, 2.0, 5)
     f = fl.ConvexGridFunction(g, np.zeros(5))
-    nodes, vals = fl.restrict(f, -1.0, 1.0).finite_slice()
+    nodes, vals = restrict(f, -1.0, 1.0).finite_slice()
     assert nodes.tolist() == [-1.0, 0.0, 1.0] and vals.tolist() == [0.0, 0.0, 0.0]
     # an empty window leaves no finite node: the improper guard fires
     with pytest.raises(ImproperFunction):
-        fl.restrict(f, 5.0, 6.0)
+        restrict(f, 5.0, 6.0)
 
 
 # ----------------------------------------------------------- conjugate
@@ -78,7 +80,7 @@ def test_conjugate_abs_window_form_and_trust_restriction():
     want = np.maximum(0.0, 50.0 * (np.abs(vs) - 1.0))
     assert float(np.max(np.abs(L.values - want))) <= 1e-9
     lo, hi = fl.slope_range(_on_grid(np.abs))
-    trusted = fl.restrict(L, lo, hi)
+    trusted = restrict(L, lo, hi)
     fin = np.isfinite(trusted.values)
     assert float(np.max(np.abs(trusted.values[fin]))) <= 1e-9
     assert np.all(np.abs(vs[fin]) <= 1.0 + 1e-12)
@@ -94,7 +96,7 @@ def test_conjugate_linear_window_form():
     lo, hi = fl.slope_range(_on_grid(lambda p: 0.5 * p))
     # the trust interval of a linear function is a point; pad by one cell
     # so it captures the nearest node
-    trusted = fl.restrict(L, lo - V_GRID.h, hi + V_GRID.h)
+    trusted = restrict(L, lo - V_GRID.h, hi + V_GRID.h)
     fin = np.isfinite(trusted.values)
     assert fin.any()
     assert np.all(np.abs(vs[fin] - 0.5) <= 2.0 * V_GRID.h)
@@ -315,8 +317,8 @@ def test_epi_sum_against_sum_conjugate():
     h2 = lambda p: 0.5 * np.abs(p) + 0.1
     # window conjugates are finite past the certifiable slopes, so each
     # factor is restricted to its own trust interval first
-    f1 = fl.restrict(fl.conjugate(_on_grid(h1), V_GRID), *fl.slope_range(_on_grid(h1)))
-    f2 = fl.restrict(fl.conjugate(_on_grid(h2), V_GRID), *fl.slope_range(_on_grid(h2)))
+    f1 = restrict(fl.conjugate(_on_grid(h1), V_GRID), *fl.slope_range(_on_grid(h1)))
+    f2 = restrict(fl.conjugate(_on_grid(h2), V_GRID), *fl.slope_range(_on_grid(h2)))
     lhs = fl.conjugate(_on_grid(lambda p: h1(p) + h2(p)), V_GRID)
     rhs = fl.epi_sum(f1, f2)
     assert float(rhs(np.array([0.0]))[0]) == pytest.approx(EPISUM_SUM_AT_ZERO, abs=1e-9)
@@ -477,7 +479,7 @@ def test_epigraph_polygon_of_abs():
     g = fl.UniformGrid(-2.0, 2.0, 5)
     f = fl.ConvexGridFunction(g, np.array([np.inf, 1.0, 0.0, 1.0, np.inf]))
     E = fl.build_epigraph(f, 1.5)
-    verts = {tuple(v) for v in E.body.vertices}
+    verts = {tuple(v) for v in E.vertices}
     assert (0.0, 0.0) in verts
     assert (1.0, 1.5) in verts and (-1.0, 1.5) in verts
 
@@ -520,20 +522,20 @@ def test_epigraph_polygons_match_general_hull_on_production_slices():
             bodies.append((fl.build_bounded_epigraph(fn, lam), lam))
         for epi, cap in bodies:
             want = cg.ConvexBody(_epigraph_points(fn, cap))
-            got = epi.body.vertices
+            got = epi.vertices
             # the same vertex count (no near-collinear vertex is kept), and
             # usually the same vertices bit for bit; the vertex scan of the
             # Hausdorff oracle runs only when they differ
             assert len(got) == len(want.vertices), (triple.control.kind, x, cap)
             if not np.array_equal(got, want.vertices):
                 gap = brute_hausdorff(got, want.vertices)
-                assert gap <= 1e-12 * want.scale, (triple.control.kind, x, cap, gap)
+                assert gap <= 1e-12 * body_scale(want), (triple.control.kind, x, cap, gap)
 
 
 def test_bounded_epigraph_truncates_at_lambda():
     g = fl.UniformGrid(-2.0, 2.0, 5)
     f = fl.ConvexGridFunction(g, np.array([np.inf, 1.0, 0.0, 1.0, np.inf]))
     B = fl.build_bounded_epigraph(f, 0.5)
-    heights = B.body.vertices[:, 1]
+    heights = B.vertices[:, 1]
     assert float(np.max(heights)) <= 0.5 + 1e-12
-    assert (0.0, 0.0) in {tuple(v) for v in B.body.vertices}
+    assert (0.0, 0.0) in {tuple(v) for v in B.vertices}
