@@ -87,16 +87,6 @@ class ControlSet:
 
 
 @dataclasses.dataclass(frozen=True)
-class ScalingFn:
-    eval: Callable[[float, float], float]
-    description: str = "identity"
-
-
-def _identity_scaling() -> ScalingFn:
-    return ScalingFn(lambda t, x: 1.0, "identity")
-
-
-@dataclasses.dataclass(frozen=True)
 class GridPolicy:
     """Discretization knobs for the construction."""
 
@@ -120,26 +110,23 @@ class ImageReport:
 class RepresentationTriple:
     """Representation data: H(t,x,p) = sup_a [ p f(t,x,a) - l(t,x,a) ].
 
-    e_eval(t, x, a) is the one evaluator of every triple: it maps a control
-    a of shape (q,) to the point e = (f, l) of shape (2,), and an (N, q)
-    stack of controls to the (N, 2) stack of their points, row by row (a
-    row's point does not depend on the other rows). e_table makes one such
-    call per (t, x). e_rows(ts, xs, A) evaluates rows at many (t, x): row i
-    of the (N, 2) result is e(ts[i], xs[i], A[i]), bit for bit what e_eval
-    gives for that control alone (a scalar t or x serves every row).
-    Constructed triples answer it with one e_eval call, which for them
-    takes one (t, x) per row and runs as one batch through their slice
-    core; any other triple loops over e_eval. control_samples(t, x) yields
-    the deterministic a-plan (including the lift points for constructed
-    triples, which e maps to themselves).
+    e_eval(ts, xs, A) is the one evaluator of every triple: it maps a
+    control a of shape (q,) to the point e = (f, l) of shape (2,), and an
+    (N, q) stack of controls to the (N, 2) stack of their points. A scalar
+    t or x serves every row; arrays give one (t, x) per row. Row i of the
+    result is bit for bit what e_eval gives for that control alone at its
+    own (t, x). e_table makes one such call per (t, x). scaling(t, x) is
+    the factor M the controls are scaled by (1 for unscaled controls).
+    control_samples(t, x) yields the deterministic a-plan (including the
+    lift points for constructed triples, which e maps to themselves).
     """
 
     control: ControlSet
-    e_eval: Callable  # (t, x, (q,) | (N, q)) -> (2,) | (N, 2)
+    e_eval: Callable  # (ts, xs, (q,) | (N, q)) -> (2,) | (N, 2)
     provenance: str
-    source: HamiltonianSpec | None
+    source: HamiltonianSpec
     caps: str
-    scaling: ScalingFn = dataclasses.field(default_factory=_identity_scaling)
+    scaling: Callable[[float, float], float] = lambda t, x: 1.0
     control_samples: Callable | None = None
     grid_h: float = 0.0
     lam: Callable | None = None
@@ -150,18 +137,6 @@ class RepresentationTriple:
         if self.control_samples is not None:
             return self.control_samples(t, x)
         return self.control.samples()
-
-    def e_rows(self, ts, xs, A) -> np.ndarray:
-        """(N, 2) points e(ts[i], xs[i], A[i]) of an (N, q) control stack."""
-        if self._core is not None:
-            # a constructed triple's e_eval takes one (t, x) per row
-            return self.e_eval(ts, xs, A)
-        n = len(A)
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), (n,)).tolist()
-        xs = np.broadcast_to(np.asarray(xs, dtype=float), (n,)).tolist()
-        return np.array(
-            [np.asarray(self.e_eval(t, x, a), dtype=float) for t, x, a in zip(ts, xs, A)]
-        ).reshape(n, 2)
 
     def e_table(self, t: float, x: float, a_samples: np.ndarray | None = None):
         """(A, F, L) arrays over the sample plan; cached for the default plan."""
@@ -348,7 +323,6 @@ def build_noncompact(
         provenance="constructed-noncompact",
         source=spec,
         caps=_CAP_NOTE,
-        scaling=_identity_scaling(),
         control_samples=samples,
         grid_h=_typical_h(core),
         _core=core,
@@ -415,7 +389,7 @@ def build_compact(
         provenance="constructed-compact",
         source=spec,
         caps=_CAP_NOTE,
-        scaling=ScalingFn(M, "|lambda| + |H(t,x,0)| + c(t)(1+|x|) + 1"),
+        scaling=M,
         control_samples=samples,
         grid_h=_typical_h(core),
         lam=lam_fn,
@@ -451,8 +425,6 @@ def induced_H(
 
 def _reference_domain(triple: RepresentationTriple, t: float, x: float) -> EffectiveDomain:
     spec = triple.source
-    if spec is None:
-        raise ConfigError("triple has no source Hamiltonian to compare against")
     # a constructed triple's numeric domain samples H on the triple's own p-grid
     p_grid = triple._core.policy.p_grid() if triple._core is not None else None
     return domain_evaluator(spec, p_grid=p_grid)(t, x)
@@ -500,17 +472,11 @@ def lagrangian_access(triple: RepresentationTriple) -> Callable:
     """(t, x) -> vectorized L(t, x, .), consistent with the triple's own
     discretization: a constructed triple's trusted v-grid slice (the
     ConvexGridFunction it was built from), else the source's oracle or
-    pointwise conjugate, else the raw conjugate of the induced H on the
-    default grids."""
+    pointwise conjugate."""
     if triple._core is not None:
         return triple._core.slice
-    spec = triple.source
-    if spec is not None:
-        ev = lagrangian_evaluator(spec)
-        return lambda t, x: (lambda vs: np.asarray(ev(t, x, np.asarray(vs, dtype=float)), dtype=float))
-    policy = GridPolicy()
-    slices = LagrangianSlices(lambda t, x, p: induced_H(triple, t, x, p), policy.p_grid())
-    return lambda t, x: slices.on_grid(t, x, policy.v_count, trusted=False)
+    ev = lagrangian_evaluator(triple.source)
+    return lambda t, x: (lambda vs: np.asarray(ev(t, x, np.asarray(vs, dtype=float)), dtype=float))
 
 
 def verify_triple(
@@ -532,8 +498,6 @@ def verify_triple(
     control samples matches dom L up to a Hausdorff gap.
     """
     spec = triple.source
-    if spec is None:
-        raise ConfigError("verify_triple needs a source Hamiltonian")
     plan = plan or SamplePlan()
     rng = plan.rng(7)
     t_lo, t_hi = window.t_range
@@ -594,12 +558,12 @@ def verify_triple(
     EA = EB = ()
     if pairs:
         ts, xs, ys, A, B = (np.array(col) for col in zip(*pairs))
-        EA, EB = triple.e_rows(ts, xs, A), triple.e_rows(ts, ys, B)
+        EA, EB = triple.e_eval(ts, xs, A), triple.e_eval(ts, ys, B)
     worst_lip, wit_lip = -np.inf, []
     for (t, x, y, a, b), ea, eb in zip(pairs, EA, EB):
         lhs = float(np.linalg.norm(ea - eb))
         d = abs(x - y)
-        Ma, Mb = triple.scaling.eval(t, x), triple.scaling.eval(t, y)
+        Ma, Mb = triple.scaling(t, x), triple.scaling(t, y)
         scaled = float(np.linalg.norm(Ma * np.atleast_1d(a) - Mb * np.atleast_1d(b)))
         k = float(mod.k_R(R, t))
         w = float(mod.w_R(R, t, d))

@@ -11,12 +11,8 @@ that divergence as a verdict rather than a failure.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable
-
 import numpy as np
 
-from .builder import induced_H  # noqa: F401  (part of this module's API)
 from .builder import ControlSet, RepresentationTriple, lagrangian_access
 from .errors import ConfigError, NoncompactControl
 from .fenchel import UniformGrid
@@ -33,60 +29,38 @@ def simplex_weights(denom: int = SIMPLEX_DENOM) -> np.ndarray:
     return np.stack([a, 1.0 - a], axis=1)
 
 
-@dataclasses.dataclass
-class ConvexifiedTriple:
-    """Two-atom convex combinations of a compact-control representation.
-
-    Controls are packed rows (a, b, alpha_1, alpha_2) over A^2 x simplex,
-    and e_eval follows the RepresentationTriple contract: a packed row
-    gives (2,), an (N, 2q + 2) stack gives (N, 2). A stack takes one base
-    e_eval call on the a-rows stacked over the b-rows, combined exactly as
-    alpha_1 e(a) + alpha_2 e(b).
-    """
-
-    base: RepresentationTriple
-    control: ControlSet
-    e_eval: Callable
-    control_samples: Callable
-    weights: np.ndarray
-
-    def view(self) -> RepresentationTriple:
-        return RepresentationTriple(
-            control=self.control,
-            e_eval=self.e_eval,
-            provenance="convexified",
-            source=self.base.source,
-            caps=self.base.caps,
-            scaling=self.base.scaling,
-            control_samples=self.control_samples,
-            grid_h=self.base.grid_h,
-        )
-
-
 def convexify(
-    triple: RepresentationTriple | ConvexifiedTriple,
+    base: RepresentationTriple,
     n_cross: int = 16,
     denom: int = SIMPLEX_DENOM,
-) -> ConvexifiedTriple:
-    """Convex-combination closure of a compact-control triple.
+) -> RepresentationTriple:
+    """Convex-combination closure of a compact-control triple: another
+    representation of the same H (provenance "convexified").
 
-    The sampled plan pairs each base atom with itself (weight (1,0)) and a
-    strided subset of atoms with every simplex weight, so the diagonal
-    reproduces the base sup exactly and the cross pairs fill the image hull.
+    Controls are packed rows (a, b, alpha_1, alpha_2) over A^2 x simplex,
+    and e(t, x, packed) = alpha_1 e(t, x, a) + alpha_2 e(t, x, b). A stack
+    of packed rows takes one base e_eval call on the a-rows stacked over the
+    b-rows, with per-row ts and xs stacked the same way. The sampled plan
+    pairs each base atom with itself (weight (1,0)) and a strided subset of
+    atoms with every simplex weight, so the diagonal reproduces the base
+    sup exactly and the cross pairs fill the image hull.
     """
-    base = triple.view() if isinstance(triple, ConvexifiedTriple) else triple
     if base.control.kind == "full_space":
         raise NoncompactControl("convexify needs a compact control set")
     q = base.control.dim
     weights = simplex_weights(denom)
 
-    def e_eval(t, x, packed):
+    def twice(v):
+        return v if np.ndim(v) == 0 else np.tile(np.asarray(v, dtype=float), 2)
+
+    def e_eval(ts, xs, packed):
         packed = np.asarray(packed, dtype=float)
         if packed.ndim > 2 or packed.shape[-1:] != (2 * q + 2,):
             raise ConfigError(f"packed controls are ({2 * q + 2},)-rows (a, b, alpha_1, alpha_2)")
         rows = packed.reshape(-1, 2 * q + 2)
         n = len(rows)
-        E = np.asarray(base.e_eval(t, x, np.concatenate([rows[:, :q], rows[:, q : 2 * q]])), dtype=float)
+        AB = np.concatenate([rows[:, :q], rows[:, q : 2 * q]])
+        E = np.asarray(base.e_eval(twice(ts), twice(xs), AB), dtype=float)
         e = rows[:, 2 * q, None] * E[:n] + rows[:, 2 * q + 1, None] * E[n:]
         return e.reshape(packed.shape[:-1] + (2,))
 
@@ -104,19 +78,20 @@ def convexify(
         cross = np.concatenate([S[i], S[j], np.tile(weights, (m * m, 1))], axis=1)
         return np.concatenate([diag, cross], axis=0)
 
-    control = ControlSet("finite", 2 * q + 2, points=control_samples(0.0, 0.0))
-    return ConvexifiedTriple(
-        base=base,
-        control=control,
+    return RepresentationTriple(
+        control=ControlSet("finite", 2 * q + 2, points=control_samples(0.0, 0.0)),
         e_eval=e_eval,
+        provenance="convexified",
+        source=base.source,
+        caps=base.caps,
+        scaling=base.scaling,
         control_samples=control_samples,
-        weights=weights,
+        grid_h=base.grid_h,
     )
 
 
 def lemma41_check(
-    triple: RepresentationTriple | ConvexifiedTriple,
-    L_source: Callable | None = None,
+    triple: RepresentationTriple,
     plan: SamplePlan | None = None,
     t_range: tuple[float, float] = (0.0, 1.0),
     x_range: tuple[float, float] = (-1.0, 1.0),
@@ -125,21 +100,19 @@ def lemma41_check(
 ) -> CheckReport:
     """Epigraph bound of any representation: L(t,x,f(t,x,a)) <= l(t,x,a).
 
-    L_source overrides the Lagrangian access ((t,x) -> vectorized slice);
-    by default the source Hamiltonian's oracle or numeric conjugate is used.
-    Values of f outside dom L count as +inf violations.
+    L comes from `lagrangian_access`: the source Hamiltonian's oracle or
+    numeric conjugate. Values of f outside dom L count as +inf violations.
     """
-    tri = triple.view() if isinstance(triple, ConvexifiedTriple) else triple
-    if tri.control.kind == "full_space":
+    if triple.control.kind == "full_space":
         raise NoncompactControl("lemma41_check applies to compact control sets")
     plan = plan or SamplePlan()
-    L_of = L_source if L_source is not None else lagrangian_access(tri)
+    L_of = lagrangian_access(triple)
     rng = plan.rng(41)
     worst, wit = -np.inf, []
     for _ in range(6):
         t = float(rng.uniform(*t_range))
         x = float(rng.uniform(*x_range))
-        _, F, Lv = tri.e_table(t, x)
+        _, F, Lv = triple.e_table(t, x)
         if len(F) > a_limit:
             idx = np.linspace(0, len(F) - 1, a_limit).astype(int)
             F, Lv = F[idx], Lv[idx]
@@ -155,7 +128,7 @@ def lemma41_check(
 
 
 def extract_lambda(
-    ct: ConvexifiedTriple,
+    ct: RepresentationTriple,
     plan: SamplePlan | None = None,
     t_range: tuple[float, float] = (0.0, 1.0),
     x_range: tuple[float, float] = (-1.0, 1.0),
@@ -169,36 +142,30 @@ def extract_lambda(
     stays below lambda(t,x) + tol across dom L, plus an empirical Lipschitz
     estimate of lambda in x.
     """
-    tri = ct.view()
     cache: dict[tuple[float, float], float] = {}
 
     def lam(t, x):
         key = (float(t), float(x))
         if key not in cache:
-            _, _, Lv = tri.e_table(t, x)
+            _, _, Lv = ct.e_table(t, x)
             cache[key] = float(np.max(Lv))
         return cache[key]
 
     plan = plan or SamplePlan()
     rng = plan.rng(33)
-    spec = tri.source
-    L_of = lagrangian_access(tri)
-    dom_of = domain_evaluator(spec) if spec is not None else None
+    L_of = lagrangian_access(ct)
+    dom_of = domain_evaluator(ct.source)
     worst, wit = -np.inf, []
     for _ in range(6):
         t = float(rng.uniform(*t_range))
         x = float(rng.uniform(*x_range))
         bound = lam(t, x)
-        if dom_of is not None:
-            dom = dom_of(t, x)
-            vs = np.linspace(dom.lo, dom.hi, n_dom)
-            if not dom.lo_closed:
-                vs = vs[1:]
-            if not dom.hi_closed:
-                vs = vs[:-1]
-        else:
-            _, F, _ = tri.e_table(t, x)
-            vs = np.linspace(float(np.min(F)), float(np.max(F)), n_dom)
+        dom = dom_of(t, x)
+        vs = np.linspace(dom.lo, dom.hi, n_dom)
+        if not dom.lo_closed:
+            vs = vs[1:]
+        if not dom.hi_closed:
+            vs = vs[:-1]
         vals = L_of(t, x)(vs)
         vals = vals[np.isfinite(vals)]
         if len(vals) == 0:
@@ -220,7 +187,6 @@ def extract_lambda(
     slope = max(slopes) if slopes else 0.0
     return LambdaBound(
         eval=lam,
-        w_R=None,
         note=f"sampled max of convexified running cost; empirical x-Lipschitz <= {slope:.3g}",
         certification=cert,
     )
@@ -246,8 +212,10 @@ def detect_blc_failure(
     delta at both ends and sup L is taken over it. Divergence (final sup
     past the threshold, or sup growth of 8x per rung ending above half the
     threshold) yields the violated verdict; otherwise the final sups double
-    as a candidate lambda. Both verdicts are findings, not failures.
-    Numeric slices sample H on p_grid.
+    as a candidate lambda. Both verdicts are findings, not failures. An
+    unbounded domain has no interior ladder and is skipped; a margin at
+    which no slab is judged fails the probe. Numeric slices sample H on
+    p_grid.
     """
     plan = plan or SamplePlan()
     rng = plan.rng(101)
@@ -265,13 +233,16 @@ def detect_blc_failure(
         for t, x in slabs:
             dom = dom_ev(t, x)
             lo, hi = dom.lo + delta, dom.hi - delta
-            if hi <= lo:
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 continue
             vals = np.asarray(L_ev(t, x, np.linspace(lo, hi, n_v)), dtype=float)
             vals = vals[np.isfinite(vals)]
             if len(vals):
                 sup_d = max(sup_d, float(np.max(vals)))
                 candidates.append({"t": t, "x": x, "sup_L": float(np.max(vals))})
+        if not candidates:
+            note = f"no slab judged at margin {delta:g}: every sampled domain is unbounded or too narrow"
+            return CheckReport("blc_failure_probe", -np.inf, "fail", [{"note": note}])
         sups.append(sup_d)
     ratios = [
         sups[i + 1] / max(sups[i], 1e-12)

@@ -78,10 +78,6 @@ class EffectiveDomain:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 class ConvexGridFunction:
     """Proper extended-real function sampled on a uniform grid.

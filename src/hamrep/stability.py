@@ -180,9 +180,7 @@ class IndexRow:
 class StabilityReport:
     family: str
     kind: str
-    window: Window
     rows: list[IndexRow]
-    bound_slack: float = 5e-3
 
     def decay_report(self, ratio: float = 0.3) -> CheckReport:
         rows = sorted(self.rows, key=lambda r: r.i)
@@ -281,7 +279,7 @@ def representation_convergence(
             sup_l = max(sup_l, float(np.max(np.abs(L_i - L_0))))
             hd = _common_cap_hausdorff(tri, limit, t, x)
             sup_h = max(sup_h, hd)
-            dM = abs(tri.scaling.eval(t, x) - limit.scaling.eval(t, x))
+            dM = abs(tri.scaling(t, x) - limit.scaling(t, x))
             norms = np.linalg.norm(np.atleast_2d(a_samples), axis=1)
             rhs = 5.0 * n1 * (hd + dM * norms) + bound_slack
             margin = max(margin, float(np.max(e_err - rhs)))
@@ -290,9 +288,7 @@ def representation_convergence(
     return StabilityReport(
         family=family.name,
         kind=kind,
-        window=window,
         rows=sorted((measure(i) for i in family.indices), key=lambda r: r.i),
-        bound_slack=bound_slack,
     )
 
 

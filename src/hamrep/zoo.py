@@ -36,7 +36,6 @@ class ModulusData:
     k_R: Callable[[float, float], float]
     w_R: Callable[[float, float, float], float]
     c: Callable[[float], float] | None = None
-    null_set_note: str = "none"
 
     def scaled(self, factor: float) -> "ModulusData":
         k, w = self.k_R, self.w_R
@@ -44,7 +43,6 @@ class ModulusData:
             k_R=lambda R, t: factor * k(R, t),
             w_R=lambda R, t, r: factor * w(R, t, r),
             c=self.c,
-            null_set_note=self.null_set_note,
         )
 
     def v_halfwidth(self, t: float, r: float) -> float | None:
@@ -55,10 +53,9 @@ class ModulusData:
 
 @dataclasses.dataclass(frozen=True)
 class LambdaBound:
-    """Bound lambda(t, x) >= L(t, x, v) on dom L, with its own modulus."""
+    """Bound lambda(t, x) >= L(t, x, v) on dom L."""
 
     eval: Callable[[float, float], float]
-    w_R: Callable[[float, float, float], float] | None = None
     note: str = ""
     certification: CheckReport | None = None
 
@@ -98,7 +95,7 @@ def _ex_2_1() -> HamiltonianSpec:
         modulus=ModulusData(k_R=lambda R, t: 1.0, w_R=lambda R, t, r: 0.0, c=lambda t: 1.0),
         oracle_L=oL,
         oracle_dom=lambda t, x: EffectiveDomain(-abs(x), abs(x), True, True),
-        lambda_bound=LambdaBound(eval=lambda t, x: 1.0, w_R=lambda R, t, r: 0.0),
+        lambda_bound=LambdaBound(eval=lambda t, x: 1.0),
         notes="cone Hamiltonian max(|p||x| - 1, 0); L = |v/x| on [-|x|, |x|]",
     )
 
@@ -119,7 +116,7 @@ def _ex_2_2() -> HamiltonianSpec:
         modulus=ModulusData(k_R=lambda R, t: 0.0, w_R=lambda R, t, r: r, c=lambda t: 1.0),
         oracle_L=oL,
         oracle_dom=lambda t, x: EffectiveDomain(-1.0, 1.0, True, True),
-        lambda_bound=LambdaBound(eval=lambda t, x: abs(x), w_R=lambda R, t, r: r),
+        lambda_bound=LambdaBound(eval=lambda t, x: abs(x)),
         notes="sqrt(1+p^2) - |x|; L = -sqrt(1-v^2) + |x| on [-1, 1]",
     )
 
@@ -230,18 +227,11 @@ def _ex_2_6() -> HamiltonianSpec:
     return HamiltonianSpec(
         name="ex_2_6",
         eval=ev,
-        modulus=ModulusData(
-            k_R=lambda R, t: 1.0,
-            w_R=lambda R, t, r: 0.0,
-            c=lambda t: 1.0,
-            null_set_note="t = 0: H vanishes and lambda = |ln t||x| diverges as t -> 0+",
-        ),
+        # null set t = 0: H vanishes and lambda = |ln t||x| diverges as t -> 0+
+        modulus=ModulusData(k_R=lambda R, t: 1.0, w_R=lambda R, t, r: 0.0, c=lambda t: 1.0),
         oracle_L=oL,
         oracle_dom=dom,
-        lambda_bound=LambdaBound(
-            eval=lambda t, x: (abs(np.log(t)) * abs(x) if t > 0.0 else 0.0),
-            w_R=lambda R, t, r: (abs(np.log(t)) * r if t > 0.0 else 0.0),
-        ),
+        lambda_bound=LambdaBound(eval=lambda t, x: (abs(np.log(t)) * abs(x) if t > 0.0 else 0.0)),
         notes="|x| max(|p| - |ln t|, 0); L = |ln t||v| on [-|x|, |x|], lambda = |ln t||x|",
     )
 
@@ -260,7 +250,7 @@ def _abs_p() -> HamiltonianSpec:
         modulus=ModulusData(k_R=lambda R, t: 0.0, w_R=lambda R, t, r: 0.0, c=lambda t: 1.0),
         oracle_L=oL,
         oracle_dom=lambda t, x: EffectiveDomain(-1.0, 1.0, True, True),
-        lambda_bound=LambdaBound(eval=lambda t, x: 0.0, w_R=lambda R, t, r: 0.0),
+        lambda_bound=LambdaBound(eval=lambda t, x: 0.0),
         notes="x-independent cone |p|; L is the indicator of [-1, 1]",
     )
 
@@ -594,16 +584,19 @@ def check_MLC(
 
 
 def _triple_from_formulas(control, f, l, source, note=""):
-    """User triple whose f and l map an (N, q) stack of control rows to
-    (N,) arrays; e_eval takes one control (q,) or a stack (N, q)."""
+    """User triple whose numpy formulas f and l map (t, x) and an (N, q)
+    stack of control rows to (N,) arrays, elementwise in t and x; e_eval
+    takes one control (q,) or a stack (N, q), with a scalar or per-row
+    t and x."""
     # builder imports zoo at module level, so import it lazily here
     from .builder import RepresentationTriple
 
-    def e_eval(t, x, a):
+    def e_eval(ts, xs, a):
         a = np.atleast_1d(np.asarray(a, dtype=float))
         if a.ndim > 2 or a.shape[-1] != control.dim:
             raise ConfigError(f"control points of this triple have {control.dim} coordinates")
         rows = a.reshape(-1, control.dim)
+        t, x = np.asarray(ts, dtype=float), np.asarray(xs, dtype=float)
         e = np.stack([f(t, x, rows), l(t, x, rows)], axis=1)
         return e.reshape(a.shape[:-1] + (2,))
 
@@ -673,9 +666,10 @@ def family_p_abs(h=0.0, k=0.0):
     """Representation family for H(x, p) = |p| with A = [-1, 1]:
     f(x, a) = a (1 + |a| h(x)) / (1 + h(x)), l(x, a) = (1 - |a|) k(x).
 
-    h and k are nonnegative functions of x (constants accepted). Every
-    member satisfies f(x, 1) = 1, f(x, -1) = -1 and l >= 0, so the sup
-    over A of p f - l recovers |p| exactly.
+    h and k are nonnegative numpy functions of x, applied elementwise to
+    per-row x (constants accepted). Every member satisfies f(x, 1) = 1,
+    f(x, -1) = -1 and l >= 0, so the sup over A of p f - l recovers |p|
+    exactly.
     """
     from .builder import ControlSet
 
@@ -684,7 +678,7 @@ def family_p_abs(h=0.0, k=0.0):
     control = ControlSet("interval", 1, lo=-1.0, hi=1.0)
 
     def f(t, x, a):
-        hv = float(h_fn(x))
+        hv = np.asarray(h_fn(x), dtype=float)
         return a[:, 0] * (1.0 + abs(a[:, 0]) * hv) / (1.0 + hv)
 
     def l(t, x, a):

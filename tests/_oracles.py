@@ -426,7 +426,7 @@ def per_pair_lipschitz(triple, window, plan, n_pairs=48, lip_slack=5e-3):
         eb = np.asarray(triple.e_eval(t, y, b), dtype=float)
         lhs = float(np.linalg.norm(ea - eb))
         d = abs(x - y)
-        Ma, Mb = triple.scaling.eval(t, x), triple.scaling.eval(t, y)
+        Ma, Mb = triple.scaling(t, x), triple.scaling(t, y)
         scaled = float(np.linalg.norm(Ma * np.atleast_1d(a) - Mb * np.atleast_1d(b)))
         k = float(mod.k_R(R, t))
         w = float(mod.w_R(R, t, d))

@@ -22,6 +22,7 @@ from hamrep.builder import (
     scaling_bound,
     verify_triple,
 )
+from hamrep.compactness import convexify
 from hamrep.errors import BLCViolation, ConfigError, HypothesisViolation, MissingC
 from hamrep.zoo import ModulusData
 
@@ -108,7 +109,7 @@ def test_e_table_selections_match_quadrature_oracle(name, kind, x):
     triple = build(zoo.builtin(name), plan=APlan(n_box=9, n_radii=4, n_angles=12))
     core = triple._core
     A, F, L = triple.e_table(T0, x)
-    Z = A * triple.scaling.eval(T0, x)
+    Z = A * triple.scaling(T0, x)
     got = np.stack([F, L], axis=1)
     moved = np.nonzero(np.any(got != Z, axis=1))[0]
     assert len(moved) >= 20
@@ -130,13 +131,13 @@ def test_e_table_selections_match_quadrature_oracle(name, kind, x):
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
-def test_e_table_rows_equal_single_e_eval(ex22_noncompact_fast, ex22_compact_fast, seed):
+def test_e_table_matches_single_control_e_eval(ex22_noncompact_fast, ex22_compact_fast, seed):
     rng = np.random.default_rng(seed)
     x = float(rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]))
     for triple in (ex22_noncompact_fast, ex22_compact_fast):
         A, F, L = triple.e_table(T0, x)
         # half the rows from the projected controls, half from the rest
-        moved = np.any(np.stack([F, L], axis=1) != triple.scaling.eval(T0, x) * A, axis=1)
+        moved = np.any(np.stack([F, L], axis=1) != triple.scaling(T0, x) * A, axis=1)
         rows = [rng.choice(np.nonzero(mask)[0], 4) for mask in (moved, ~moved)]
         for i in np.concatenate(rows):
             single = np.asarray(triple.e_eval(T0, x, A[i]))
@@ -159,7 +160,7 @@ def test_e_table_rejects_e_eval_breaking_the_shape_contract():
         control=ControlSet("interval", 1),
         e_eval=lambda t, x, a: np.array([0.0, 0.0]),
         provenance="user",
-        source=None,
+        source=zoo.builtin("abs_p"),
         caps="",
     )
     with pytest.raises(ConfigError, match=r"\(N, 2\)"):
@@ -205,31 +206,56 @@ def test_verify_triple_compact(ex22_compact_fast):
     assert all(r.verdict == "pass" for r in reports)
 
 
+def _per_row_triples(noncompact, compact):
+    """One triple of every kind: both builders, the zoo's formula triples
+    (family_p_abs with callable h and k) and the convexification of a
+    formula triple and of a constructed compact triple."""
+    family = zoo.family_p_abs(h=lambda x: 0.5 * x * x, k=lambda x: np.abs(x) + 0.25)
+    return (
+        noncompact,
+        compact,
+        zoo.hat_rep_ex_2_1(),
+        zoo.circle_rep_ex_2_2(),
+        family,
+        convexify(family),
+        convexify(compact),
+    )
+
+
+def _draw_controls(triple, rng, n):
+    control = triple.control
+    if control.kind == "unit_ball":
+        A = rng.normal(size=(n, 2))
+        return A * rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(A, axis=1, keepdims=True)
+    if control.kind == "full_space":
+        return rng.uniform(-3.0, 3.0, (n, 2))
+    if control.kind == "interval":
+        return rng.uniform(control.lo, control.hi, (n, 1))
+    return control.points[rng.integers(0, len(control.points), n)]
+
+
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
-def test_e_rows_equal_single_e_eval(ex22_noncompact_fast, ex22_compact_fast, seed):
+def test_per_row_e_eval_equals_single_control_calls(ex22_noncompact_fast, ex22_compact_fast, seed):
     # rows at many (t, x), some repeated so that slabs share a batch, and a
-    # scalar (t, x) serving every row, against one e_eval call per control
+    # scalar t serving rows at their own x, against one e_eval call per control
     rng = np.random.default_rng(seed)
     n = 24
     ts = rng.choice([0.2, 0.5, rng.uniform(0.0, 1.0)], n)
     xs = rng.choice([-1.0, 0.0, 0.3, rng.uniform(-1.0, 1.0)], n)
-    for triple in (ex22_noncompact_fast, ex22_compact_fast):
-        if triple.control.kind == "unit_ball":
-            A = rng.normal(size=(n, 2))
-            A *= rng.uniform(0.0, 1.0, (n, 1)) / np.linalg.norm(A, axis=1, keepdims=True)
-        else:
-            A = rng.uniform(-3.0, 3.0, (n, 2))
-        got = triple.e_rows(ts, xs, A)
+    for triple in _per_row_triples(ex22_noncompact_fast, ex22_compact_fast):
+        A = _draw_controls(triple, rng, n)
+        got = triple.e_eval(ts, xs, A)
         want = np.array([triple.e_eval(t, x, a) for t, x, a in zip(ts.tolist(), xs.tolist(), A)])
-        assert got.shape == (n, 2) and np.array_equal(got, want)
-        one = triple.e_rows(0.5, xs[0], A)
-        assert np.array_equal(one, triple.e_eval(0.5, xs[0], A))
+        assert got.shape == (n, 2) and np.array_equal(got, want), triple.provenance
+        one_t = triple.e_eval(0.5, xs, A)
+        want = np.array([triple.e_eval(0.5, x, a) for x, a in zip(xs.tolist(), A)])
+        assert np.array_equal(one_t, want), triple.provenance
 
 
-def test_e_rows_validates_controls(ex22_compact_fast):
+def test_per_row_e_eval_validates_controls(ex22_compact_fast):
     with pytest.raises(ConfigError):
-        ex22_compact_fast.e_rows([0.5, 0.5], [0.0, 0.1], np.array([[0.1, 0.2], [1.2, 0.9]]))
+        ex22_compact_fast.e_eval([0.5, 0.5], [0.0, 0.1], np.array([[0.1, 0.2], [1.2, 0.9]]))
 
 
 def _lipschitz_cases():
@@ -240,7 +266,7 @@ def _lipschitz_cases():
         # ex_2_1 near x = 0: two-vertex slices mixed with small polygons
         ("ex_2_1", build_noncompact, near_zero),
         ("ex_2_1", build_compact, near_zero),
-        # a formula triple answers e_rows with its default loop over e_eval
+        # a formula triple passes per-row (t, x) through its numpy formulas
         ("hat_rep_ex_2_1", None, Window()),
     ]
 
@@ -260,15 +286,17 @@ def test_verify_triple_lipschitz_matches_per_pair_oracle(name, build, window):
 
 
 def test_verify_triple_batches_each_side_of_the_pairs(monkeypatch):
-    # one e_rows call per side; e_eval only ever sees e_table's control stacks
+    # one per-row e_eval call per side; every other call is one of
+    # e_table's control stacks at one (t, x)
     triple = build_compact(zoo.builtin("ex_2_2"), grids=FAST_POLICY, plan=FAST_APLAN)
     rows, singles = [], []
-    e_rows, e_eval = triple.e_rows, triple.e_eval
-    monkeypatch.setattr(triple, "e_rows", lambda ts, xs, A: rows.append(len(A)) or e_rows(ts, xs, A))
+    e_eval = triple.e_eval
 
-    def counted(t, x, a):
-        singles.append(np.ndim(a) < 2)
-        return e_eval(t, x, a)
+    def counted(ts, xs, A):
+        if np.ndim(ts) or np.ndim(xs):
+            rows.append(len(A))
+        singles.append(np.ndim(A) < 2)
+        return e_eval(ts, xs, A)
 
     monkeypatch.setattr(triple, "e_eval", counted)
     verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=12)

@@ -340,7 +340,7 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
 # ------------------------------------------------------ key table vs README
 
 
-def _readme_rows() -> dict[str, list[str]]:
+def _readme_key_table() -> dict[str, list[str]]:
     text = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
     section = text.split("## Config reference", 1)[1].split("\n## ", 1)[0]
     rows = {}
@@ -361,7 +361,7 @@ def _config_default(key: str):
 
 
 def test_readme_lists_every_key_with_its_default_bounds_and_readers():
-    rows = _readme_rows()
+    rows = _readme_key_table()
     assert set(rows) == set(cli._KEYS)
     for key, (_, bounds, commands) in cli._KEYS.items():
         default, value, read_by = rows[key]

@@ -1,16 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from _oracles import convexified_plan, convexified_points, user_triple_point
 from hamrep import compactness, zoo
-from hamrep.builder import ControlSet, RepresentationTriple
+from hamrep.builder import ControlSet, RepresentationTriple, induced_H
 from hamrep.compactness import (
     VERDICT_BOUNDED,
     VERDICT_VIOLATED,
     convexify,
     detect_blc_failure,
     extract_lambda,
-    induced_H,
     lemma41_check,
     simplex_weights,
 )
@@ -61,10 +62,10 @@ def test_convexify_mixes_atoms():
 )
 def test_convexified_e_table_matches_per_control_oracle(name, kwargs):
     base = getattr(zoo, name)(**kwargs)
-    view = convexify(base).view()
+    ct = convexify(base)
     q = base.control.dim
     for t, x in ((0.2, -0.7), (0.5, 0.0), (0.9, 0.35)):
-        A, F, Lv = view.e_table(t, x)
+        A, F, Lv = ct.e_table(t, x)
         assert np.array_equal(A, convexified_plan(base.default_samples(t, x), simplex_weights()))
         want = convexified_points(lambda a: user_triple_point(name, x, a, **kwargs), A, q)
         assert np.array_equal(F, want[:, 0])
@@ -76,7 +77,7 @@ def test_convexified_constructed_triple_matches_per_control_oracle(ex22_compact_
     ct = convexify(base)
     t, x = 0.4, -0.3
     packed = ct.control_samples(t, x)[::97]
-    _, F, Lv = ct.view().e_table(t, x, packed)
+    _, F, Lv = ct.e_table(t, x, packed)
     want = convexified_points(lambda a: base.e_eval(t, x, a), packed, 2)
     assert np.array_equal(F, want[:, 0])
     assert np.array_equal(Lv, want[:, 1])
@@ -199,3 +200,14 @@ def test_detect_blc_failure_indicator_lagrangian():
     assert report.verdict == VERDICT_BOUNDED
     assert report.worst_margin == pytest.approx(0.0, abs=1e-12)
     assert "candidate_lambda" in report.witnesses[-1]
+
+
+def test_detect_blc_failure_fails_when_no_slab_is_judged():
+    # dom L(t, x, .) of ex_2_5 is the whole line: no interior ladder to climb
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = detect_blc_failure(zoo.builtin("ex_2_5"), plan=PLAN)
+    assert report.verdict == "fail" and not report.passed
+    assert report.witnesses == [
+        {"note": "no slab judged at margin 0.1: every sampled domain is unbounded or too narrow"}
+    ]
