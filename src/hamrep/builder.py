@@ -21,6 +21,7 @@ covers the bounded epigraph slice below a bound lambda.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable
 
 import numpy as np
@@ -36,7 +37,7 @@ from .fenchel import (
 )
 from .report import CheckReport
 from .sampling import SamplePlan
-from .zoo import HamiltonianSpec, LambdaBound, domain_evaluator, lagrangian_evaluator
+from .zoo import HamiltonianSpec, LambdaBound, momentum_grid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,14 +91,11 @@ class ControlSet:
 class GridPolicy:
     """Discretization knobs for the construction."""
 
-    p_lo: float = -50.0
-    p_hi: float = 50.0
     p_count: int = 10001
     v_count: int = 601
-    blc_tol: float = 2e-2
 
     def p_grid(self) -> UniformGrid:
-        return UniformGrid(self.p_lo, self.p_hi, self.p_count)
+        return momentum_grid(self.p_count)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,12 +156,21 @@ class RepresentationTriple:
             self._tables[key] = out
         return out
 
+    @functools.cached_property
+    def slices(self) -> LagrangianSlices:
+        """The source's Lagrangian slices: a constructed triple's own, on its
+        p-grid, else the source's on the default p-grid."""
+        return self._core.slices if self._core is not None else self.source.slices()
+
 
 def _require_flags(spec: HamiltonianSpec, keys: tuple[str, ...]):
     bad = [k for k in keys if not spec.flags.get(k, True)]
     if bad:
         raise HypothesisViolation(f"{spec.name} violates {bad}")
 
+
+# how far a sampled L may rise above lambda before BLCViolation
+_BLC_TOL = 2e-2
 
 # rungs are frexp exponents of doubles, so below this; (slab, rung) keys
 # pack into one integer
@@ -196,10 +203,13 @@ class _SliceCore:
     """Shared slice/epigraph machinery behind both builders."""
 
     def __init__(self, spec: HamiltonianSpec, policy: GridPolicy, lam: Callable | None = None):
-        self.spec = spec
         self.policy = policy
         self.lam = lam
-        self.slices = LagrangianSlices(spec.eval, policy.p_grid())
+        self.slices = spec.slices(policy.p_grid())
+        # v-grid spacing at mid-time and x = 0, reported as the triple's grid_h
+        t0 = 0.5 * (spec.t_range[0] + spec.t_range[1])
+        w = self.slices.halfwidth(t0, 0.0)
+        self.grid_h = UniformGrid(-w, w, policy.v_count).h
         self._kept: dict[tuple[float, float], ConvexGridFunction] = {}
         self._epis: dict[tuple[float, float, int], cg.ConvexBody] = {}
 
@@ -209,13 +219,11 @@ class _SliceCore:
         fn = self._kept.get(key)
         if fn is not None:
             return fn
-        # without c, on_grid takes the half-width from the sample it conjugates
-        w = self.spec.modulus.v_halfwidth(t, abs(x))
-        fn = self.slices.on_grid(t, x, self.policy.v_count, w)
+        fn = self.slices.on_grid(t, x, self.policy.v_count)
         if self.lam is not None:
             finite = fn.values[np.isfinite(fn.values)]
             excess = float(np.max(finite)) - float(self.lam(t, x))
-            if excess > self.policy.blc_tol:
+            if excess > _BLC_TOL:
                 raise BLCViolation(
                     f"sampled L exceeds lambda by {excess:.3g} at (t={t}, x={x})"
                 )
@@ -284,14 +292,6 @@ class _SliceCore:
         return np.stack([nodes, vals], axis=1)
 
 
-def _typical_h(core: _SliceCore) -> float:
-    t0 = 0.5 * (core.spec.t_range[0] + core.spec.t_range[1])
-    w = core.spec.modulus.v_halfwidth(t0, 0.0)
-    if w is None:
-        w = core.slices.halfwidth(t0, 0.0)
-    return UniformGrid(-w, w, core.policy.v_count).h
-
-
 _CAP_NOTE = "power-of-two ladder over max(|a_eta|, min L) + 3*(2 d) + 1"
 
 
@@ -324,7 +324,7 @@ def build_noncompact(
         source=spec,
         caps=_CAP_NOTE,
         control_samples=samples,
-        grid_h=_typical_h(core),
+        grid_h=core.grid_h,
         _core=core,
     )
 
@@ -391,7 +391,7 @@ def build_compact(
         caps=_CAP_NOTE,
         scaling=M,
         control_samples=samples,
-        grid_h=_typical_h(core),
+        grid_h=core.grid_h,
         lam=lam_fn,
         _core=core,
     )
@@ -423,13 +423,6 @@ def induced_H(
     return np.max(p[:, None] * F[None, :] - Lv[None, :], axis=1)
 
 
-def _reference_domain(triple: RepresentationTriple, t: float, x: float) -> EffectiveDomain:
-    spec = triple.source
-    # a constructed triple's numeric domain samples H on the triple's own p-grid
-    p_grid = triple._core.policy.p_grid() if triple._core is not None else None
-    return domain_evaluator(spec, p_grid=p_grid)(t, x)
-
-
 def image_of_controls(
     triple: RepresentationTriple,
     t: float,
@@ -437,12 +430,11 @@ def image_of_controls(
     a_samples: np.ndarray | None = None,
 ) -> ImageReport:
     """Interval hull of the sampled f-values and its Hausdorff gap against
-    the reference effective domain (oracle when available, else the numeric
-    trust interval)."""
+    the source's effective domain, read from the triple's slices."""
     _, F, _ = triple.e_table(t, x, a_samples)
     F = np.sort(F)
     lo, hi = float(F[0]), float(F[-1])
-    ref = _reference_domain(triple, t, x)
+    ref = triple.slices.domain(t, x)
     r_lo = ref.lo if np.isfinite(ref.lo) else lo
     r_hi = ref.hi if np.isfinite(ref.hi) else hi
     # Hausdorff between the sampled f-set and the reference interval
@@ -471,12 +463,12 @@ def _draw_pair_controls(triple: RepresentationTriple, rng: np.random.Generator) 
 def lagrangian_access(triple: RepresentationTriple) -> Callable:
     """(t, x) -> vectorized L(t, x, .), consistent with the triple's own
     discretization: a constructed triple's trusted v-grid slice (the
-    ConvexGridFunction it was built from), else the source's oracle or
-    pointwise conjugate."""
+    ConvexGridFunction it was built from), else the pointwise L of the
+    triple's slices."""
     if triple._core is not None:
         return triple._core.slice
-    ev = lagrangian_evaluator(triple.source)
-    return lambda t, x: (lambda vs: np.asarray(ev(t, x, np.asarray(vs, dtype=float)), dtype=float))
+    slices = triple.slices
+    return lambda t, x: (lambda vs: np.asarray(slices.values(t, x, vs), dtype=float))
 
 
 def verify_triple(

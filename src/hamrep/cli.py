@@ -35,7 +35,7 @@ from .builder import (
 )
 from .errors import ConfigError, HamrepError, UnknownName
 from .exprs import compile_expr, compile_hamiltonian
-from .fenchel import LagrangianSlices, UniformGrid, epi_sum
+from .fenchel import UniformGrid, epi_sum
 from .report import CheckReport, reports_to_json
 from .sampling import SamplePlan
 
@@ -343,19 +343,18 @@ def _run_conjugate(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
     abs_tol = cfg.tol("abs_err")
     margin = cfg.tol("margin")
-    p_grid = UniformGrid(-50.0, 50.0, cfg.p_count)
+    p_grid = cfg.policy().p_grid()
     t = _mid(cfg.window.t_range)
     reports: list[CheckReport] = []
     rows: list[tuple] = []
     for spec in specs:
-        numeric = zoo.lagrangian_evaluator(spec, use_oracle=False, p_grid=p_grid)
+        # without oracle_L the slices' L is the numeric conjugate
+        numeric = dataclasses.replace(spec, oracle_L=None).slices(p_grid)
         worst = -np.inf
         worst_alt = -np.inf
         for x in _x_values(cfg):
-            vs = zoo.oracle_probe_values(
-                spec, t, float(x), margin=margin, count=min(cfg.v_count, 201), p_grid=p_grid
-            )
-            ln = np.asarray(numeric(t, float(x), vs), dtype=float)
+            vs = zoo.oracle_probe_values(numeric, t, float(x), margin=margin, count=min(cfg.v_count, 201))
+            ln = np.asarray(numeric.values(t, float(x), vs), dtype=float)
             if spec.oracle_L is not None:
                 lo_vals = np.asarray(spec.oracle_L(t, float(x), vs), dtype=float)
                 both = np.isfinite(ln) & np.isfinite(lo_vals)
@@ -414,10 +413,12 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
     def h_sum(t, x, p):
         return np.asarray(spec.eval(t, x, p), dtype=float) + np.asarray(h2(t, x, p), dtype=float)
 
-    width = max(abs(s) for s in LagrangianSlices(h_sum, p_grid).trust(t, x)) + 0.5
-    lhs, f1, f2 = (
-        LagrangianSlices(h, p_grid).on_grid(t, x, cfg.v_count, width) for h in (h_sum, spec.eval, h2)
-    )
+    slices = [
+        dataclasses.replace(spec, eval=h, oracle_L=None, oracle_dom=None).slices(p_grid)
+        for h in (h_sum, spec.eval, h2)
+    ]
+    width = max(abs(s) for s in slices[0].trust(t, x)) + 0.5
+    lhs, f1, f2 = (sl.on_grid(t, x, cfg.v_count, width) for sl in slices)
     rhs = epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)
     mismatch = int(np.sum(np.isfinite(lhs.values) != np.isfinite(rhs.values)))
@@ -438,7 +439,7 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
 def _run_check(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
     plan = cfg.plan()
-    p_grid = UniformGrid(-50.0, 50.0, cfg.p_count)
+    p_grid = cfg.policy().p_grid()
     reports: list[CheckReport] = []
     for spec in specs:
         got = [

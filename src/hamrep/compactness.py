@@ -18,7 +18,7 @@ from .errors import ConfigError, NoncompactControl
 from .fenchel import UniformGrid
 from .report import CheckReport
 from .sampling import SamplePlan
-from .zoo import HamiltonianSpec, LambdaBound, domain_evaluator, lagrangian_evaluator
+from .zoo import HamiltonianSpec, LambdaBound
 
 SIMPLEX_DENOM = 8
 
@@ -140,7 +140,8 @@ def extract_lambda(
 
     The returned bound carries a certification report: sampled L(t,x,v)
     stays below lambda(t,x) + tol across dom L, plus an empirical Lipschitz
-    estimate of lambda in x.
+    estimate of lambda in x. A slab whose dom L is unbounded is not judged,
+    and a certificate that judges no slab fails.
     """
     cache: dict[tuple[float, float], float] = {}
 
@@ -154,13 +155,14 @@ def extract_lambda(
     plan = plan or SamplePlan()
     rng = plan.rng(33)
     L_of = lagrangian_access(ct)
-    dom_of = domain_evaluator(ct.source)
     worst, wit = -np.inf, []
     for _ in range(6):
         t = float(rng.uniform(*t_range))
         x = float(rng.uniform(*x_range))
         bound = lam(t, x)
-        dom = dom_of(t, x)
+        dom = ct.slices.domain(t, x)
+        if not (np.isfinite(dom.lo) and np.isfinite(dom.hi)):
+            continue
         vs = np.linspace(dom.lo, dom.hi, n_dom)
         if not dom.lo_closed:
             vs = vs[1:]
@@ -173,9 +175,8 @@ def extract_lambda(
         m = float(np.max(vals)) - bound
         if m > worst:
             worst, wit = m, [{"t": t, "x": x, "lambda": bound, "sup_L": float(np.max(vals))}]
-    cert = CheckReport(
-        "blc_certificate", worst, "pass" if worst <= tol else "fail", wit
-    )
+    note = "no slab judged: every sampled domain is unbounded or holds no finite L"
+    cert = CheckReport("blc_certificate", worst, "pass" if wit and worst <= tol else "fail", wit or [{"note": note}])
 
     slopes = []
     for _ in range(12):
@@ -219,9 +220,7 @@ def detect_blc_failure(
     """
     plan = plan or SamplePlan()
     rng = plan.rng(101)
-    use_oracle = spec.oracle_L is not None and spec.oracle_dom is not None
-    L_ev = lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=p_grid)
-    dom_ev = domain_evaluator(spec, use_oracle=use_oracle, p_grid=p_grid)
+    slices = spec.slices(p_grid)
     slabs = [
         (float(t), float(x))
         for t, x in zip(rng.uniform(*t_range, 8), rng.uniform(*x_range, 8))
@@ -231,11 +230,11 @@ def detect_blc_failure(
         # the sups per slab at the final margin double as the candidate lambda
         sup_d, candidates = -np.inf, []
         for t, x in slabs:
-            dom = dom_ev(t, x)
+            dom = slices.domain(t, x)
             lo, hi = dom.lo + delta, dom.hi - delta
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 continue
-            vals = np.asarray(L_ev(t, x, np.linspace(lo, hi, n_v)), dtype=float)
+            vals = np.asarray(slices.values(t, x, np.linspace(lo, hi, n_v)), dtype=float)
             vals = vals[np.isfinite(vals)]
             if len(vals):
                 sup_d = max(sup_d, float(np.max(vals)))

@@ -14,8 +14,9 @@ function builds that hull once, on its first query, and every later query
 is a slope search.
 
 `LagrangianSlices` is the one path from a Hamiltonian to its Lagrangian
-slices L(t, x, .) = H(t, x, .)*: it samples H on the p-grid, reads the
-trust interval, evaluates L pointwise and conjugates onto velocity grids.
+slices L(t, x, .) = H(t, x, .)*: closed forms where the Hamiltonian has
+them, else H sampled on the p-grid, its trust interval, L pointwise and L
+on velocity grids, whose half-width rule it owns.
 
 Epigraphs and bounded epigraph slices are materialized as polygon bodies in
 the (v, eta) plane; the lower boundary interpolates the sampled graph, so a
@@ -302,46 +303,69 @@ def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:
     return float((vals[1] - vals[0]) / h), float((vals[-1] - vals[-2]) / h)
 
 
-def _trust_halfwidth(s_lo: float, s_hi: float) -> float:
-    return max(abs(s_lo), abs(s_hi)) + 1.0
-
-
 class LagrangianSlices:
-    """The Lagrangian slices L(t, x, .) = H(t, x, .)* of one Hamiltonian.
+    """The Lagrangian slices L(t, x, .) = H(t, x, .)* of one Hamiltonian
+    spec (a `zoo.HamiltonianSpec`: eval, oracle_L, oracle_dom, modulus.c)
+    on one p-grid.
 
-    Every slice starts from H(t, x, .) sampled on the p-grid, and its
-    conjugate is data only on the trust interval between the edge slopes
-    of that sample (`slope_range`). `values` keeps each sample, with its
-    lower hull, per (t, x), so repeated queries on a slice are slope
-    searches; `trust`, `halfwidth` and `on_grid` keep nothing, so callers
+    L comes from oracle_L and the domain from oracle_dom when the spec has
+    them, else from H(t, x, .) sampled on the p-grid, whose conjugate is
+    data only on the trust interval between the sample's edge slopes
+    (`slope_range`). The v-window half-width is c(t)(1 + r) + 1 with the
+    growth bound c, else max |edge slope| + 1. Every query but `on_grid`
+    reads one kept sample per (t, x); `on_grid` keeps nothing, so callers
     cache the grid slices they reuse.
     """
 
-    def __init__(self, h_eval: Callable, p_grid: UniformGrid):
-        self.h_eval = h_eval  # (t, x, p-array) -> array, convex in p
+    def __init__(self, spec, p_grid: UniformGrid):
+        self.spec = spec
         self.p_grid = p_grid
         self._kept: dict[tuple[float, float], ConvexGridFunction] = {}
 
     def _sample(self, t: float, x: float) -> ConvexGridFunction:
-        vals = np.asarray(self.h_eval(t, x, self.p_grid.nodes()), dtype=float)
+        vals = np.asarray(self.spec.eval(t, x, self.p_grid.nodes()), dtype=float)
         return ConvexGridFunction(self.p_grid, vals)
+
+    def _kept_sample(self, t: float, x: float) -> ConvexGridFunction:
+        key = (float(t), float(x))
+        if key not in self._kept:
+            self._kept[key] = self._sample(t, x)
+        return self._kept[key]
+
+    def _halfwidth(self, t: float, r: float, trust: Callable[[], tuple[float, float]]) -> float:
+        c = self.spec.modulus.c
+        return float(c(t)) * (1.0 + r) + 1.0 if c is not None else max(map(abs, trust())) + 1.0
 
     def trust(self, t: float, x: float) -> tuple[float, float]:
         """Trust interval of L(t, x, .): the edge slopes of the H sample."""
-        return slope_range(self._sample(t, x))
+        return slope_range(self._kept_sample(t, x))
 
-    def halfwidth(self, t: float, x: float) -> float:
-        """max |edge slope| + 1: half-width of the symmetric v-window that
-        holds the trust interval with a unit margin."""
-        return _trust_halfwidth(*self.trust(t, x))
+    def halfwidth(self, t: float, x: float, r: float | None = None) -> float:
+        """Half-width of the symmetric v-window that holds dom L(t, y, .)
+        for |y| <= r (r = |x| unless given) with a unit margin."""
+        return self._halfwidth(t, abs(x) if r is None else r, lambda: self.trust(t, x))
+
+    def domain(self, t: float, x: float) -> EffectiveDomain:
+        """dom L(t, x, .): the oracle's, else the trust interval (its
+        closedness flags advisory)."""
+        if self.spec.oracle_dom is not None:
+            return self.spec.oracle_dom(t, x)
+        return EffectiveDomain(*self.trust(t, x))
+
+    def bounded_domain(self, t: float, x: float) -> tuple[float, float]:
+        """dom L(t, x, .) with each infinite end clamped at the half-width."""
+        dom = self.domain(t, x)
+        if np.isfinite(dom.lo) and np.isfinite(dom.hi):
+            return dom.lo, dom.hi
+        w = self.halfwidth(t, x)
+        return (dom.lo if np.isfinite(dom.lo) else -w), (dom.hi if np.isfinite(dom.hi) else w)
 
     def values(self, t: float, x: float, v) -> np.ndarray:
-        """L(t, x, v) pointwise (see conjugate_values)."""
-        key = (float(t), float(x))
-        hfn = self._kept.get(key)
-        if hfn is None:
-            hfn = self._kept[key] = self._sample(t, x)
-        return conjugate_values(hfn, v)
+        """L(t, x, v) pointwise: the oracle's, else the conjugate of the
+        kept H sample (see conjugate_values)."""
+        if self.spec.oracle_L is not None:
+            return self.spec.oracle_L(t, x, np.asarray(v, dtype=float))
+        return conjugate_values(self._kept_sample(t, x), v)
 
     def on_grid(
         self,
@@ -351,18 +375,18 @@ class LagrangianSlices:
         halfwidth: float | None = None,
         trusted: bool = True,
     ) -> ConvexGridFunction:
-        """L(t, x, .) on the v-grid of count nodes over [-w, w].
+        """Numeric L(t, x, .) on the v-grid of count nodes over [-w, w].
 
-        w is halfwidth, or the sample's own max |edge slope| + 1 when it is
-        None. The raw slice (trusted False) is the grid conjugate on the
-        whole window. The trusted slice is +inf outside the trust
-        interval; an interval that falls between two nodes keeps the node
-        nearest its midpoint, and one that misses the window raises
-        GridUnderflow.
+        w is halfwidth, or the half-width rule at r = |x| when it is None,
+        read from a fresh sample. The raw slice (trusted False) is the grid
+        conjugate on the whole window. The trusted slice is +inf outside
+        the trust interval; an interval that falls between two nodes keeps
+        the node nearest its midpoint, and one that misses the window
+        raises GridUnderflow.
         """
         hfn = self._sample(t, x)
         s_lo, s_hi = slope_range(hfn)
-        w = _trust_halfwidth(s_lo, s_hi) if halfwidth is None else halfwidth
+        w = self._halfwidth(t, abs(x), lambda: (s_lo, s_hi)) if halfwidth is None else halfwidth
         grid = UniformGrid(-w, w, count)
         raw = conjugate(hfn, grid)
         if not trusted:

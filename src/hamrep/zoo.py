@@ -25,7 +25,10 @@ from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigr
 from .report import CheckReport
 from .sampling import SamplePlan
 
-DEFAULT_P_GRID = UniformGrid(-50.0, 50.0, 10001)
+
+def momentum_grid(count: int = 10001) -> UniformGrid:
+    """The p-grid every H sample lives on: count nodes over [-50, 50]."""
+    return UniformGrid(-50.0, 50.0, count)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,11 +47,6 @@ class ModulusData:
             w_R=lambda R, t, r: factor * w(R, t, r),
             c=self.c,
         )
-
-    def v_halfwidth(self, t: float, r: float) -> float | None:
-        """c(t)(1 + r) + 1, a v-window half-width holding dom L(t, x, .)
-        for |x| <= r; None without the growth bound."""
-        return None if self.c is None else float(self.c(t)) * (1.0 + r) + 1.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,6 +73,11 @@ class HamiltonianSpec:
         default_factory=lambda: {"H1": True, "H2": True, "H3": True, "H4": True, "HLC": True, "BLC": True}
     )
     notes: str = ""
+
+    def slices(self, p_grid: UniformGrid | None = None) -> LagrangianSlices:
+        """The Lagrangian slices of this Hamiltonian on p_grid (default
+        `momentum_grid()`); build one per check, triple or command."""
+        return LagrangianSlices(self, p_grid or momentum_grid())
 
 
 def _ex_2_1() -> HamiltonianSpec:
@@ -278,51 +281,16 @@ def builtin(name: str) -> HamiltonianSpec:
     return factory()
 
 
-def lagrangian_evaluator(spec: HamiltonianSpec, use_oracle: bool = True, p_grid: UniformGrid | None = None):
-    """Pointwise Lagrangian access: oracle when present (and wanted), else
-    the pointwise conjugate of the sampled H slice, kept per (t, x)."""
-    if use_oracle and spec.oracle_L is not None:
-        return lambda t, x, v: spec.oracle_L(t, x, np.asarray(v, dtype=float))
-    return LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID).values
-
-
-def domain_evaluator(spec: HamiltonianSpec, use_oracle: bool = True, p_grid: UniformGrid | None = None):
-    """Effective-domain access: oracle when present, else the edge-slope
-    trust interval of the sampled H slice (closedness flags advisory)."""
-    if use_oracle and spec.oracle_dom is not None:
-        return spec.oracle_dom
-    slices = LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID)
-    return lambda t, x: EffectiveDomain(*slices.trust(t, x))
-
-
-def _dom_interval(dom: EffectiveDomain, window: tuple[float, float] | None = None):
-    lo = dom.lo if np.isfinite(dom.lo) else (window[0] if window else -1e6)
-    hi = dom.hi if np.isfinite(dom.hi) else (window[1] if window else 1e6)
-    return lo, hi
-
-
-def _probe_window(spec: HamiltonianSpec, mod: ModulusData, t: float, x: float, dom, p_grid):
-    """dom clamped to a finite velocity window where it is unbounded: the
-    growth bound when available, else the half-width of the H slice."""
-    if np.isfinite(dom.lo) and np.isfinite(dom.hi):
-        return dom.lo, dom.hi
-    W = mod.v_halfwidth(t, abs(x))
-    if W is None:
-        W = LagrangianSlices(spec.eval, p_grid).halfwidth(t, x)
-    return (dom.lo if np.isfinite(dom.lo) else -W), (dom.hi if np.isfinite(dom.hi) else W)
-
-
 def oracle_probe_values(
-    spec: HamiltonianSpec,
+    slices: LagrangianSlices,
     t: float,
     x: float,
     margin: float = 0.1,
     count: int = 201,
-    p_grid: UniformGrid | None = None,
 ) -> np.ndarray:
     """Velocity probes where a numeric conjugate can be held to its oracle.
 
-    Points sit at least `margin` inside the oracle effective domain and
+    Points sit at least `margin` inside the slices' bounded domain and
     inside the edge-slope trust interval of the sampled H slice; outside
     that interval the p-window cannot resolve the conjugate (the missing
     slopes live beyond the window ends), so comparisons there test the
@@ -330,10 +298,8 @@ def oracle_probe_values(
     shrink the probe set accordingly. Degenerate domains return their
     single point.
     """
-    grid = p_grid or DEFAULT_P_GRID
-    s_lo, s_hi = LagrangianSlices(spec.eval, grid).trust(t, x)
-    dom = EffectiveDomain(s_lo, s_hi) if spec.oracle_dom is None else spec.oracle_dom(t, x)
-    lo, hi = _probe_window(spec, spec.modulus, t, x, dom, grid)
+    s_lo, s_hi = slices.trust(t, x)
+    lo, hi = slices.bounded_domain(t, x)
     if hi - lo <= 2.0 * margin:
         return np.array([0.5 * (lo + hi)])
     vlo = max(lo + margin, s_lo)
@@ -471,7 +437,6 @@ def check_LLC(
     modulus: ModulusData | None = None,
     tol: float = 2e-2,
     n_u: int = 65,
-    use_oracle: bool = True,
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Lagrangian-level continuity: every v in dom L(t,x) admits u within
@@ -483,13 +448,14 @@ def check_LLC(
     (always so when k|x-y| = 0) are their own minimizer, and one L call
     decides them. Every judged window is collected first and searched in
     one batch (see `_window_sets_min`); the worst excess is then taken in
-    loop order. Numeric slices sample H on p_grid. A run that judges no
-    sample (every probe window or slice empty) fails."""
+    loop order. L, its domain and the window that clamps an unbounded
+    domain come from the spec's slices on p_grid; modulus overrides k_R
+    and w_R only. A run that judges no sample (every probe window or slice
+    empty) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
-    grid = p_grid or DEFAULT_P_GRID
-    L = lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
-    dom = domain_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
+    slices = spec.slices(p_grid)
+    L = slices.values
     fracs = plan.unit_fractions()
     judged: list = []  # (t, a, b, w, probes, L(t, a, probes), u0, u1)
     for t, x, y in plan.triples(spec.t_range, R):
@@ -497,10 +463,10 @@ def check_LLC(
             d = abs(a - b)
             kd = mod.k_R(R, t) * d
             w = mod.w_R(R, t, d)
-            dom_a = dom(t, a)
-            dom_b = dom(t, b)
+            dom_a = slices.domain(t, a)
+            dom_b = slices.domain(t, b)
             # an unbounded slice is probed on a finite window, closed at the clamps
-            lo, hi = _probe_window(spec, mod, t, a, dom_a, grid)
+            lo, hi = slices.bounded_domain(t, a)
             lo_closed = dom_a.lo_closed or not np.isfinite(dom_a.lo)
             hi_closed = dom_a.hi_closed or not np.isfinite(dom_a.hi)
             inset = 1e-4 * max(hi - lo, 1e-12)
@@ -510,7 +476,9 @@ def check_LLC(
                 continue
             vs = lo_s + fracs * (hi_s - lo_s)
             la = np.asarray(L(t, a, vs), dtype=float)
-            blo, bhi = _dom_interval(dom_b)
+            # an unbounded search domain is cut at +-1e6
+            blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
+            bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
             keep = np.isfinite(la)
             if not np.any(keep):
                 continue
@@ -545,12 +513,13 @@ def check_MLC(
 ) -> CheckReport:
     """Epigraph-level continuity: the truncated E_L(t,x) sits inside the
     (k|x-y|, w)-inflation of E_L(t,y) truncated w higher. Slices come from
-    the numeric conjugate so the check exercises the full grid pipeline.
-    A NaN containment gap fails the run and its first triple is the
+    the numeric conjugate so the check exercises the full grid pipeline,
+    both on the wider of the slices' half-widths at x and y with r = R. A
+    NaN containment gap fails the run and its first triple is the
     witness; a run that judges no triple fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
-    slices = LagrangianSlices(spec.eval, p_grid or DEFAULT_P_GRID)
+    slices = spec.slices(p_grid)
     worst = -np.inf
     wit: list = []
     h_used = 0.0
@@ -558,9 +527,7 @@ def check_MLC(
     if len(triples) == 0:
         return CheckReport("mlc", worst, "fail", [{"note": "no triple judged: the sample plan is empty"}])
     for t, x, y in triples:
-        W = mod.v_halfwidth(t, R)
-        if W is None:
-            W = max(slices.halfwidth(t, x), slices.halfwidth(t, y))
+        W = max(slices.halfwidth(t, x, R), slices.halfwidth(t, y, R))
         h_used = max(h_used, UniformGrid(-W, W, v_count).h)
         Lx = slices.on_grid(t, x, v_count, W, trusted=False)
         Ly = slices.on_grid(t, y, v_count, W, trusted=False)

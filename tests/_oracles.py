@@ -347,14 +347,32 @@ def all_corners_inflate(body, r_v, r_eta):
     return cg.ConvexBody((body.vertices[:, None, :] + corners[None, :, :]).reshape(-1, 2))
 
 
-def per_set_check_LLC(spec, R, samples, use_oracle=True, p_grid=None, n_u=65, tol=2e-2):
+def per_set_check_LLC(spec, R, samples, p_grid=None, n_u=65, tol=2e-2):
     """check_LLC with one window search per (triple, direction): the same
     probes and windows, each set's windows searched on their own by
-    `zoo._window_min`, and the worst excess kept in loop order."""
+    `zoo._window_min`, and the worst excess kept in loop order. L and its
+    domain come from the spec's oracles when it has them, else from H
+    sampled on p_grid; an unbounded domain is clamped at c(t)(1 + |x|) + 1,
+    or at the sample's max |edge slope| + 1 without c."""
     mod = spec.modulus
-    grid = p_grid or zoo.DEFAULT_P_GRID
-    L = zoo.lagrangian_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
-    dom = zoo.domain_evaluator(spec, use_oracle=use_oracle, p_grid=grid)
+    grid = p_grid or fl.UniformGrid(-50.0, 50.0, 10001)
+    kept = {}
+
+    def h_slice(t, x):
+        if (t, x) not in kept:
+            kept[t, x] = inline_h_slice(spec.eval, t, x, grid)
+        return kept[t, x]
+
+    def L(t, x, v):
+        if spec.oracle_L is not None:
+            return spec.oracle_L(t, x, np.asarray(v, dtype=float))
+        return fl.conjugate_values(h_slice(t, x), v)
+
+    def dom(t, x):
+        if spec.oracle_dom is not None:
+            return spec.oracle_dom(t, x)
+        return fl.EffectiveDomain(*fl.slope_range(h_slice(t, x)))
+
     fracs = samples.unit_fractions()
     worst, wit, n_judged = -np.inf, [], 0
     for t, x, y in samples.triples(spec.t_range, R):
@@ -362,7 +380,13 @@ def per_set_check_LLC(spec, R, samples, use_oracle=True, p_grid=None, n_u=65, to
             d = abs(a - b)
             kd, w = mod.k_R(R, t) * d, mod.w_R(R, t, d)
             dom_a, dom_b = dom(t, a), dom(t, b)
-            lo, hi = zoo._probe_window(spec, mod, t, a, dom_a, grid)
+            lo, hi = dom_a.lo, dom_a.hi
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                if mod.c is not None:
+                    W = float(mod.c(t)) * (1.0 + abs(a)) + 1.0
+                else:
+                    W = max(abs(s) for s in fl.slope_range(h_slice(t, a))) + 1.0
+                lo, hi = (lo if np.isfinite(lo) else -W), (hi if np.isfinite(hi) else W)
             inset = 1e-4 * max(hi - lo, 1e-12)
             lo_s = lo + (0.0 if dom_a.lo_closed or not np.isfinite(dom_a.lo) else inset)
             hi_s = hi - (0.0 if dom_a.hi_closed or not np.isfinite(dom_a.hi) else inset)
@@ -370,7 +394,8 @@ def per_set_check_LLC(spec, R, samples, use_oracle=True, p_grid=None, n_u=65, to
                 continue
             vs = lo_s + fracs * (hi_s - lo_s)
             la = np.asarray(L(t, a, vs), dtype=float)
-            blo, bhi = zoo._dom_interval(dom_b)
+            blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
+            bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
             keep = np.isfinite(la)
             if not np.any(keep):
                 continue

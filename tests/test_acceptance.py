@@ -6,6 +6,7 @@ lines after the run. Tolerances are pinned here on purpose: loosening them
 is a contract change, not a test fix.
 """
 
+import dataclasses
 import functools
 import json
 import time
@@ -68,21 +69,21 @@ def test_criterion_01_conjugate_oracle_suite():
     worst = -np.inf
     for name in ("ex_2_1", "ex_2_2", "ex_2_3", "ex_2_4", "ex_2_6"):
         spec = zoo.builtin(name)
-        numeric = zoo.lagrangian_evaluator(spec, use_oracle=False, p_grid=grid)
+        numeric = dataclasses.replace(spec, oracle_L=None).slices(grid)
         for x in X_FIVE:
-            vs = zoo.oracle_probe_values(spec, T_MID, x, margin=0.1, count=201, p_grid=grid)
-            got = np.asarray(numeric(T_MID, x, vs), dtype=float)
+            vs = zoo.oracle_probe_values(numeric, T_MID, x, margin=0.1, count=201)
+            got = np.asarray(numeric.values(T_MID, x, vs), dtype=float)
             want = np.asarray(spec.oracle_L(T_MID, x, vs), dtype=float)
             if not (np.all(np.isfinite(got)) and np.all(np.isfinite(want))):
                 return False, f"{name}: non-finite value on interior probes at x={x}"
             worst = max(worst, float(np.max(np.abs(got - want))))
     # dual-form case: the numeric conjugate must match exactly one closed form
     spec5 = zoo.builtin("ex_2_5")
-    numeric5 = zoo.lagrangian_evaluator(spec5, use_oracle=False, p_grid=grid)
+    numeric5 = dataclasses.replace(spec5, oracle_L=None).slices(grid)
     err_derived = err_printed = -np.inf
     for x in X_FIVE:
-        vs = zoo.oracle_probe_values(spec5, T_MID, x, margin=0.1, count=201, p_grid=grid)
-        got = np.asarray(numeric5(T_MID, x, vs), dtype=float)
+        vs = zoo.oracle_probe_values(numeric5, T_MID, x, margin=0.1, count=201)
+        got = np.asarray(numeric5.values(T_MID, x, vs), dtype=float)
         derived = np.asarray(spec5.oracle_L(T_MID, x, vs), dtype=float)
         printed = np.asarray(spec5.alt_oracle_L(T_MID, x, vs), dtype=float)
         err_derived = max(err_derived, float(np.max(np.abs(got - derived))))

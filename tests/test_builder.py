@@ -13,7 +13,6 @@ from hamrep.builder import (
     ControlSet,
     RepresentationTriple,
     Window,
-    _reference_domain,
     build_compact,
     build_noncompact,
     image_of_controls,
@@ -169,7 +168,7 @@ def test_e_table_rejects_e_eval_breaking_the_shape_contract():
 
 @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0])
 def test_image_matches_domain_ex_2_2(ex22_noncompact_fast, x):
-    ref = _reference_domain(ex22_noncompact_fast, T0, x)
+    ref = ex22_noncompact_fast.slices.domain(T0, x)
     assert ref.lo == -1.0 and ref.hi == 1.0
     assert image_of_controls(ex22_noncompact_fast, T0, x).gap <= 5e-2
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -211,3 +212,14 @@ def test_detect_blc_failure_fails_when_no_slab_is_judged():
     assert report.witnesses == [
         {"note": "no slab judged at margin 0.1: every sampled domain is unbounded or too narrow"}
     ]
+
+
+def test_extract_lambda_fails_when_no_slab_is_judged():
+    # the family_p_abs triple over ex_2_5, whose dom L is the whole line:
+    # no slab has a bounded domain to sample, so nothing is certified
+    triple = dataclasses.replace(zoo.family_p_abs(), source=zoo.builtin("ex_2_5"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cert = extract_lambda(convexify(triple), plan=PLAN).certification
+    assert cert.verdict == "fail" and not cert.passed and cert.worst_margin == -np.inf
+    assert cert.witnesses == [{"note": "no slab judged: every sampled domain is unbounded or holds no finite L"}]

@@ -1,9 +1,13 @@
 """The Lagrangian-slice service against the inline path it replaced.
 
-Every H -> L slice of the package goes through `fenchel.LagrangianSlices`;
-these tests hold each consumer to the old inline composition bit for bit,
-check that the p-grid a caller passes reaches the numeric slices, and keep
-the grid primitives from being called outside `fenchel` again.
+Every H -> L slice of the package goes through `fenchel.LagrangianSlices`,
+built by `HamiltonianSpec.slices` once per check, triple or command; it
+alone routes L and dom L to the oracles or the H sample, sets the v-window
+half-width, and keeps one H sample per (t, x). These tests hold each
+consumer to the old inline composition bit for bit, check that the p-grid
+a caller passes reaches the numeric slices and that the pointwise queries
+at one (t, x) share one H sample, and keep the service's construction and
+the grid primitives from spreading outside their one place again.
 """
 
 import ast
@@ -61,14 +65,13 @@ def test_builder_slices_match_inline_path(name):
 @pytest.mark.parametrize("name", ALL)
 def test_numeric_evaluators_and_probes_match_inline_path(name):
     spec = zoo.builtin(name)
-    L = zoo.lagrangian_evaluator(spec, use_oracle=False, p_grid=P_GRID)
-    dom = zoo.domain_evaluator(spec, use_oracle=False, p_grid=P_GRID)
+    numeric = dataclasses.replace(spec, oracle_L=None, oracle_dom=None).slices(P_GRID)
     vs = np.linspace(-2.0, 2.0, 41)
     for x in XS:
         hfn = inline_h_slice(spec.eval, T0, x, P_GRID)
-        assert np.array_equal(L(T0, x, vs), fl.conjugate_values(hfn, vs))
-        assert dom(T0, x) == fl.EffectiveDomain(*fl.slope_range(hfn))
-        got = zoo.oracle_probe_values(spec, T0, x, p_grid=P_GRID)
+        assert np.array_equal(numeric.values(T0, x, vs), fl.conjugate_values(hfn, vs))
+        assert numeric.domain(T0, x) == fl.EffectiveDomain(*fl.slope_range(hfn))
+        got = zoo.oracle_probe_values(spec.slices(P_GRID), T0, x)
         assert np.array_equal(got, inline_probe_values(spec, T0, x, P_GRID))
 
 
@@ -130,6 +133,37 @@ def test_numeric_slices_use_the_callers_p_grid():
     reports = verify_triple(triple, Window(), plan=SamplePlan(seed=0), n_pairs=4)
     assert "triple_image_gap" in [r.check for r in reports]
     assert sizes and {n for n in sizes if n > 1} == {201}
+
+
+def test_pointwise_queries_share_one_H_sample_per_point():
+    # ex_2_5 without oracles has no c(t) either, so every query below
+    # needs the H sample
+    spec, sizes = _recording_spec("ex_2_5", oracle_L=None, oracle_dom=None)
+    slices = spec.slices(P_GRID)
+    hfn = inline_h_slice(spec.eval, T0, 0.4, P_GRID)
+    sizes.clear()
+    trust = slices.trust(T0, 0.4)
+    assert slices.halfwidth(T0, 0.4) == max(abs(s) for s in trust) + 1.0
+    assert slices.domain(T0, 0.4) == fl.EffectiveDomain(*trust)
+    assert slices.bounded_domain(T0, 0.4) == trust
+    assert np.array_equal(slices.values(T0, 0.4, [0.0, 1.0]), fl.conjugate_values(hfn, [0.0, 1.0]))
+    assert sizes == [P_GRID.count]
+    # on_grid keeps nothing: each call samples H afresh
+    slices.on_grid(T0, 0.4, V_COUNT)
+    slices.on_grid(T0, 0.4, V_COUNT)
+    assert sizes == [P_GRID.count] * 3
+
+
+def test_lagrangian_slices_are_constructed_at_one_site():
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "LagrangianSlices":
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert len(sites) == 1, sites
 
 
 def test_slice_primitives_are_called_only_in_fenchel():

@@ -34,7 +34,7 @@ def test_builtin_unknown_name():
 def test_oracle_L_matches_brute_conjugate(name):
     spec = zoo.builtin(name)
     t, x = 0.5, 0.7
-    probes = zoo.oracle_probe_values(spec, t, x, count=25)
+    probes = zoo.oracle_probe_values(spec.slices(), t, x, count=25)
     want = np.array([brute_conjugate(lambda ps: spec.eval(t, x, ps), v) for v in probes])
     got = np.asarray(spec.oracle_L(t, x, probes), dtype=float)
     assert np.all(np.isfinite(got))
@@ -58,32 +58,32 @@ def test_ex_2_3_window_value_outside_trust():
     brute = brute_conjugate(lambda ps: spec.eval(0.5, 0.0, ps), 0.1)
     assert brute == pytest.approx(EX_2_3_WINDOW_VALUE, abs=1e-6)
     assert float(spec.oracle_L(0.5, 0.0, np.array([0.1]))[0]) == pytest.approx(10.0)
-    probes = zoo.oracle_probe_values(spec, 0.5, 0.0)
+    probes = zoo.oracle_probe_values(spec.slices(), 0.5, 0.0)
     assert float(np.min(probes)) >= 1.0 / np.sqrt(50.0) - 1e-9
 
 
 def test_probe_values_degenerate_domain():
-    probes = zoo.oracle_probe_values(zoo.builtin("ex_2_1"), 0.5, 0.0)
+    probes = zoo.oracle_probe_values(zoo.builtin("ex_2_1").slices(), 0.5, 0.0)
     assert probes.shape == (1,)
     assert probes[0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("name", ["ex_2_1", "ex_2_2"])
-def test_lagrangian_evaluator_numeric_route(name):
+def test_slices_numeric_values_route(name):
     spec = zoo.builtin(name)
     t, x = 0.5, 0.7
-    numeric = zoo.lagrangian_evaluator(spec, use_oracle=False)
-    probes = zoo.oracle_probe_values(spec, t, x, count=17)
-    got = np.asarray(numeric(t, x, probes), dtype=float)
+    numeric = dataclasses.replace(spec, oracle_L=None).slices()
+    probes = zoo.oracle_probe_values(spec.slices(), t, x, count=17)
+    got = np.asarray(numeric.values(t, x, probes), dtype=float)
     want = np.asarray(spec.oracle_L(t, x, probes), dtype=float)
     assert np.max(np.abs(got - want)) <= 1e-2
 
 
-def test_domain_evaluator_routes():
+def test_slices_domain_routes():
     spec = zoo.builtin("ex_2_2")
-    oracle_dom = zoo.domain_evaluator(spec)(0.5, 0.7)
+    oracle_dom = spec.slices().domain(0.5, 0.7)
     assert (oracle_dom.lo, oracle_dom.hi) == (-1.0, 1.0)
-    numeric_dom = zoo.domain_evaluator(spec, use_oracle=False)(0.5, 0.7)
+    numeric_dom = dataclasses.replace(spec, oracle_dom=None).slices().domain(0.5, 0.7)
     assert numeric_dom.lo == pytest.approx(-1.0, abs=1e-2)
     assert numeric_dom.hi == pytest.approx(1.0, abs=1e-2)
 
@@ -120,7 +120,7 @@ def test_oracle_probes_stay_inside_domain(seed):
     spec = zoo.builtin("ex_2_2")
     t = float(rng.uniform(0.05, 0.95))
     x = float(rng.uniform(-2.0, 2.0))
-    probes = zoo.oracle_probe_values(spec, t, x, count=9)
+    probes = zoo.oracle_probe_values(spec.slices(), t, x, count=9)
     dom = spec.oracle_dom(t, x)
     assert np.all(probes >= dom.lo - 1e-12)
     assert np.all(probes <= dom.hi + 1e-12)
@@ -144,12 +144,12 @@ def test_convex_argmin_probes_both_thirds_in_one_call():
     assert calls == [(8,)] * 72 + [(4,)]
 
 
-@pytest.mark.parametrize("use_oracle", [True, False])
-def test_window_min_matches_grid_ternary_search_bit_for_bit(use_oracle):
+@pytest.mark.parametrize("oracle", [True, False])
+def test_window_min_matches_grid_ternary_search_bit_for_bit(oracle):
     # point windows (k|x-y| = 0) take one L call; windows of positive
     # width keep the grid and the ternary; both give the oracle's bits
     spec = zoo.builtin("ex_2_2")
-    L = zoo.lagrangian_evaluator(spec, use_oracle=use_oracle)
+    L = (spec if oracle else dataclasses.replace(spec, oracle_L=None)).slices().values
 
     def f(u):
         return L(0.5, 0.7, u)
@@ -161,7 +161,7 @@ def test_window_min_matches_grid_ternary_search_bit_for_bit(use_oracle):
         want = grid_ternary_window_min(f, lo, hi)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     # the oracle L is +inf beyond |u| = 1; the numeric one stays finite
-    assert np.any(np.isinf(want)) == use_oracle and np.any(np.isfinite(want))
+    assert np.any(np.isinf(want)) == oracle and np.any(np.isfinite(want))
 
 
 def test_check_LLC_searches_no_window_when_k_is_zero(monkeypatch):
@@ -190,15 +190,17 @@ def test_check_LLC_fails_when_it_judges_no_sample():
     assert rep.witnesses == [{"note": "no sample judged: every probe window or Lagrangian slice was empty"}]
 
 
-@pytest.mark.parametrize("use_oracle", [True, False])
+@pytest.mark.parametrize("oracle", [True, False])
 @pytest.mark.parametrize("name", zoo.names())
-def test_batched_check_LLC_matches_per_set_search_bit_for_bit(name, use_oracle):
+def test_batched_check_LLC_matches_per_set_search_bit_for_bit(name, oracle):
     spec = zoo.builtin(name)
+    if not oracle:
+        spec = dataclasses.replace(spec, oracle_L=None, oracle_dom=None)
     for seed in (0, 1, 2):
         for R in (0.5, 2.0):
             plan = SamplePlan(seed=seed, n_triples=8)
-            rep = zoo.check_LLC(spec, R, samples=plan, use_oracle=use_oracle)
-            worst, verdict, wit = per_set_check_LLC(spec, R, plan, use_oracle=use_oracle)
+            rep = zoo.check_LLC(spec, R, samples=plan)
+            worst, verdict, wit = per_set_check_LLC(spec, R, plan)
             assert np.float64(rep.worst_margin).tobytes() == np.float64(worst).tobytes()
             assert (rep.verdict, rep.witnesses) == (verdict, wit)
 
@@ -217,22 +219,19 @@ def test_check_LLC_runs_one_ternary_search_for_all_windows(monkeypatch):
     assert len(calls) == 1 and 33 < calls[0] <= 16 * 2 * 33
 
 
-def test_check_LLC_keeps_one_L_call_for_point_sets_beside_searched_ones(monkeypatch):
+def test_check_LLC_keeps_one_L_call_for_point_sets_beside_searched_ones():
     # k_R = 0 before t = 0.5 and 1 after: the early triples' windows are
     # points and the late ones' are intervals, in one run
     base = zoo.builtin("ex_2_1")
     mod = zoo.ModulusData(k_R=lambda R, t: 0.0 if t < 0.5 else 1.0, w_R=base.modulus.w_R, c=base.modulus.c)
     spec = dataclasses.replace(base, modulus=mod)
     calls = []
-    real = zoo.lagrangian_evaluator
 
-    def counting(*args, **kwargs):
-        L = real(*args, **kwargs)
-        return lambda t, x, v: calls.append(t) or L(t, x, v)
+    def counting(t, x, v):
+        calls.append(t)
+        return base.oracle_L(t, x, v)
 
-    monkeypatch.setattr(zoo, "lagrangian_evaluator", counting)
-    rep = zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN)
-    monkeypatch.undo()
+    rep = zoo.check_LLC(dataclasses.replace(spec, oracle_L=counting), R=2.0, samples=SMALL_PLAN)
     assert (rep.worst_margin, rep.verdict, rep.witnesses) == per_set_check_LLC(spec, 2.0, SMALL_PLAN)
     ts = SMALL_PLAN.triples(spec.t_range, 2.0)[:, 0]
     assert np.any(ts < 0.5) and np.any(ts >= 0.5)
