@@ -34,6 +34,7 @@ from .fenchel import (
     LagrangianSlices,
     UniformGrid,
     build_epigraph,
+    row_slabs,
 )
 from .report import CheckReport
 from .sampling import SamplePlan
@@ -185,20 +186,6 @@ def _rung_index(caps: np.ndarray, lmin) -> np.ndarray:
     return np.where(mant == 0.5, expo - 1, expo)
 
 
-def _slabs(ts, xs, n: int):
-    """The distinct (t, x) of n rows, in order of first appearance (a
-    scalar t or x serves every row), and each row's index into them."""
-    if np.ndim(ts) == 0 and np.ndim(xs) == 0:
-        return [(float(ts), float(xs))], np.zeros(n, dtype=np.intp)
-    index: dict[tuple[float, float], int] = {}
-    pairs = zip(
-        np.broadcast_to(np.asarray(ts, dtype=float), (n,)).tolist(),
-        np.broadcast_to(np.asarray(xs, dtype=float), (n,)).tolist(),
-    )
-    slab_of = np.array([index.setdefault(p, len(index)) for p in pairs], dtype=np.intp)
-    return list(index), slab_of
-
-
 class _SliceCore:
     """Shared slice/epigraph machinery behind both builders."""
 
@@ -272,7 +259,7 @@ class _SliceCore:
         one kernel call.
         """
         out = np.array(Z, dtype=float)
-        slabs, slab_of = _slabs(ts, xs, len(out))
+        slabs, slab_of = row_slabs(ts, xs, len(out))
         lmin = np.array([self.slice(t, x).min_value() for t, x in slabs])[slab_of]
         if len(out) == 0:
             return out
@@ -373,7 +360,7 @@ def build_compact(
         if np.ndim(ts) == 0 and np.ndim(xs) == 0:
             m = M(ts, xs)
         else:
-            slabs, slab_of = _slabs(ts, xs, len(rows))
+            slabs, slab_of = row_slabs(ts, xs, len(rows))
             m = np.array([M(t, x) for t, x in slabs])[slab_of, None]
         return core.e_points(ts, xs, m * rows).reshape(a.shape)
 

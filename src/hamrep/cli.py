@@ -308,13 +308,17 @@ def _ham_tag(cfg: RunConfig) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", raw)
 
 
+# numpy 2 writes a numpy scalar's repr as np.float64(0.5), so these are
+# written as Python floats
+_FLOATS = (float, np.floating)
+
+
 def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
+    if isinstance(v, _FLOATS):
+        v = float(v)
+        if math.isfinite(v):
+            return repr(v)
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
     # comma is the separator; free text swaps it for ";" to stay one cell
     return str(v).replace(",", ";")
 
@@ -350,24 +354,27 @@ def _run_conjugate(cfg: RunConfig):
     for spec in specs:
         # without oracle_L the slices' L is the numeric conjugate
         numeric = dataclasses.replace(spec, oracle_L=None).slices(p_grid)
-        worst = -np.inf
-        worst_alt = -np.inf
-        for x in _x_values(cfg):
-            vs = zoo.oracle_probe_values(numeric, t, float(x), margin=margin, count=min(cfg.v_count, 201))
-            ln = np.asarray(numeric.values(t, float(x), vs), dtype=float)
-            if spec.oracle_L is not None:
-                lo_vals = np.asarray(spec.oracle_L(t, float(x), vs), dtype=float)
-                both = np.isfinite(ln) & np.isfinite(lo_vals)
-                err = np.where(both, np.abs(ln - lo_vals), np.where(np.isfinite(ln) == np.isfinite(lo_vals), 0.0, np.inf))
-                worst = max(worst, float(np.max(err)))
-                for v, a, b, e in zip(vs, ln, lo_vals, err):
-                    rows.append((spec.name, t, float(x), float(v), float(a), float(b), float(e)))
-            else:
-                for v, a in zip(vs, ln):
-                    rows.append((spec.name, t, float(x), float(v), float(a), "", ""))
-            if spec.alt_oracle_L is not None:
-                alt_vals = np.asarray(spec.alt_oracle_L(t, float(x), vs), dtype=float)
-                worst_alt = max(worst_alt, float(np.max(np.abs(ln - alt_vals))))
+        # every x row's probes, queried at once with one x per probe
+        probes = [
+            zoo.oracle_probe_values(numeric, t, float(x), margin=margin, count=min(cfg.v_count, 201))
+            for x in _x_values(cfg)
+        ]
+        xs = np.repeat(_x_values(cfg), [len(vs) for vs in probes])
+        vs = np.concatenate(probes)
+        ln = np.asarray(numeric.values(t, xs, vs), dtype=float)
+        cols = [[spec.name] * len(vs), [t] * len(vs), xs.tolist(), vs.tolist(), ln.tolist()]
+        worst = worst_alt = -np.inf
+        if spec.oracle_L is not None:
+            lo_vals = np.asarray(spec.oracle_L(t, xs, vs), dtype=float)
+            both = np.isfinite(ln) & np.isfinite(lo_vals)
+            err = np.where(both, np.abs(ln - lo_vals), np.where(np.isfinite(ln) == np.isfinite(lo_vals), 0.0, np.inf))
+            worst = float(np.max(err))
+            rows.extend(zip(*cols, lo_vals.tolist(), err.tolist()))
+        else:
+            rows.extend(zip(*cols, [""] * len(vs), [""] * len(vs)))
+        if spec.alt_oracle_L is not None:
+            alt_vals = np.asarray(spec.alt_oracle_L(t, xs, vs), dtype=float)
+            worst_alt = float(np.max(np.abs(ln - alt_vals)))
         if spec.oracle_L is None:
             reports.append(
                 CheckReport(f"conjugate_numeric[{spec.name}]", 0.0, "no closed form on file", [])

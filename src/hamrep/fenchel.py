@@ -303,6 +303,26 @@ def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:
     return float((vals[1] - vals[0]) / h), float((vals[-1] - vals[-2]) / h)
 
 
+def row_slabs(ts, xs, n: int):
+    """The distinct (t, x) of n rows, in order of first appearance (a
+    scalar t or x serves every row), and each row's index into them."""
+    if np.ndim(ts) == 0 and np.ndim(xs) == 0:
+        return [(float(ts), float(xs))], np.zeros(n, dtype=np.intp)
+    if n == 0:
+        return [], np.zeros(0, dtype=np.intp)
+    t = np.broadcast_to(np.asarray(ts, dtype=float), (n,))
+    x = np.broadcast_to(np.asarray(xs, dtype=float), (n,))
+    # a stable sort by (t, x) starts each run of equal pairs at its first row
+    by = np.lexsort((x, t))
+    ts_by, xs_by = t[by], x[by]
+    starts = np.flatnonzero(np.r_[True, (ts_by[1:] != ts_by[:-1]) | (xs_by[1:] != xs_by[:-1])])
+    first = by[starts]
+    firsts = np.sort(first)
+    slab_of = np.empty(n, dtype=np.intp)
+    slab_of[by] = np.repeat(np.searchsorted(firsts, first), np.diff(np.r_[starts, n]))
+    return list(zip(t[firsts].tolist(), x[firsts].tolist())), slab_of
+
+
 class LagrangianSlices:
     """The Lagrangian slices L(t, x, .) = H(t, x, .)* of one Hamiltonian
     spec (a `zoo.HamiltonianSpec`: eval, oracle_L, oracle_dom, modulus.c)
@@ -360,12 +380,27 @@ class LagrangianSlices:
         w = self.halfwidth(t, x)
         return (dom.lo if np.isfinite(dom.lo) else -w), (dom.hi if np.isfinite(dom.hi) else w)
 
-    def values(self, t: float, x: float, v) -> np.ndarray:
-        """L(t, x, v) pointwise: the oracle's, else the conjugate of the
-        kept H sample (see conjugate_values)."""
+    def values(self, ts, xs, v) -> np.ndarray:
+        """L(t, x, v) pointwise, with ts and xs broadcasting to the shape
+        of v (a scalar serves every entry): the oracle's in one call, else
+        the conjugate of the kept H sample (see conjugate_values), one call
+        per distinct (t, x). Each entry is the one a call at its own (t, x)
+        gives."""
+        v = np.asarray(v, dtype=float)
         if self.spec.oracle_L is not None:
-            return self.spec.oracle_L(t, x, np.asarray(v, dtype=float))
-        return conjugate_values(self._kept_sample(t, x), v)
+            return self.spec.oracle_L(ts, xs, v)
+        if np.ndim(ts) == 0 and np.ndim(xs) == 0:
+            return conjugate_values(self._kept_sample(ts, xs), v)
+        t, x = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
+        pairs, slab_of = row_slabs(t.ravel(), x.ravel(), t.size)
+        ids = np.broadcast_to(slab_of.reshape(t.shape), v.shape).ravel()
+        order = np.argsort(ids, kind="stable")
+        ends = np.cumsum(np.bincount(ids, minlength=len(pairs))).tolist()
+        flat_v, out = v.ravel(), np.empty(v.size)
+        for (tk, xk), s, e in zip(pairs, [0] + ends, ends):
+            rows = order[s:e]
+            out[rows] = conjugate_values(self._kept_sample(tk, xk), flat_v[rows])
+        return out.reshape(v.shape)
 
     def on_grid(
         self,

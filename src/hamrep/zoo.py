@@ -60,6 +60,13 @@ class LambdaBound:
 
 @dataclasses.dataclass(frozen=True)
 class HamiltonianSpec:
+    """A Hamiltonian H(t, x, p), convex in p, with its modulus and, where
+    known, its closed-form Lagrangian oracle_L(t, x, v) and domain
+    oracle_dom(t, x). oracle_L (and alt_oracle_L) is elementwise in t, x
+    and v: t and x may be arrays that broadcast to the shape of v, and
+    each entry is the value at its own (t, x), as `LagrangianSlices.values`
+    requires."""
+
     name: str
     eval: Callable  # (t, x, p-array) -> array, convex in p
     modulus: ModulusData
@@ -85,11 +92,9 @@ def _ex_2_1() -> HamiltonianSpec:
         return np.maximum(np.abs(np.asarray(p, dtype=float)) * abs(x) - 1.0, 0.0)
 
     def oL(t, x, v):
-        v = np.asarray(v, dtype=float)
-        if x == 0.0:
-            return np.where(v == 0.0, 0.0, np.inf)
-        av = np.abs(v)
-        return np.where(av <= abs(x), av / abs(x), np.inf)
+        av, ax = np.abs(np.asarray(v, dtype=float)), np.abs(x)
+        # at x = 0 the domain is {0}, where L = 0 / 1 = 0
+        return np.where(av <= ax, av / np.where(ax == 0.0, 1.0, ax), np.inf)
 
     return HamiltonianSpec(
         name="ex_2_1",
@@ -105,12 +110,12 @@ def _ex_2_1() -> HamiltonianSpec:
 
 def _ex_2_2() -> HamiltonianSpec:
     def ev(t, x, p):
-        return np.sqrt(1.0 + np.asarray(p, dtype=float) ** 2) - abs(x)
+        return np.sqrt(1.0 + np.asarray(p, dtype=float) ** 2) - np.abs(x)
 
     def oL(t, x, v):
         v = np.asarray(v, dtype=float)
         inside = np.abs(v) <= 1.0
-        return np.where(inside, -np.sqrt(np.maximum(0.0, 1.0 - v * v)) + abs(x), np.inf)
+        return np.where(inside, -np.sqrt(np.maximum(0.0, 1.0 - v * v)) + np.abs(x), np.inf)
 
     return HamiltonianSpec(
         name="ex_2_2",
@@ -137,7 +142,7 @@ def _ex_2_3() -> HamiltonianSpec:
         v = np.asarray(v, dtype=float)
         inside = (v > 0.0) & (v <= 1.0)
         safe = np.where(inside, v, 1.0)
-        return np.where(inside, 1.0 / safe + abs(x), np.inf)
+        return np.where(inside, 1.0 / safe + np.abs(x), np.inf)
 
     flags = {"H1": True, "H2": True, "H3": True, "H4": True, "HLC": True, "BLC": False}
     return HamiltonianSpec(
@@ -157,13 +162,10 @@ def _ex_2_4() -> HamiltonianSpec:
         return np.where(s > 1.0, (np.sqrt(np.maximum(s, 1.0)) - 1.0) ** 2, 0.0)
 
     def oL(t, x, v):
-        v = np.asarray(v, dtype=float)
-        if x == 0.0:
-            return np.where(v == 0.0, 0.0, np.inf)
-        av = np.abs(v)
-        inside = av < abs(x)
-        denom = np.where(inside, abs(x) - av, 1.0)
-        return np.where(inside, av / denom, np.inf)
+        av, ax = np.abs(np.asarray(v, dtype=float)), np.abs(x)
+        inside = av < ax
+        # at x = 0 the domain is {0}, where L = 0 / 1 = 0
+        return np.where(inside | (av == 0.0), av / np.where(inside, ax - av, 1.0), np.inf)
 
     def dom(t, x):
         if x == 0.0:
@@ -187,10 +189,10 @@ def _ex_2_5() -> HamiltonianSpec:
         return np.asarray(p, dtype=float) ** 2 / (2.0 + 2.0 * t) - abs(x)
 
     def oL(t, x, v):
-        return (1.0 + t) * np.asarray(v, dtype=float) ** 2 / 2.0 + abs(x)
+        return (1.0 + t) * np.asarray(v, dtype=float) ** 2 / 2.0 + np.abs(x)
 
     def alt(t, x, v):
-        return (1.0 + t) * np.asarray(v, dtype=float) ** 2 + abs(x)
+        return (1.0 + t) * np.asarray(v, dtype=float) ** 2 + np.abs(x)
 
     flags = {"H1": True, "H2": True, "H3": True, "H4": False, "HLC": True, "BLC": False}
     return HamiltonianSpec(
@@ -218,11 +220,11 @@ def _ex_2_6() -> HamiltonianSpec:
         return abs(x) * np.maximum(np.abs(p) - abs(np.log(t)), 0.0)
 
     def oL(t, x, v):
-        v = np.asarray(v, dtype=float)
-        if t <= 0.0:
-            return np.where(v == 0.0, 0.0, np.inf)
-        inside = np.abs(v) <= abs(x)
-        return np.where(inside, abs(np.log(t)) * np.abs(v), np.inf)
+        av, live = np.abs(np.asarray(v, dtype=float)), np.greater(t, 0.0)
+        # on the null set t <= 0 the domain is {0}, where L = 0 * 0 = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(live, np.abs(np.log(t)), 0.0)
+        return np.where(av <= np.where(live, np.abs(x), 0.0), slope * av, np.inf)
 
     def dom(t, x):
         return EffectiveDomain(-abs(x), abs(x), True, True)
@@ -393,40 +395,18 @@ def _window_min(f, u0: np.ndarray, u1: np.ndarray, n_u: int) -> np.ndarray:
     return np.minimum(grid_min, tern_min)
 
 
-def _stacked_slices(L, keys, bounds):
-    """f for `_window_min` over stacked window sets: rows bounds[k] to
-    bounds[k + 1] are the windows of set k, and its slice L(t, b, .) with
-    (t, b) = keys[k] gets them in one call, as a flat array."""
-
-    def f(U):
-        out = np.empty(U.shape)
-        for (t, b), s, e in zip(keys, bounds[:-1], bounds[1:]):
-            out[s:e] = np.asarray(L(t, b, U[s:e].ravel()), dtype=float).reshape(e - s, -1)
-        return out
-
-    return f
-
-
-def _window_sets_min(L, sets, n_u: int) -> list:
-    """Window minima of L(t, b, .) for each window set (t, b, u0, u1).
-
-    `_window_min` decides per call whether every window has zero width, so
-    the sets where all do and the rest run as two batched searches; each
-    call of their f makes one L call per set, and every value is the one a
-    search of that set alone would give."""
-    best: list = [None] * len(sets)
-    point = [bool(np.all(u1 == u0)) for _, _, u0, u1 in sets]
-    for kind in (True, False):
-        group = [k for k in range(len(sets)) if point[k] == kind]
-        if not group:
-            continue
-        bounds = np.cumsum([0] + [len(sets[k][2]) for k in group])
-        f = _stacked_slices(L, [sets[k][:2] for k in group], bounds)
-        u0 = np.concatenate([sets[k][2] for k in group])
-        u1 = np.concatenate([sets[k][3] for k in group])
-        got = _window_min(f, u0, u1, n_u)
-        for k, s, e in zip(group, bounds[:-1], bounds[1:]):
-            best[k] = got[s:e]
+def _window_rows_min(slices, T, B, u0, u1, point, n_u: int) -> np.ndarray:
+    """Minimum of L(T_i, B_i, .) over each window [u0_i, u1_i] (see
+    `_window_min`). `_window_min` decides per call whether every window has
+    zero width, so the rows flagged `point` and the rest run as two batched
+    searches; each probe stage of either is one per-row `slices.values`
+    call, and every value is the one a search of its window set alone
+    would give."""
+    best = np.empty(len(u0))
+    for rows in (np.flatnonzero(point), np.flatnonzero(~point)):
+        if len(rows):
+            t, b = T[rows, None], B[rows, None]
+            best[rows] = _window_min(lambda U: slices.values(t, b, U), u0[rows], u1[rows], n_u)
     return best
 
 
@@ -446,25 +426,23 @@ def check_LLC(
     boundaries resolve to within the ternary's 2e-13 of the window width;
     an empty search window counts as +inf excess. Windows of zero width
     (always so when k|x-y| = 0) are their own minimizer, and one L call
-    decides them. Every judged window is collected first and searched in
-    one batch (see `_window_sets_min`); the worst excess is then taken in
-    loop order. L, its domain and the window that clamps an unbounded
-    domain come from the spec's slices on p_grid; modulus overrides k_R
-    and w_R only. A run that judges no sample (every probe window or slice
-    empty) fails."""
+    decides them. L is queried per row (`LagrangianSlices.values`): the
+    probes of all (triple, direction) pairs take one L call, and each grid,
+    ternary and midpoint stage of the window search one more over every
+    window (see `_window_rows_min`), so the count does not grow with the
+    sample plan. The worst excess is then taken in loop order. L, its
+    domain and the window that clamps an unbounded domain come from the
+    spec's slices on p_grid; modulus overrides k_R and w_R only. A run that
+    judges no sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     slices = spec.slices(p_grid)
-    L = slices.values
     fracs = plan.unit_fractions()
-    judged: list = []  # (t, a, b, w, probes, L(t, a, probes), u0, u1)
+    probed: list = []  # (t, a, b, k|a-b|, w(|a-b|), probes)
     for t, x, y in plan.triples(spec.t_range, R):
         for a, b in ((x, y), (y, x)):
             d = abs(a - b)
-            kd = mod.k_R(R, t) * d
-            w = mod.w_R(R, t, d)
             dom_a = slices.domain(t, a)
-            dom_b = slices.domain(t, b)
             # an unbounded slice is probed on a finite window, closed at the clamps
             lo, hi = slices.bounded_domain(t, a)
             lo_closed = dom_a.lo_closed or not np.isfinite(dom_a.lo)
@@ -472,31 +450,40 @@ def check_LLC(
             inset = 1e-4 * max(hi - lo, 1e-12)
             lo_s = lo + (0.0 if lo_closed else inset)
             hi_s = hi - (0.0 if hi_closed else inset)
-            if lo_s > hi_s:
-                continue
-            vs = lo_s + fracs * (hi_s - lo_s)
-            la = np.asarray(L(t, a, vs), dtype=float)
-            # an unbounded search domain is cut at +-1e6
-            blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
-            bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
-            keep = np.isfinite(la)
-            if not np.any(keep):
-                continue
-            vs_f = vs[keep]
-            u0 = np.maximum(vs_f - kd, blo)
-            u1 = np.minimum(vs_f + kd, bhi)
-            judged.append((t, a, b, w, vs_f, la[keep], u0, u1))
+            if lo_s <= hi_s:
+                vs = lo_s + fracs * (hi_s - lo_s)
+                probed.append((t, a, b, mod.k_R(R, t) * d, mod.w_R(R, t, d), vs))
+    T, A = np.array([p[:2] for p in probed], dtype=float).reshape(-1, 2).T
+    V = np.array([p[5] for p in probed], dtype=float).reshape(len(probed), len(fracs))
+    LA = np.asarray(slices.values(T[:, None], A[:, None], V), dtype=float)
+    judged: list = []  # (t, a, b, w, probes, L(t, a, probes), u0, u1)
+    for (t, a, b, kd, w, vs), la in zip(probed, LA):
+        keep = np.isfinite(la)
+        if not np.any(keep):
+            continue
+        # an unbounded search domain is cut at +-1e6
+        dom_b = slices.domain(t, b)
+        blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
+        bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
+        vs_f = vs[keep]
+        judged.append((t, a, b, w, vs_f, la[keep], np.maximum(vs_f - kd, blo), np.minimum(vs_f + kd, bhi)))
     if not judged:
         note = "no sample judged: every probe window or Lagrangian slice was empty"
         return CheckReport("llc", -np.inf, "fail", [{"note": note}])
-    sets = [(t, b, u0, np.maximum(u1, u0)) for t, _, b, _, _, _, u0, u1 in judged]
+    t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
+    lens = [len(vs) for vs in vs_s]
+    u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
+    top = np.maximum(u1, u0)
+    # a window set whose windows all have zero width is searched apart
+    point = np.repeat(np.logical_and.reduceat(top == u0, np.cumsum([0] + lens[:-1])), lens)
+    best = _window_rows_min(slices, np.repeat(t_s, lens), np.repeat(b_s, lens), u0, top, point, n_u)
+    excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
     worst = -np.inf
     wit: list = []
-    for (t, a, b, w, vs_f, la_f, u0, u1), best in zip(judged, _window_sets_min(L, sets, n_u)):
-        excess = np.where(u0 > u1, np.inf, best - la_f - w)
-        j = int(np.argmax(excess))
-        if float(excess[j]) > worst:
-            worst = float(excess[j])
+    for t, a, b, vs_f, ex in zip(t_s, a_s, b_s, vs_s, np.split(excess, np.cumsum(lens)[:-1])):
+        j = int(np.argmax(ex))
+        if float(ex[j]) > worst:
+            worst = float(ex[j])
             wit = [{"t": float(t), "x": float(a), "y": float(b), "v": float(vs_f[j])}]
     return CheckReport("llc", worst, "pass" if worst <= tol else "fail", wit)
 

@@ -517,6 +517,17 @@ def convexified_points(point_of, packed_rows, q):
     return out
 
 
+def first_appearance_slabs(ts, xs, n):
+    """`fenchel.row_slabs` by a dict over the rows: the distinct (t, x) in
+    order of first appearance and each row's index into them."""
+    if np.ndim(ts) == 0 and np.ndim(xs) == 0:
+        return [(float(ts), float(xs))], np.zeros(n, dtype=np.intp)
+    index = {}
+    rows = zip(np.broadcast_to(ts, (n,)).tolist(), np.broadcast_to(xs, (n,)).tolist())
+    slab_of = np.array([index.setdefault(p, len(index)) for p in rows], dtype=np.intp)
+    return list(index), slab_of
+
+
 def inline_h_slice(h_eval, t, x, p_grid):
     """H(t, x, .) sampled on p_grid."""
     return fl.ConvexGridFunction(p_grid, np.asarray(h_eval(t, x, p_grid.nodes()), dtype=float))

@@ -5,6 +5,7 @@ import json
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,16 @@ def test_fmt_cell():
     assert cli._fmt_cell(float("nan")) == "nan"
     assert cli._fmt_cell("a, b") == "a; b"
     assert cli._fmt_cell(7) == "7"
+
+
+def test_fmt_cell_writes_numpy_floats_as_python_floats():
+    assert cli._fmt_cell(np.float64(0.5)) == "0.5"
+    assert cli._fmt_cell(np.float32(0.5)) == "0.5"
+    assert cli._fmt_cell(np.float64(np.inf)) == "inf"
+    assert cli._fmt_cell(np.float32(-np.inf)) == "-inf"
+    assert cli._fmt_cell(np.float64(np.nan)) == "nan"
+    assert cli._fmt_cell(np.float64(-0.0)) == cli._fmt_cell(-0.0) == "-0.0"
+    assert cli._fmt_cell(np.float64(0.1)) == cli._fmt_cell(0.1) == "0.1"
 
 
 def test_ham_tag_shapes():

@@ -17,7 +17,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from _oracles import inline_h_slice, inline_lagrangian_slice, inline_probe_values
+from _oracles import first_appearance_slabs, inline_h_slice, inline_lagrangian_slice, inline_probe_values
 from conftest import FAST_APLAN
 from hamrep import fenchel as fl
 from hamrep import zoo
@@ -152,6 +152,51 @@ def test_pointwise_queries_share_one_H_sample_per_point():
     slices.on_grid(T0, 0.4, V_COUNT)
     slices.on_grid(T0, 0.4, V_COUNT)
     assert sizes == [P_GRID.count] * 3
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+@pytest.mark.parametrize("name", zoo.names())
+def test_per_row_values_match_per_point_calls_bit_for_bit(name, oracle):
+    # rows at t = 0 (ex_2_6's null set) and x = 0 (ex_2_1 and ex_2_4's
+    # point domain), out of order and repeated, so the numeric route groups
+    # rows that are not adjacent
+    spec = zoo.builtin(name)
+    if not oracle:
+        spec = dataclasses.replace(spec, oracle_L=None, oracle_dom=None)
+    slices = spec.slices(P_GRID)
+    pairs = [(0.0, 0.4), (T0, 0.0), (1.0, -0.7), (T0, 0.4), (0.0, 0.0), (T0, 0.0), (0.3, -0.7)]
+    ts, xs = (np.array(col)[:, None] for col in zip(*pairs))
+    # each row: a v-grid past dom L, then v = x, v = -x and v = -0.0
+    V = np.concatenate([np.tile(np.linspace(-1.5, 1.5, 13), (len(pairs), 1)), xs, -xs, np.full_like(xs, -0.0)], axis=1)
+
+    def bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    def per_point(rows_t, rows_x):
+        return np.stack([slices.values(float(t), float(x), v) for t, x, v in zip(rows_t, rows_x, V)])
+
+    want = per_point(ts[:, 0], xs[:, 0])
+    assert bits(slices.values(ts, xs, V)) == bits(want)
+    # a scalar t (or x) serves every row; v flat with one x per entry
+    at_t0 = per_point([T0] * len(pairs), xs[:, 0])
+    assert bits(slices.values(T0, xs, V)) == bits(at_t0)
+    assert bits(slices.values(T0, np.broadcast_to(xs, V.shape).ravel(), V.ravel())) == bits(at_t0)
+    assert bits(slices.values(ts, 0.0, V)) == bits(per_point(ts[:, 0], [0.0] * len(pairs)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_slabs_match_first_appearance_dict(seed):
+    # signed zeros and infinities: -0.0 and 0.0 are one slab, kept as the
+    # row that comes first
+    rng = np.random.default_rng(seed)
+    vals = np.array([0.0, -0.0, 0.5, -3.0, np.inf, -np.inf])
+    for n in (0, 1, 2, 7, 40, 300):
+        rows = (rng.choice(vals, n), rng.choice(vals, n))
+        for ts, xs in (rows, (0.5, rows[1]), (rows[0], -0.0)):
+            got, want = fl.row_slabs(ts, xs, n), first_appearance_slabs(ts, xs, n)
+            assert got[0] == want[0] and np.signbit(got[0]).tolist() == np.signbit(want[0]).tolist()
+            assert np.array_equal(got[1], want[1]) and got[1].dtype == np.intp
+    assert fl.row_slabs(0.5, -0.0, 3)[0] == [(0.5, -0.0)]
 
 
 def test_lagrangian_slices_are_constructed_at_one_site():

@@ -41,6 +41,16 @@ def test_oracle_L_matches_brute_conjugate(name):
     assert np.max(np.abs(got - want)) <= 1e-2
 
 
+def test_oracles_give_the_indicator_of_zero_where_H_vanishes():
+    # ex_2_1 and ex_2_4 at x = 0 and ex_2_6 on its null set t = 0 have
+    # H(t, x, .) = 0, whose conjugate is the indicator of {0}
+    v = np.array([-0.5, -0.0, 0.0, 0.3])
+    for name, t, x in (("ex_2_1", 0.5, 0.0), ("ex_2_4", 0.5, 0.0), ("ex_2_6", 0.0, 0.7)):
+        spec = zoo.builtin(name)
+        assert np.all(spec.eval(t, x, np.linspace(-50.0, 50.0, 101)) == 0.0)
+        assert np.array_equal(spec.oracle_L(t, x, v), [np.inf, 0.0, 0.0, np.inf])
+
+
 def test_ex_2_5_printed_variant_disagrees():
     spec = zoo.builtin("ex_2_5")
     t, x, v = 0.5, 0.7, 1.0
@@ -225,20 +235,57 @@ def test_check_LLC_keeps_one_L_call_for_point_sets_beside_searched_ones():
     base = zoo.builtin("ex_2_1")
     mod = zoo.ModulusData(k_R=lambda R, t: 0.0 if t < 0.5 else 1.0, w_R=base.modulus.w_R, c=base.modulus.c)
     spec = dataclasses.replace(base, modulus=mod)
+    ts = SMALL_PLAN.triples(spec.t_range, 2.0)[:, 0]
+    assert np.any(ts < 0.5) and np.any(ts >= 0.5)
     calls = []
 
     def counting(t, x, v):
-        calls.append(t)
+        calls.append(np.shape(v))
         return base.oracle_L(t, x, v)
 
     rep = zoo.check_LLC(dataclasses.replace(spec, oracle_L=counting), R=2.0, samples=SMALL_PLAN)
     assert (rep.worst_margin, rep.verdict, rep.witnesses) == per_set_check_LLC(spec, 2.0, SMALL_PLAN)
-    ts = SMALL_PLAN.triples(spec.t_range, 2.0)[:, 0]
-    assert np.any(ts < 0.5) and np.any(ts >= 0.5)
-    # per triple: two probe calls, then one search call per point set and
-    # 1 + 72 + 1 (grid, ternary, midpoint) per searched set
-    for t in ts:
-        assert calls.count(t) == (4 if t < 0.5 else 2 + 2 * 74)
+    # one probe call over every (triple, direction), then one call for all
+    # point windows and 1 + 72 + 1 (grid, ternary, midpoint) for the
+    # searched ones, each over all of its windows
+    n_sets, n_probes = calls[0]
+    assert n_sets == 2 * len(ts) and n_probes == len(SMALL_PLAN.unit_fractions())
+    n_point, n_searched = calls[1][0], calls[2][0]
+    assert calls[1:] == [(n_point, 1), (n_searched, 65)] + [(n_searched, 2)] * 72 + [(n_searched, 1)]
+    assert n_point > 0 and n_searched > 0 and n_point + n_searched <= n_sets * n_probes
+
+
+# builtins with oracle_L, and ex_2_1 on the numeric route
+LLC_ROUTES = [(name, True) for name in zoo.names() if zoo.builtin(name).oracle_L is not None] + [("ex_2_1", False)]
+
+
+@pytest.mark.parametrize("name,oracle", LLC_ROUTES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_LLC_L_calls_do_not_grow_with_window_sets(name, oracle, seed, monkeypatch):
+    spec = zoo.builtin(name)
+    if not oracle:
+        spec = dataclasses.replace(spec, oracle_L=None, oracle_dom=None)
+    calls = []
+    real = zoo.LagrangianSlices.values
+
+    def counting(self, ts, xs, v):
+        calls.append(np.shape(v))
+        return real(self, ts, xs, v)
+
+    monkeypatch.setattr(zoo.LagrangianSlices, "values", counting)
+    n_sets = []
+    for n_triples in (4, 16):
+        plan = SamplePlan(seed=seed, n_triples=n_triples)
+        del calls[:]
+        rep = zoo.check_LLC(spec, 2.0, samples=plan)
+        worst, verdict, wit = per_set_check_LLC(spec, 2.0, plan)
+        assert np.float64(rep.worst_margin).tobytes() == np.float64(worst).tobytes()
+        assert (rep.verdict, rep.witnesses) == (verdict, wit)
+        # one probe call, then one for the point windows and 74 search
+        # stages for the others, where the run has such windows
+        assert len(calls) in (2, 75, 76)
+        n_sets.append(calls[0][0])
+    assert n_sets[1] > n_sets[0]
 
 
 def test_check_MLC_fails_on_a_nan_gap_and_names_its_triple():
