@@ -56,7 +56,6 @@ class APlan:
     box_half: float = 3.0
     n_radii: int = 8
     n_angles: int = 40  # multiple of 4 keeps the axes in the polar grid
-    n_interval: int = 41
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,7 +79,7 @@ class ControlSet:
             pts = np.stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()], axis=1)
             return np.concatenate([np.zeros((1, 2)), pts], axis=0)
         if self.kind == "interval":
-            return np.linspace(self.lo, self.hi, plan.n_interval)[:, None]
+            return np.linspace(self.lo, self.hi, 41)[:, None]
         if self.kind == "finite":
             if self.points is None:
                 raise ConfigError("finite control set without points")
@@ -357,11 +356,8 @@ def build_compact(
         rows = a.reshape(-1, 2)
         if np.any(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] > 1.0 + 1e-9):
             raise ConfigError("control point outside the unit ball")
-        if np.ndim(ts) == 0 and np.ndim(xs) == 0:
-            m = M(ts, xs)
-        else:
-            slabs, slab_of = row_slabs(ts, xs, len(rows))
-            m = np.array([M(t, x) for t, x in slabs])[slab_of, None]
+        slabs, slab_of = row_slabs(ts, xs, len(rows))
+        m = np.array([M(t, x) for t, x in slabs])[slab_of, None]
         return core.e_points(ts, xs, m * rows).reshape(a.shape)
 
     def samples(t, x):
@@ -402,23 +398,19 @@ def induced_H(
     t: float,
     x: float,
     p_values: np.ndarray,
-    a_samples: np.ndarray | None = None,
 ) -> np.ndarray:
-    """H induced by the triple: max over sampled controls of p f - l."""
-    _, F, Lv = triple.e_table(t, x, a_samples)
+    """H induced by the triple: max over its default control samples of
+    p f - l."""
+    _, F, Lv = triple.e_table(t, x)
     p = np.asarray(p_values, dtype=float)
     return np.max(p[:, None] * F[None, :] - Lv[None, :], axis=1)
 
 
-def image_of_controls(
-    triple: RepresentationTriple,
-    t: float,
-    x: float,
-    a_samples: np.ndarray | None = None,
-) -> ImageReport:
-    """Interval hull of the sampled f-values and its Hausdorff gap against
-    the source's effective domain, read from the triple's slices."""
-    _, F, _ = triple.e_table(t, x, a_samples)
+def image_of_controls(triple: RepresentationTriple, t: float, x: float) -> ImageReport:
+    """Interval hull of the f-values of the default control samples and its
+    Hausdorff gap against the source's effective domain, read from the
+    triple's slices."""
+    _, F, _ = triple.e_table(t, x)
     F = np.sort(F)
     lo, hi = float(F[0]), float(F[-1])
     ref = triple.slices.domain(t, x)
@@ -466,15 +458,14 @@ def verify_triple(
     l_tol: float = 2e-2,
     lip_slack: float = 5e-3,
     image_gap_tol: float = 5e-2,
-    membership_tol: float | None = None,
 ) -> list[CheckReport]:
     """Five-way faithfulness audit of a representation triple.
 
     (i) l stays above -|H(t,x,0)|; (ii) |f| respects the growth bound;
     (iii) Lipschitz quotients against 10(n+1)[k|x-y| + w(|x-y|) + |Ma-M'b|]
     (the scaled control difference reduces to |a-b| when M = 1); (iv)
-    selected points lie in the epigraph up to 2h; (v) the image of the
-    control samples matches dom L up to a Hausdorff gap.
+    selected points lie in the epigraph up to max(2h, 1e-9); (v) the image
+    of the control samples matches dom L up to a Hausdorff gap.
     """
     spec = triple.source
     plan = plan or SamplePlan()
@@ -566,7 +557,7 @@ def verify_triple(
         )
     )
 
-    mtol = membership_tol if membership_tol is not None else max(2.0 * h, 1e-9)
+    mtol = max(2.0 * h, 1e-9)
     L_of = lagrangian_access(triple)
     worst_mem, wit_mem = -np.inf, []
     for t, x in slabs[:4]:

@@ -174,7 +174,6 @@ _KEYS = {
     "grids.a_plan.box_half": (_float_field, (True,), _BUILDERS),
     "grids.a_plan.n_radii": (_int_field, (2,), _BUILDERS),
     "grids.a_plan.n_angles": (_int_field, (8,), _BUILDERS),
-    "grids.a_plan.n_interval": (_int_field, (33,), _BUILDERS),
     "seed": (_int_field, (0,), COMMANDS),
     "output_dir": (_str_field, (), COMMANDS),
     "kind": (_str_field, (("noncompact", "compact", "both"),), ("represent", "verify", "stability")),

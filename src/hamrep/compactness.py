@@ -20,20 +20,14 @@ from .report import CheckReport
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound
 
-SIMPLEX_DENOM = 8
 
-
-def simplex_weights(denom: int = SIMPLEX_DENOM) -> np.ndarray:
+def simplex_weights(denom: int = 8) -> np.ndarray:
     """Barycentric grid on the 1-simplex: (j/denom, 1 - j/denom)."""
     a = np.arange(denom + 1) / denom
     return np.stack([a, 1.0 - a], axis=1)
 
 
-def convexify(
-    base: RepresentationTriple,
-    n_cross: int = 16,
-    denom: int = SIMPLEX_DENOM,
-) -> RepresentationTriple:
+def convexify(base: RepresentationTriple) -> RepresentationTriple:
     """Convex-combination closure of a compact-control triple: another
     representation of the same H (provenance "convexified").
 
@@ -42,13 +36,13 @@ def convexify(
     of packed rows takes one base e_eval call on the a-rows stacked over the
     b-rows, with per-row ts and xs stacked the same way. The sampled plan
     pairs each base atom with itself (weight (1,0)) and a strided subset of
-    atoms with every simplex weight, so the diagonal reproduces the base
-    sup exactly and the cross pairs fill the image hull.
+    at most 16 atoms with every simplex weight, so the diagonal reproduces
+    the base sup exactly and the cross pairs fill the image hull.
     """
     if base.control.kind == "full_space":
         raise NoncompactControl("convexify needs a compact control set")
     q = base.control.dim
-    weights = simplex_weights(denom)
+    weights = simplex_weights()
 
     def twice(v):
         return v if np.ndim(v) == 0 else np.tile(np.asarray(v, dtype=float), 2)
@@ -70,7 +64,7 @@ def convexify(
         diag = np.concatenate(
             [S, S, np.broadcast_to([1.0, 0.0], (n, 2))], axis=1
         )
-        idx = np.arange(0, n, max(1, -(-n // n_cross)))
+        idx = np.arange(0, n, max(1, -(-n // 16)))
         # rows ordered by (i, j, weight), i outermost
         m, k = len(idx), len(weights)
         i = np.repeat(idx, m * k)
@@ -95,10 +89,10 @@ def lemma41_check(
     plan: SamplePlan | None = None,
     t_range: tuple[float, float] = (0.0, 1.0),
     x_range: tuple[float, float] = (-1.0, 1.0),
-    a_limit: int = 256,
     tol: float = 2e-2,
 ) -> CheckReport:
-    """Epigraph bound of any representation: L(t,x,f(t,x,a)) <= l(t,x,a).
+    """Epigraph bound of any representation: L(t,x,f(t,x,a)) <= l(t,x,a),
+    on at most 256 evenly strided controls of each sampled slab's plan.
 
     L comes from `lagrangian_access`: the source Hamiltonian's oracle or
     numeric conjugate. Values of f outside dom L count as +inf violations.
@@ -113,8 +107,8 @@ def lemma41_check(
         t = float(rng.uniform(*t_range))
         x = float(rng.uniform(*x_range))
         _, F, Lv = triple.e_table(t, x)
-        if len(F) > a_limit:
-            idx = np.linspace(0, len(F) - 1, a_limit).astype(int)
+        if len(F) > 256:
+            idx = np.linspace(0, len(F) - 1, 256).astype(int)
             F, Lv = F[idx], Lv[idx]
         vals = L_of(t, x)(F)
         viol = np.where(np.isfinite(vals), vals - Lv, np.inf)
@@ -133,14 +127,13 @@ def extract_lambda(
     t_range: tuple[float, float] = (0.0, 1.0),
     x_range: tuple[float, float] = (-1.0, 1.0),
     tol: float = 2e-2,
-    n_dom: int = 401,
 ) -> LambdaBound:
     """Candidate Lagrangian bound lambda(t,x) = max of the convexified
     running cost over the sampled control plan.
 
     The returned bound carries a certification report: sampled L(t,x,v)
-    stays below lambda(t,x) + tol across dom L, plus an empirical Lipschitz
-    estimate of lambda in x. A slab whose dom L is unbounded is not judged,
+    stays below lambda(t,x) + tol at 401 points across dom L, plus an
+    empirical Lipschitz estimate of lambda in x. A slab whose dom L is unbounded is not judged,
     and a certificate that judges no slab fails.
     """
     cache: dict[tuple[float, float], float] = {}
@@ -163,7 +156,7 @@ def extract_lambda(
         dom = ct.slices.domain(t, x)
         if not (np.isfinite(dom.lo) and np.isfinite(dom.hi)):
             continue
-        vs = np.linspace(dom.lo, dom.hi, n_dom)
+        vs = np.linspace(dom.lo, dom.hi, 401)
         if not dom.lo_closed:
             vs = vs[1:]
         if not dom.hi_closed:
@@ -196,24 +189,26 @@ def extract_lambda(
 VERDICT_VIOLATED = "BLC violated (diverging interior sup)"
 VERDICT_BOUNDED = "bounded, candidate lambda found"
 
+# the interior margins of the BLC ladder, widest first
+_BLC_MARGINS = (1e-1, 1e-2, 1e-3)
+
 
 def detect_blc_failure(
     spec: HamiltonianSpec,
     t_range: tuple[float, float] = (0.0, 1.0),
     x_range: tuple[float, float] = (-1.0, 1.0),
-    margins: tuple[float, ...] = (1e-1, 1e-2, 1e-3),
     threshold: float = 1e3,
     plan: SamplePlan | None = None,
-    n_v: int = 2001,
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Interior-sup ladder for Lagrangian boundedness on the domain.
 
-    For each margin delta, the domain of every sampled slice is shrunk by
-    delta at both ends and sup L is taken over it. Divergence (final sup
-    past the threshold, or sup growth of 8x per rung ending above half the
-    threshold) yields the violated verdict; otherwise the final sups double
-    as a candidate lambda. Both verdicts are findings, not failures. An
+    For each margin delta of 1e-1, 1e-2 and 1e-3, the domain of every
+    sampled slice is shrunk by delta at both ends and sup L is taken over
+    2001 points of it. Divergence (final sup past the threshold, or sup
+    growth of 8x per rung ending above half the threshold) yields the
+    violated verdict; otherwise the final sups double as a candidate
+    lambda. Both verdicts are findings, not failures. An
     unbounded domain has no interior ladder and is skipped; a margin at
     which no slab is judged fails the probe. Numeric slices sample H on
     p_grid.
@@ -226,7 +221,7 @@ def detect_blc_failure(
         for t, x in zip(rng.uniform(*t_range, 8), rng.uniform(*x_range, 8))
     ]
     sups = []
-    for delta in margins:
+    for delta in _BLC_MARGINS:
         # the sups per slab at the final margin double as the candidate lambda
         sup_d, candidates = -np.inf, []
         for t, x in slabs:
@@ -234,7 +229,7 @@ def detect_blc_failure(
             lo, hi = dom.lo + delta, dom.hi - delta
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 continue
-            vals = np.asarray(slices.values(t, x, np.linspace(lo, hi, n_v)), dtype=float)
+            vals = np.asarray(slices.values(t, x, np.linspace(lo, hi, 2001)), dtype=float)
             vals = vals[np.isfinite(vals)]
             if len(vals):
                 sup_d = max(sup_d, float(np.max(vals)))
@@ -254,7 +249,7 @@ def detect_blc_failure(
         and sups[-1] >= 0.5 * threshold
     )
     verdict = VERDICT_VIOLATED if diverging else VERDICT_BOUNDED
-    wit = [{"margin": float(m), "sup": float(s)} for m, s in zip(margins, sups)]
+    wit = [{"margin": float(m), "sup": float(s)} for m, s in zip(_BLC_MARGINS, sups)]
     if not diverging:
         wit.append({"candidate_lambda": candidates})
     return CheckReport("blc_failure_probe", float(sups[-1]), verdict, wit)

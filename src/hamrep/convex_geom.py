@@ -512,10 +512,11 @@ def steiner_selection(points, bodies, owner=None) -> np.ndarray:
     return out
 
 
-def _random_polygon(rng: np.random.Generator, center_scale: float = 6.0, spread: float = 2.5) -> ConvexBody:
-    c = rng.uniform(-center_scale, center_scale, 2)
+def _random_polygon(rng: np.random.Generator) -> ConvexBody:
+    """Hull of 3-9 points within 2.5 of a center drawn from [-6, 6]^2."""
+    c = rng.uniform(-6.0, 6.0, 2)
     k = int(rng.integers(3, 10))
-    return ConvexBody(c[None, :] + rng.uniform(-spread, spread, (k, 2)))
+    return ConvexBody(c[None, :] + rng.uniform(-2.5, 2.5, (k, 2)))
 
 
 def geometry_suite(plan=None, n_pairs: int = 200) -> list:

@@ -97,9 +97,9 @@ class PerturbationFamily:
         self,
         p_range: tuple[float, float] = (-3.0, 3.0),
         plan: SamplePlan | None = None,
-        tol: float = 1e-9,
     ) -> CheckReport:
-        """Sampled midpoint-convexity and finiteness probe of every H_i."""
+        """Sampled midpoint-convexity and finiteness probe of every H_i; a
+        relative midpoint gap above 1e-9 fails."""
         plan = plan or SamplePlan()
         rng = plan.rng(61)
         worst, wit = -np.inf, []
@@ -119,51 +119,50 @@ class PerturbationFamily:
                 if gap > worst:
                     worst, wit = gap, [{"i": i, "t": t, "x": x, "p": p, "q": q}]
         return CheckReport(
-            "family_convexity_probe", worst, "pass" if worst <= tol else "fail", wit
+            "family_convexity_probe", worst, "pass" if worst <= 1e-9 else "fail", wit
         )
+
+
+def _ex_2_2_lambda(name: str) -> PerturbationFamily:
+    return PerturbationFamily(
+        name,
+        builtin("ex_2_2"),
+        lambda i, t, x, p: 0.0,
+        lam_per_index=lambda i: (lambda t, x: abs(x) + 1.0 / i),
+        c_per_index=lambda i: (lambda t: 1.0),
+    )
+
+
+# the perturbation families of the stability suites, in listing order
+_FAMILIES: dict[str, Callable[[str], PerturbationFamily]] = {
+    "ex_2_2_cos": lambda name: PerturbationFamily(
+        name, builtin("ex_2_2"), lambda i, t, x, p: (1.0 / i) * np.cos(p)
+    ),
+    "ex_2_2_normalized": lambda name: PerturbationFamily(
+        name, builtin("ex_2_2"), lambda i, t, x, p: (0.1 / i) * (1.0 + np.abs(p))
+    ),
+    "ex_2_1_sinx": lambda name: PerturbationFamily(
+        name, builtin("ex_2_1"), lambda i, t, x, p: (1.0 / i) * np.sin(x)
+    ),
+    "ex_2_6_absx": lambda name: PerturbationFamily(
+        name, builtin("ex_2_6"), lambda i, t, x, p: (1.0 / i) * abs(x)
+    ),
+    "ex_2_2_zero": lambda name: PerturbationFamily(name, builtin("ex_2_2"), lambda i, t, x, p: 0.0),
+    "ex_2_2_lambda": _ex_2_2_lambda,
+}
 
 
 def named_family(name: str) -> PerturbationFamily:
-    """Registry of the perturbation families used by the stability suites."""
-    if name == "ex_2_2_cos":
-        return PerturbationFamily(
-            name, builtin("ex_2_2"), lambda i, t, x, p: (1.0 / i) * np.cos(p)
-        )
-    if name == "ex_2_2_normalized":
-        return PerturbationFamily(
-            name, builtin("ex_2_2"), lambda i, t, x, p: (0.1 / i) * (1.0 + np.abs(p))
-        )
-    if name == "ex_2_1_sinx":
-        return PerturbationFamily(
-            name, builtin("ex_2_1"), lambda i, t, x, p: (1.0 / i) * np.sin(x)
-        )
-    if name == "ex_2_6_absx":
-        return PerturbationFamily(
-            name, builtin("ex_2_6"), lambda i, t, x, p: (1.0 / i) * abs(x)
-        )
-    if name == "ex_2_2_zero":
-        return PerturbationFamily(name, builtin("ex_2_2"), lambda i, t, x, p: 0.0)
-    if name == "ex_2_2_lambda":
-        base = builtin("ex_2_2")
-        return PerturbationFamily(
-            name,
-            base,
-            lambda i, t, x, p: 0.0,
-            lam_per_index=lambda i: (lambda t, x: abs(x) + 1.0 / i),
-            c_per_index=lambda i: (lambda t: 1.0),
-        )
-    raise KeyError(f"unknown perturbation family {name!r}")
+    """The named perturbation family; KeyError for an unknown name."""
+    try:
+        factory = _FAMILIES[name]
+    except KeyError:
+        raise KeyError(f"unknown perturbation family {name!r}") from None
+    return factory(name)
 
 
 def family_names() -> list[str]:
-    return [
-        "ex_2_2_cos",
-        "ex_2_2_normalized",
-        "ex_2_1_sinx",
-        "ex_2_6_absx",
-        "ex_2_2_zero",
-        "ex_2_2_lambda",
-    ]
+    return list(_FAMILIES)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,14 +296,15 @@ def epigraph_limit_check(
     window: Window | None = None,
     plan: SamplePlan | None = None,
     policy: GridPolicy | None = None,
-    n_probes: int = 5,
     abs_tol: float = 5e-2,
     ratio: float = 0.3,
 ) -> CheckReport:
     """Set-limit diagnostic: along (t_i, x_i) -> (t, x), the distances
-    d(y, E_{L_i}(t_i, x_i)) approach d(y, E_L(t, x)) for seeded probe
-    points y. Pass iff the final-index error is both <= ratio times the
-    first-index error and <= abs_tol."""
+    d(y, E_{L_i}(t_i, x_i)) approach d(y, E_L(t, x)) for five seeded probe
+    points y. Each L_i is the trusted v-grid slice of the member's own
+    slices on the policy's grids, as a noncompact build samples it. Pass
+    iff the final-index error is both <= ratio times the first-index error
+    and <= abs_tol."""
     window = window or Window()
     plan = plan or SamplePlan()
     policy = policy or GridPolicy()
@@ -316,12 +316,12 @@ def epigraph_limit_check(
     dt, dx = 0.3 * (t_hi - t_star), 0.3 * (x_hi - x_star)
 
     def slice_of(spec, t, x):
-        return lagrangian_access(build_noncompact(spec, grids=policy))(t, x)
+        return spec.slices(policy.p_grid()).on_grid(t, x, policy.v_count)
 
     f0 = slice_of(family.limit_spec(), t_star, x_star)
     lmin = f0.min_value()
     probes = np.stack(
-        [rng.uniform(-2.0, 2.0, n_probes), rng.uniform(lmin - 1.0, lmin + 4.0, n_probes)],
+        [rng.uniform(-2.0, 2.0, 5), rng.uniform(lmin - 1.0, lmin + 4.0, 5)],
         axis=1,
     )
 

@@ -316,18 +316,18 @@ def check_HLC(
     R: float,
     samples: SamplePlan | None = None,
     modulus: ModulusData | None = None,
-    p_max: float = 10.0,
     tol: float = 1e-9,
 ) -> CheckReport:
     """Value-level continuity: |H(t,x,p) - H(t,y,p)| <= k|p||x-y| + w(|x-y|)
-    on seeded triples; pass when the worst relative excess stays under tol.
-    A NaN excess fails the run and its first (t, x, y, p) is the witness;
-    a run that judges no sample (no triple or no p in the plan) fails."""
+    on seeded triples and seeded p in [-10, 10]; pass when the worst
+    relative excess stays under tol. A NaN excess fails the run and its
+    first (t, x, y, p) is the witness; a run that judges no sample (no
+    triple or no p in the plan) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     worst = -np.inf
     wit: list = []
-    ps = plan.p_values(p_max)
+    ps = plan.p_values(10.0)
     triples = plan.triples(spec.t_range, R)
     if len(triples) == 0 or len(ps) == 0:
         note = "no sample judged: the sample plan has no (t, x, y) triple or no p"
@@ -354,7 +354,7 @@ def _finite(vals) -> np.ndarray:
     return np.where(np.isnan(vals), np.inf, vals)
 
 
-def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
+def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray):
     """Vectorized ternary search for the minimum of a convex scalar family.
 
     f maps a 1-D array of abscissas to function values elementwise (NaN
@@ -365,7 +365,7 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
     magnitude."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(72):
         third = (hi - lo) / 3.0
         m1 = lo + third
         m2 = hi - third
@@ -378,36 +378,22 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray, iters: int = 72):
     return mid, _finite(f(mid))
 
 
-def _window_min(f, u0: np.ndarray, u1: np.ndarray, n_u: int) -> np.ndarray:
+def _window_min(f, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """Minimum of the convex f (NaN read as +inf) over each window
-    [u0_i, u1_i], u1 >= u0: the lower of an n_u-node grid and a ternary
+    [u0_i, u1_i], u1 >= u0: the lower of a 65-node grid and a ternary
     search. f maps an (N, m) stack of abscissas, row i inside window i, to
-    their values, so a caller can tell the windows apart. When every
-    window has zero width, each grid node and ternary probe is u0 itself,
-    so one call of f gives the same values."""
+    their values, so a caller can tell the windows apart. A window of zero
+    width evaluates to f(u0_i): each of its grid nodes, ternary probes and
+    its midpoint equals u0_i. When every window has zero width, one call of
+    f at u0 gives those values."""
     if np.all(u1 == u0):
         return _finite(f(u0[:, None]))[:, 0]
-    U = u0[:, None] + np.linspace(0.0, 1.0, n_u)[None, :] * (u1 - u0)[:, None]
+    U = u0[:, None] + np.linspace(0.0, 1.0, 65)[None, :] * (u1 - u0)[:, None]
     grid_min = np.min(_finite(f(U)), axis=1)
     # _convex_argmin probes the flat stack [m1, m2] (or the N midpoints)
     n = len(u0)
     _, tern_min = _convex_argmin(lambda u: f(u.reshape(-1, n).T).T.ravel(), u0, u1)
     return np.minimum(grid_min, tern_min)
-
-
-def _window_rows_min(slices, T, B, u0, u1, point, n_u: int) -> np.ndarray:
-    """Minimum of L(T_i, B_i, .) over each window [u0_i, u1_i] (see
-    `_window_min`). `_window_min` decides per call whether every window has
-    zero width, so the rows flagged `point` and the rest run as two batched
-    searches; each probe stage of either is one per-row `slices.values`
-    call, and every value is the one a search of its window set alone
-    would give."""
-    best = np.empty(len(u0))
-    for rows in (np.flatnonzero(point), np.flatnonzero(~point)):
-        if len(rows):
-            t, b = T[rows, None], B[rows, None]
-            best[rows] = _window_min(lambda U: slices.values(t, b, U), u0[rows], u1[rows], n_u)
-    return best
 
 
 def check_LLC(
@@ -416,7 +402,6 @@ def check_LLC(
     samples: SamplePlan | None = None,
     modulus: ModulusData | None = None,
     tol: float = 2e-2,
-    n_u: int = 65,
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Lagrangian-level continuity: every v in dom L(t,x) admits u within
@@ -424,14 +409,14 @@ def check_LLC(
     a coarse grid over the window intersected with dom L(t,y) and a ternary
     refinement (the slice is convex in u), so steep slices near domain
     boundaries resolve to within the ternary's 2e-13 of the window width;
-    an empty search window counts as +inf excess. Windows of zero width
-    (always so when k|x-y| = 0) are their own minimizer, and one L call
-    decides them. L is queried per row (`LagrangianSlices.values`): the
-    probes of all (triple, direction) pairs take one L call, and each grid,
-    ternary and midpoint stage of the window search one more over every
-    window (see `_window_rows_min`), so the count does not grow with the
-    sample plan. The worst excess is then taken in loop order. L, its
-    domain and the window that clamps an unbounded domain come from the
+    an empty search window counts as +inf excess. A window of zero width
+    (always so when k|x-y| = 0) is its own minimizer. L is queried per row
+    (`LagrangianSlices.values`): one call for the probes of all (triple,
+    direction) pairs, then one `_window_min` search over all their windows,
+    each of whose grid, ternary and midpoint stages is one L call (a single
+    call when every window has zero width), so the count does not grow
+    with the sample plan. The worst excess is then taken in loop order. L,
+    its domain and the window that clamps an unbounded domain come from the
     spec's slices on p_grid; modulus overrides k_R and w_R only. A run that
     judges no sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
@@ -473,10 +458,8 @@ def check_LLC(
     t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
     lens = [len(vs) for vs in vs_s]
     u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
-    top = np.maximum(u1, u0)
-    # a window set whose windows all have zero width is searched apart
-    point = np.repeat(np.logical_and.reduceat(top == u0, np.cumsum([0] + lens[:-1])), lens)
-    best = _window_rows_min(slices, np.repeat(t_s, lens), np.repeat(b_s, lens), u0, top, point, n_u)
+    t_w, b_w = np.repeat(t_s, lens)[:, None], np.repeat(b_s, lens)[:, None]
+    best = _window_min(lambda U: slices.values(t_w, b_w, U), u0, np.maximum(u1, u0))
     excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
     worst = -np.inf
     wit: list = []
@@ -495,15 +478,15 @@ def check_MLC(
     modulus: ModulusData | None = None,
     p_grid: UniformGrid | None = None,
     v_count: int = 601,
-    cap_rise: float = 3.0,
     tol: float | None = None,
 ) -> CheckReport:
     """Epigraph-level continuity: the truncated E_L(t,x) sits inside the
-    (k|x-y|, w)-inflation of E_L(t,y) truncated w higher. Slices come from
-    the numeric conjugate so the check exercises the full grid pipeline,
-    both on the wider of the slices' half-widths at x and y with r = R. A
-    NaN containment gap fails the run and its first triple is the
-    witness; a run that judges no triple fails."""
+    (k|x-y|, w)-inflation of E_L(t,y) truncated w higher; E_L(t,x) is
+    capped 3 above the higher of the two slice minima. Slices come from the
+    numeric conjugate so the check exercises the full grid pipeline, both
+    on the wider of the slices' half-widths at x and y with r = R. A NaN
+    containment gap fails the run and its first triple is the witness; a
+    run that judges no triple fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     slices = spec.slices(p_grid)
@@ -521,7 +504,7 @@ def check_MLC(
         d = abs(x - y)
         kd = mod.k_R(R, t) * d
         w = mod.w_R(R, t, d)
-        cap = max(Lx.min_value(), Ly.min_value()) + cap_rise
+        cap = max(Lx.min_value(), Ly.min_value()) + 3.0
         Ex = build_epigraph(Lx, cap)
         Ey = build_epigraph(Ly, cap + w)
         inflated = cg.minkowski_inflate(Ey, kd, w)
@@ -587,24 +570,18 @@ def hat_rep_ex_2_1(n_side: int = 21):
     return _triple_from_formulas(control, f, l, builtin("ex_2_1"), "square control grid")
 
 
-def circle_rep_ex_2_2(n_points: int = 144):
+def circle_rep_ex_2_2():
     """Hand-authored representation of sqrt(1 + p^2) - |x| on the unit
-    circle a1^2 + a2^2 = 1: f(x, a) = a1, l(x, a) = a2 + |x|.
-
-    n_points must be a multiple of 4 so that (0, 1), (0, -1), (1, 0) and
-    (-1, 0) land in the sample set exactly.
+    circle a1^2 + a2^2 = 1: f(x, a) = a1, l(x, a) = a2 + |x|, sampled at
+    144 equally spaced points, among them (1, 0), (0, 1), (-1, 0) and
+    (0, -1) exactly.
     """
     from .builder import ControlSet
 
-    if n_points % 4 != 0:
-        raise ValueError("n_points must be a multiple of 4")
-    ang = 2.0 * np.pi * np.arange(n_points) / n_points
+    ang = 2.0 * np.pi * np.arange(144) / 144
     pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     # pin the axis points exactly; cos(pi/2) etc. carry rounding noise
-    pts[0] = (1.0, 0.0)
-    pts[n_points // 4] = (0.0, 1.0)
-    pts[n_points // 2] = (-1.0, 0.0)
-    pts[3 * n_points // 4] = (0.0, -1.0)
+    pts[[0, 36, 72, 108]] = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     control = ControlSet("finite", 2, points=pts)
 
     def f(t, x, a):

@@ -347,7 +347,7 @@ def all_corners_inflate(body, r_v, r_eta):
     return cg.ConvexBody((body.vertices[:, None, :] + corners[None, :, :]).reshape(-1, 2))
 
 
-def per_set_check_LLC(spec, R, samples, p_grid=None, n_u=65, tol=2e-2):
+def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
     """check_LLC with one window search per (triple, direction): the same
     probes and windows, each set's windows searched on their own by
     `zoo._window_min`, and the worst excess kept in loop order. L and its
@@ -406,7 +406,7 @@ def per_set_check_LLC(spec, R, samples, p_grid=None, n_u=65, tol=2e-2):
             def f(U, t=t, b=b):
                 return np.asarray(L(t, b, U.ravel()), dtype=float).reshape(U.shape)
 
-            best = zoo._window_min(f, u0, np.maximum(u1, u0), n_u)
+            best = zoo._window_min(f, u0, np.maximum(u1, u0))
             n_judged += len(vs_f)
             excess = np.where(u0 > u1, np.inf, best - la_f - w)
             j = int(np.argmax(excess))

@@ -12,7 +12,7 @@ from hamrep.sampling import SamplePlan
 # coarse but above every validation floor; unit tests that probe exact
 # identities do not need the production grids
 FAST_POLICY = GridPolicy(p_count=801, v_count=201)
-FAST_APLAN = APlan(n_box=8, box_half=3.0, n_radii=6, n_angles=6, n_interval=33)
+FAST_APLAN = APlan(n_box=8, box_half=3.0, n_radii=6, n_angles=6)
 FAST_PLAN = SamplePlan(seed=0, n_triples=16)
 
 

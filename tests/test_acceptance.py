@@ -344,7 +344,7 @@ _DETERMINISM_CONFIGS = {
         "grids": {
             "p_count": 801,
             "v_count": 201,
-            "a_plan": {"n_box": 8, "n_radii": 6, "n_angles": 8, "n_interval": 33},
+            "a_plan": {"n_box": 8, "n_radii": 6, "n_angles": 8},
         },
     },
     "verify": {

@@ -30,7 +30,7 @@ P_SET = (-3.0, -1.0, 0.0, 1.0, 3.0)
 
 
 def test_control_set_sample_layouts():
-    plan = APlan(n_box=5, box_half=2.0, n_radii=3, n_angles=8, n_interval=7)
+    plan = APlan(n_box=5, box_half=2.0, n_radii=3, n_angles=8)
     box = ControlSet("full_space", 2).samples(plan)
     assert box.shape == (25, 2)
     assert np.max(np.abs(box)) == pytest.approx(2.0)
@@ -39,7 +39,7 @@ def test_control_set_sample_layouts():
     assert np.allclose(ball[0], 0.0)
     assert np.max(np.linalg.norm(ball, axis=1)) <= 1.0 + 1e-12
     seg = ControlSet("interval", 1, lo=-1.0, hi=3.0).samples(plan)
-    assert seg.shape == (7, 1)
+    assert seg.shape == (41, 1)
     assert (seg[0, 0], seg[-1, 0]) == (-1.0, 3.0)
     pts = np.array([[0.0, 1.0], [2.0, 3.0]])
     assert np.array_equal(ControlSet("finite", 2, points=pts).samples(plan), pts)

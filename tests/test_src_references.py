@@ -1,13 +1,15 @@
 """Static guard against dead library code: every public module-level
 function and class of the package, and every public method and property of
 its classes, is read somewhere in the package other than inside its own
-definition."""
+definition; and every defaulted parameter of a public function or method
+is set by some call in the package or its tests."""
 
 import ast
 import collections
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hamrep"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 # library API with callers outside the package only: criterion 05
 # reconstructs H one (t, x, p) at a time
@@ -85,3 +87,58 @@ def test_every_public_definition_is_read_in_the_package():
 def test_every_public_method_is_read_in_the_package():
     # a method or property read only inside its own body (recursion) counts as unread
     assert sorted(_methods_without_reference()) == sorted(METHODS_CALLED_FROM_OUTSIDE)
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package and its tests, by the name it calls: a
+    bare name, or the last attribute of a dotted one."""
+    found: dict[str, list[ast.Call]] = collections.defaultdict(list)
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                found[func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")].append(node)
+    return found
+
+
+def _sets(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether call passes the parameter `name`, whose position among the
+    explicit arguments is index (None for a keyword-only one); an unpacked
+    *args or **kwargs may pass anything."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _public_functions():
+    """(module, class name or None, definition) of every public function
+    and method of the package."""
+    for module, tree in _trees().items():
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for fn in top.body if owner else [top]:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield module, owner, fn
+
+
+def _never_set_options() -> list[str]:
+    calls = _calls_by_name()
+    unset = []
+    for module, owner, fn in _public_functions():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if owner is not None and positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        defaulted = [(i, p.arg) for i, p in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+        defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for index, name in defaulted:
+            if not any(_sets(call, index, name) for call in calls[fn.name]):
+                unset.append(f"{module}:{owner + '.' if owner else ''}{fn.name}({name})")
+    return unset
+
+
+def test_every_option_is_set_by_some_call():
+    # a defaulted parameter no call sets is a constant in disguise
+    assert _never_set_options() == []

@@ -167,7 +167,7 @@ def test_window_min_matches_grid_ternary_search_bit_for_bit(oracle):
     rng = np.random.default_rng(2)
     u = np.concatenate([rng.uniform(-1.2, 1.2, 30), [-1.5, -1.0, 0.0, 1.0, 1.5]])
     for lo, hi in ((u, u.copy()), (u - 0.05, u + 0.05)):
-        got = zoo._window_min(f, lo, hi, 65)
+        got = zoo._window_min(f, lo, hi)
         want = grid_ternary_window_min(f, lo, hi)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     # the oracle L is +inf beyond |u| = 1; the numeric one stays finite
@@ -200,10 +200,19 @@ def test_check_LLC_fails_when_it_judges_no_sample():
     assert rep.witnesses == [{"note": "no sample judged: every probe window or Lagrangian slice was empty"}]
 
 
+# ex_2_2 with k_R = 0 before t = 0.5 and 0.3 after: the one window search
+# holds point windows beside windows of positive width, while the per-set
+# search decides each all-point set with one call
+MIXED_K = dataclasses.replace(
+    zoo.builtin("ex_2_2"),
+    name="ex_2_2_mixed_k",
+    modulus=zoo.ModulusData(k_R=lambda R, t: 0.0 if t < 0.5 else 0.3, w_R=lambda R, t, r: r, c=lambda t: 1.0),
+)
+
+
 @pytest.mark.parametrize("oracle", [True, False])
-@pytest.mark.parametrize("name", zoo.names())
-def test_batched_check_LLC_matches_per_set_search_bit_for_bit(name, oracle):
-    spec = zoo.builtin(name)
+@pytest.mark.parametrize("spec", [zoo.builtin(name) for name in zoo.names()] + [MIXED_K], ids=lambda s: s.name)
+def test_batched_check_LLC_matches_per_set_search_bit_for_bit(spec, oracle):
     if not oracle:
         spec = dataclasses.replace(spec, oracle_L=None, oracle_dom=None)
     for seed in (0, 1, 2):
@@ -229,7 +238,7 @@ def test_check_LLC_runs_one_ternary_search_for_all_windows(monkeypatch):
     assert len(calls) == 1 and 33 < calls[0] <= 16 * 2 * 33
 
 
-def test_check_LLC_keeps_one_L_call_for_point_sets_beside_searched_ones():
+def test_check_LLC_searches_point_windows_with_the_others():
     # k_R = 0 before t = 0.5 and 1 after: the early triples' windows are
     # points and the late ones' are intervals, in one run
     base = zoo.builtin("ex_2_1")
@@ -245,14 +254,13 @@ def test_check_LLC_keeps_one_L_call_for_point_sets_beside_searched_ones():
 
     rep = zoo.check_LLC(dataclasses.replace(spec, oracle_L=counting), R=2.0, samples=SMALL_PLAN)
     assert (rep.worst_margin, rep.verdict, rep.witnesses) == per_set_check_LLC(spec, 2.0, SMALL_PLAN)
-    # one probe call over every (triple, direction), then one call for all
-    # point windows and 1 + 72 + 1 (grid, ternary, midpoint) for the
-    # searched ones, each over all of its windows
+    # one probe call over every (triple, direction), then 1 + 72 + 1 (grid,
+    # ternary, midpoint) calls, each over every window, point or not
     n_sets, n_probes = calls[0]
     assert n_sets == 2 * len(ts) and n_probes == len(SMALL_PLAN.unit_fractions())
-    n_point, n_searched = calls[1][0], calls[2][0]
-    assert calls[1:] == [(n_point, 1), (n_searched, 65)] + [(n_searched, 2)] * 72 + [(n_searched, 1)]
-    assert n_point > 0 and n_searched > 0 and n_point + n_searched <= n_sets * n_probes
+    n_windows = calls[1][0]
+    assert calls[1:] == [(n_windows, 65)] + [(n_windows, 2)] * 72 + [(n_windows, 1)]
+    assert n_sets < n_windows <= n_sets * n_probes
 
 
 # builtins with oracle_L, and ex_2_1 on the numeric route
@@ -281,9 +289,9 @@ def test_check_LLC_L_calls_do_not_grow_with_window_sets(name, oracle, seed, monk
         worst, verdict, wit = per_set_check_LLC(spec, 2.0, plan)
         assert np.float64(rep.worst_margin).tobytes() == np.float64(worst).tobytes()
         assert (rep.verdict, rep.witnesses) == (verdict, wit)
-        # one probe call, then one for the point windows and 74 search
-        # stages for the others, where the run has such windows
-        assert len(calls) in (2, 75, 76)
+        # one probe call, then one call when every window is a point, else
+        # 74 search stages over all of them
+        assert len(calls) in (2, 75)
         n_sets.append(calls[0][0])
     assert n_sets[1] > n_sets[0]
 
