@@ -263,8 +263,9 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
     if cfg.triple == "all" and command != "compactness":
         raise ConfigError('triple "all" is only valid for the compactness command')
     # keys the document sets that the chosen branch would ignore
-    for key in ("hamiltonian", "kind"):
-        if cfg.triple is not None and key in values:
+    for key in values:
+        grid = key.startswith("grids.") and cfg.triple != "all"
+        if cfg.triple is not None and (key in ("hamiltonian", "kind") or grid):
             raise ConfigError(f'"{key}" has no effect next to a "triple": {command} runs the named triple')
     for key in ("kind", "fixed_t"):
         if cfg.family == "all" and key in values:

@@ -7,8 +7,8 @@ polygons up to float rounding, and so are the Steiner points: `steiner` of
 a body and `disc_steiner` of a body cut by discs. `steiner_selection`
 composes them into the selection e = Steiner point of P(z, E) =
 E cap B(z, 2 d(z, E)) without building P; it is the selection the
-builders run and the one `geometry_suite` audits. Only `ball` polygonizes
-a disc, for the Hausdorff audit.
+builders run and the one `geometry_suite` audits. Nothing polygonizes a
+disc: the suite audits `hausdorff` through exact identities on polygons.
 
 `distance` and `disc_steiner` are stacked kernels: they take one body, or
 a `BodyStack` of bodies padded into common edge arrays together with the
@@ -71,30 +71,31 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
             return pts[[lo_i]]
         return pts[[lo_i, hi_i]]
 
-    def half(seq):
-        out = []
-        for p in seq:
-            px, py = p
-            # pop a while o -> a -> p turns left by no more than eps
-            while len(out) >= 2:
-                (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= eps:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
+    # the lower chain, then the upper one as the lower chain of the reversed points
+    xs, ys = pts[:, 0], pts[:, 1]
+    lower = _chain_lower_hull(xs, ys, eps)
+    upper = _chain_lower_hull(xs[::-1], ys[::-1], eps)
+    return pts[np.concatenate([lower[:-1], len(pts) - 1 - upper[:-1]])]
 
-    # plain float rows: the same IEEE arithmetic as numpy scalars, without
-    # their per-element overhead
-    rows = pts.tolist()
-    lower = half(rows)
-    upper = half(rows[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        # fully collinear input collapses both chains; keep the extremes
-        hull = [pts[0], pts[-1]]
-    return np.asarray(hull, dtype=float)
+
+def _chain_lower_hull(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    """Indices of the lower hull of two or more points in lexicographic
+    order (the upper hull for the reverse order), by the sequential
+    monotone chain: a point leaves when the turn from its predecessor to
+    the next point is at most eps (cross <= eps)."""
+    # plain floats: the same IEEE arithmetic as numpy scalars, without their
+    # per-element overhead
+    xs, ys = x.tolist(), y.tolist()
+    out = [0, 1]
+    for i in range(2, len(xs)):
+        xi, yi = xs[i], ys[i]
+        while len(out) >= 2:
+            o, a = out[-2], out[-1]
+            if (xs[a] - xs[o]) * (yi - ys[o]) - (ys[a] - ys[o]) * (xi - xs[o]) > eps:
+                break
+            out.pop()
+        out.append(i)
+    return np.asarray(out)
 
 
 class ConvexBody:
@@ -212,20 +213,6 @@ def _rows_of(bodies, owner, n_rows: int):
     return stack, owner
 
 
-def ball(center, radius: float, n: int = 360) -> ConvexBody:
-    """Inscribed n-gon approximation of the closed disc B(center, radius)."""
-    c = np.asarray(center, dtype=float)
-    if c.shape != (2,):
-        raise DimMismatch("ball center must be a 2-vector")
-    if radius < 0:
-        raise ValueError("negative radius")
-    if radius == 0:
-        return ConvexBody(c[None, :])
-    theta = 2.0 * np.pi * np.arange(n) / n
-    pts = c[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return ConvexBody(pts)
-
-
 # point-edge pairs per block: each temporary of a batched query stays near 1 MB
 _PAIR_BLOCK = 1 << 17
 
@@ -302,14 +289,6 @@ def distance(y, bodies, owner=None):
     return _points_to_body(p, bodies, owner)
 
 
-def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
-    """Hausdorff distance between two polygon bodies (exact for polygons:
-    each directed excess is attained at a vertex)."""
-    d_ab = float(np.max(_points_to_body(a.vertices, b)))
-    d_ba = float(np.max(_points_to_body(b.vertices, a)))
-    return max(d_ab, d_ba)
-
-
 # the signs of the box corners (r_v, r_eta), (r_v, -r_eta), (-r_v, r_eta),
 # (-r_v, -r_eta): each corner is the box's extreme point on the closed
 # quadrant of directions with its signs. Turning counterclockwise, that
@@ -355,6 +334,12 @@ def containment_gap(outer: ConvexBody, inner: ConvexBody) -> float:
     """Worst distance from an extreme point of inner to outer (0 when
     inner is contained)."""
     return float(np.max(_points_to_body(inner.vertices, outer)))
+
+
+def hausdorff(a: ConvexBody, b: ConvexBody) -> float:
+    """Hausdorff distance between two polygon bodies: the larger directed
+    excess (exact for polygons: each is attained at a vertex)."""
+    return max(containment_gap(b, a), containment_gap(a, b))
 
 
 def _turn(ux, uy, wx, wy):
@@ -526,9 +511,21 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     `steiner_selection` is (20/pi)-Lipschitz jointly in point and body, and
     the Steiner point is (4/pi)-Lipschitz in Hausdorff distance (both
     1e-9) and lies in its body (1e-6); the reference triangle matches its
-    exterior-angle value (2e-3), polygonized balls obey
-    H(B(x,r),B(y,s)) <= |x-y|+|r-s| (5e-4), and hausdorff behaves as a
-    metric (symmetry exact, triangle inequality 1e-9).
+    exterior-angle value (1e-12); `hausdorff` meets two exact identities
+    on each drawn body K, with K first on even bodies and second on odd
+    ones (relative slack 1e-12: |got - want| <= 1e-12 max(1, want)); and
+    hausdorff behaves as a metric (symmetry exact, triangle inequality
+    1e-9).
+
+    The identities: for convex bodies H(K, L) = sup over unit u of
+    |h_K(u) - h_L(u)| (Schneider, Convex Bodies, 1.8). A shift by s adds
+    <s, u> to every support value and the box [-r_v, r_v] x [-r_eta, r_eta]
+    adds r_v |u_v| + r_eta |u_eta|, so H(K, K + s) = |s| and
+    H(K, K + box) = hypot(r_v, r_eta). The box sum is the production
+    `minkowski_inflate` of `check_MLC`, with r_v = 0 on every fourth body
+    (ex_2_2's k = 0). K lies inside K + box, so one directed excess there
+    is 0: a `hausdorff` that keeps only one of the two fails on the bodies
+    that put K on the side that direction measures.
 
     The Steiner bound: in the plane s(K) = (1/pi) int h_K(u) u dtheta over
     the unit directions u = (cos theta, sin theta) (Schneider, Convex
@@ -596,22 +593,30 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
         CheckReport(
             "steiner_triangle_oracle",
             tri_err,
-            "pass" if tri_err <= 2e-3 else "fail",
+            "pass" if tri_err <= 1e-12 else "fail",
             [{"oracle": [float(oracle[0]), float(oracle[1])]}],
         )
     )
 
-    worst_ball = -np.inf
-    for _ in range(100):
-        c1 = rng.uniform(-6.0, 6.0, 2)
-        c2 = rng.uniform(-6.0, 6.0, 2)
-        r1 = float(rng.uniform(0.2, 3.0))
-        r2 = float(rng.uniform(0.2, 3.0))
-        got = hausdorff(ball(c1, r1), ball(c2, r2))
-        want = float(np.linalg.norm(c1 - c2)) + abs(r1 - r2)
-        worst_ball = max(worst_ball, abs(got - want))
+    shifts = rng.uniform(-3.0, 3.0, (len(pairs), 2))
+    radii = rng.uniform(0.1, 3.0, (len(pairs), 2))
+    radii[::4, 0] = 0.0
+    worst_id, wit_id = -np.inf, []
+    for i, (K, *_) in enumerate(pairs):
+        r_v, r_eta = radii[i]
+        for name, L, want in (
+            # a translated hull loop is still one, so no hull pass moves K + s
+            ("shift", ConvexBody._from_loop(K.vertices + shifts[i]), float(np.hypot(*shifts[i]))),
+            ("box", minkowski_inflate(K, r_v, r_eta), float(np.hypot(r_v, r_eta))),
+        ):
+            got = hausdorff(K, L) if i % 2 == 0 else hausdorff(L, K)
+            err = abs(got - want) / max(1.0, want)
+            if err > worst_id:
+                worst_id, wit_id = err, [{"body": i, "identity": name}]
     reports.append(
-        CheckReport("ball_hausdorff_bound", worst_ball, "pass" if worst_ball <= 5e-4 else "fail", [])
+        CheckReport(
+            "hausdorff_exact_identities", worst_id, "pass" if worst_id <= 1e-12 else "fail", wit_id
+        )
     )
 
     worst_metric = -np.inf
@@ -619,9 +624,10 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
         A = _random_polygon(rng)
         B = _random_polygon(rng)
         C = _random_polygon(rng)
-        if hausdorff(A, B) != hausdorff(B, A):
+        h_ab = hausdorff(A, B)
+        if h_ab != hausdorff(B, A):
             worst_metric = np.inf
-        worst_metric = max(worst_metric, hausdorff(A, C) - hausdorff(A, B) - hausdorff(B, C))
+        worst_metric = max(worst_metric, hausdorff(A, C) - h_ab - hausdorff(B, C))
     reports.append(
         CheckReport("hausdorff_metric", worst_metric, "pass" if worst_metric <= 1e-9 else "fail", [])
     )

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convex_geom import _EPS_BASE, ConvexBody
+from .convex_geom import _EPS_BASE, ConvexBody, _chain_lower_hull
 from .errors import CapTooLow, EmptyResult, GridUnderflow, ImproperFunction, UnboundedSummand
 
 INF_THRESHOLD = 1e12
@@ -187,7 +187,8 @@ def _lower_hull(x: np.ndarray, y: np.ndarray, eps: float = 0.0) -> np.ndarray:
     or unsorted x, as in `convex_geom.convex_hull`) that argument fails
     and simultaneous dropping can remove true vertices. A deep drop (one
     low point behind a long convex run) peels one point per pass, so
-    after 32 passes the sequential chain finishes on the survivors.
+    after 32 passes the sequential chain, the one `convex_hull` scans,
+    finishes on the survivors.
     """
     # the first pass reads x and y themselves; later ones their survivors
     idx, xs, ys = None, x, y
@@ -204,22 +205,6 @@ def _lower_hull(x: np.ndarray, y: np.ndarray, eps: float = 0.0) -> np.ndarray:
     else:
         return idx[_chain_lower_hull(xs, ys, eps)]
     return np.arange(len(x)) if idx is None else idx
-
-
-def _chain_lower_hull(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
-    # sequential monotone chain: a point leaves when the turn from its
-    # predecessor to the next point is at most eps
-    xs, ys = x.tolist(), y.tolist()
-    out = [0, 1]
-    for i in range(2, len(xs)):
-        xi, yi = xs[i], ys[i]
-        while len(out) >= 2:
-            o, a = out[-2], out[-1]
-            if (xs[a] - xs[o]) * (yi - ys[o]) - (ys[a] - ys[o]) * (xi - xs[o]) > eps:
-                break
-            out.pop()
-        out.append(i)
-    return np.asarray(out)
 
 
 def _slope_hull(nodes: np.ndarray, vals: np.ndarray):

@@ -3,10 +3,12 @@
 Apart from the slice oracles, the ones handed a triple or an evaluator,
 and the former library kernels, nothing here calls into the package. The
 former library kernels are `support`, `restrict`, `project_point`,
-`inside_mask`, `body_scale` and the polygonized projection map `proj_map`
-with its `arc_deg` arc resolution: they left the package when nothing in
-it called them any more, and they stay here as references on the
-package's bodies and grid functions. The slice oracles compose
+`inside_mask`, `body_scale`, the polygonized disc `ball`, the polygonized
+projection map `proj_map` with its `arc_deg` arc resolution, and the
+`half`-chain hull `half_chain_convex_hull`: they left the package when
+nothing in it called them any more, or when one chain scan replaced
+them, and they stay here as references on the package's bodies and grid
+functions. The slice oracles compose
 the package's grid primitives (a sampled H, its conjugate, its edge
 slopes) the way each caller once wrote them out inline, so the slice
 service can be held to them bit for bit. The conjugate oracles are a
@@ -696,3 +698,61 @@ def proj_map(y, body, arc_deg=0.5):
         cand.append(circ[inside])
 
     return cg.ConvexBody(np.concatenate(cand, axis=0))
+
+
+def ball(center, radius, n=360):
+    """Inscribed n-gon approximation of the closed disc B(center, radius)
+    (the former `convex_geom.ball`)."""
+    c = np.asarray(center, dtype=float)
+    if c.shape != (2,):
+        raise DimMismatch("ball center must be a 2-vector")
+    if radius < 0:
+        raise ValueError("negative radius")
+    if radius == 0:
+        return cg.ConvexBody(c[None, :])
+    theta = 2.0 * np.pi * np.arange(n) / n
+    pts = c[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    return cg.ConvexBody(pts)
+
+
+def half_chain_convex_hull(points):
+    """2D convex hull by two scans of one `half` chain over plain float rows
+    (the former `convex_geom.convex_hull`, before its chains became index
+    scans of `_chain_lower_hull`), with the library's tolerance and its
+    collapse of an eps-collinear set."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if pts.shape[0] == 1:
+        return pts
+    scale = float(np.max(np.abs(pts)))
+    eps = 1e-12 * max(1.0, scale * scale)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    d = pts[-1] - pts[0]
+    area = np.abs((pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0])
+    if float(np.max(area)) <= eps:
+        proj = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
+        lo_i, hi_i = int(np.argmin(proj)), int(np.argmax(proj))
+        if lo_i == hi_i:
+            return pts[[lo_i]]
+        return pts[[lo_i, hi_i]]
+
+    def half(seq):
+        out = []
+        for p in seq:
+            px, py = p
+            # pop a while o -> a -> p turns left by no more than eps
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= eps:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    rows = pts.tolist()
+    lower = half(rows)
+    upper = half(rows[::-1])
+    hull = lower[:-1] + upper[:-1]
+    if not hull:
+        hull = [pts[0], pts[-1]]
+    return np.asarray(hull, dtype=float)

@@ -80,6 +80,13 @@ _BAD_CONFIGS = [
     ({"command": "verify", "triple": "hat_rep_ex_2_1", "kind": "compact"}, '"kind" has no effect next to'),
     ({"command": "verify", "triple": "hat_rep_ex_2_1", "kind": "noncompact"}, '"kind" has no effect next to'),
     ({"command": "compactness", "triple": "family_p_abs", "hamiltonian": "ex_2_2"}, '"hamiltonian" has no effect'),
+    ({"command": "verify", "triple": "hat_rep_ex_2_1", "grids": {"p_count": 801}}, '"grids.p_count" has no effect'),
+    ({"command": "verify", "triple": "circle_rep_ex_2_2", "grids": {"v_count": 201}}, '"grids.v_count" has no effect'),
+    (
+        {"command": "verify", "triple": "hat_rep_ex_2_1", "grids": {"a_plan": {"n_box": 7}}},
+        '"grids.a_plan.n_box" has no effect',
+    ),
+    ({"command": "compactness", "triple": "hat_rep_ex_2_1", "grids": {"p_count": 801}}, '"grids.p_count" has no effect'),
     ({"command": "compactness", "triple": "all", "hamiltonian": "ex_2_2"}, '"hamiltonian" has no effect'),
     ({"command": "stability", "family": "all", "kind": "compact"}, '"kind" has no effect with'),
     ({"command": "stability", "family": "all", "fixed_t": 0.5}, '"fixed_t" has no effect'),
@@ -102,8 +109,10 @@ def test_parse_accepts_gated_shapes():
     ]
     assert _parse(command="compactness", triple="all").triple == "all"
     assert _parse(command="stability", family="all").family == "all"
-    # criterion 10's verify config: grids next to a triple stay accepted
-    assert _parse(command="verify", triple="hat_rep_ex_2_1", grids={"v_count": 201}).v_count == 201
+    # detect_blc_failure reads p_count under triple "all"; a named triple reads no grid
+    assert _parse(command="compactness", triple="all", grids={"p_count": 801}).p_count == 801
+    with pytest.raises(ConfigError, match='"grids.v_count" has no effect next to a "triple"'):
+        _parse(command="verify", triple="hat_rep_ex_2_1", grids={"v_count": 201})
     assert _parse(command="stability", family="ex_2_6_absx", kind="compact", fixed_t=0.5).fixed_t == 0.5
     assert _parse(command="conjugate", summand="0.5*abs(p) + 0.1").summand == "0.5*abs(p) + 0.1"
     assert _parse(command="check", R=cli.R_CAP).R == cli.R_CAP
@@ -200,6 +209,9 @@ def test_main_config_errors(tmp_path, capsys):
         {"command": "represent", "fixed_t": 0.5},
         {"command": "conjugate", "kind": "compact"},
         {"command": "check", "family": "all"},
+        # grids next to a named triple, which carries its own
+        {"command": "verify", "triple": "circle_rep_ex_2_2", "grids": {"p_count": 801}},
+        {"command": "compactness", "triple": "hat_rep_ex_2_1", "grids": {"p_count": 10001}},
         # grid counts above the cap, refused before any grid is built
         {"command": "represent", "grids": {"v_count": 100_000_000}},
         {"command": "conjugate", "grids": {"p_count": cli.GRID_CAP + 1}},

@@ -15,10 +15,12 @@ from _oracles import (
     STEINER_SQUARE,
     STEINER_TRIANGLE,
     all_corners_inflate,
+    ball,
     body_scale,
     brute_hausdorff,
     dense_points_to_body,
     exterior_angle_steiner,
+    half_chain_convex_hull,
     numpy_row_convex_hull,
     per_body_disc_steiner,
     proj_map,
@@ -114,6 +116,42 @@ def test_hull_matches_numpy_row_chain_bit_for_bit():
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _mlc_inflate_point_sets(monkeypatch):
+    """The point sets check_MLC's inflations hull, on ex_2_1 and ex_2_2."""
+    seen = []
+    real = cg.convex_hull
+    monkeypatch.setattr(cg, "convex_hull", lambda pts: seen.append(np.array(pts)) or real(pts))
+    for name in ("ex_2_1", "ex_2_2"):
+        zoo.check_MLC(zoo.builtin(name), 2.0, samples=SamplePlan(seed=0, n_triples=16))
+    monkeypatch.undo()
+    return seen
+
+
+def test_hull_matches_half_chain_hull_bit_for_bit(monkeypatch):
+    # the index chain run twice (lower, then on the reversed points) against
+    # the former two scans of one `half` chain over float rows
+    rng = np.random.default_rng(11)
+    sets = list(_hull_point_sets())
+    for n in (2, 3, 7, 50, 300):
+        sets.append(rng.normal(size=(n, 2)) * rng.uniform(0.1, 50.0))
+        # repeated x: a few columns, and a rounded grid with duplicates
+        sets.append(np.stack([rng.integers(-3, 4, n).astype(float), rng.normal(size=n)], axis=1))
+        sets.append(np.round(rng.normal(scale=2.0, size=(n, 2)), 1))
+        # collinear: exact on a diagonal, rounded on a sloped line, and a column
+        t = rng.uniform(-5.0, 5.0, n)
+        sets.extend([np.stack([t, t], axis=1), np.stack([t, 0.3 * t + 1.0], axis=1)])
+        sets.append(np.stack([np.full(n, 2.0), t], axis=1))
+    # a turn of exactly eps = 1e-12 at (0.5, 0), which the chain drops
+    sets.append(np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [1.0, 2e-12]]))
+    mlc = _mlc_inflate_point_sets(monkeypatch)
+    assert len(mlc) >= 32
+    for pts in sets + mlc:
+        got = cg.convex_hull(pts)
+        want = half_chain_convex_hull(pts)
+        assert got.shape == want.shape and np.array_equal(got, want), pts
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_hull_keeps_vertices_of_a_near_vertical_zigzag_column():
     # the (f, l) samples of the compact ex_2_1 triple in accept_05 hold a
     # column of about 15 points zig-zagging within |f| <= 5e-15; dropping
@@ -178,18 +216,18 @@ def test_support_sublinear_and_scale_invariant(seed):
 
 def test_steiner_triangle_matches_exterior_angle_oracle():
     got = cg.steiner(cg.ConvexBody(TRIANGLE))
-    assert np.allclose(got, STEINER_TRIANGLE, atol=2e-3)
+    assert np.allclose(got, STEINER_TRIANGLE, rtol=0.0, atol=1e-12)
     assert np.allclose(exterior_angle_steiner(TRIANGLE), STEINER_TRIANGLE, atol=1e-12)
 
 
 def test_steiner_square_center():
-    assert np.allclose(cg.steiner(cg.ConvexBody(SQUARE)), STEINER_SQUARE, atol=2e-3)
+    assert np.allclose(cg.steiner(cg.ConvexBody(SQUARE)), STEINER_SQUARE, rtol=0.0, atol=1e-12)
 
 
 def test_steiner_point_and_segment():
     assert np.allclose(cg.steiner(cg.ConvexBody(np.array([[2.0, -1.0]]))), [2.0, -1.0])
     seg = cg.ConvexBody(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    assert np.allclose(cg.steiner(seg), [1.0, 0.0], atol=2e-3)
+    assert np.allclose(cg.steiner(seg), [1.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -211,7 +249,7 @@ def test_steiner_vs_exterior_angle_oracle(seed):
     body = _random_poly(rng)
     got = cg.steiner(body)
     want = exterior_angle_steiner(body.vertices)
-    assert np.allclose(got, want, atol=2e-3 * body_scale(body))
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * body_scale(body))
 
 
 # ------------------------------------------------ steiner of E cap disc
@@ -434,6 +472,33 @@ def test_hausdorff_identity_and_shift():
     assert cg.hausdorff(A, B) == pytest.approx(0.75, abs=1e-9)
 
 
+def _identity_errors(K, s, r_v, r_eta):
+    """Relative errors of H(K, K + s) = |s| and H(K, K + box) = hypot(r_v,
+    r_eta), each the worse of both argument orders."""
+    errs = []
+    for L, want in (
+        (cg.ConvexBody(K.vertices + s), float(np.hypot(*s))),
+        (cg.minkowski_inflate(K, r_v, r_eta), float(np.hypot(r_v, r_eta))),
+    ):
+        got = (cg.hausdorff(K, L), cg.hausdorff(L, K))
+        errs.append(max(abs(g - want) for g in got) / max(1.0, want))
+    return errs
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_hausdorff_exact_identities_on_points_segments_and_polygons(seed):
+    rng = np.random.default_rng(seed)
+    poly = _random_poly(rng)
+    bodies = (cg.ConvexBody(poly.vertices[:1]), cg.ConvexBody(poly.vertices[:2]), poly)
+    assert [len(K.vertices) for K in bodies[:2]] == [1, 2]
+    s = rng.uniform(-3.0, 3.0, 2)
+    r = rng.uniform(0.1, 3.0, 2)
+    for K in bodies:
+        for r_v, r_eta in ((r[0], r[1]), (0.0, r[1]), (r[0], 0.0)):
+            assert max(_identity_errors(K, s, r_v, r_eta)) <= 1e-12
+
+
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
 def test_hausdorff_matches_brute_force(seed):
@@ -479,7 +544,7 @@ def test_proj_map_outside_contains_projection():
 
 
 def test_ball_and_inflate():
-    B = cg.ball(np.array([1.0, -2.0]), 2.0, n=720)
+    B = ball(np.array([1.0, -2.0]), 2.0, n=720)
     val, _ = support(B, np.array([1.0, 0.0]))
     assert val == pytest.approx(3.0, abs=1e-4)
     fat = cg.minkowski_inflate(cg.ConvexBody(SQUARE), 0.5, 0.25)
@@ -567,7 +632,7 @@ def test_geometry_suite_fast_slice_passes():
         "steiner_lipschitz",
         "steiner_membership",
         "steiner_triangle_oracle",
-        "ball_hausdorff_bound",
+        "hausdorff_exact_identities",
         "hausdorff_metric",
     ]
     assert all(r.passed for r in reports)
@@ -605,3 +670,22 @@ def test_selection_lipschitz_fails_on_a_discontinuous_selection(monkeypatch):
     reports = {r.check: r for r in cg.geometry_suite(SamplePlan(seed=0), n_pairs=40)}
     assert reports["selection_lipschitz"].verdict == "fail"
     assert all(r.passed for name, r in reports.items() if name != "selection_lipschitz")
+
+
+@pytest.mark.parametrize("direction", ["a_into_b", "b_into_a"])
+def test_hausdorff_exact_identities_fail_on_a_one_sided_hausdorff(monkeypatch, direction):
+    # the suite alternates the argument order, so either directed excess alone fails
+    def one_sided(a, b):
+        return cg.containment_gap(b, a) if direction == "a_into_b" else cg.containment_gap(a, b)
+
+    monkeypatch.setattr(cg, "hausdorff", one_sided)
+    reports = {r.check: r for r in cg.geometry_suite(SamplePlan(seed=0), n_pairs=40)}
+    assert reports["hausdorff_exact_identities"].verdict == "fail"
+
+
+def test_hausdorff_exact_identities_fail_when_inflate_ignores_r_v(monkeypatch):
+    real = cg.minkowski_inflate
+    monkeypatch.setattr(cg, "minkowski_inflate", lambda body, r_v, r_eta: real(body, 0.0, r_eta))
+    reports = {r.check: r for r in cg.geometry_suite(SamplePlan(seed=0), n_pairs=40)}
+    assert reports["hausdorff_exact_identities"].verdict == "fail"
+    assert all(r.passed for name, r in reports.items() if name != "hausdorff_exact_identities")
