@@ -36,7 +36,7 @@ from .fenchel import (
     build_epigraph,
     row_slabs,
 )
-from .report import CheckReport
+from .report import CheckReport, Worst
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound, momentum_grid
 
@@ -465,7 +465,8 @@ def verify_triple(
     (iii) Lipschitz quotients against 10(n+1)[k|x-y| + w(|x-y|) + |Ma-M'b|]
     (the scaled control difference reduces to |a-b| when M = 1); (iv)
     selected points lie in the epigraph up to max(2h, 1e-9); (v) the image
-    of the control samples matches dom L up to a Hausdorff gap.
+    of the control samples matches dom L up to a Hausdorff gap. A NaN
+    margin fails its check, and so does n_pairs = 0 the Lipschitz one.
     """
     spec = triple.source
     plan = plan or SamplePlan()
@@ -482,36 +483,21 @@ def verify_triple(
         for tv, xv in zip(rng.uniform(t_lo, t_hi, 6), rng.uniform(x_lo, x_hi, 6))
     ]
 
-    worst_l, wit_l = -np.inf, []
-    worst_f, wit_f = -np.inf, []
-    worst_img, wit_img = -np.inf, []
+    lower = Worst("triple_l_lower_bound")
+    growth = Worst("triple_f_growth")
+    image = Worst("triple_image_gap")
     for t, x in slabs:
         _, F, Lv = triple.e_table(t, x)
         h0 = abs(float(np.asarray(spec.eval(t, x, np.array([0.0])))[0]))
-        viol = float(np.max(-Lv - h0))
-        if viol > worst_l:
-            worst_l, wit_l = viol, [{"t": t, "x": x, "min_l": float(np.min(Lv))}]
+        lower.see(float(np.max(-Lv - h0)), {"t": t, "x": x, "min_l": float(np.min(Lv))})
         if mod.c is not None:
-            gap = float(np.max(np.abs(F))) - float(mod.c(t)) * (1.0 + abs(x))
-            if gap > worst_f:
-                worst_f, wit_f = gap, [{"t": t, "x": x, "max_abs_f": float(np.max(np.abs(F)))}]
+            max_f = float(np.max(np.abs(F)))
+            growth.see(max_f - float(mod.c(t)) * (1.0 + abs(x)), {"t": t, "x": x, "max_abs_f": max_f})
         img = image_of_controls(triple, t, x)
-        if img.gap > worst_img:
-            worst_img, wit_img = float(img.gap), [
-                {"t": t, "x": x, "image": [img.domain.lo, img.domain.hi]}
-            ]
-    reports.append(
-        CheckReport("triple_l_lower_bound", worst_l, "pass" if worst_l <= l_tol else "fail", wit_l)
-    )
+        image.see(img.gap, {"t": t, "x": x, "image": [img.domain.lo, img.domain.hi]})
+    reports.append(lower.report(l_tol))
     if mod.c is not None:
-        reports.append(
-            CheckReport(
-                "triple_f_growth",
-                worst_f,
-                "pass" if worst_f <= 2.0 * h + 1e-6 else "fail",
-                wit_f,
-            )
-        )
+        reports.append(growth.report(2.0 * h + 1e-6))
     else:
         reports.append(
             CheckReport("triple_f_growth", 0.0, "skipped", [{"note": "missing (H4): no c(t) bound"}])
@@ -529,7 +515,7 @@ def verify_triple(
     if pairs:
         ts, xs, ys, A, B = (np.array(col) for col in zip(*pairs))
         EA, EB = triple.e_eval(ts, xs, A), triple.e_eval(ts, ys, B)
-    worst_lip, wit_lip = -np.inf, []
+    lip = Worst("triple_lipschitz")
     for (t, x, y, a, b), ea, eb in zip(pairs, EA, EB):
         lhs = float(np.linalg.norm(ea - eb))
         d = abs(x - y)
@@ -538,46 +524,27 @@ def verify_triple(
         k = float(mod.k_R(R, t))
         w = float(mod.w_R(R, t, d))
         rhs = 10.0 * (spec.n + 1) * (k * d + w + scaled)
-        margin = lhs - rhs
-        if margin > worst_lip:
-            worst_lip = margin
-            wit_lip = [
-                {
-                    "t": t,
-                    "x": x,
-                    "y": y,
-                    "lhs": lhs,
-                    "rhs_combined": rhs,
-                    "rhs_mixed": 5.0 * (spec.n + 1) * (2.0 * k * d + 2.0 * w + scaled),
-                }
-            ]
-    reports.append(
-        CheckReport(
-            "triple_lipschitz", worst_lip, "pass" if worst_lip <= lip_slack else "fail", wit_lip
-        )
-    )
+        wit = {
+            "t": t,
+            "x": x,
+            "y": y,
+            "lhs": lhs,
+            "rhs_combined": rhs,
+            "rhs_mixed": 5.0 * (spec.n + 1) * (2.0 * k * d + 2.0 * w + scaled),
+        }
+        if not lip.see(lhs - rhs, wit):
+            break
+    reports.append(lip.report(lip_slack, "no pair judged: n_pairs is 0"))
 
-    mtol = max(2.0 * h, 1e-9)
     L_of = lagrangian_access(triple)
-    worst_mem, wit_mem = -np.inf, []
+    member = Worst("triple_membership")
     for t, x in slabs[:4]:
         _, F, Lv = triple.e_table(t, x)
         idx = np.arange(0, len(F), max(1, len(F) // 64))
         vals = L_of(t, x)(F[idx])
-        viol = float(np.max(np.where(np.isfinite(vals), vals - Lv[idx], np.inf)))
-        if viol > worst_mem:
-            worst_mem, wit_mem = viol, [{"t": t, "x": x}]
-    reports.append(
-        CheckReport(
-            "triple_membership", worst_mem, "pass" if worst_mem <= mtol else "fail", wit_mem
-        )
-    )
-
-    reports.append(
-        CheckReport(
-            "triple_image_gap", worst_img, "pass" if worst_img <= image_gap_tol else "fail", wit_img
-        )
-    )
+        member.see(float(np.max(np.where(np.isfinite(vals), vals - Lv[idx], np.inf))), {"t": t, "x": x})
+    reports.append(member.report(max(2.0 * h, 1e-9)))
+    reports.append(image.report(image_gap_tol))
     return reports
 
 

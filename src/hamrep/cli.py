@@ -36,7 +36,7 @@ from .builder import (
 from .errors import ConfigError, HamrepError, UnknownName
 from .exprs import compile_expr, compile_hamiltonian
 from .fenchel import UniformGrid, epi_sum
-from .report import CheckReport, reports_to_json
+from .report import CheckReport, Worst, reports_to_json
 from .sampling import SamplePlan
 
 COMMANDS = ("conjugate", "check", "represent", "verify", "compactness", "stability", "zoo-list")
@@ -363,23 +363,20 @@ def _run_conjugate(cfg: RunConfig):
         vs = np.concatenate(probes)
         ln = np.asarray(numeric.values(t, xs, vs), dtype=float)
         cols = [[spec.name] * len(vs), [t] * len(vs), xs.tolist(), vs.tolist(), ln.tolist()]
-        worst = worst_alt = -np.inf
-        if spec.oracle_L is not None:
-            lo_vals = np.asarray(spec.oracle_L(t, xs, vs), dtype=float)
-            both = np.isfinite(ln) & np.isfinite(lo_vals)
-            err = np.where(both, np.abs(ln - lo_vals), np.where(np.isfinite(ln) == np.isfinite(lo_vals), 0.0, np.inf))
-            worst = float(np.max(err))
-            rows.extend(zip(*cols, lo_vals.tolist(), err.tolist()))
-        else:
-            rows.extend(zip(*cols, [""] * len(vs), [""] * len(vs)))
-        if spec.alt_oracle_L is not None:
-            alt_vals = np.asarray(spec.alt_oracle_L(t, xs, vs), dtype=float)
-            worst_alt = float(np.max(np.abs(ln - alt_vals)))
         if spec.oracle_L is None:
+            rows.extend(zip(*cols, [""] * len(vs), [""] * len(vs)))
             reports.append(
                 CheckReport(f"conjugate_numeric[{spec.name}]", 0.0, "no closed form on file", [])
             )
-        elif spec.alt_oracle_L is not None:
+            continue
+        lo_vals = np.asarray(spec.oracle_L(t, xs, vs), dtype=float)
+        both = np.isfinite(ln) & np.isfinite(lo_vals)
+        err = np.where(both, np.abs(ln - lo_vals), np.where(np.isfinite(ln) == np.isfinite(lo_vals), 0.0, np.inf))
+        rows.extend(zip(*cols, lo_vals.tolist(), err.tolist()))
+        if spec.alt_oracle_L is not None:
+            worst = float(np.max(err))
+            alt_vals = np.asarray(spec.alt_oracle_L(t, xs, vs), dtype=float)
+            worst_alt = float(np.max(np.abs(ln - alt_vals)))
             prim_ok = worst <= abs_tol
             alt_ok = worst_alt <= abs_tol
             if prim_ok == alt_ok:
@@ -395,14 +392,9 @@ def _run_conjugate(cfg: RunConfig):
                 )
             )
         else:
-            reports.append(
-                CheckReport(
-                    f"conjugate_oracle_match[{spec.name}]",
-                    float(worst),
-                    "pass" if worst <= abs_tol else "fail",
-                    [{"abs_tol": abs_tol, "margin": margin}],
-                )
-            )
+            match = Worst(f"conjugate_oracle_match[{spec.name}]")
+            match.see(err, {"abs_tol": abs_tol, "margin": margin})
+            reports.append(match.report(abs_tol))
     if cfg.summand is not None:
         reports.append(_episum_identity(cfg, specs[0], p_grid, t, rows))
     header = ["hamiltonian", "t", "x", "v", "L_numeric", "L_oracle", "abs_err"]
@@ -479,6 +471,17 @@ def _build_triple(cfg: RunConfig, spec, kind: str):
     return build_noncompact(spec, grids=cfg.policy(), plan=cfg.a_plan)
 
 
+def _verify(cfg: RunConfig, triple) -> list[CheckReport]:
+    return verify_triple(
+        triple,
+        cfg.window,
+        plan=cfg.plan(),
+        l_tol=cfg.tol("l_lower"),
+        lip_slack=cfg.tol("lip_slack"),
+        image_gap_tol=cfg.tol("image_gap"),
+    )
+
+
 def _run_represent(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=False)
     multi = len(specs) > 1 or cfg.kind == "both"
@@ -492,39 +495,18 @@ def _run_represent(cfg: RunConfig):
     for spec in specs:
         for kind in _kinds(cfg):
             triple = _build_triple(cfg, spec, kind)
-            worst_rec, worst_sound = -np.inf, -np.inf
+            rec_err = Worst("reconstruction_sup_error")
+            sound = Worst("reconstruction_soundness")
             for x in _x_values(cfg):
                 Hp = np.asarray(spec.eval(t, float(x), ps), dtype=float)
                 rec = induced_H(triple, t, float(x), ps)
                 err = np.abs(rec - Hp)
-                worst_rec = max(worst_rec, float(np.max(err)))
-                worst_sound = max(worst_sound, float(np.max(rec - Hp)))
+                # the row's np.max, not its first maximal entry, whose zero may carry the other sign
+                rec_err.see(float(np.max(err)), {"tol": recon_tol})
+                sound.see(float(np.max(rec - Hp)), {"tol": sound_tol})
                 for p, hv, rv, e in zip(ps, Hp, rec, err):
                     rows.append((spec.name, kind, t, float(x), float(p), float(hv), float(rv), float(e)))
-            local = [
-                CheckReport(
-                    "reconstruction_sup_error",
-                    worst_rec,
-                    "pass" if worst_rec <= recon_tol else "fail",
-                    [{"tol": recon_tol}],
-                ),
-                CheckReport(
-                    "reconstruction_soundness",
-                    worst_sound,
-                    "pass" if worst_sound <= sound_tol else "fail",
-                    [{"tol": sound_tol}],
-                ),
-            ]
-            local.extend(
-                verify_triple(
-                    triple,
-                    cfg.window,
-                    plan=cfg.plan(),
-                    l_tol=cfg.tol("l_lower"),
-                    lip_slack=cfg.tol("lip_slack"),
-                    image_gap_tol=cfg.tol("image_gap"),
-                )
-            )
+            local = [rec_err.report(recon_tol), sound.report(sound_tol)] + _verify(cfg, triple)
             if kind == "compact":
                 for x in _x_values(cfg, 3):
                     local.append(sandwich_check(triple, t, float(x), tol=cfg.tol("sandwich")))
@@ -544,14 +526,7 @@ def _run_verify(cfg: RunConfig):
                 jobs.append((f"{spec.name}:{kind}", _build_triple(cfg, spec, kind)))
     reports: list[CheckReport] = []
     for tag, triple in jobs:
-        local = verify_triple(
-            triple,
-            cfg.window,
-            plan=cfg.plan(),
-            l_tol=cfg.tol("l_lower"),
-            lip_slack=cfg.tol("lip_slack"),
-            image_gap_tol=cfg.tol("image_gap"),
-        )
+        local = _verify(cfg, triple)
         reports.extend(_tag_reports(local, tag) if len(jobs) > 1 else local)
     header = ["check", "worst_margin", "verdict"]
     rows = [(r.check, float(r.worst_margin), r.verdict) for r in reports]
@@ -564,69 +539,55 @@ _BLC_VERDICT_SPECS = ("ex_2_2", "ex_2_3", "ex_2_4")
 _CERTIFIED_TRIPLES = ("hat_rep_ex_2_1", "circle_rep_ex_2_2")
 
 
+def _blc_probe(cfg: RunConfig, spec) -> CheckReport:
+    return compactness.detect_blc_failure(
+        spec,
+        t_range=cfg.window.t_range,
+        x_range=cfg.window.x_range,
+        threshold=cfg.tol("blc_threshold"),
+        plan=cfg.plan(),
+        p_grid=cfg.policy().p_grid(),
+    )
+
+
+def _triple_audit(cfg: RunConfig, base, certify: bool):
+    """Lemma 4.1 on a named triple and, with certify, the lambda bound
+    extracted from its convexification with that bound's certificate."""
+    ranges = {"plan": cfg.plan(), "t_range": cfg.window.t_range, "x_range": cfg.window.x_range}
+    reports = [compactness.lemma41_check(base, tol=cfg.tol("lemma41"), **ranges)]
+    if not certify:
+        return reports, None
+    lam = compactness.extract_lambda(compactness.convexify(base), tol=cfg.tol("blc"), **ranges)
+    return reports + [lam.certification], lam
+
+
+def _lambda_rows(cfg: RunConfig, lam, count: int, prefix: tuple = ()) -> list[tuple]:
+    (t_lo, t_hi), (x_lo, x_hi) = cfg.window.t_range, cfg.window.x_range
+    return [
+        prefix + (float(t), float(x), float(lam.eval(float(t), float(x))))
+        for t in np.linspace(t_lo, t_hi, count)
+        for x in np.linspace(x_lo, x_hi, count)
+    ]
+
+
 def _run_compactness(cfg: RunConfig):
-    plan = cfg.plan()
-    t_range, x_range = cfg.window.t_range, cfg.window.x_range
     if cfg.triple == "all":
         reports: list[CheckReport] = []
         rows: list[tuple] = []
         for name in sorted(_TRIPLES):
-            base = _TRIPLES[name]()
-            local = [
-                compactness.lemma41_check(
-                    base, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("lemma41")
-                )
-            ]
-            if name in _CERTIFIED_TRIPLES:
-                ct = compactness.convexify(base)
-                lam = compactness.extract_lambda(
-                    ct, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("blc")
-                )
-                local.append(lam.certification)
-                for t in np.linspace(t_range[0], t_range[1], 3):
-                    for x in np.linspace(x_range[0], x_range[1], 3):
-                        rows.append((name, float(t), float(x), float(lam.eval(float(t), float(x)))))
+            local, lam = _triple_audit(cfg, _TRIPLES[name](), name in _CERTIFIED_TRIPLES)
+            if lam is not None:
+                rows.extend(_lambda_rows(cfg, lam, 3, (name,)))
             reports.extend(_tag_reports(local, name))
         for ham in _BLC_VERDICT_SPECS:
-            rep = compactness.detect_blc_failure(
-                zoo.builtin(ham),
-                t_range=t_range,
-                x_range=x_range,
-                threshold=cfg.tol("blc_threshold"),
-                plan=plan,
-                p_grid=cfg.policy().p_grid(),
-            )
-            reports.extend(_tag_reports([rep], ham))
+            reports.extend(_tag_reports([_blc_probe(cfg, zoo.builtin(ham))], ham))
         header = ["triple", "t", "x", "lambda"]
         return reports, header, rows, {}
     if cfg.triple is not None:
-        base = _TRIPLES[cfg.triple]()
-        ct = compactness.convexify(base)
-        lam = compactness.extract_lambda(
-            ct, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("blc")
-        )
-        reports = [
-            compactness.lemma41_check(
-                base, plan=plan, t_range=t_range, x_range=x_range, tol=cfg.tol("lemma41")
-            ),
-            lam.certification,
-        ]
-        rows = []
-        for t in np.linspace(t_range[0], t_range[1], 5):
-            for x in np.linspace(x_range[0], x_range[1], 5):
-                rows.append((float(t), float(x), float(lam.eval(float(t), float(x)))))
-        header = ["t", "x", "lambda"]
+        reports, lam = _triple_audit(cfg, _TRIPLES[cfg.triple](), True)
         extra = {"lambda_note": lam.note, "triple": cfg.triple}
-        return reports, header, rows, extra
-    spec = _resolve_specs(cfg, allow_all=False)[0]
-    rep = compactness.detect_blc_failure(
-        spec,
-        t_range=t_range,
-        x_range=x_range,
-        threshold=cfg.tol("blc_threshold"),
-        plan=plan,
-        p_grid=cfg.policy().p_grid(),
-    )
+        return reports, ["t", "x", "lambda"], _lambda_rows(cfg, lam, 5), extra
+    rep = _blc_probe(cfg, _resolve_specs(cfg, allow_all=False)[0])
     header = ["margin", "interior_sup"]
     rows = [
         (float(w["margin"]), float(w["sup"]))

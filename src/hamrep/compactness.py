@@ -16,7 +16,7 @@ import numpy as np
 from .builder import ControlSet, RepresentationTriple, lagrangian_access
 from .errors import ConfigError, NoncompactControl
 from .fenchel import UniformGrid
-from .report import CheckReport
+from .report import CheckReport, Worst
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound
 
@@ -102,7 +102,7 @@ def lemma41_check(
     plan = plan or SamplePlan()
     L_of = lagrangian_access(triple)
     rng = plan.rng(41)
-    worst, wit = -np.inf, []
+    worst = Worst("lemma41_epigraph_bound")
     for _ in range(6):
         t = float(rng.uniform(*t_range))
         x = float(rng.uniform(*x_range))
@@ -112,13 +112,8 @@ def lemma41_check(
             F, Lv = F[idx], Lv[idx]
         vals = L_of(t, x)(F)
         viol = np.where(np.isfinite(vals), vals - Lv, np.inf)
-        m = float(np.max(viol))
-        if m > worst:
-            j = int(np.argmax(viol))
-            worst, wit = m, [{"t": t, "x": x, "f": float(F[j]), "l": float(Lv[j])}]
-    return CheckReport(
-        "lemma41_epigraph_bound", worst, "pass" if worst <= tol else "fail", wit
-    )
+        worst.see(viol, lambda j: {"t": t, "x": x, "f": float(F[j]), "l": float(Lv[j])})
+    return worst.report(tol)
 
 
 def extract_lambda(
@@ -148,7 +143,7 @@ def extract_lambda(
     plan = plan or SamplePlan()
     rng = plan.rng(33)
     L_of = lagrangian_access(ct)
-    worst, wit = -np.inf, []
+    cert = Worst("blc_certificate")
     for _ in range(6):
         t = float(rng.uniform(*t_range))
         x = float(rng.uniform(*x_range))
@@ -165,11 +160,9 @@ def extract_lambda(
         vals = vals[np.isfinite(vals)]
         if len(vals) == 0:
             continue
-        m = float(np.max(vals)) - bound
-        if m > worst:
-            worst, wit = m, [{"t": t, "x": x, "lambda": bound, "sup_L": float(np.max(vals))}]
+        sup_L = float(np.max(vals))
+        cert.see(sup_L - bound, {"t": t, "x": x, "lambda": bound, "sup_L": sup_L})
     note = "no slab judged: every sampled domain is unbounded or holds no finite L"
-    cert = CheckReport("blc_certificate", worst, "pass" if wit and worst <= tol else "fail", wit or [{"note": note}])
 
     slopes = []
     for _ in range(12):
@@ -182,7 +175,7 @@ def extract_lambda(
     return LambdaBound(
         eval=lam,
         note=f"sampled max of convexified running cost; empirical x-Lipschitz <= {slope:.3g}",
-        certification=cert,
+        certification=cert.report(tol, note),
     )
 
 
@@ -223,7 +216,7 @@ def detect_blc_failure(
     sups = []
     for delta in _BLC_MARGINS:
         # the sups per slab at the final margin double as the candidate lambda
-        sup_d, candidates = -np.inf, []
+        candidates = []
         for t, x in slabs:
             dom = slices.domain(t, x)
             lo, hi = dom.lo + delta, dom.hi - delta
@@ -232,12 +225,11 @@ def detect_blc_failure(
             vals = np.asarray(slices.values(t, x, np.linspace(lo, hi, 2001)), dtype=float)
             vals = vals[np.isfinite(vals)]
             if len(vals):
-                sup_d = max(sup_d, float(np.max(vals)))
                 candidates.append({"t": t, "x": x, "sup_L": float(np.max(vals))})
         if not candidates:
             note = f"no slab judged at margin {delta:g}: every sampled domain is unbounded or too narrow"
             return CheckReport("blc_failure_probe", -np.inf, "fail", [{"note": note}])
-        sups.append(sup_d)
+        sups.append(max(c["sup_L"] for c in candidates))
     ratios = [
         sups[i + 1] / max(sups[i], 1e-12)
         for i in range(len(sups) - 1)

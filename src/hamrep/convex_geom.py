@@ -515,7 +515,7 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     on each drawn body K, with K first on even bodies and second on odd
     ones (relative slack 1e-12: |got - want| <= 1e-12 max(1, want)); and
     hausdorff behaves as a metric (symmetry exact, triangle inequality
-    1e-9).
+    1e-9). With n_pairs = 0 the four checks on the drawn pairs fail.
 
     The identities: for convex bodies H(K, L) = sup over unit u of
     |h_K(u) - h_L(u)| (Schneider, Convex Bodies, 1.8). A shift by s adds
@@ -534,7 +534,7 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     The projection map P(z, E) is 5-Lipschitz jointly in point and body,
     so e = s(P) is (5 * 4/pi)-Lipschitz.
     """
-    from .report import CheckReport
+    from .report import CheckReport, Worst
     from .sampling import SamplePlan
 
     plan = plan or SamplePlan()
@@ -542,8 +542,8 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     reports: list[CheckReport] = []
 
     pairs = []
-    worst_st, wit_st = -np.inf, []
-    worst_member = -np.inf
+    st = Worst("steiner_lipschitz")
+    member = Worst("steiner_membership")
     for i in range(n_pairs):
         K = _random_polygon(rng)
         if i % 2 == 0:
@@ -557,12 +557,11 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
 
         sK = steiner(K)
         sD = steiner(D)
-        gap = float(np.linalg.norm(sK - sD)) - (4.0 / np.pi) * hKD
-        if gap > worst_st:
-            worst_st, wit_st = float(gap), [{"pair": i, "hKD": float(hKD)}]
-        worst_member = max(worst_member, distance(sK, K), distance(sD, D))
+        st.see(float(np.linalg.norm(sK - sD)) - (4.0 / np.pi) * hKD, {"pair": i, "hKD": float(hKD)})
+        member.see(distance(sK, K))
+        member.see(distance(sD, D))
 
-    worst_sel, wit_sel = -np.inf, []
+    sel = Worst("selection_lipschitz")
     if pairs:
         Ks, Ds, X, Y, H = zip(*pairs)
         X, Y, H = np.array(X), np.array(Y), np.array(H)
@@ -570,19 +569,8 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
         eK = steiner_selection(X, BodyStack(Ks), rows)
         eD = steiner_selection(Y, BodyStack(Ds), rows)
         gaps = np.linalg.norm(eK - eD, axis=1) - (20.0 / np.pi) * (H + np.linalg.norm(X - Y, axis=1))
-        i = int(np.argmax(gaps))
-        worst_sel, wit_sel = float(gaps[i]), [{"pair": i, "hKD": float(H[i])}]
-    reports.append(
-        CheckReport("selection_lipschitz", worst_sel, "pass" if worst_sel <= 1e-9 else "fail", wit_sel)
-    )
-    reports.append(
-        CheckReport("steiner_lipschitz", worst_st, "pass" if worst_st <= 1e-9 else "fail", wit_st)
-    )
-    reports.append(
-        CheckReport(
-            "steiner_membership", worst_member, "pass" if worst_member <= 1e-6 else "fail", []
-        )
-    )
+        sel.see(gaps, lambda i: {"pair": i, "hKD": float(H[i])})
+    reports += [sel.report(1e-9), st.report(1e-9), member.report(1e-6)]
 
     tri = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     # exterior angles pi/2, 3pi/4, 3pi/4 weight the vertices into
@@ -601,7 +589,7 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     shifts = rng.uniform(-3.0, 3.0, (len(pairs), 2))
     radii = rng.uniform(0.1, 3.0, (len(pairs), 2))
     radii[::4, 0] = 0.0
-    worst_id, wit_id = -np.inf, []
+    ident = Worst("hausdorff_exact_identities")
     for i, (K, *_) in enumerate(pairs):
         r_v, r_eta = radii[i]
         for name, L, want in (
@@ -610,25 +598,17 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
             ("box", minkowski_inflate(K, r_v, r_eta), float(np.hypot(r_v, r_eta))),
         ):
             got = hausdorff(K, L) if i % 2 == 0 else hausdorff(L, K)
-            err = abs(got - want) / max(1.0, want)
-            if err > worst_id:
-                worst_id, wit_id = err, [{"body": i, "identity": name}]
-    reports.append(
-        CheckReport(
-            "hausdorff_exact_identities", worst_id, "pass" if worst_id <= 1e-12 else "fail", wit_id
-        )
-    )
+            ident.see(abs(got - want) / max(1.0, want), {"body": i, "identity": name})
+    reports.append(ident.report(1e-12))
 
-    worst_metric = -np.inf
+    metric = Worst("hausdorff_metric")
     for _ in range(50):
         A = _random_polygon(rng)
         B = _random_polygon(rng)
         C = _random_polygon(rng)
         h_ab = hausdorff(A, B)
         if h_ab != hausdorff(B, A):
-            worst_metric = np.inf
-        worst_metric = max(worst_metric, hausdorff(A, C) - h_ab - hausdorff(B, C))
-    reports.append(
-        CheckReport("hausdorff_metric", worst_metric, "pass" if worst_metric <= 1e-9 else "fail", [])
-    )
+            metric.see(np.inf)
+        metric.see(hausdorff(A, C) - h_ab - hausdorff(B, C))
+    reports.append(metric.report(1e-9))
     return reports

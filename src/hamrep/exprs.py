@@ -11,6 +11,7 @@ whitelist, so no general code evaluation happens.
 from __future__ import annotations
 
 import ast
+import math
 from typing import Callable
 
 import numpy as np
@@ -228,6 +229,22 @@ def compile_piecewise(defn, variables: tuple[str, ...] = ("t", "x", "p")) -> Cal
     return fn
 
 
+def _checked(fn: Callable, key: str, names: tuple[str, ...], nonnegative: bool) -> Callable:
+    """fn as a float-valued function that raises ConfigError, naming the
+    definition key and its arguments, on a NaN or infinite value (and, with
+    nonnegative, on a negative one)."""
+
+    def wrapped(*args):
+        value = float(fn(*args))
+        if not math.isfinite(value) or (nonnegative and value < 0.0):
+            at = ", ".join(f"{n}={float(a)!r}" for n, a in zip(names, args))
+            need = "finite and >= 0" if nonnegative else "finite"
+            raise ConfigError(f'"{key}" is {value!r} at {at}; it must be {need}')
+        return value
+
+    return wrapped
+
+
 def compile_hamiltonian(defn: dict):
     """Build a HamiltonianSpec from a JSON definition object.
 
@@ -257,14 +274,15 @@ def compile_hamiltonian(defn: dict):
         return np.asarray(h_fn(float(t), float(x), np.asarray(p, dtype=float)), dtype=float)
 
     modulus = ModulusData(
-        k_R=lambda R, t: float(k_fn(R, t)),
-        w_R=lambda R, t, r: float(w_fn(R, t, r)),
-        c=(lambda t: float(c_fn(t))) if c_fn is not None else None,
+        k_R=_checked(k_fn, "k_R", ("R", "t"), nonnegative=True),
+        w_R=_checked(w_fn, "w_R", ("R", "t", "r"), nonnegative=True),
+        c=_checked(c_fn, "c", ("t",), nonnegative=True) if c_fn is not None else None,
     )
     lam = None
     if defn.get("lambda") is not None:
         lam_fn = compile_expr(str(defn["lambda"]), ("t", "x"))
-        lam = LambdaBound(eval=lambda t, x: float(lam_fn(t, x)), note="config-supplied bound")
+        lam_eval = _checked(lam_fn, "lambda", ("t", "x"), nonnegative=False)
+        lam = LambdaBound(eval=lam_eval, note="config-supplied bound")
     flags = {"H1": True, "H2": True, "H3": True, "H4": c_fn is not None, "HLC": True, "BLC": lam is not None}
     user_flags = defn.get("flags", {})
     if not isinstance(user_flags, dict) or not all(isinstance(v, bool) for v in user_flags.values()):

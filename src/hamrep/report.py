@@ -12,6 +12,8 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 
 def sanitize(obj: Any) -> Any:
     """Coerce numpy scalars/arrays and tuples into plain JSON-friendly types."""
@@ -70,6 +72,53 @@ class CheckReport:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} {self.check}: worst_margin={self.worst_margin:.6g} ({self.verdict})"
+
+
+class Worst:
+    """Worst margin of one inequality over its samples, and where it was seen.
+
+    Every gating check keeps one. A margin takes over only when it is
+    strictly larger, so of equal margins the first keeps its witness. The
+    first NaN is the worst margin of all: it is kept, its witness carries
+    `nan_note`, and no later margin replaces it.
+    """
+
+    def __init__(self, check: str, nan_note: str = "margin is NaN"):
+        self.check = check
+        self.nan_note = nan_note
+        self.margin = -math.inf
+        self.witness: list = []
+        self.judged = False
+
+    def see(self, margins, witness=None) -> bool:
+        """Judge one margin or an array of them. `witness` is a dict, a
+        function of the flat index of the worst entry, or None. Returns
+        False once a NaN has been seen, so a loop can stop."""
+        if self.margin != self.margin:
+            return False
+        if isinstance(margins, np.ndarray):
+            if margins.size == 0:
+                return True
+            # argmax returns the first NaN when there is one
+            k = int(np.argmax(margins))
+            m = float(margins.flat[k])
+        else:
+            k, m = 0, float(margins)
+        self.judged = True
+        if m > self.margin or m != m:
+            self.margin = m
+            w = witness(k) if callable(witness) else witness
+            if m != m:
+                w = {**(w or {}), "note": self.nan_note}
+            self.witness = [] if w is None else [w]
+        return m == m
+
+    def report(self, tol: float, empty_note: str = "no sample judged") -> CheckReport:
+        """"pass" when the worst margin is at most tol, else "fail"; a
+        check that judged nothing fails with `empty_note`."""
+        if not self.judged:
+            return CheckReport(self.check, self.margin, "fail", [{"note": empty_note}])
+        return CheckReport(self.check, self.margin, "pass" if self.margin <= tol else "fail", self.witness)
 
 
 def reports_to_json(reports: list[CheckReport], **extra: Any) -> str:

@@ -27,7 +27,7 @@ from .builder import (
 )
 from .errors import HypothesisViolation
 from .fenchel import build_epigraph
-from .report import CheckReport
+from .report import CheckReport, Worst
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, builtin
 
@@ -102,7 +102,7 @@ class PerturbationFamily:
         relative midpoint gap above 1e-9 fails."""
         plan = plan or SamplePlan()
         rng = plan.rng(61)
-        worst, wit = -np.inf, []
+        worst = Worst("family_convexity_probe")
         for i in self.indices:
             spec = self.spec_for(i)
             for _ in range(40):
@@ -116,11 +116,8 @@ class PerturbationFamily:
                     raise HypothesisViolation(f"H_{i} not finite at t={t}, x={x}")
                 scale = max(1.0, float(np.max(np.abs(vals))))
                 gap = float(vals[2] - 0.5 * (vals[0] + vals[1])) / scale
-                if gap > worst:
-                    worst, wit = gap, [{"i": i, "t": t, "x": x, "p": p, "q": q}]
-        return CheckReport(
-            "family_convexity_probe", worst, "pass" if worst <= 1e-9 else "fail", wit
-        )
+                worst.see(gap, {"i": i, "t": t, "x": x, "p": p, "q": q})
+        return worst.report(1e-9)
 
 
 def _ex_2_2_lambda(name: str) -> PerturbationFamily:
@@ -197,14 +194,10 @@ class StabilityReport:
         )
 
     def bound_report(self) -> CheckReport:
-        worst = max(r.bound_margin for r in self.rows)
+        worst = Worst(f"steiner_composition_bound[{self.family}]")
+        worst.see(np.array([r.bound_margin for r in self.rows]))
         wit = [{"i": r.i, "bound_margin": r.bound_margin} for r in self.rows]
-        return CheckReport(
-            f"steiner_composition_bound[{self.family}]",
-            float(worst),
-            "pass" if worst <= 0.0 else "fail",
-            wit,
-        )
+        return dataclasses.replace(worst.report(0.0), witnesses=wit)
 
 
 def _stability_a_plan(kind: str) -> APlan:
@@ -267,22 +260,19 @@ def representation_convergence(
 
     def measure(i: int) -> IndexRow:
         tri = _build(kind, family.spec_for(i), family.lam_for(i), policy)
-        sup_e = sup_f = sup_l = sup_h = -np.inf
-        margin = -np.inf
+        sups = []  # per slab: sup |e_i - e|, |f_i - f|, |l_i - l|, H(E_i, E)
+        bound = Worst("steiner_composition_bound")
         for t, x in slabs:
             _, F_i, L_i = tri.e_table(t, x, a_samples)
             _, F_0, L_0 = limit.e_table(t, x, a_samples)
             e_err = np.hypot(F_i - F_0, L_i - L_0)
-            sup_e = max(sup_e, float(np.max(e_err)))
-            sup_f = max(sup_f, float(np.max(np.abs(F_i - F_0))))
-            sup_l = max(sup_l, float(np.max(np.abs(L_i - L_0))))
             hd = _common_cap_hausdorff(tri, limit, t, x)
-            sup_h = max(sup_h, hd)
+            dF, dL = np.abs(F_i - F_0), np.abs(L_i - L_0)
+            sups.append((float(np.max(e_err)), float(np.max(dF)), float(np.max(dL)), hd))
             dM = abs(tri.scaling(t, x) - limit.scaling(t, x))
             norms = np.linalg.norm(np.atleast_2d(a_samples), axis=1)
-            rhs = 5.0 * n1 * (hd + dM * norms) + bound_slack
-            margin = max(margin, float(np.max(e_err - rhs)))
-        return IndexRow(i, sup_e, sup_f, sup_l, sup_h, margin)
+            bound.see(float(np.max(e_err - (5.0 * n1 * (hd + dM * norms) + bound_slack))))
+        return IndexRow(i, *(max(col) for col in zip(*sups)), bound.margin)
 
     return StabilityReport(
         family=family.name,

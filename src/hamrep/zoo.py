@@ -22,7 +22,7 @@ import numpy as np
 from . import convex_geom as cg
 from .errors import ConfigError, UnknownName
 from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
-from .report import CheckReport
+from .report import CheckReport, Worst
 from .sampling import SamplePlan
 
 
@@ -325,28 +325,15 @@ def check_HLC(
     triple or no p in the plan) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
-    worst = -np.inf
-    wit: list = []
+    worst = Worst("hlc", nan_note="excess is NaN")
     ps = plan.p_values(10.0)
-    triples = plan.triples(spec.t_range, R)
-    if len(triples) == 0 or len(ps) == 0:
-        note = "no sample judged: the sample plan has no (t, x, y) triple or no p"
-        return CheckReport("hlc", worst, "fail", [{"note": note}])
-    for t, x, y in triples:
+    for t, x, y in plan.triples(spec.t_range, R):
         lhs = np.abs(np.asarray(spec.eval(t, x, ps)) - np.asarray(spec.eval(t, y, ps)))
         rhs = mod.k_R(R, t) * np.abs(ps) * abs(x - y) + mod.w_R(R, t, abs(x - y))
         rel = (lhs - rhs) / np.maximum(1.0, np.abs(rhs))
-        nan = np.isnan(rel)
-        if np.any(nan):
-            k = int(np.argmax(nan))
-            worst = np.nan
-            wit = [{"t": float(t), "x": float(x), "y": float(y), "p": float(ps[k]), "note": "excess is NaN"}]
+        if not worst.see(rel, lambda k: {"t": float(t), "x": float(x), "y": float(y), "p": float(ps[k])}):
             break
-        k = int(np.argmax(rel))
-        if rel[k] > worst:
-            worst = float(rel[k])
-            wit = [{"t": float(t), "x": float(x), "y": float(y), "p": float(ps[k])}]
-    return CheckReport("hlc", worst, "pass" if worst <= tol else "fail", wit)
+    return worst.report(tol, "no sample judged: the sample plan has no (t, x, y) triple or no p")
 
 
 def _finite(vals) -> np.ndarray:
@@ -452,23 +439,25 @@ def check_LLC(
         bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
         vs_f = vs[keep]
         judged.append((t, a, b, w, vs_f, la[keep], np.maximum(vs_f - kd, blo), np.minimum(vs_f + kd, bhi)))
+    worst = Worst("llc")
     if not judged:
-        note = "no sample judged: every probe window or Lagrangian slice was empty"
-        return CheckReport("llc", -np.inf, "fail", [{"note": note}])
+        return worst.report(tol, "no sample judged: every probe window or Lagrangian slice was empty")
     t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
     lens = [len(vs) for vs in vs_s]
     u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
     t_w, b_w = np.repeat(t_s, lens)[:, None], np.repeat(b_s, lens)[:, None]
     best = _window_min(lambda U: slices.values(t_w, b_w, U), u0, np.maximum(u1, u0))
     excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
-    worst = -np.inf
-    wit: list = []
-    for t, a, b, vs_f, ex in zip(t_s, a_s, b_s, vs_s, np.split(excess, np.cumsum(lens)[:-1])):
-        j = int(np.argmax(ex))
-        if float(ex[j]) > worst:
-            worst = float(ex[j])
-            wit = [{"t": float(t), "x": float(a), "y": float(b), "v": float(vs_f[j])}]
-    return CheckReport("llc", worst, "pass" if worst <= tol else "fail", wit)
+    # the first worst entry of the flat excess is the first in loop order
+    ends = np.cumsum(lens)
+
+    def witness(k):
+        g = int(np.searchsorted(ends, k, side="right"))
+        j = k - (ends[g] - lens[g])
+        return {"t": float(t_s[g]), "x": float(a_s[g]), "y": float(b_s[g]), "v": float(vs_s[g][j])}
+
+    worst.see(excess, witness)
+    return worst.report(tol)
 
 
 def check_MLC(
@@ -490,13 +479,9 @@ def check_MLC(
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     slices = spec.slices(p_grid)
-    worst = -np.inf
-    wit: list = []
+    worst = Worst("mlc", nan_note="containment gap is NaN")
     h_used = 0.0
-    triples = plan.triples(spec.t_range, R)
-    if len(triples) == 0:
-        return CheckReport("mlc", worst, "fail", [{"note": "no triple judged: the sample plan is empty"}])
-    for t, x, y in triples:
+    for t, x, y in plan.triples(spec.t_range, R):
         W = max(slices.halfwidth(t, x, R), slices.halfwidth(t, y, R))
         h_used = max(h_used, UniformGrid(-W, W, v_count).h)
         Lx = slices.on_grid(t, x, v_count, W, trusted=False)
@@ -508,16 +493,10 @@ def check_MLC(
         Ex = build_epigraph(Lx, cap)
         Ey = build_epigraph(Ly, cap + w)
         inflated = cg.minkowski_inflate(Ey, kd, w)
-        gap = cg.containment_gap(inflated, Ex)
-        if np.isnan(gap):
-            worst = np.nan
-            wit = [{"t": float(t), "x": float(x), "y": float(y), "note": "containment gap is NaN"}]
+        if not worst.see(cg.containment_gap(inflated, Ex), {"t": float(t), "x": float(x), "y": float(y)}):
             break
-        if gap > worst:
-            worst = float(gap)
-            wit = [{"t": float(t), "x": float(x), "y": float(y)}]
     bound = tol if tol is not None else 2.0 * h_used + 5e-4
-    return CheckReport("mlc", worst, "pass" if worst <= bound else "fail", wit)
+    return worst.report(bound, "no triple judged: the sample plan is empty")
 
 
 def _triple_from_formulas(control, f, l, source, note=""):

@@ -205,6 +205,24 @@ def test_verify_triple_compact(ex22_compact_fast):
     assert all(r.verdict == "pass" for r in reports)
 
 
+def test_verify_triple_fails_lipschitz_on_no_pair(ex22_noncompact_fast):
+    reports = {r.check: r for r in verify_triple(ex22_noncompact_fast, Window(), plan=FAST_PLAN, n_pairs=0)}
+    lip = reports.pop("triple_lipschitz")
+    assert lip.verdict == "fail" and lip.worst_margin == -np.inf
+    assert lip.witnesses == [{"note": "no pair judged: n_pairs is 0"}]
+    assert all(r.passed for r in reports.values())
+
+
+def test_verify_triple_fails_lipschitz_on_a_nan_modulus():
+    # k_R = NaN makes every Lipschitz bound NaN; the first pair is the witness
+    base = zoo.builtin("ex_2_2")
+    spec = dataclasses.replace(base, modulus=dataclasses.replace(base.modulus, k_R=lambda R, t: float("nan")))
+    triple = build_noncompact(spec, grids=FAST_POLICY, plan=FAST_APLAN)
+    lip = next(r for r in verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=4) if r.check == "triple_lipschitz")
+    assert lip.verdict == "fail" and np.isnan(lip.worst_margin)
+    assert lip.witnesses[0]["note"] == "margin is NaN"
+
+
 def _per_row_triples(noncompact, compact):
     """One triple of every kind: both builders, the zoo's formula triples
     (family_p_abs with callable h and k) and the convexification of a

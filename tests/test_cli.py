@@ -230,6 +230,34 @@ def test_main_rejects_bad_field_values(tmp_path, capsys, doc):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("check", "c", "-5"),
+        ("represent", "c", "-5"),
+        ("check", "c", "0/0"),
+        ("represent", "c", "0/0"),
+        ("check", "k_R", "-1"),
+        ("check", "k_R", "0/0"),
+        ("represent", "k_R", "0/0"),
+        ("check", "w_R", "-1"),
+        ("represent", "lambda", "0/0"),
+    ],
+)
+def test_main_rejects_malformed_moduli(tmp_path, capsys, command, key, value):
+    # each crashed with a traceback before the moduli were checked where they are read
+    ham = {"name": "q", "H": "p^2/2", "c": "1", key: value}
+    doc = {"command": command, "hamiltonian": ham}
+    if key == "lambda":
+        doc["kind"] = "compact"
+    out = tmp_path / "out"
+    code = cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.strip().splitlines() == [err.strip()] and err.startswith(f'error: "{key}" is ')
+    assert not out.exists()
+
+
 def test_main_rejects_unknown_tolerance_flag(tmp_path, capsys):
     config = _write_config(tmp_path, {"command": "check", "tolerances": {"llc": 0.1}})
     out = tmp_path / "out"

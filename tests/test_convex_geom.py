@@ -638,6 +638,14 @@ def test_geometry_suite_fast_slice_passes():
     assert all(r.passed for r in reports)
 
 
+def test_geometry_suite_fails_the_pair_checks_on_no_pair():
+    reports = {r.check: r for r in cg.geometry_suite(n_pairs=0)}
+    for name in ("selection_lipschitz", "steiner_lipschitz", "steiner_membership", "hausdorff_exact_identities"):
+        assert reports[name].verdict == "fail" and reports[name].worst_margin == -np.inf
+        assert reports[name].witnesses == [{"note": "no sample judged"}]
+    assert reports["steiner_triangle_oracle"].passed and reports["hausdorff_metric"].passed
+
+
 def test_projection_lipschitz_on_the_polygonized_projection_map():
     # the geometry suite's 200 seed-0 pairs, drawn in its order, audited on
     # the polygonized P(y, K): 5-Lipschitz jointly in point and body, with

@@ -142,3 +142,31 @@ def _never_set_options() -> list[str]:
 def test_every_option_is_set_by_some_call():
     # a defaulted parameter no call sets is a constant in disguise
     assert _never_set_options() == []
+
+
+def _is_minus_inf(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and isinstance(node.operand, ast.Attribute)
+        and node.operand.attr == "inf"
+    )
+
+
+def _minus_inf_starts() -> list[str]:
+    """Assignments that start a variable at -inf (also inside a tuple),
+    outside the one worst-margin accumulator `report.Worst`."""
+    found = []
+    for module, tree in _trees().items():
+        owners = [top for top in tree.body if not (isinstance(top, ast.ClassDef) and top.name == "Worst")]
+        for node in (sub for top in owners for sub in ast.walk(top)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+                if any(_is_minus_inf(v) for v in values):
+                    found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_worst_starts_a_margin_at_minus_inf():
+    # a hand-written worst-margin loop lets a NaN through (nan > worst is False)
+    assert _minus_inf_starts() == []

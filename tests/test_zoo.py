@@ -330,3 +330,19 @@ def test_check_HLC_fails_when_it_judges_no_sample(plan):
     rep = zoo.check_HLC(zoo.builtin("ex_2_2"), R=2.0, samples=plan)
     assert rep.verdict == "fail" and rep.worst_margin == -np.inf
     assert rep.witnesses == [{"note": "no sample judged: the sample plan has no (t, x, y) triple or no p"}]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k_R", lambda R, t: float("nan")), ("w_R", lambda R, t, r: float("nan"))],
+    ids=["k_R", "w_R"],
+)
+def test_check_LLC_fails_on_a_nan_modulus(field, value):
+    # a NaN k_R leaves every search window NaN, read as an infinite excess;
+    # a NaN w_R makes each excess NaN, and the first is kept
+    base = zoo.builtin("ex_2_2")
+    spec = dataclasses.replace(base, modulus=dataclasses.replace(base.modulus, **{field: value}))
+    with np.errstate(all="ignore"):
+        rep = zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN)
+    assert rep.verdict == "fail"
+    assert rep.worst_margin == np.inf if field == "k_R" else np.isnan(rep.worst_margin)
