@@ -288,6 +288,16 @@ def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:
     return float((vals[1] - vals[0]) / h), float((vals[-1] - vals[-2]) / h)
 
 
+def _slope_rounding(fn: ConvexGridFunction) -> tuple[float, float]:
+    """Rounding bound of each edge slope of `slope_range`: 4 eps (|H_a| +
+    |H_b|)/h over the two samples H_a, H_b of its difference quotient."""
+    _, vals = fn.finite_slice()
+    if len(vals) < 2:
+        return 0.0, 0.0
+    scale = 4.0 * np.finfo(float).eps / fn.grid.h
+    return float(scale * (abs(vals[0]) + abs(vals[1]))), float(scale * (abs(vals[-2]) + abs(vals[-1])))
+
+
 def row_slabs(ts, xs, n: int):
     """The distinct (t, x) of n rows, in order of first appearance (a
     scalar t or x serves every row), and each row's index into them."""
@@ -400,9 +410,10 @@ class LagrangianSlices:
         w is halfwidth, or the half-width rule at r = |x| when it is None,
         read from a fresh sample. The raw slice (trusted False) is the grid
         conjugate on the whole window. The trusted slice is +inf outside
-        the trust interval; an interval that falls between two nodes keeps
-        the node nearest its midpoint, and one that misses the window
-        raises GridUnderflow.
+        the trust interval, each end widened by the rounding bound of its
+        edge slope so that a node on an exact end stays; an interval that
+        falls between two nodes keeps the node nearest its midpoint, and
+        one that misses the window raises GridUnderflow.
         """
         hfn = self._sample(t, x)
         s_lo, s_hi = slope_range(hfn)
@@ -412,7 +423,8 @@ class LagrangianSlices:
         if not trusted:
             return raw
         nodes = grid.nodes()
-        keep = (nodes >= s_lo) & (nodes <= s_hi)
+        lo_slack, hi_slack = _slope_rounding(hfn)
+        keep = (nodes >= s_lo - lo_slack) & (nodes <= s_hi + hi_slack)
         if not np.any(keep):
             if s_lo > grid.hi or s_hi < grid.lo:
                 raise GridUnderflow(f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window")

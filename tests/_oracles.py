@@ -537,13 +537,19 @@ def inline_h_slice(h_eval, t, x, p_grid):
 
 def inline_lagrangian_slice(h_eval, t, x, p_grid, v_grid, trusted=True):
     """L(t, x, .) on v_grid: the conjugate of the H sample and, when
-    trusted, +inf outside its edge slopes (the node nearest their midpoint
-    kept when no node lies between them)."""
+    trusted, +inf outside its edge slopes, each widened by the rounding
+    bound 4 eps (|H_a| + |H_b|)/h of its difference quotient (the node
+    nearest their midpoint kept when no node lies between them)."""
     hfn = inline_h_slice(h_eval, t, x, p_grid)
     raw = fl.conjugate(hfn, v_grid)
     if not trusted:
         return raw
     s_lo, s_hi = fl.slope_range(hfn)
+    _, vals = hfn.finite_slice()
+    bound = 4.0 * np.finfo(float).eps / p_grid.h
+    if len(vals) >= 2:
+        s_lo -= bound * (abs(vals[0]) + abs(vals[1]))
+        s_hi += bound * (abs(vals[-2]) + abs(vals[-1]))
     nodes = v_grid.nodes()
     keep = (nodes >= s_lo) & (nodes <= s_hi)
     if not np.any(keep):

@@ -103,6 +103,19 @@ def test_builder_slice_raises_when_the_domain_misses_the_window():
         build_noncompact(_line(5.0))._core.slice(T0, 0.4)
 
 
+def test_trusted_slice_keeps_the_nodes_on_exact_trust_ends():
+    # ex_2_1's trust interval at x = 1 is [-1, 1], but its edge-slope
+    # quotients read -0.999999999999801 and 0.9999999999990905; the
+    # trusted slice still keeps the nodes at -1 and 1 (L = 1 at both)
+    slices = zoo.builtin("ex_2_1").slices(P_GRID)
+    s_lo, s_hi = slices.trust(T0, 1.0)
+    assert -1.0 < s_lo and s_hi < 1.0
+    fn = slices.on_grid(T0, 1.0, 201, 2.0)
+    kept = fn.grid.nodes()[np.isfinite(fn.values)]
+    assert kept[0] == -1.0 and kept[-1] == 1.0
+    assert fn.values[np.isfinite(fn.values)][[0, -1]].tolist() == [1.0, 1.0]
+
+
 def _recording_spec(name, **stripped):
     # a builtin with some oracles removed, recording the size of every
     # p-array H sees
