@@ -572,14 +572,14 @@ def sandwich_check(
     outer = core.epigraph(t, x, cap)
     gap_lower = cg.containment_gap(hull, lower)
     gap_outer = cg.containment_gap(outer, hull)
-    worst = float(max(gap_lower, gap_outer))
-    wit = [
-        {
-            "t": float(t),
-            "x": float(x),
-            "lambda": lam_val,
-            "bounded_in_hull_gap": float(gap_lower),
-            "hull_in_epigraph_gap": float(gap_outer),
-        }
-    ]
-    return CheckReport("sandwich", worst, "pass" if worst <= tol else "fail", wit)
+    wit = {
+        "t": float(t),
+        "x": float(x),
+        "lambda": lam_val,
+        "bounded_in_hull_gap": float(gap_lower),
+        "hull_in_epigraph_gap": float(gap_outer),
+    }
+    worst = Worst("sandwich")
+    worst.see(gap_lower, wit)
+    worst.see(gap_outer, wit)
+    return worst.report(tol)

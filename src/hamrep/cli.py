@@ -620,15 +620,10 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
     )
     reports = [rep.decay_report(ratio=cfg.tol("decay_ratio")), rep.bound_report()]
     if name.endswith("_zero"):
-        worst = max((float(r.sup_e_err) for r in rep.rows), default=0.0)
-        reports.append(
-            CheckReport(
-                "zero_control_exact",
-                worst,
-                "pass" if worst == 0.0 else "fail",
-                [{"family": name}],
-            )
-        )
+        zero = Worst("zero_control_exact")
+        for r in rep.rows:
+            zero.see(r.sup_e_err, {"family": name})
+        reports.append(zero.report(0.0))
     if cfg.epigraph_check:
         reports.append(
             stability.epigraph_limit_check(

@@ -245,6 +245,8 @@ def representation_convergence(
     carries the worst margin of the Steiner-composition bound
     |e_i - e| <= 5(n+1) [H(E_i, E) + |M_i - M| |a|] + bound_slack.
     """
+    if n_slabs < 1:
+        raise ValueError("representation_convergence judges nothing without a slab")
     window = window or Window()
     plan = plan or SamplePlan()
     policy = policy or GridPolicy()

@@ -214,13 +214,14 @@ def test_verify_triple_fails_lipschitz_on_no_pair(ex22_noncompact_fast):
 
 
 def test_verify_triple_fails_lipschitz_on_a_nan_modulus():
-    # k_R = NaN makes every Lipschitz bound NaN; the first pair is the witness
+    # k_R = NaN makes every Lipschitz bound NaN, which `nan > worst` used to drop
     base = zoo.builtin("ex_2_2")
     spec = dataclasses.replace(base, modulus=dataclasses.replace(base.modulus, k_R=lambda R, t: float("nan")))
     triple = build_noncompact(spec, grids=FAST_POLICY, plan=FAST_APLAN)
-    lip = next(r for r in verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=4) if r.check == "triple_lipschitz")
+    reports = {r.check: r for r in verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=4)}
+    lip = reports["triple_lipschitz"]
     assert lip.verdict == "fail" and np.isnan(lip.worst_margin)
-    assert lip.witnesses[0]["note"] == "margin is NaN"
+    assert len(lip.witnesses) == 1 and lip.witnesses[0]["note"] == "margin is NaN"
 
 
 def _per_row_triples(noncompact, compact):

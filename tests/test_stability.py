@@ -64,6 +64,12 @@ def test_validate_flags_concave_perturbation():
         representation_convergence(fam, policy=COARSE, plan=PLAN, n_slabs=1)
 
 
+def test_convergence_refuses_to_judge_no_slab():
+    # with no slab every row would read -inf and the bound a vacuous pass
+    with pytest.raises(ValueError, match="without a slab"):
+        representation_convergence(named_family("ex_2_2_zero"), policy=COARSE, plan=PLAN, n_slabs=0)
+
+
 def test_zero_perturbation_is_exactly_zero():
     report = representation_convergence(
         named_family("ex_2_2_zero"), policy=COARSE, plan=PLAN, n_slabs=2
