@@ -247,13 +247,20 @@ def conjugate(fn: ConvexGridFunction, out_grid: UniformGrid) -> ConvexGridFuncti
     return ConvexGridFunction(out_grid, conjugate_values(fn, out_grid.nodes()), convex_flag=True)
 
 
+# (v, u) pairs per block of `epi_sum`: each temporary stays near 128 kB, in
+# cache. On criterion 3's case a call took 4 ms, against 10 ms at 1 << 16
+# and 14 ms with 1,000,000 pairs, whose temporaries set `continuity`'s peak
+_EPI_BLOCK = 1 << 14
+
+
 def epi_sum(f1: ConvexGridFunction, f2: ConvexGridFunction) -> ConvexGridFunction:
     """Epigraphical (infimal-convolution) sum on f1's grid.
 
     out(v) = min over f1-nodes u of f1(u) + f2(v - u), with f2 evaluated by
     inf-propagating linear interpolation. The summand f2 must have a bounded
     domain visible inside its window: a finite value at either end node of
-    its grid raises UnboundedSummand.
+    its grid raises UnboundedSummand. The (v, u) table runs in blocks of
+    about _EPI_BLOCK pairs; each node's minimum is the same in any block.
     """
     v2 = f2.values
     if np.isfinite(v2[0]) or np.isfinite(v2[-1]):
@@ -263,7 +270,7 @@ def epi_sum(f1: ConvexGridFunction, f2: ConvexGridFunction) -> ConvexGridFunctio
     u, fu = f1.finite_slice()
     out_nodes = f1.grid.nodes()
     out = np.empty(len(out_nodes))
-    chunk = max(1, int(1_000_000 // max(1, len(u))))
+    chunk = max(1, _EPI_BLOCK // max(1, len(u)))
     for s in range(0, len(out_nodes), chunk):
         z = out_nodes[s : s + chunk, None] - u[None, :]
         vals = fu[None, :] + f2(z)

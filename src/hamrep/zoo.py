@@ -396,16 +396,17 @@ def check_LLC(
     a coarse grid over the window intersected with dom L(t,y) and a ternary
     refinement (the slice is convex in u), so steep slices near domain
     boundaries resolve to within the ternary's 2e-13 of the window width;
-    an empty search window counts as +inf excess. A window of zero width
-    (always so when k|x-y| = 0) is its own minimizer. L is queried per row
-    (`LagrangianSlices.values`): one call for the probes of all (triple,
-    direction) pairs, then one `_window_min` search over all their windows,
-    each of whose grid, ternary and midpoint stages is one L call (a single
-    call when every window has zero width), so the count does not grow
-    with the sample plan. The worst excess is then taken in loop order. L,
-    its domain and the window that clamps an unbounded domain come from the
-    spec's slices on p_grid; modulus overrides k_R and w_R only. A run that
-    judges no sample (every probe window or slice empty) fails."""
+    an empty search window counts as +inf excess, a NaN one (a NaN k_R) as
+    NaN. A window of zero width (always so when k|x-y| = 0) is its own
+    minimizer. L is queried per row (`LagrangianSlices.values`): one call
+    for the probes of all (triple, direction) pairs, then one `_window_min`
+    search over all their windows, each of whose grid, ternary and
+    midpoint stages is one L call (a single call when every window has
+    zero width), so the count does not grow with the sample plan. The
+    worst excess is then taken in loop order. L, its domain and the window
+    that clamps an unbounded domain come from the spec's slices on p_grid;
+    modulus overrides k_R and w_R only. A run that judges no sample (every
+    probe window or slice empty) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     slices = spec.slices(p_grid)
@@ -439,7 +440,7 @@ def check_LLC(
         bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
         vs_f = vs[keep]
         judged.append((t, a, b, w, vs_f, la[keep], np.maximum(vs_f - kd, blo), np.minimum(vs_f + kd, bhi)))
-    worst = Worst("llc")
+    worst = Worst("llc", nan_note="search window or excess is NaN")
     if not judged:
         return worst.report(tol, "no sample judged: every probe window or Lagrangian slice was empty")
     t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
@@ -448,6 +449,8 @@ def check_LLC(
     t_w, b_w = np.repeat(t_s, lens)[:, None], np.repeat(b_s, lens)[:, None]
     best = _window_min(lambda U: slices.values(t_w, b_w, U), u0, np.maximum(u1, u0))
     excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
+    # a NaN window has no minimum to compare
+    excess[np.isnan(u0) | np.isnan(u1)] = np.nan
     # the first worst entry of the flat excess is the first in loop order
     ends = np.cumsum(lens)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamrep import convex_geom as cg
+from hamrep import fenchel as fl
 from hamrep import zoo
 from hamrep.errors import DimMismatch, EmptyBody
 from hamrep.sampling import SamplePlan
@@ -162,6 +163,64 @@ def test_hull_keeps_vertices_of_a_near_vertical_zigzag_column():
     verts = {tuple(v) for v in cg.convex_hull(pts)}
     assert (0.0, 0.0) in verts
     assert (2.4492935982947064e-16, 4.0) in verts
+
+
+def _assert_convex_ccw_loop(verts):
+    """Every computed turn, the cross product of the edges into and out of
+    a vertex, is positive, and the turns add up to one revolution: the
+    loop is CCW and convex, as the locate step's vertex rule needs."""
+    e_out = np.roll(verts, -1, axis=0) - verts
+    e_in = np.roll(e_out, 1, axis=0)
+    cross = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0]
+    assert np.all(cross > 0.0), verts
+    turns = np.arctan2(cross, e_in[:, 0] * e_out[:, 0] + e_in[:, 1] * e_out[:, 1])
+    assert float(np.sum(turns)) == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 300))
+def test_hulls_are_convex_ccw_loops(seed, n):
+    rng = np.random.default_rng(seed)
+    circle = rng.uniform(0.0, 2.0 * np.pi, n)
+    for pts in (
+        rng.normal(scale=rng.uniform(0.01, 50.0), size=(n, 2)) + rng.uniform(-9.0, 9.0, 2),
+        np.stack([np.cos(circle), np.sin(circle)], axis=1) * rng.uniform(0.1, 10.0),
+        np.round(rng.normal(scale=3.0, size=(n, 2))),
+        np.stack([rng.integers(-3, 4, n).astype(float), rng.normal(size=n)], axis=1),
+    ):
+        hull = cg.convex_hull(pts)
+        if len(hull) >= 3:
+            _assert_convex_ccw_loop(hull)
+
+
+_SLICES = {name: zoo.builtin(name).slices() for name in ("ex_2_1", "ex_2_2")}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(sorted(_SLICES)),
+    st.floats(0.0, 1.0),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.floats(1e-3, 64.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+)
+def test_epigraphs_and_their_inflations_are_convex_ccw_loops(name, t, x, trusted, rise, r_v, r_eta):
+    # production slices: trusted as the builders read them, raw on the
+    # check_MLC window; ex_2_1's piecewise-linear slices carry rounding noise
+    slices = _SLICES[name]
+    if trusted:
+        fn = slices.on_grid(t, x, 601)
+    else:
+        fn = slices.on_grid(t, x, 601, slices.halfwidth(t, x, 2.0), trusted=False)
+    body = fl.build_epigraph(fn, fn.min_value() + rise)
+    if len(body.vertices) >= 3:
+        _assert_convex_ccw_loop(body.vertices)
+    for radii in ((r_v, r_eta), (0.0, r_eta)):
+        inflated = cg.minkowski_inflate(body, *radii)
+        if len(inflated.vertices) >= 3:
+            _assert_convex_ccw_loop(inflated.vertices)
 
 
 def test_hull_rejects_bad_input():
@@ -382,6 +441,104 @@ def test_points_to_body_across_pair_blocks_matches_dense_oracle():
     want = dense_points_to_body(pts, body.vertices)
     assert not np.any(want[:step]) and np.any(want[step:])
     _assert_same_bits(cg._points_to_body(pts, body), want)
+
+
+def _rolled_stack(body):
+    """The loop of body started one vertex on, as a stack of one."""
+    return cg.ConvexBody._from_loop(np.roll(body.vertices, -1, axis=0)).stack
+
+
+def _assert_locate_matches_scan(pts, stack) -> int:
+    """The locate step settles only rows the full scan puts inside, and
+    distances with it are bit for bit the scan's. Returns the rows settled."""
+    settled = cg._located_inside(pts, stack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "_LOCATE_MIN", np.iinfo(np.intp).max)
+        scan = cg._points_to_body(pts, stack)
+        mp.setattr(cg, "_LOCATE_MIN", 0)
+        located = cg._points_to_body(pts, stack)
+    assert not np.any(scan[settled])
+    assert np.array_equal(located.view(np.uint64), scan.view(np.uint64))
+    return int(np.sum(settled))
+
+
+@pytest.fixture(scope="module")
+def production_point_queries(tmp_path_factory):
+    """(points, one-polygon stack) of every distance and containment call
+    that `represent` (both builders, production grids, at the 33-control
+    floor) and `check_MLC` make on ex_2_1 and ex_2_2 at seed 0."""
+    from hamrep import cli
+
+    seen = []
+    real = cg._points_to_body
+
+    def spy(points, bodies, owner=None):
+        stack = bodies.stack if isinstance(bodies, cg.ConvexBody) else bodies
+        if len(stack) == 1 and stack.counts[0] >= 3:
+            seen.append((np.array(points, dtype=float), stack))
+        return real(points, bodies, owner)
+
+    out = tmp_path_factory.mktemp("represent")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "_points_to_body", spy)
+        for name in ("ex_2_1", "ex_2_2"):
+            doc = {
+                "command": "represent",
+                "hamiltonian": name,
+                "kind": "both",
+                "grids": {"a_plan": {"n_box": 6, "n_radii": 3, "n_angles": 12}},
+                "seed": 0,
+                "output_dir": str(out),
+            }
+            cli.run(cli.parse_config(doc), quiet=True)
+            zoo.check_MLC(zoo.builtin(name), 2.0, samples=SamplePlan(seed=0))
+    return seen
+
+
+def test_locate_step_matches_the_scan_on_production_bodies(production_point_queries):
+    settled = sum(_assert_locate_matches_scan(pts, stack) for pts, stack in production_point_queries)
+    rows = sum(len(pts) for pts, _ in production_point_queries)
+    # the lift points are vertices of their rung polygons: most rows settle
+    assert len(production_point_queries) >= 40 and settled > rows // 2
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_locate_step_matches_the_scan_on_random_bodies(seed):
+    # hulls of scattered, circular and lattice clouds (lattice hulls have
+    # axis-parallel edges), a translated loop, which need not start at its
+    # least vertex once rounding ties two x, and the loop started anywhere
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    circle = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    clouds = (
+        rng.normal(scale=rng.uniform(0.01, 50.0), size=(n, 2)),
+        np.stack([3.0 * np.cos(circle), np.sin(circle)], axis=1) * rng.uniform(0.1, 10.0),
+        np.round(rng.normal(scale=3.0, size=(n, 2))),
+    )
+    shift = rng.uniform(-5.0, 5.0, 2)
+    settled = 0
+    for pts in clouds:
+        body = cg.ConvexBody(pts + shift)
+        shifted = body.vertices + rng.uniform(-3.0, 3.0, 2)
+        rolled = np.roll(body.vertices, int(rng.integers(1, len(body.vertices) + 1)), axis=0)
+        for K in (body, cg.ConvexBody._from_loop(shifted), cg.ConvexBody._from_loop(rolled)):
+            v = K.vertices
+            lo, hi = v.min(axis=0), v.max(axis=0)
+            far = lo + rng.uniform(-3.0, 4.0, (40, 2)) * np.maximum(hi - lo, 1.0)
+            bad = rng.uniform(lo, hi, (6, 2))
+            bad[[0, 1], [0, 1]] = np.nan
+            bad[[2, 3], [0, 1]] = np.inf
+            bad[[4, 5], [1, 0]] = -np.inf
+            probes = np.vstack([_probe_points(rng, K), far, bad])
+            probes = probes[rng.permutation(len(probes))]
+            with np.errstate(invalid="ignore", over="ignore"):
+                settled += _assert_locate_matches_scan(probes, K.stack)
+                # the chains, and so the rows settled, do not depend on the start
+                assert np.array_equal(
+                    cg._located_inside(probes, K.stack), cg._located_inside(probes, _rolled_stack(K))
+                )
+    assert settled > 0
 
 
 def _mixed_bodies(rng, n_bodies, n_max=12):

@@ -361,6 +361,24 @@ def test_epi_sum_unbounded_summand_raises():
         fl.epi_sum(f, slope)
 
 
+def test_epi_sum_blocks_give_the_one_table_minimum():
+    # criterion 3's case: ex_2_2 at (0.5, 0) plus 0.5|p| + 0.1, each
+    # conjugate restricted to its trust interval
+    spec = zoo.builtin("ex_2_2")
+    h1 = _on_grid(lambda p: np.asarray(spec.eval(0.5, 0.0, p), dtype=float))
+    h2 = _on_grid(lambda p: 0.5 * np.abs(p) + 0.1)
+    h12 = fl.ConvexGridFunction(P_GRID, h1.values + h2.values)
+    width = max(abs(s) for s in fl.slope_range(h12)) + 0.5
+    v_grid = fl.UniformGrid(-width, width, 601)
+    f1 = restrict(fl.conjugate(h1, v_grid), *fl.slope_range(h1))
+    f2 = restrict(fl.conjugate(h2, v_grid), *fl.slope_range(h2))
+    u, fu = f1.finite_slice()
+    assert len(v_grid.nodes()) * len(u) > 4 * fl._EPI_BLOCK
+    table = fu[None, :] + f2(v_grid.nodes()[:, None] - u[None, :])
+    got = fl.epi_sum(f1, f2).values
+    assert np.array_equal(got.view(np.uint64), np.min(table, axis=1).view(np.uint64))
+
+
 @st.composite
 def _rising_points(draw):
     """Strictly rising integer x and a piecewise-linear y with integer

@@ -338,11 +338,12 @@ def test_check_HLC_fails_when_it_judges_no_sample(plan):
     ids=["k_R", "w_R"],
 )
 def test_check_LLC_fails_on_a_nan_modulus(field, value):
-    # a NaN k_R leaves every search window NaN, read as an infinite excess;
-    # a NaN w_R makes each excess NaN, and the first is kept
+    # a NaN k_R leaves every search window NaN and a NaN w_R every excess:
+    # either way the first NaN excess is kept, with its note
     base = zoo.builtin("ex_2_2")
     spec = dataclasses.replace(base, modulus=dataclasses.replace(base.modulus, **{field: value}))
     with np.errstate(all="ignore"):
         rep = zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN)
     assert rep.verdict == "fail"
-    assert rep.worst_margin == np.inf if field == "k_R" else np.isnan(rep.worst_margin)
+    assert np.isnan(rep.worst_margin)
+    assert rep.witnesses[0]["note"] == "search window or excess is NaN"
