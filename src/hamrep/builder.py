@@ -38,7 +38,7 @@ from .fenchel import (
 )
 from .report import CheckReport, Worst
 from .sampling import SamplePlan
-from .zoo import HamiltonianSpec, LambdaBound, momentum_grid
+from .zoo import HamiltonianSpec, momentum_grid
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +116,8 @@ class RepresentationTriple:
     own (t, x). e_table makes one such call per (t, x). scaling(t, x) is
     the factor M the controls are scaled by (1 for unscaled controls).
     control_samples(t, x) yields the deterministic a-plan (including the
-    lift points for constructed triples, which e maps to themselves).
+    lift points for constructed triples, which e maps to themselves); a
+    triple without it samples its control set.
     """
 
     control: ControlSet
@@ -127,7 +128,6 @@ class RepresentationTriple:
     scaling: Callable[[float, float], float] = lambda t, x: 1.0
     control_samples: Callable | None = None
     grid_h: float = 0.0
-    lam: Callable | None = None
     _tables: dict = dataclasses.field(default_factory=dict, repr=False)
     _core: object = dataclasses.field(default=None, repr=False)
 
@@ -186,7 +186,9 @@ def _rung_index(caps: np.ndarray, lmin) -> np.ndarray:
 
 
 class _SliceCore:
-    """Shared slice/epigraph machinery behind both builders."""
+    """Shared slice/epigraph machinery behind both builders; a compact
+    build's core holds the spec's bound lambda and checks each slice
+    against it."""
 
     def __init__(self, spec: HamiltonianSpec, policy: GridPolicy, lam: Callable | None = None):
         self.policy = policy
@@ -315,39 +317,37 @@ def build_noncompact(
     )
 
 
-def scaling_bound(spec: HamiltonianSpec, lam: Callable, t: float, x: float) -> float:
-    """M(t,x) = |lambda| + |H(t,x,0)| + c(t)(1+|x|) + 1: the scaled unit ball
-    then covers the bounded epigraph slice below lambda."""
+def scaling_bound(spec: HamiltonianSpec, t: float, x: float) -> float:
+    """M(t,x) = |lambda| + |H(t,x,0)| + c(t)(1+|x|) + 1, lambda the spec's
+    bound: the scaled unit ball then covers the bounded epigraph slice
+    below lambda."""
     h0 = float(np.asarray(spec.eval(t, x, np.array([0.0])), dtype=float)[0])
-    return abs(float(lam(t, x))) + abs(h0) + float(spec.modulus.c(t)) * (1.0 + abs(x)) + 1.0
+    lam = float(spec.lambda_bound.eval(t, x))
+    return abs(lam) + abs(h0) + float(spec.modulus.c(t)) * (1.0 + abs(x)) + 1.0
 
 
 def build_compact(
     spec: HamiltonianSpec,
-    lam: LambdaBound | Callable | None = None,
     grids: GridPolicy | None = None,
     plan: APlan | None = None,
 ) -> RepresentationTriple:
     """Unit-ball control representation scaled by M(t, x).
 
-    Requires the growth bound c(t) (MissingC otherwise) and a Lagrangian
-    bound lambda(t, x); slices violating lambda raise BLCViolation when
-    first touched."""
+    Requires the growth bound c(t) (MissingC otherwise) and the spec's
+    Lagrangian bound lambda(t, x) (ConfigError otherwise); slices violating
+    lambda raise BLCViolation when first touched."""
     _require_flags(spec, ("H1", "H2", "H3", "H4", "HLC"))
     if spec.modulus.c is None:
         raise MissingC(f"{spec.name} carries no growth bound c(t)")
-    if lam is None:
-        lam = spec.lambda_bound
-    if lam is None:
-        raise ConfigError(f"{spec.name} has no lambda bound; pass one explicitly")
-    lam_fn = lam.eval if isinstance(lam, LambdaBound) else lam
+    if spec.lambda_bound is None:
+        raise ConfigError(f"{spec.name} has no lambda bound")
     policy = grids or GridPolicy()
-    core = _SliceCore(spec, policy, lam=lam_fn)
+    core = _SliceCore(spec, policy, lam=spec.lambda_bound.eval)
     plan = plan or APlan()
     control = ControlSet("unit_ball", 2)
 
     def M(t, x):
-        return scaling_bound(spec, lam_fn, t, x)
+        return scaling_bound(spec, t, x)
 
     def e_eval(ts, xs, a):
         a = np.asarray(a, dtype=float)
@@ -375,9 +375,18 @@ def build_compact(
         scaling=M,
         control_samples=samples,
         grid_h=core.grid_h,
-        lam=lam_fn,
         _core=core,
     )
+
+
+def build(
+    kind: str,
+    spec: HamiltonianSpec,
+    grids: GridPolicy | None = None,
+    plan: APlan | None = None,
+) -> RepresentationTriple:
+    """The triple of either construction: kind "compact" or "noncompact"."""
+    return (build_compact if kind == "compact" else build_noncompact)(spec, grids, plan)
 
 
 def reconstruct_H(
@@ -560,11 +569,11 @@ def sandwich_check(
     """
     from .fenchel import build_bounded_epigraph
 
-    if triple.lam is None or triple._core is None:
+    core: _SliceCore | None = triple._core
+    if core is None or core.lam is None:
         raise ConfigError("sandwich_check needs a compact-control constructed triple")
-    core: _SliceCore = triple._core
     fn = core.slice(t, x)
-    lam_val = float(triple.lam(t, x))
+    lam_val = float(core.lam(t, x))
     lower = build_bounded_epigraph(fn, lam_val)
     _, F, Lv = triple.e_table(t, x)
     hull = cg.ConvexBody(np.stack([F, Lv], axis=1))

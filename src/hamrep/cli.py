@@ -27,8 +27,7 @@ from .builder import (
     APlan,
     GridPolicy,
     Window,
-    build_compact,
-    build_noncompact,
+    build,
     induced_H,
     sandwich_check,
     verify_triple,
@@ -465,12 +464,6 @@ def _kinds(cfg: RunConfig) -> tuple[str, ...]:
     return ("noncompact", "compact") if cfg.kind == "both" else (cfg.kind,)
 
 
-def _build_triple(cfg: RunConfig, spec, kind: str):
-    if kind == "compact":
-        return build_compact(spec, grids=cfg.policy(), plan=cfg.a_plan)
-    return build_noncompact(spec, grids=cfg.policy(), plan=cfg.a_plan)
-
-
 def _verify(cfg: RunConfig, triple) -> list[CheckReport]:
     return verify_triple(
         triple,
@@ -494,7 +487,7 @@ def _run_represent(cfg: RunConfig):
     extra: dict = {"kind": cfg.kind}
     for spec in specs:
         for kind in _kinds(cfg):
-            triple = _build_triple(cfg, spec, kind)
+            triple = build(kind, spec, cfg.policy(), cfg.a_plan)
             rec_err = Worst("reconstruction_sup_error")
             sound = Worst("reconstruction_soundness")
             for x in _x_values(cfg):
@@ -523,7 +516,7 @@ def _run_verify(cfg: RunConfig):
     else:
         for spec in _resolve_specs(cfg, allow_all=False):
             for kind in _kinds(cfg):
-                jobs.append((f"{spec.name}:{kind}", _build_triple(cfg, spec, kind)))
+                jobs.append((f"{spec.name}:{kind}", build(kind, spec, cfg.policy(), cfg.a_plan)))
     reports: list[CheckReport] = []
     for tag, triple in jobs:
         local = _verify(cfg, triple)

@@ -34,10 +34,15 @@ def convexify(base: RepresentationTriple) -> RepresentationTriple:
     Controls are packed rows (a, b, alpha_1, alpha_2) over A^2 x simplex,
     and e(t, x, packed) = alpha_1 e(t, x, a) + alpha_2 e(t, x, b). A stack
     of packed rows takes one base e_eval call on the a-rows stacked over the
-    b-rows, with per-row ts and xs stacked the same way. The sampled plan
-    pairs each base atom with itself (weight (1,0)) and a strided subset of
-    at most 16 atoms with every simplex weight, so the diagonal reproduces
-    the base sup exactly and the cross pairs fill the image hull.
+    b-rows, with per-row ts and xs stacked the same way. The packed plan
+    pairs each atom of the base plan with itself (weight (1,0)) and a
+    strided subset of at most 16 atoms with every simplex weight, so the
+    diagonal reproduces the base sup exactly and the cross pairs fill the
+    image hull. The plan is built once, read-only, from the base plan at
+    (t, x) = (0, 0), and is the triple's finite control set at every
+    (t, x). The named triples sample the same atoms everywhere; a
+    constructed compact base, whose plan carries per-(t, x) lift points,
+    contributes its (0, 0) plan at every slab.
     """
     if base.control.kind == "full_space":
         raise NoncompactControl("convexify needs a compact control set")
@@ -58,28 +63,25 @@ def convexify(base: RepresentationTriple) -> RepresentationTriple:
         e = rows[:, 2 * q, None] * E[:n] + rows[:, 2 * q + 1, None] * E[n:]
         return e.reshape(packed.shape[:-1] + (2,))
 
-    def control_samples(t, x):
-        S = np.atleast_2d(np.asarray(base.default_samples(t, x), dtype=float))
-        n = len(S)
-        diag = np.concatenate(
-            [S, S, np.broadcast_to([1.0, 0.0], (n, 2))], axis=1
-        )
-        idx = np.arange(0, n, max(1, -(-n // 16)))
-        # rows ordered by (i, j, weight), i outermost
-        m, k = len(idx), len(weights)
-        i = np.repeat(idx, m * k)
-        j = np.tile(np.repeat(idx, k), m)
-        cross = np.concatenate([S[i], S[j], np.tile(weights, (m * m, 1))], axis=1)
-        return np.concatenate([diag, cross], axis=0)
+    S = np.atleast_2d(np.asarray(base.default_samples(0.0, 0.0), dtype=float))
+    n = len(S)
+    diag = np.concatenate([S, S, np.broadcast_to([1.0, 0.0], (n, 2))], axis=1)
+    idx = np.arange(0, n, max(1, -(-n // 16)))
+    # rows ordered by (i, j, weight), i outermost
+    m, k = len(idx), len(weights)
+    i = np.repeat(idx, m * k)
+    j = np.tile(np.repeat(idx, k), m)
+    cross = np.concatenate([S[i], S[j], np.tile(weights, (m * m, 1))], axis=1)
+    plan = np.concatenate([diag, cross], axis=0)
+    plan.flags.writeable = False
 
     return RepresentationTriple(
-        control=ControlSet("finite", 2 * q + 2, points=control_samples(0.0, 0.0)),
+        control=ControlSet("finite", 2 * q + 2, points=plan),
         e_eval=e_eval,
         provenance="convexified",
         source=base.source,
         caps=base.caps,
         scaling=base.scaling,
-        control_samples=control_samples,
         grid_h=base.grid_h,
     )
 
@@ -124,21 +126,17 @@ def extract_lambda(
     tol: float = 2e-2,
 ) -> LambdaBound:
     """Candidate Lagrangian bound lambda(t,x) = max of the convexified
-    running cost over the sampled control plan.
+    running cost over the sampled control plan, read from the triple's
+    table of each (t, x).
 
     The returned bound carries a certification report: sampled L(t,x,v)
     stays below lambda(t,x) + tol at 401 points across dom L, plus an
     empirical Lipschitz estimate of lambda in x. A slab whose dom L is unbounded is not judged,
     and a certificate that judges no slab fails.
     """
-    cache: dict[tuple[float, float], float] = {}
 
     def lam(t, x):
-        key = (float(t), float(x))
-        if key not in cache:
-            _, _, Lv = ct.e_table(t, x)
-            cache[key] = float(np.max(Lv))
-        return cache[key]
+        return float(np.max(ct.e_table(t, x)[2]))
 
     plan = plan or SamplePlan()
     rng = plan.rng(33)

@@ -347,13 +347,24 @@ def distance(y, bodies, owner=None):
     y is one point (2,), giving a float, or a stack (N, 2), giving an (N,)
     array; stacks run in blocks, so their temporaries stay small. `bodies`
     is one ConvexBody, or a BodyStack with `owner[i]` the body of row i.
+    A row with a NaN coordinate reads NaN, and any other row with an
+    infinite coordinate +inf; neither goes to the scan.
     """
     p = np.asarray(y, dtype=float)
-    if p.shape == (2,):
-        return float(_points_to_body(p[None, :], bodies, None if owner is None else [owner])[0])
-    if p.ndim != 2 or p.shape[1] != 2:
+    one = p.shape == (2,)
+    if one:
+        p, owner = p[None, :], None if owner is None else [owner]
+    elif p.ndim != 2 or p.shape[1] != 2:
         raise DimMismatch(f"expected a 2-vector or (N, 2) points, got shape {p.shape}")
-    return _points_to_body(p, bodies, owner)
+    finite = np.isfinite(p).all(axis=1)
+    if finite.all():
+        out = _points_to_body(p, bodies, owner)
+    else:
+        stack, k = _rows_of(bodies, owner, len(p))
+        rows = np.flatnonzero(finite)
+        out = np.where(np.isnan(p).any(axis=1), np.nan, np.inf)
+        out[rows] = _points_to_body(p[rows], stack, None if np.ndim(k) == 0 else k[rows])
+    return float(out[0]) if one else out
 
 
 # the signs of the box corners (r_v, r_eta), (r_v, -r_eta), (-r_v, r_eta),

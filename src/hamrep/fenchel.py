@@ -242,8 +242,6 @@ def conjugate(fn: ConvexGridFunction, out_grid: UniformGrid) -> ConvexGridFuncti
     The max runs over the finite nodes of fn only; results at or above
     1e12 are promoted to +inf. The output is convex by construction.
     """
-    if not np.any(np.isfinite(fn.values)):
-        raise ImproperFunction("cannot conjugate an identically +inf function")
     return ConvexGridFunction(out_grid, conjugate_values(fn, out_grid.nodes()), convex_flag=True)
 
 

@@ -11,7 +11,7 @@ pointwise. Decay is judged by the ratio of the final to the first index.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -21,35 +21,35 @@ from .builder import (
     GridPolicy,
     RepresentationTriple,
     Window,
-    build_compact,
-    build_noncompact,
+    build,
     lagrangian_access,
 )
 from .errors import HypothesisViolation
 from .fenchel import build_epigraph
 from .report import CheckReport, Worst
 from .sampling import SamplePlan
-from .zoo import HamiltonianSpec, builtin
+from .zoo import HamiltonianSpec, LambdaBound, builtin
 
 DEFAULT_INDICES = (4, 16, 64)
 
 
 @dataclasses.dataclass(frozen=True)
 class PerturbationFamily:
-    """H_i := base + perturb(i, t, x, p) for a finite increasing index set.
+    """H_i := base + perturb(i, t, x, p) for the increasing index set
+    `indices`.
 
     perturb receives the p-array of the evaluation and returns a scalar or
     array; it must keep every H_i finite and convex in p on the probed
-    window (checked by validate). For compact builds, lam_per_index and
-    c_per_index supply the per-index bound and growth data.
+    window (checked by validate). lam_per_index(i), when given, is member
+    i's bound lambda, which a compact build reads from the member spec;
+    otherwise each member keeps the base's bound.
     """
 
     name: str
     base: HamiltonianSpec
     perturb: Callable  # (i, t, x, p-array) -> scalar or array
-    indices: tuple[int, ...] = DEFAULT_INDICES
-    lam_per_index: Callable | None = None  # i -> (t, x) -> float
-    c_per_index: Callable | None = None  # i -> (t -> float)
+    lam_per_index: Callable | None = None  # i -> LambdaBound
+    indices: ClassVar[tuple[int, ...]] = DEFAULT_INDICES
 
     def spec_for(self, i: int) -> HamiltonianSpec:
         base = self.base
@@ -59,18 +59,14 @@ class PerturbationFamily:
             p = np.asarray(p, dtype=float)
             return np.asarray(base.eval(t, x, p), dtype=float) + pert(_i, t, x, p)
 
-        modulus = base.modulus
-        if self.c_per_index is not None:
-            modulus = dataclasses.replace(modulus, c=self.c_per_index(i))
         return dataclasses.replace(
             base,
             name=f"{base.name}+i{i}",
             eval=ev,
-            modulus=modulus,
             oracle_L=None,
             oracle_dom=None,
             alt_oracle_L=None,
-            lambda_bound=None,
+            lambda_bound=base.lambda_bound if self.lam_per_index is None else self.lam_per_index(i),
             notes=f"perturbed member {i} of family {self.name}",
         )
 
@@ -85,13 +81,6 @@ class PerturbationFamily:
             alt_oracle_L=None,
             notes=f"limit member of family {self.name}",
         )
-
-    def lam_for(self, i: int | None):
-        if i is not None and self.lam_per_index is not None:
-            return self.lam_per_index(i)
-        if self.base.lambda_bound is not None:
-            return self.base.lambda_bound.eval
-        return None
 
     def validate(
         self,
@@ -125,8 +114,7 @@ def _ex_2_2_lambda(name: str) -> PerturbationFamily:
         name,
         builtin("ex_2_2"),
         lambda i, t, x, p: 0.0,
-        lam_per_index=lambda i: (lambda t, x: abs(x) + 1.0 / i),
-        c_per_index=lambda i: (lambda t: 1.0),
+        lam_per_index=lambda i: LambdaBound(eval=lambda t, x: abs(x) + 1.0 / i),
     )
 
 
@@ -214,12 +202,6 @@ def _slabs(window: Window, plan: SamplePlan, n: int, fixed_t: float | None):
     return [(float(t), float(x)) for t, x in zip(ts, xs)]
 
 
-def _build(kind: str, spec: HamiltonianSpec, lam, policy: GridPolicy) -> RepresentationTriple:
-    if kind == "compact":
-        return build_compact(spec, lam=lam, grids=policy)
-    return build_noncompact(spec, grids=policy)
-
-
 def _common_cap_hausdorff(tri: RepresentationTriple, limit: RepresentationTriple, t: float, x: float) -> float:
     fi, f0 = lagrangian_access(tri)(t, x), lagrangian_access(limit)(t, x)
     cap = max(fi.min_value(), f0.min_value()) + 5.0
@@ -257,11 +239,11 @@ def representation_convergence(
     a_plan = _stability_a_plan(kind)
     n1 = family.base.n + 1
 
-    limit = _build(kind, family.limit_spec(), family.lam_for(None), policy)
+    limit = build(kind, family.limit_spec(), policy)
     a_samples = limit.control.samples(a_plan)
 
     def measure(i: int) -> IndexRow:
-        tri = _build(kind, family.spec_for(i), family.lam_for(i), policy)
+        tri = build(kind, family.spec_for(i), policy)
         sups = []  # per slab: sup |e_i - e|, |f_i - f|, |l_i - l|, H(E_i, E)
         bound = Worst("steiner_composition_bound")
         for t, x in slabs:

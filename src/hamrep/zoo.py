@@ -15,7 +15,7 @@ convexification pipeline.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -70,8 +70,9 @@ class HamiltonianSpec:
     name: str
     eval: Callable  # (t, x, p-array) -> array, convex in p
     modulus: ModulusData
-    t_range: tuple[float, float] = (0.0, 1.0)
-    n: int = 1
+    # the time window and state dimension of every Hamiltonian here
+    t_range: ClassVar[tuple[float, float]] = (0.0, 1.0)
+    n: ClassVar[int] = 1
     oracle_L: Callable | None = None  # (t, x, v-array) -> array with +inf
     oracle_dom: Callable | None = None  # (t, x) -> EffectiveDomain
     alt_oracle_L: Callable | None = None

@@ -23,7 +23,7 @@ from hamrep.builder import (
 )
 from hamrep.compactness import convexify
 from hamrep.errors import BLCViolation, ConfigError, HypothesisViolation, MissingC
-from hamrep.zoo import ModulusData
+from hamrep.zoo import LambdaBound, ModulusData
 
 T0 = 0.5
 P_SET = (-3.0, -1.0, 0.0, 1.0, 3.0)
@@ -343,8 +343,8 @@ def test_sandwich_rejects_noncompact(ex22_noncompact_fast):
 
 def test_scaling_bound_formula():
     spec = zoo.builtin("ex_2_2")
-    got = scaling_bound(spec, lambda t, x: abs(x), 0.5, 0.5)
-    # |lambda| + |H(t,x,0)| + c(t)(1+|x|) + 1 = 0.5 + 0.5 + 1.5 + 1
+    got = scaling_bound(spec, 0.5, 0.5)
+    # |lambda| + |H(t,x,0)| + c(t)(1+|x|) + 1 = 0.5 + 0.5 + 1.5 + 1, lambda = |x|
     assert got == pytest.approx(3.5)
 
 
@@ -371,9 +371,8 @@ def test_compact_requires_lambda():
 
 
 def test_compact_raises_on_violated_lambda():
-    triple = build_compact(
-        zoo.builtin("ex_2_2"), lam=lambda t, x: -5.0, grids=FAST_POLICY, plan=FAST_APLAN
-    )
+    spec = dataclasses.replace(zoo.builtin("ex_2_2"), lambda_bound=LambdaBound(eval=lambda t, x: -5.0))
+    triple = build_compact(spec, grids=FAST_POLICY, plan=FAST_APLAN)
     with pytest.raises(BLCViolation):
         triple.e_table(T0, 0.5)
 

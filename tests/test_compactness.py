@@ -73,11 +73,23 @@ def test_convexified_e_table_matches_per_control_oracle(name, kwargs):
         assert np.array_equal(Lv, want[:, 1])
 
 
+@pytest.mark.parametrize("name", ["hat_rep_ex_2_1", "constructed"])
+def test_convexified_plan_is_one_read_only_array(name, ex22_compact_fast):
+    # built once from the base plan at (0, 0) and served at every slab
+    base = ex22_compact_fast if name == "constructed" else zoo.hat_rep_ex_2_1()
+    ct = convexify(base)
+    plan = ct.control.points
+    assert not plan.flags.writeable
+    assert np.array_equal(plan, convexified_plan(base.default_samples(0.0, 0.0), simplex_weights()))
+    for t, x in ((0.2, -0.7), (0.9, 0.35)):
+        assert ct.e_table(t, x)[0] is plan
+
+
 def test_convexified_constructed_triple_matches_per_control_oracle(ex22_compact_fast):
     base = ex22_compact_fast
     ct = convexify(base)
     t, x = 0.4, -0.3
-    packed = ct.control_samples(t, x)[::97]
+    packed = ct.control.points[::97]
     _, F, Lv = ct.e_table(t, x, packed)
     want = convexified_points(lambda a: base.e_eval(t, x, a), packed, 2)
     assert np.array_equal(F, want[:, 0])

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,30 @@ def test_distance_batches_match_single_points():
     assert np.array_equal(cg.distance(pts, body), [cg.distance(p, body) for p in pts])
     with pytest.raises(DimMismatch):
         cg.distance(np.zeros((4, 3)), body)
+
+
+def test_distance_reads_inf_or_nan_on_rows_with_a_non_finite_coordinate():
+    # a NaN coordinate reads NaN, an infinite one +inf, with no warning;
+    # the finite rows keep the bits they have alone
+    inf, nan = np.inf, np.nan
+    square = cg.ConvexBody(SQUARE)
+    rng = np.random.default_rng(5)
+    bad = np.array([[inf, 0.5], [0.5, inf], [-inf, 0.5], [0.5, -inf], [inf, -inf], [nan, inf], [0.5, nan]])
+    want_bad = np.array([inf, inf, inf, inf, inf, nan, nan])
+    rows = np.vstack([bad, rng.uniform(-3.0, 3.0, (40, 2))])
+    perm = rng.permutation(len(rows))
+    rows, is_bad = rows[perm], perm < len(bad)
+    stack = cg.BodyStack([square, cg.ConvexBody(TRIANGLE + 2.0)])
+    owner = rng.integers(0, 2, len(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(cg.distance(bad[:3], square), [inf, inf, inf])
+        assert cg.distance(bad[0], square) == inf and np.isnan(cg.distance(bad[-1], square))
+        for bodies, own in ((square, None), (stack, owner)):
+            got = cg.distance(rows, bodies, own)
+            assert np.array_equal(got[is_bad], want_bad[perm[is_bad]], equal_nan=True)
+            alone = cg.distance(rows[~is_bad], bodies, None if own is None else own[~is_bad])
+            _assert_same_bits(got[~is_bad], alone)
 
 
 def _assert_same_bits(got, want):

@@ -535,8 +535,8 @@ def test_epigraph_polygons_match_general_hull_on_production_slices():
         fn = triple._core.slice(t, x)
         lmin = fn.min_value()
         bodies = [(fl.build_epigraph(fn, lmin + 2.0**j), lmin + 2.0**j) for j in range(6)]
-        if triple.lam is not None:
-            lam = float(triple.lam(t, x))
+        if triple.control.kind == "unit_ball":
+            lam = float(triple.source.lambda_bound.eval(t, x))
             bodies.append((fl.build_bounded_epigraph(fn, lam), lam))
         for epi, cap in bodies:
             want = cg.ConvexBody(_epigraph_points(fn, cap))

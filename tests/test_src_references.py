@@ -2,7 +2,8 @@
 function and class of the package, and every public method and property of
 its classes, is read somewhere in the package other than inside its own
 definition; and every defaulted parameter of a public function or method
-is set by some call in the package or its tests."""
+is set by some call in the package or its tests, and so is every defaulted
+public field of its dataclasses."""
 
 import ast
 import collections
@@ -139,9 +140,35 @@ def _never_set_options() -> list[str]:
     return unset
 
 
+def _never_set_fields() -> list[str]:
+    """Defaulted public fields of the package's dataclasses that no
+    constructor call sets, by position or keyword, and no keyword of a
+    `dataclasses.replace` names (a ClassVar is a constant, not a field)."""
+    calls = _calls_by_name()
+    unset = []
+    for module, tree in _trees().items():
+        for cls in tree.body:
+            decorators = cls.decorator_list if isinstance(cls, ast.ClassDef) else []
+            if not any("dataclass" in ast.unparse(d) for d in decorators):
+                continue
+            fields = [
+                node
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and "ClassVar" not in ast.unparse(node.annotation)
+            ]
+            for index, node in enumerate(fields):
+                name = node.target.id
+                if node.value is None or name.startswith("_"):
+                    continue
+                made = any(_sets(call, index, name) for call in calls[cls.name])
+                if not (made or any(kw.arg == name for call in calls["replace"] for kw in call.keywords)):
+                    unset.append(f"{module}:{cls.name}.{name}")
+    return unset
+
+
 def test_every_option_is_set_by_some_call():
     # a defaulted parameter no call sets is a constant in disguise
-    assert _never_set_options() == []
+    assert _never_set_options() + _never_set_fields() == []
 
 
 def _is_minus_inf(node: ast.AST) -> bool:

@@ -34,6 +34,16 @@ def test_family_registry_roundtrip():
         named_family("ex_2_2_bogus")
 
 
+def test_member_specs_carry_their_lambda_bound():
+    fam = named_family("ex_2_2_lambda")
+    for t, x in ((0.2, -0.7), (0.5, 0.0), (0.9, 0.35)):
+        assert fam.spec_for(16).lambda_bound.eval(t, x) == abs(x) + 1.0 / 16
+        assert fam.limit_spec().lambda_bound.eval(t, x) == abs(x)
+    # without a per-index bound a member keeps the base's
+    cos = named_family("ex_2_2_cos")
+    assert cos.spec_for(4).lambda_bound is cos.base.lambda_bound
+
+
 def test_spec_for_applies_perturbation_and_strips_oracles():
     fam = named_family("ex_2_2_cos")
     spec4 = fam.spec_for(4)
