@@ -280,6 +280,20 @@ class _SliceCore:
         return np.stack([nodes, vals], axis=1)
 
 
+def _control_rows(a, kind: str):
+    """A control point (2,) or stack (N, 2) as an array and its (N, 2)
+    rows; ConfigError on another shape, or naming the first row with a
+    non-finite coordinate."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 2 or a.shape[-1:] != (2,):
+        raise ConfigError(f"{kind} control points are 2-vectors")
+    rows = a.reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if len(bad):
+        raise ConfigError(f"{kind} control row {bad[0]} is not finite: {rows[bad[0]].tolist()}")
+    return a, rows
+
+
 _CAP_NOTE = "power-of-two ladder over max(|a_eta|, min L) + 3*(2 d) + 1"
 
 
@@ -297,10 +311,8 @@ def build_noncompact(
     control = ControlSet("full_space", 2)
 
     def e_eval(ts, xs, a):
-        z = np.asarray(a, dtype=float)
-        if z.ndim > 2 or z.shape[-1:] != (2,):
-            raise ConfigError("full-space control points are 2-vectors")
-        return core.e_points(ts, xs, z.reshape(-1, 2)).reshape(z.shape)
+        z, rows = _control_rows(a, "full-space")
+        return core.e_points(ts, xs, rows).reshape(z.shape)
 
     def samples(t, x):
         return np.concatenate([control.samples(plan), core.lift_points(t, x)], axis=0)
@@ -350,10 +362,7 @@ def build_compact(
         return scaling_bound(spec, t, x)
 
     def e_eval(ts, xs, a):
-        a = np.asarray(a, dtype=float)
-        if a.ndim > 2 or a.shape[-1:] != (2,):
-            raise ConfigError("unit-ball control points are 2-vectors")
-        rows = a.reshape(-1, 2)
+        a, rows = _control_rows(a, "unit-ball")
         if np.any(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] > 1.0 + 1e-9):
             raise ConfigError("control point outside the unit ball")
         slabs, slab_of = row_slabs(ts, xs, len(rows))

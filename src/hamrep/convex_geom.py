@@ -375,6 +375,13 @@ def distance(y, bodies, owner=None):
 _CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 _START_AXIS = np.array([0, 1, 1, 0])
 _START_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+# the corners of _CORNER_SIGNS by quadrant, counterclockwise from (+, +)
+_CCW_CORNERS = np.array([0, 2, 3, 1])
+# a candidate turn within this many eps of 0 (but not 0) leaves the
+# inflation to the general hull: there the chains' scan order can decide
+# what stays. Thin bodies and box corners on nearly parallel edges make such
+# turns; check_MLC's smallest nonzero one is about 5800 eps.
+_LOOP_BAND = 1024.0
 
 
 def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
@@ -382,14 +389,27 @@ def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
 
     Vertex v plus corner c can be extreme in the sum only for directions
     in both the normal cone of v and the closed quadrant of c, so only the
-    corners whose quadrant meets the cone go to the hull. The cone turns
+    corners whose quadrant meets the cone are candidates. The cone turns
     counterclockwise from n_in = (e_y, -e_x), the outward normal of the
     edge e into v, to that of the edge out of v. It meets a quadrant when
     n_in lies in the quadrant, or when the quadrant's starting axis lies in
     the cone, that is, when v is extreme along that axis (the edges' motion
     along it turns at v). Both tests read signs of edge coordinates, so
-    they are exact. A segment's ends and a single point (zero edges) pass
-    the same tests.
+    they are exact.
+
+    For a polygon the candidates already run counterclockwise: vertex by
+    vertex, and at each vertex quadrant by quadrant from the quadrant q
+    whose half-open arc (90q, 90(q + 1)] degrees holds the angle of n_in.
+    The arc is open at its start: an n_in on an axis lies in two closed
+    quadrants, and the earlier one comes first. The loop then takes the
+    general hull's steps without its sort: exact repeats go, the hull's
+    two monotone chains, run on the loop from its lexicographically least
+    point to its greatest and back, drop every turn of at most the hull's
+    eps, and the result starts at the least point. Where the hull's sorted
+    scan could decide otherwise, the candidates go to the general hull:
+    for a segment or a single point (zero edges), for fewer than three
+    turning points, for a radius in (0, sqrt(eps)], whose own corners turn
+    by about eps, and for a nonzero turn within `_LOOP_BAND` eps of 0.
     """
     if r_v < 0 or r_eta < 0:
         raise ValueError("inflation radii must be nonnegative")
@@ -404,8 +424,43 @@ def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
     corners = np.array(
         [[r_v, r_eta], [r_v, -r_eta], [-r_v, r_eta], [-r_v, -r_eta]], dtype=float
     )
-    pts = (verts[:, None, :] + corners[None, :, :])[n_in_inside | axis_inside]
-    return ConvexBody(pts)
+    candidate = n_in_inside | axis_inside
+    if len(verts) < 3:
+        return ConvexBody((verts[:, None, :] + corners[None, :, :])[candidate])
+    # the half-open arc (90q, 90(q + 1)] of n_in = (e_y, -e_x): q is 0 or 1
+    # on the upper side (the axis at 180 degrees included), 2 or 3 below
+    nx, ny = e_in[:, 1], -e_in[:, 0]
+    upper = (ny > 0.0) | ((ny == 0.0) & (nx < 0.0))
+    q = np.where(upper, nx < 0.0, 2 + (nx > 0.0))
+    slots = _CCW_CORNERS[(q[:, None] + np.arange(4)) % 4]
+    keep = np.take_along_axis(candidate, slots, axis=1)
+    loop = (verts[:, None, :] + corners[slots])[keep]
+    # exact repeats of the next point go, as in the hull's np.unique
+    loop = loop[(loop != np.concatenate([loop[1:], loop[:1]])).any(axis=1)]
+    x, y = loop[:, 0], loop[:, 1]
+    ox, oy = np.concatenate([x[-1:], x[:-1]]), np.concatenate([y[-1:], y[:-1]])
+    px, py = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
+    # each point's turn from its neighbours, as the hull's chains compute it
+    turn = (x - ox) * (py - oy) - (y - oy) * (px - ox)
+    scale = float(np.max(np.abs(loop)))
+    eps = _EPS_BASE * max(1.0, scale * scale)
+    band = np.sqrt(eps)
+    if (
+        not scale < np.inf  # the hull rejects a non-finite radius
+        or 0.0 < r_v <= band
+        or 0.0 < r_eta <= band
+        or np.count_nonzero(turn) < 3
+        or np.any((turn != 0.0) & (np.abs(turn) <= _LOOP_BAND * eps))
+    ):
+        return ConvexBody(loop)
+    # the hull's two chains, on the loop from its lexicographically least
+    # point to its greatest and on around to the least again
+    order = np.lexsort((y, x))
+    lo, hi = int(order[0]), (int(order[-1]) - int(order[0])) % len(loop)
+    ring = np.concatenate([loop[lo:], loop[: lo + 1]])
+    lower = _chain_lower_hull(ring[: hi + 1, 0], ring[: hi + 1, 1], eps)
+    upper = hi + _chain_lower_hull(ring[hi:, 0], ring[hi:, 1], eps)
+    return ConvexBody._from_loop(ring[np.concatenate([lower[:-1], upper[:-1]])])
 
 
 def containment_gap(outer: ConvexBody, inner: ConvexBody) -> float:

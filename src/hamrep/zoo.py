@@ -21,7 +21,7 @@ import numpy as np
 
 from . import convex_geom as cg
 from .errors import ConfigError, UnknownName
-from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
+from .fenchel import _EPI_BLOCK, EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
 from .report import CheckReport, Worst
 from .sampling import SamplePlan
 
@@ -369,18 +369,28 @@ def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray):
 def _window_min(f, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """Minimum of the convex f (NaN read as +inf) over each window
     [u0_i, u1_i], u1 >= u0: the lower of a 65-node grid and a ternary
-    search. f maps an (N, m) stack of abscissas, row i inside window i, to
-    their values, so a caller can tell the windows apart. A window of zero
-    width evaluates to f(u0_i): each of its grid nodes, ternary probes and
-    its midpoint equals u0_i. When every window has zero width, one call of
-    f at u0 gives those values."""
+    search. f(rows, U) maps a (k, m) stack of abscissas, row i inside the
+    window rows[i] (rows a slice of the windows), to their values, so a
+    caller can tell the windows apart. The grid stage runs in consecutive
+    blocks of about `_EPI_BLOCK` values, so its temporaries stay in cache
+    and its memory does not grow with the window count; each window's
+    minimum is the same in any block. The ternary probes and the midpoints
+    are one call each over every window. A window of zero width evaluates
+    to f(u0_i): each of its grid nodes, ternary probes and its midpoint
+    equals u0_i. When every window has zero width, one call of f at u0
+    gives those values."""
+    n, every = len(u0), slice(None)
     if np.all(u1 == u0):
-        return _finite(f(u0[:, None]))[:, 0]
-    U = u0[:, None] + np.linspace(0.0, 1.0, 65)[None, :] * (u1 - u0)[:, None]
-    grid_min = np.min(_finite(f(U)), axis=1)
+        return _finite(f(every, u0[:, None]))[:, 0]
+    nodes = np.linspace(0.0, 1.0, 65)
+    step = max(1, _EPI_BLOCK // len(nodes))
+    grid_min = np.empty(n)
+    for s in range(0, n, step):
+        rows = slice(s, s + step)
+        U = u0[rows, None] + nodes[None, :] * (u1[rows] - u0[rows])[:, None]
+        grid_min[rows] = np.min(_finite(f(rows, U)), axis=1)
     # _convex_argmin probes the flat stack [m1, m2] (or the N midpoints)
-    n = len(u0)
-    _, tern_min = _convex_argmin(lambda u: f(u.reshape(-1, n).T).T.ravel(), u0, u1)
+    _, tern_min = _convex_argmin(lambda u: f(every, u.reshape(-1, n).T).T.ravel(), u0, u1)
     return np.minimum(grid_min, tern_min)
 
 
@@ -401,10 +411,12 @@ def check_LLC(
     NaN. A window of zero width (always so when k|x-y| = 0) is its own
     minimizer. L is queried per row (`LagrangianSlices.values`): one call
     for the probes of all (triple, direction) pairs, then one `_window_min`
-    search over all their windows, each of whose grid, ternary and
-    midpoint stages is one L call (a single call when every window has
-    zero width), so the count does not grow with the sample plan. The
-    worst excess is then taken in loop order. L, its domain and the window
+    search over all their windows (a single call when every window has
+    zero width). Its grid stage takes one L call per block of about
+    `_EPI_BLOCK` values, and its ternary and midpoint stages one call per
+    iteration over every window, so the count grows with the grid blocks,
+    not with the number of (triple, direction) sets. The worst excess is
+    then taken in loop order. L, its domain and the window
     that clamps an unbounded domain come from the spec's slices on p_grid;
     modulus overrides k_R and w_R only. A run that judges no sample (every
     probe window or slice empty) fails."""
@@ -448,7 +460,7 @@ def check_LLC(
     lens = [len(vs) for vs in vs_s]
     u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
     t_w, b_w = np.repeat(t_s, lens)[:, None], np.repeat(b_s, lens)[:, None]
-    best = _window_min(lambda U: slices.values(t_w, b_w, U), u0, np.maximum(u1, u0))
+    best = _window_min(lambda rows, U: slices.values(t_w[rows], b_w[rows], U), u0, np.maximum(u1, u0))
     excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
     # a NaN window has no minimum to compare
     excess[np.isnan(u0) | np.isnan(u1)] = np.nan

@@ -5,9 +5,10 @@ and the former library kernels, nothing here calls into the package. The
 former library kernels are `support`, `restrict`, `project_point`,
 `inside_mask`, `body_scale`, the polygonized disc `ball`, the polygonized
 projection map `proj_map` with its `arc_deg` arc resolution, and the
-`half`-chain hull `half_chain_convex_hull`: they left the package when
-nothing in it called them any more, or when one chain scan replaced
-them, and they stay here as references on the package's bodies and grid
+`half`-chain hull `half_chain_convex_hull`, and the box inflation
+`candidate_corner_inflate` that hulled its `inflate_candidates`: they
+left the package when nothing in it called them any more, or when one
+chain scan or one pass over an ordered loop replaced them, and they stay here as references on the package's bodies and grid
 functions. The slice oracles compose
 the package's grid primitives (a sampled H, its conjugate, its edge
 slopes) the way each caller once wrote them out inline, so the slice
@@ -349,6 +350,31 @@ def all_corners_inflate(body, r_v, r_eta):
     return cg.ConvexBody((body.vertices[:, None, :] + corners[None, :, :]).reshape(-1, 2))
 
 
+def inflate_candidates(body, r_v, r_eta):
+    """The points the former `convex_geom.minkowski_inflate` handed to the
+    hull: vertex v plus each box corner whose closed quadrant meets the
+    normal cone of v, in vertex order and, at each vertex, in the order
+    (+, +), (+, -), (-, +), (-, -). The cone meets a quadrant when n_in,
+    the outward normal of the edge into v, lies in it, or when its starting
+    axis lies in the cone."""
+    verts = body.vertices
+    e_out = np.concatenate([verts[1:], verts[:1]]) - verts
+    e_in = np.concatenate([e_out[-1:], e_out[:-1]])
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    # the axis each quadrant starts at: +x, -y, +y, -x
+    axis, sign = np.array([0, 1, 1, 0]), np.array([1.0, -1.0, 1.0, -1.0])
+    n_in_inside = (e_in[:, 1, None] * signs[:, 0] >= 0.0) & (e_in[:, 0, None] * signs[:, 1] <= 0.0)
+    axis_inside = (e_in[:, axis] * sign >= 0.0) & (e_out[:, axis] * sign <= 0.0)
+    corners = np.array([[r_v, r_eta], [r_v, -r_eta], [-r_v, r_eta], [-r_v, -r_eta]], dtype=float)
+    return (verts[:, None, :] + corners[None, :, :])[n_in_inside | axis_inside]
+
+
+def candidate_corner_inflate(body, r_v, r_eta):
+    """The former `convex_geom.minkowski_inflate`: the package's hull of
+    `inflate_candidates`."""
+    return cg.ConvexBody(inflate_candidates(body, r_v, r_eta))
+
+
 def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
     """check_LLC with one window search per (triple, direction): the same
     probes and windows, each set's windows searched on their own by
@@ -405,7 +431,7 @@ def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
             u0 = np.maximum(vs_f - kd, blo)
             u1 = np.minimum(vs_f + kd, bhi)
 
-            def f(U, t=t, b=b):
+            def f(rows, U, t=t, b=b):
                 return np.asarray(L(t, b, U.ravel()), dtype=float).reshape(U.shape)
 
             best = zoo._window_min(f, u0, np.maximum(u1, u0))

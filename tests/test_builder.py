@@ -153,6 +153,22 @@ def test_e_eval_validates_controls(ex22_noncompact_fast, ex22_compact_fast):
         zoo.hat_rep_ex_2_1().e_eval(T0, 0.0, np.array([0.1, 0.2, 0.3]))
 
 
+def test_noncompact_e_eval_rejects_a_non_finite_control(ex22_noncompact_fast):
+    # (inf, 0) once read as a NaN point with RuntimeWarnings
+    with pytest.raises(ConfigError, match=r"row 1 is not finite: \[inf, 0\.0\]"):
+        ex22_noncompact_fast.e_eval(T0, 0.0, np.array([[0.5, 0.0], [np.inf, 0.0], [0.5, np.nan]]))
+    with pytest.raises(ConfigError, match=r"row 0 is not finite"):
+        ex22_noncompact_fast.e_eval(T0, 0.0, np.array([0.5, -np.inf]))
+
+
+def test_compact_e_eval_rejects_a_non_finite_control(ex22_compact_fast):
+    # a NaN passes the unit-ball test, and [nan, 0] once came back as itself
+    with pytest.raises(ConfigError, match=r"row 0 is not finite: \[nan, 0\.0\]"):
+        ex22_compact_fast.e_eval(T0, 0.0, np.array([[np.nan, 0.0]]))
+    with pytest.raises(ConfigError, match=r"row 1 is not finite"):
+        ex22_compact_fast.e_eval([0.5, 0.5], [0.0, 0.1], np.array([[0.1, 0.2], [0.0, np.nan]]))
+
+
 def test_e_table_rejects_e_eval_breaking_the_shape_contract():
     # one point for the whole stack instead of one per control
     bad = RepresentationTriple(

@@ -20,9 +20,11 @@ from _oracles import (
     ball,
     body_scale,
     brute_hausdorff,
+    candidate_corner_inflate,
     dense_points_to_body,
     exterior_angle_steiner,
     half_chain_convex_hull,
+    inflate_candidates,
     numpy_row_convex_hull,
     per_body_disc_steiner,
     proj_map,
@@ -118,15 +120,27 @@ def test_hull_matches_numpy_row_chain_bit_for_bit():
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _mlc_inflate_point_sets(monkeypatch):
-    """The point sets check_MLC's inflations hull, on ex_2_1 and ex_2_2."""
+def _mlc_inflations(monkeypatch, names=("ex_2_1", "ex_2_2"), radii=(2.0,), n_triples=16):
+    """The (body, r_v, r_eta) of check_MLC's inflations at seed 0."""
     seen = []
-    real = cg.convex_hull
-    monkeypatch.setattr(cg, "convex_hull", lambda pts: seen.append(np.array(pts)) or real(pts))
-    for name in ("ex_2_1", "ex_2_2"):
-        zoo.check_MLC(zoo.builtin(name), 2.0, samples=SamplePlan(seed=0, n_triples=16))
+    real = cg.minkowski_inflate
+
+    def spy(body, r_v, r_eta):
+        seen.append((body, r_v, r_eta))
+        return real(body, r_v, r_eta)
+
+    monkeypatch.setattr(cg, "minkowski_inflate", spy)
+    for name in names:
+        for R in radii:
+            zoo.check_MLC(zoo.builtin(name), R, samples=SamplePlan(seed=0, n_triples=n_triples))
     monkeypatch.undo()
     return seen
+
+
+def _mlc_inflate_point_sets(monkeypatch):
+    """The candidate corners of check_MLC's inflations on ex_2_1 and
+    ex_2_2: the point sets the former inflation hulled."""
+    return [inflate_candidates(*call) for call in _mlc_inflations(monkeypatch)]
 
 
 def test_hull_matches_half_chain_hull_bit_for_bit(monkeypatch):
@@ -745,18 +759,7 @@ def _assert_same_inflation(body, r_v, r_eta):
 
 
 def test_minkowski_inflate_matches_all_corner_hull_on_zoo_mlc_polygons(monkeypatch):
-    seen = []
-    real = cg.minkowski_inflate
-
-    def spy(body, r_v, r_eta):
-        seen.append((body, r_v, r_eta))
-        return real(body, r_v, r_eta)
-
-    monkeypatch.setattr(cg, "minkowski_inflate", spy)
-    for name in zoo.names():
-        for R in (0.5, 2.0):
-            zoo.check_MLC(zoo.builtin(name), R, samples=SamplePlan(seed=0, n_triples=8))
-    monkeypatch.undo()
+    seen = _mlc_inflations(monkeypatch, zoo.names(), (0.5, 2.0), 8)
     # ex_2_2 inflates with k|x-y| = 0, ex_2_1 with w = 0
     assert any(r_v == 0.0 < r_eta for _, r_v, r_eta in seen)
     assert any(r_eta == 0.0 < r_v for _, r_v, r_eta in seen)
@@ -787,16 +790,93 @@ def test_minkowski_inflate_matches_all_corner_hull_on_random_bodies(seed):
             _assert_same_inflation(small, radii[2], radii[3])
 
 
-def test_minkowski_inflate_hulls_only_candidate_corners(monkeypatch):
-    # a 64-gon with no axis-parallel edge: each vertex's normal cone meets one
-    # quadrant, or two at the four vertices extreme along an axis
+def _sixty_four_gon():
+    # no axis-parallel edge: each vertex's normal cone meets one quadrant,
+    # or two at the four vertices extreme along an axis
     ang = 2.0 * np.pi * (np.arange(64) + 0.25) / 64
-    body = cg.ConvexBody(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+    return cg.ConvexBody(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
+def test_minkowski_inflate_hulls_only_candidate_corners(monkeypatch):
+    # radii within sqrt(eps) = 1e-6 leave the inflation to the general
+    # hull, which then sees only the 64 + 4 candidate corners
+    body = _sixty_four_gon()
     sizes = []
     real = cg.convex_hull
     monkeypatch.setattr(cg, "convex_hull", lambda pts: sizes.append(len(pts)) or real(pts))
-    cg.minkowski_inflate(body, 0.5, 0.25)
+    cg.minkowski_inflate(body, 1e-7, 5e-8)
     assert sizes == [64 + 4]
+
+
+def test_inflating_a_polygon_calls_no_hull(monkeypatch):
+    calls = _mlc_inflations(monkeypatch)
+    body = _sixty_four_gon()
+    assert sum(len(b.vertices) >= 3 for b, _, _ in calls) >= 16
+
+    def no_hull(pts):
+        raise AssertionError("convex_hull called")
+
+    monkeypatch.setattr(cg, "convex_hull", no_hull)
+    # every vertex of the 64-gon and all four extreme corners stay
+    assert len(cg.minkowski_inflate(body, 0.5, 0.25).vertices) == 64 + 4
+    for b, r_v, r_eta in calls:
+        if len(b.vertices) >= 3:
+            cg.minkowski_inflate(b, r_v, r_eta)
+
+
+def _thin_or_lattice_body(rng):
+    kind = int(rng.integers(0, 4))
+    n = int(rng.integers(3, 30))
+    if kind == 0:
+        # a sliver: its turns and its corners' turns near the hull's eps
+        t = rng.uniform(-1.0, 1.0, n)
+        pts = np.stack([t, rng.uniform(-3.0, 3.0) * t + rng.normal(scale=10.0 ** rng.uniform(-14, -3), size=n)], axis=1)
+    elif kind == 1:
+        # lattice: axis-parallel edges, exact collinear runs of corners
+        pts = np.round(rng.normal(scale=3.0, size=(n, 2))) * rng.choice([0.25, 0.5, 1.0])
+    elif kind == 2:
+        # a thin rectangle along an axis
+        w = 10.0 ** rng.uniform(-12, 0)
+        pts = np.array([[0.0, 0.0], [w, 0.0], [w, 1.0], [0.0, 1.0]])[:, :: int(rng.choice([1, -1]))]
+    else:
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return cg.ConvexBody(pts * 10.0 ** rng.uniform(-2, 4) + rng.uniform(-5.0, 5.0, 2))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 10_000))
+def test_minkowski_inflate_matches_candidate_corner_hull_bit_for_bit(seed):
+    # radii of every size, from the hull's eps band to beyond the body, and
+    # half and whole edge lengths, where corners of neighbours line up
+    rng = np.random.default_rng(seed)
+    body = _thin_or_lattice_body(rng)
+    verts = body.vertices
+    edges = np.abs(np.concatenate([verts[1:], verts[:1]]) - verts).ravel()
+    scale = float(np.max(np.abs(verts)))
+
+    def radius():
+        u = rng.random()
+        if u < 0.2:
+            return 0.0
+        if u < 0.4 and np.any(edges > 0.0):
+            return float(rng.choice(edges[edges > 0.0]) * rng.choice([0.25, 0.5, 1.0]))
+        return float(10.0 ** rng.uniform(-14, 1) * max(1.0, scale))
+
+    for _ in range(6):
+        r_v, r_eta = radius(), radius()
+        got = cg.minkowski_inflate(body, r_v, r_eta).vertices
+        want = candidate_corner_inflate(body, r_v, r_eta).vertices
+        assert got.shape == want.shape and np.array_equal(got, want), (verts, r_v, r_eta)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_minkowski_inflate_matches_candidate_corner_hull_on_zoo_mlc_calls(monkeypatch):
+    for body, r_v, r_eta in _mlc_inflations(monkeypatch, zoo.names(), (0.5, 2.0), 8):
+        got = cg.minkowski_inflate(body, r_v, r_eta).vertices
+        want = candidate_corner_inflate(body, r_v, r_eta).vertices
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_intersect_and_containment():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,11 +168,70 @@ def test_window_min_matches_grid_ternary_search_bit_for_bit(oracle):
     rng = np.random.default_rng(2)
     u = np.concatenate([rng.uniform(-1.2, 1.2, 30), [-1.5, -1.0, 0.0, 1.0, 1.5]])
     for lo, hi in ((u, u.copy()), (u - 0.05, u + 0.05)):
-        got = zoo._window_min(f, lo, hi)
+        got = zoo._window_min(lambda rows, U: f(U), lo, hi)
         want = grid_ternary_window_min(f, lo, hi)
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     # the oracle L is +inf beyond |u| = 1; the numeric one stays finite
     assert np.any(np.isinf(want)) == oracle and np.any(np.isfinite(want))
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+@pytest.mark.parametrize("name", zoo.names())
+def test_blocked_window_min_matches_grid_ternary_search_bit_for_bit(name, oracle, monkeypatch):
+    # three windows per grid block: the grid stage splits into blocks that
+    # cut through the rows of one slab, yet each window keeps the minimum
+    # the one-window oracle finds at its own (t, x)
+    spec = zoo.builtin(name)
+    if not oracle:
+        spec = dataclasses.replace(spec, oracle_L=None, oracle_dom=None)
+    L = spec.slices().values
+    monkeypatch.setattr(zoo, "_EPI_BLOCK", 3 * 65 + 7)
+    rng = np.random.default_rng(5)
+    n = 20
+    t = np.repeat([0.25, 0.5, 0.75], [7, 6, 7])
+    x = np.repeat([-0.6, 0.4, 0.9], [7, 6, 7])
+    u0 = rng.uniform(-1.2, 1.2, n)
+    u1 = u0 + np.where(np.arange(n) % 5 == 0, 0.0, rng.uniform(0.0, 0.3, n))
+    calls = []
+
+    def f(rows, U):
+        calls.append((rows, U.shape))
+        return L(t[rows, None], x[rows, None], U)
+
+    got = zoo._window_min(f, u0, u1)
+    want = np.concatenate(
+        [grid_ternary_window_min(lambda u, i=i: L(t[i], x[i], u), u0[i : i + 1], u1[i : i + 1]) for i in range(n)]
+    )
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # seven grid blocks of at most 3 windows each, in order, then the ternary
+    # probes and the midpoints over all 20
+    assert [c[0] for c in calls[:7]] == [slice(s, s + 3) for s in range(0, n, 3)]
+    assert [c[1] for c in calls[:7]] == [(3, 65)] * 6 + [(2, 65)]
+    assert calls[7:] == [(slice(None), (n, 2))] * 72 + [(slice(None), (n, 1))]
+
+
+def test_check_LLC_memory_stays_within_one_block(monkeypatch):
+    # the 64-triple plan has 4,224 ex_2_1 windows; as one 65-node stack
+    # their grid stage alone held 2.2 MB and its oracle temporaries 9.6 MB
+    spec = zoo.builtin("ex_2_1")
+    zoo.check_LLC(spec, 2.0, samples=SamplePlan(seed=0))
+    tracemalloc.start()
+    try:
+        rep = zoo.check_LLC(spec, 2.0, samples=SamplePlan(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == "pass" and peak <= 2 * 2**20
+    sizes = []
+    real = zoo.LagrangianSlices.values
+
+    def counting(self, ts, xs, v):
+        sizes.append(np.size(v))
+        return real(self, ts, xs, v)
+
+    monkeypatch.setattr(zoo.LagrangianSlices, "values", counting)
+    zoo.check_LLC(spec, 2.0, samples=SamplePlan(seed=0))
+    assert len(sizes) > 75 and max(sizes) <= zoo._EPI_BLOCK
 
 
 def test_check_LLC_searches_no_window_when_k_is_zero(monkeypatch):
@@ -249,17 +309,25 @@ def test_check_LLC_searches_point_windows_with_the_others():
     calls = []
 
     def counting(t, x, v):
-        calls.append(np.shape(v))
+        calls.append((np.shape(v), np.ravel(x)))
         return base.oracle_L(t, x, v)
 
     rep = zoo.check_LLC(dataclasses.replace(spec, oracle_L=counting), R=2.0, samples=SMALL_PLAN)
     assert (rep.worst_margin, rep.verdict, rep.witnesses) == per_set_check_LLC(spec, 2.0, SMALL_PLAN)
-    # one probe call over every (triple, direction), then 1 + 72 + 1 (grid,
-    # ternary, midpoint) calls, each over every window, point or not
-    n_sets, n_probes = calls[0]
+    # one probe call over every (triple, direction); then the grid stage in
+    # consecutive blocks of whole windows, which cover every window in
+    # order; then 72 ternary calls and 1 midpoint call, each over every
+    # window, point or not
+    shapes = [shape for shape, _ in calls]
+    n_sets, n_probes = shapes[0]
     assert n_sets == 2 * len(ts) and n_probes == len(SMALL_PLAN.unit_fractions())
-    n_windows = calls[1][0]
-    assert calls[1:] == [(n_windows, 65)] + [(n_windows, 2)] * 72 + [(n_windows, 1)]
+    n_windows = shapes[-1][0]
+    step = zoo._EPI_BLOCK // 65
+    n_blocks = -(-n_windows // step)
+    assert shapes[1 : 1 + n_blocks] == [(step, 65)] * (n_blocks - 1) + [(n_windows - step * (n_blocks - 1), 65)]
+    assert shapes[1 + n_blocks :] == [(n_windows, 2)] * 72 + [(n_windows, 1)]
+    blocks_x = np.concatenate([x for _, x in calls[1 : 1 + n_blocks]])
+    assert np.array_equal(blocks_x, calls[-1][1])
     assert n_sets < n_windows <= n_sets * n_probes
 
 
@@ -290,8 +358,10 @@ def test_check_LLC_L_calls_do_not_grow_with_window_sets(name, oracle, seed, monk
         assert np.float64(rep.worst_margin).tobytes() == np.float64(worst).tobytes()
         assert (rep.verdict, rep.witnesses) == (verdict, wit)
         # one probe call, then one call when every window is a point, else
-        # 74 search stages over all of them
-        assert len(calls) in (2, 75)
+        # the grid stage in blocks of whole windows and 73 ternary and
+        # midpoint calls over all of them
+        n_windows = calls[-1][0]
+        assert len(calls) in (2, 74 + -(-n_windows // (zoo._EPI_BLOCK // 65)))
         n_sets.append(calls[0][0])
     assert n_sets[1] > n_sets[0]
 
