@@ -15,8 +15,9 @@ is a slope search.
 
 `LagrangianSlices` is the one path from a Hamiltonian to its Lagrangian
 slices L(t, x, .) = H(t, x, .)*: closed forms where the Hamiltonian has
-them, else H sampled on the p-grid, its trust interval, L pointwise and L
-on velocity grids, whose half-width rule it owns.
+them, else H sampled on the p-grid, its trust interval, L pointwise, its
+exact minimum over windows and L on velocity grids, whose half-width rule
+it owns.
 
 Epigraphs and bounded epigraph slices are materialized as polygon bodies in
 the (v, eta) plane; the lower boundary interpolates the sampled graph, so a
@@ -293,14 +294,41 @@ def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:
     return float((vals[1] - vals[0]) / h), float((vals[-1] - vals[-2]) / h)
 
 
-def _slope_rounding(fn: ConvexGridFunction) -> tuple[float, float]:
-    """Rounding bound of each edge slope of `slope_range`: 4 eps (|H_a| +
-    |H_b|)/h over the two samples H_a, H_b of its difference quotient."""
-    _, vals = fn.finite_slice()
-    if len(vals) < 2:
+def _widened_chords(vals: np.ndarray, h: float):
+    """The first and last chord slopes of samples at spacing h (along the
+    last axis; 0 for fewer than two), each widened by its rounding bound
+    4 eps (|H_a| + |H_b|)/h over its two samples H_a, H_b, so that an
+    exact end is never cut off."""
+    if vals.shape[-1] < 2:
         return 0.0, 0.0
-    scale = 4.0 * np.finfo(float).eps / fn.grid.h
-    return float(scale * (abs(vals[0]) + abs(vals[1]))), float(scale * (abs(vals[-2]) + abs(vals[-1])))
+    a, b, y, z = vals[..., 0], vals[..., 1], vals[..., -2], vals[..., -1]
+    scale = 4.0 * np.finfo(float).eps / h
+    return (b - a) / h - scale * (abs(a) + abs(b)), (z - y) / h + scale * (abs(y) + abs(z))
+
+
+def _finite(vals) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    return np.where(np.isnan(vals), np.inf, vals)
+
+
+def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray):
+    """Vectorized ternary search for the minimum of a convex scalar family.
+
+    f maps a 1-D array of abscissas to function values elementwise (NaN
+    treated as +inf), so both probes of an iteration go through one call;
+    the 1-D lo/hi bound each search window. 72 iterations shrink each
+    window to (2/3)^72, about 2.1e-13, of its width; that is below the
+    double spacing only for windows narrower than about 1e-3 of their
+    magnitude."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for _ in range(72):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        f12 = _finite(f(np.concatenate([m1, m2])))
+        move_lo = f12[: len(lo)] > f12[len(lo) :]
+        lo, hi = np.where(move_lo, m1, lo), np.where(move_lo, hi, m2)
+    mid = 0.5 * (lo + hi)
+    return mid, _finite(f(mid))
 
 
 def row_slabs(ts, xs, n: int):
@@ -366,11 +394,13 @@ class LagrangianSlices:
         return self._halfwidth(t, abs(x) if r is None else r, lambda: self.trust(t, x))
 
     def domain(self, t: float, x: float) -> EffectiveDomain:
-        """dom L(t, x, .): the oracle's, else the trust interval (its
-        closedness flags advisory)."""
+        """dom L(t, x, .): the oracle's, else the trust interval with each
+        end widened by the rounding bound of its edge slope, so that a
+        one-point domain (H affine in p) is never inverted (its closedness
+        flags advisory)."""
         if self.spec.oracle_dom is not None:
             return self.spec.oracle_dom(t, x)
-        return EffectiveDomain(*self.trust(t, x))
+        return EffectiveDomain(*map(float, _widened_chords(self._kept_sample(t, x).finite_slice()[1], self.p_grid.h)))
 
     def bounded_domain(self, t: float, x: float) -> tuple[float, float]:
         """dom L(t, x, .) with each infinite end clamped at the half-width."""
@@ -402,6 +432,39 @@ class LagrangianSlices:
             out[rows] = conjugate_values(self._kept_sample(tk, xk), flat_v[rows])
         return out.reshape(v.shape)
 
+    def window_min(self, ts, xs, u0, u1) -> np.ndarray:
+        """Minimum of L(t, x, .) over each window [u0_i, u1_i], u1 >= u0,
+        one (t, x) per window (a scalar serves every one), NaN read as +inf.
+
+        argmin L = dH(t, x, 0) (Rockafellar, Convex Analysis, Thm 23.5), so
+        with one minimizer m per distinct (t, x) each minimum is L at
+        clip(m, u0, u1), one `values` query over every window. The numeric
+        route reads m off the kept sample's lower hull, as the slope of its
+        edge over p = 0: an exact argmin of the discrete conjugate. The oracle
+        route searches oracle_L once per slice, on the hull of its windows
+        cut to the three-chord bracket of dH(0): the chords of H over [-h, 0]
+        and [0, h] (h the p-grid spacing), each widened by its rounding bound."""
+        u0, u1 = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+        pairs, slab_of = row_slabs(ts, xs, len(u0))
+        if self.spec.oracle_L is None:
+            hulls = [self._kept_sample(t, x)._conjugate_hull() for t, x in pairs]
+            m = np.array([np.r_[-np.inf, s, np.inf][np.searchsorted(n, 0.0)] for n, _, s in hulls])
+        else:
+            # a slice whose windows are all NaN (a NaN k_R) keeps a NaN hull
+            lo, hi = np.full(len(pairs), np.nan), np.full(len(pairs), np.nan)
+            np.fmin.at(lo, slab_of, u0)
+            np.fmax.at(hi, slab_of, u1)
+            h = self.p_grid.h
+            H = np.array([self.spec.eval(t, x, np.array([-h, 0.0, h])) for t, x in pairs], dtype=float)
+            c_lo, c_hi = _widened_chords(H, h)
+            t_s, x_s = np.array(pairs, dtype=float).reshape(-1, 2).T
+
+            def f(u):  # the flat stack [m1, m2] of the search, or its midpoints
+                return self.values(t_s, x_s, u.reshape(-1, len(pairs))).ravel()
+
+            m, _ = _convex_argmin(f, np.clip(c_lo, lo, hi), np.clip(c_hi, lo, hi))
+        return _finite(self.values(ts, xs, np.clip(m[slab_of], u0, u1)))
+
     def on_grid(
         self,
         t: float,
@@ -428,8 +491,8 @@ class LagrangianSlices:
         if not trusted:
             return raw
         nodes = grid.nodes()
-        lo_slack, hi_slack = _slope_rounding(hfn)
-        keep = (nodes >= s_lo - lo_slack) & (nodes <= s_hi + hi_slack)
+        lo, hi = _widened_chords(hfn.finite_slice()[1], self.p_grid.h)
+        keep = (nodes >= lo) & (nodes <= hi)
         if not np.any(keep):
             if s_lo > grid.hi or s_hi < grid.lo:
                 raise GridUnderflow(f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window")

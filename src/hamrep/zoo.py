@@ -21,7 +21,7 @@ import numpy as np
 
 from . import convex_geom as cg
 from .errors import ConfigError, UnknownName
-from .fenchel import _EPI_BLOCK, EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
+from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
 from .report import CheckReport, Worst
 from .sampling import SamplePlan
 
@@ -337,63 +337,6 @@ def check_HLC(
     return worst.report(tol, "no sample judged: the sample plan has no (t, x, y) triple or no p")
 
 
-def _finite(vals) -> np.ndarray:
-    vals = np.asarray(vals, dtype=float)
-    return np.where(np.isnan(vals), np.inf, vals)
-
-
-def _convex_argmin(f, lo: np.ndarray, hi: np.ndarray):
-    """Vectorized ternary search for the minimum of a convex scalar family.
-
-    f maps a 1-D array of abscissas to function values elementwise (NaN
-    treated as +inf), so both probes of an iteration go through one call;
-    the 1-D lo/hi bound each search window. 72 iterations shrink each
-    window to (2/3)^72, about 2.1e-13, of its width; that is below the
-    double spacing only for windows narrower than about 1e-3 of their
-    magnitude."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(72):
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        f12 = _finite(f(np.concatenate([m1, m2])))
-        f1, f2 = f12[: len(lo)], f12[len(lo) :]
-        move_lo = f1 > f2
-        lo = np.where(move_lo, m1, lo)
-        hi = np.where(move_lo, hi, m2)
-    mid = 0.5 * (lo + hi)
-    return mid, _finite(f(mid))
-
-
-def _window_min(f, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """Minimum of the convex f (NaN read as +inf) over each window
-    [u0_i, u1_i], u1 >= u0: the lower of a 65-node grid and a ternary
-    search. f(rows, U) maps a (k, m) stack of abscissas, row i inside the
-    window rows[i] (rows a slice of the windows), to their values, so a
-    caller can tell the windows apart. The grid stage runs in consecutive
-    blocks of about `_EPI_BLOCK` values, so its temporaries stay in cache
-    and its memory does not grow with the window count; each window's
-    minimum is the same in any block. The ternary probes and the midpoints
-    are one call each over every window. A window of zero width evaluates
-    to f(u0_i): each of its grid nodes, ternary probes and its midpoint
-    equals u0_i. When every window has zero width, one call of f at u0
-    gives those values."""
-    n, every = len(u0), slice(None)
-    if np.all(u1 == u0):
-        return _finite(f(every, u0[:, None]))[:, 0]
-    nodes = np.linspace(0.0, 1.0, 65)
-    step = max(1, _EPI_BLOCK // len(nodes))
-    grid_min = np.empty(n)
-    for s in range(0, n, step):
-        rows = slice(s, s + step)
-        U = u0[rows, None] + nodes[None, :] * (u1[rows] - u0[rows])[:, None]
-        grid_min[rows] = np.min(_finite(f(rows, U)), axis=1)
-    # _convex_argmin probes the flat stack [m1, m2] (or the N midpoints)
-    _, tern_min = _convex_argmin(lambda u: f(every, u.reshape(-1, n).T).T.ravel(), u0, u1)
-    return np.minimum(grid_min, tern_min)
-
-
 def check_LLC(
     spec: HamiltonianSpec,
     R: float,
@@ -403,23 +346,16 @@ def check_LLC(
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Lagrangian-level continuity: every v in dom L(t,x) admits u within
-    k|x-y| of v with L(t,y,u) <= L(t,x,v) + w(|x-y|). The u-search combines
-    a coarse grid over the window intersected with dom L(t,y) and a ternary
-    refinement (the slice is convex in u), so steep slices near domain
-    boundaries resolve to within the ternary's 2e-13 of the window width;
-    an empty search window counts as +inf excess, a NaN one (a NaN k_R) as
-    NaN. A window of zero width (always so when k|x-y| = 0) is its own
-    minimizer. L is queried per row (`LagrangianSlices.values`): one call
-    for the probes of all (triple, direction) pairs, then one `_window_min`
-    search over all their windows (a single call when every window has
-    zero width). Its grid stage takes one L call per block of about
-    `_EPI_BLOCK` values, and its ternary and midpoint stages one call per
-    iteration over every window, so the count grows with the grid blocks,
-    not with the number of (triple, direction) sets. The worst excess is
-    then taken in loop order. L, its domain and the window
-    that clamps an unbounded domain come from the spec's slices on p_grid;
-    modulus overrides k_R and w_R only. A run that judges no sample (every
-    probe window or slice empty) fails."""
+    k|x-y| of v with L(t,y,u) <= L(t,x,v) + w(|x-y|). Each probe v gets the
+    window [v - k|x-y|, v + k|x-y|] cut to dom L(t,y), an unbounded end at
+    +-1e6, and the exact minimum of L(t,y,.) over it from
+    `LagrangianSlices.window_min`; an empty window counts as +inf excess, a
+    NaN one (a NaN k_R) as NaN. L is queried per row: one `values` call over
+    the probes of every (triple, direction), then one `window_min` call over
+    all their windows, and the worst excess is taken in loop order. L, its
+    domain and the window that clamps an unbounded domain come from the
+    spec's slices on p_grid; modulus overrides k_R and w_R only. A run that
+    judges no sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
     mod = modulus or spec.modulus
     slices = spec.slices(p_grid)
@@ -459,8 +395,7 @@ def check_LLC(
     t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
     lens = [len(vs) for vs in vs_s]
     u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
-    t_w, b_w = np.repeat(t_s, lens)[:, None], np.repeat(b_s, lens)[:, None]
-    best = _window_min(lambda rows, U: slices.values(t_w[rows], b_w[rows], U), u0, np.maximum(u1, u0))
+    best = slices.window_min(np.repeat(t_s, lens), np.repeat(b_s, lens), u0, np.maximum(u1, u0))
     excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
     # a NaN window has no minimum to compare
     excess[np.isnan(u0) | np.isnan(u1)] = np.nan

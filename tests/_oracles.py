@@ -21,8 +21,9 @@ exterior-angle formula, a support-point quadrature over a polygonized
 E cap B(z, r) and the closed form written for one body alone, the
 Hausdorff oracle works on raw vertex arrays with segment arithmetic, the
 distance oracle measures every point against every edge before its inside
-test, the LLC window oracle runs the grid plus ternary search one window
-at a time, the Lipschitz oracle audits verify_triple's pairs one control
+test, the LLC window oracles are the former grid plus ternary search,
+each window on its own, and the exact minimum over every kink of a
+discrete conjugate, the Lipschitz oracle audits verify_triple's pairs one control
 at a time through e_eval, and the representation oracles evaluate one
 control at a time in scalar floats (the hand-written triples from their
 formulas, a convexified triple from one evaluation per atom of a base
@@ -36,7 +37,6 @@ import numpy as np
 
 from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
-from hamrep import zoo
 from hamrep.errors import DimMismatch
 
 # sup over |p| <= 50 of (0.1 p - H_2_3(t, 0, p)) sits at p = -50 where
@@ -318,28 +318,41 @@ def per_body_disc_steiner(verts, centers, radii):
 
 
 def grid_ternary_window_min(f, u0, u1, n_u=65, iters=72):
-    """Minimum of f (NaN read as +inf) over each window [u0_i, u1_i], one
-    window at a time: the lowest of n_u evenly spaced nodes, then a ternary
-    search of iters steps (both thirds probed in one call) and its final
-    midpoint, whichever is lower."""
+    """Minimum of f (NaN read as +inf) over each window [u0_i, u1_i] by the
+    search the package ran before its exact window minimum: the lowest of
+    n_u evenly spaced nodes, then a ternary search of iters steps (both
+    thirds probed in one call) and its final midpoint, whichever is lower.
+    f maps an (n, k) stack of abscissas, row i inside window i, to their
+    values; each window's result is the one it gets alone."""
 
     def finite(vals):
         vals = np.asarray(vals, dtype=float)
         return np.where(np.isnan(vals), np.inf, vals)
 
+    lo, hi = np.asarray(u0, dtype=float), np.asarray(u1, dtype=float)
+    nodes = lo[:, None] + np.linspace(0.0, 1.0, n_u)[None, :] * (hi - lo)[:, None]
+    best = np.min(finite(f(nodes)), axis=1)
+    for _ in range(iters):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        f12 = finite(f(np.stack([m1, m2], axis=1)))
+        move_lo = f12[:, 0] > f12[:, 1]
+        lo, hi = np.where(move_lo, m1, lo), np.where(move_lo, hi, m2)
+    return np.minimum(best, finite(f(0.5 * (lo + hi)[:, None]))[:, 0])
+
+
+def kink_window_min(hfn, u0, u1):
+    """Exact minimum of the discrete conjugate of the H sample hfn over
+    each window [u0_i, u1_i], NaN read as +inf: that conjugate is
+    piecewise linear with kinks at the edge slopes of the sample's lower
+    hull, so its minimum is the lowest of its values at the window ends
+    and at every kink inside, one window at a time."""
+    nodes, vals, _ = hfn._conjugate_hull()
+    kinks = np.diff(vals) / np.diff(nodes)
     out = np.empty(len(u0))
-    for i, (lo, hi) in enumerate(zip(np.asarray(u0, dtype=float), np.asarray(u1, dtype=float))):
-        nodes = lo + np.linspace(0.0, 1.0, n_u) * (hi - lo)
-        best = float(np.min(finite(f(nodes))))
-        for _ in range(iters):
-            third = (hi - lo) / 3.0
-            m1, m2 = lo + third, hi - third
-            f1, f2 = finite(f(np.array([m1, m2])))
-            if f1 > f2:
-                lo = m1
-            else:
-                hi = m2
-        out[i] = np.minimum(best, finite(f(np.array([0.5 * (lo + hi)])))[0])
+    for i, (lo, hi) in enumerate(zip(u0, u1)):
+        at = fl.conjugate_values(hfn, np.r_[lo, hi, kinks[(kinks > lo) & (kinks < hi)]])
+        out[i] = np.min(np.where(np.isnan(at), np.inf, at))
     return out
 
 
@@ -376,12 +389,14 @@ def candidate_corner_inflate(body, r_v, r_eta):
 
 
 def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
-    """check_LLC with one window search per (triple, direction): the same
-    probes and windows, each set's windows searched on their own by
-    `zoo._window_min`, and the worst excess kept in loop order. L and its
-    domain come from the spec's oracles when it has them, else from H
-    sampled on p_grid; an unbounded domain is clamped at c(t)(1 + |x|) + 1,
-    or at the sample's max |edge slope| + 1 without c."""
+    """check_LLC one (triple, direction) at a time: the same probes and
+    windows, each set's window minima found on their own, and the worst
+    excess kept in loop order. L and its domain come from the spec's
+    oracles when it has them, else from H sampled on p_grid; an unbounded
+    domain is clamped at c(t)(1 + |x|) + 1, or at the sample's max |edge
+    slope| + 1 without c. The oracle L is minimized by the former search,
+    `grid_ternary_window_min`, and the numeric L exactly, by
+    `kink_window_min`."""
     mod = spec.modulus
     grid = p_grid or fl.UniformGrid(-50.0, 50.0, 10001)
     kept = {}
@@ -399,7 +414,7 @@ def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
     def dom(t, x):
         if spec.oracle_dom is not None:
             return spec.oracle_dom(t, x)
-        return fl.EffectiveDomain(*fl.slope_range(h_slice(t, x)))
+        return fl.EffectiveDomain(*inline_widened_trust(h_slice(t, x)))
 
     fracs = samples.unit_fractions()
     worst, wit, n_judged = -np.inf, [], 0
@@ -430,11 +445,10 @@ def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
             vs_f, la_f = vs[keep], la[keep]
             u0 = np.maximum(vs_f - kd, blo)
             u1 = np.minimum(vs_f + kd, bhi)
-
-            def f(rows, U, t=t, b=b):
-                return np.asarray(L(t, b, U.ravel()), dtype=float).reshape(U.shape)
-
-            best = zoo._window_min(f, u0, np.maximum(u1, u0))
+            if spec.oracle_L is None:
+                best = kink_window_min(h_slice(t, b), u0, np.maximum(u1, u0))
+            else:
+                best = grid_ternary_window_min(lambda U, t=t, b=b: L(t, b, U), u0, np.maximum(u1, u0))
             n_judged += len(vs_f)
             excess = np.where(u0 > u1, np.inf, best - la_f - w)
             j = int(np.argmax(excess))
@@ -561,6 +575,19 @@ def inline_h_slice(h_eval, t, x, p_grid):
     return fl.ConvexGridFunction(p_grid, np.asarray(h_eval(t, x, p_grid.nodes()), dtype=float))
 
 
+def inline_widened_trust(hfn):
+    """The edge slopes of the H sample hfn, each widened by the rounding
+    bound 4 eps (|H_a| + |H_b|)/h of its difference quotient: the numeric
+    domain of L and the ends of its trusted slice."""
+    s_lo, s_hi = fl.slope_range(hfn)
+    _, vals = hfn.finite_slice()
+    bound = 4.0 * np.finfo(float).eps / hfn.grid.h
+    if len(vals) >= 2:
+        s_lo -= bound * (abs(vals[0]) + abs(vals[1]))
+        s_hi += bound * (abs(vals[-2]) + abs(vals[-1]))
+    return s_lo, s_hi
+
+
 def inline_lagrangian_slice(h_eval, t, x, p_grid, v_grid, trusted=True):
     """L(t, x, .) on v_grid: the conjugate of the H sample and, when
     trusted, +inf outside its edge slopes, each widened by the rounding
@@ -570,12 +597,7 @@ def inline_lagrangian_slice(h_eval, t, x, p_grid, v_grid, trusted=True):
     raw = fl.conjugate(hfn, v_grid)
     if not trusted:
         return raw
-    s_lo, s_hi = fl.slope_range(hfn)
-    _, vals = hfn.finite_slice()
-    bound = 4.0 * np.finfo(float).eps / p_grid.h
-    if len(vals) >= 2:
-        s_lo -= bound * (abs(vals[0]) + abs(vals[1]))
-        s_hi += bound * (abs(vals[-2]) + abs(vals[-1]))
+    s_lo, s_hi = inline_widened_trust(hfn)
     nodes = v_grid.nodes()
     keep = (nodes >= s_lo) & (nodes <= s_hi)
     if not np.any(keep):
@@ -585,11 +607,12 @@ def inline_lagrangian_slice(h_eval, t, x, p_grid, v_grid, trusted=True):
 
 def inline_probe_values(spec, t, x, p_grid, margin=0.1, count=201):
     """Velocity probes at least `margin` inside the oracle domain (else the
-    trust interval) and inside the trust interval; an unbounded domain is
+    widened trust interval) and inside the trust interval; an unbounded domain is
     clamped at c(t)(1 + |x|) + 1, or at the H sample's max |edge slope| + 1
     without c."""
-    s_lo, s_hi = fl.slope_range(inline_h_slice(spec.eval, t, x, p_grid))
-    dom = spec.oracle_dom(t, x) if spec.oracle_dom is not None else fl.EffectiveDomain(s_lo, s_hi)
+    hfn = inline_h_slice(spec.eval, t, x, p_grid)
+    s_lo, s_hi = fl.slope_range(hfn)
+    dom = spec.oracle_dom(t, x) if spec.oracle_dom is not None else fl.EffectiveDomain(*inline_widened_trust(hfn))
     c = spec.modulus.c
     W = float(c(t)) * (1.0 + abs(x)) + 1.0 if c is not None else max(abs(s_lo), abs(s_hi)) + 1.0
     lo = dom.lo if np.isfinite(dom.lo) else -W

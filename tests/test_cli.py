@@ -276,6 +276,18 @@ def test_main_check_exits_2_when_llc_judges_no_sample(tmp_path, capsys):
     assert "FAIL llc: worst_margin=-inf (fail)" in lines
 
 
+@pytest.mark.parametrize("H", ["p", "3*p - 1"])
+def test_main_check_passes_on_a_hamiltonian_affine_in_p(tmp_path, capsys, H):
+    # H = a p + b is represented by f = a, l = -b; its numeric Lagrangian
+    # domain is the one point a, which rounding must not invert
+    doc = {"command": "check", "hamiltonian": {"name": "affine", "H": H}}
+    out = tmp_path / "out"
+    assert cli.main(["--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads((out / "check_affine_0.json").read_text())
+    assert [r["verdict"] for r in report["reports"]] == ["pass"] * 3
+    assert capsys.readouterr().err == ""
+
+
 def test_main_definition_without_c(tmp_path, capsys):
     # noncompact builds take the v-window from the H slice; compact ones need c
     doc = {

@@ -17,7 +17,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from _oracles import first_appearance_slabs, inline_h_slice, inline_lagrangian_slice, inline_probe_values
+from _oracles import (
+    first_appearance_slabs,
+    inline_h_slice,
+    inline_lagrangian_slice,
+    inline_probe_values,
+    inline_widened_trust,
+)
 from conftest import FAST_APLAN
 from hamrep import fenchel as fl
 from hamrep import zoo
@@ -70,7 +76,7 @@ def test_numeric_evaluators_and_probes_match_inline_path(name):
     for x in XS:
         hfn = inline_h_slice(spec.eval, T0, x, P_GRID)
         assert np.array_equal(numeric.values(T0, x, vs), fl.conjugate_values(hfn, vs))
-        assert numeric.domain(T0, x) == fl.EffectiveDomain(*fl.slope_range(hfn))
+        assert numeric.domain(T0, x) == fl.EffectiveDomain(*inline_widened_trust(hfn))
         got = zoo.oracle_probe_values(spec.slices(P_GRID), T0, x)
         assert np.array_equal(got, inline_probe_values(spec, T0, x, P_GRID))
 
@@ -157,8 +163,11 @@ def test_pointwise_queries_share_one_H_sample_per_point():
     sizes.clear()
     trust = slices.trust(T0, 0.4)
     assert slices.halfwidth(T0, 0.4) == max(abs(s) for s in trust) + 1.0
-    assert slices.domain(T0, 0.4) == fl.EffectiveDomain(*trust)
-    assert slices.bounded_domain(T0, 0.4) == trust
+    # the domain widens each trust end by its rounding bound
+    widened = inline_widened_trust(hfn)
+    assert slices.domain(T0, 0.4) == fl.EffectiveDomain(*widened)
+    assert slices.bounded_domain(T0, 0.4) == widened
+    assert widened[0] < trust[0] and widened[1] > trust[1]
     assert np.array_equal(slices.values(T0, 0.4, [0.0, 1.0]), fl.conjugate_values(hfn, [0.0, 1.0]))
     assert sizes == [P_GRID.count]
     # on_grid keeps nothing: each call samples H afresh
