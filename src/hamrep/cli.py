@@ -44,7 +44,7 @@ COMMANDS = ("conjugate", "check", "represent", "verify", "compactness", "stabili
 GRID_CAP = 20_001
 
 # largest continuity radius R: every builtin's HLC, LLC and MLC margins stay
-# finite there, while at R = 1e300 the MLC slices overflow into NaN gaps
+# finite there, while at R = 1e300 ex_2_2's MLC conjugates overflow to +inf
 R_CAP = 1e6
 
 # the tolerances each command reads, with their defaults; None lets the

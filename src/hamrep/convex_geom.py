@@ -19,11 +19,13 @@ the rows. Each row's result is bit for bit what its body alone gives.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimMismatch, EmptyBody
 
-# collinearity / sidedness tolerances scale with the squared coordinate size
+# the relative tolerance of the inside test and of the epigraph prune
 _EPS_BASE = 1e-12
 
 
@@ -39,8 +41,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     -------
     (M, 2) ndarray
         Hull vertices in CCW order starting from the lexicographically
-        smallest vertex. Collinear interior points are dropped; M may be
-        1 (all points equal) or 2 (all points collinear).
+        smallest vertex, each turning left exactly. Repeated and collinear
+        points are dropped (of equal rows, the stable sort's order decides
+        which stays); M may be 1 (all equal) or 2 (all collinear).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -49,53 +52,65 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
         raise EmptyBody("no points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite coordinates in hull input")
-    pts = np.unique(pts, axis=0)
-    if pts.shape[0] == 1:
-        return pts
-    scale = float(np.max(np.abs(pts)))
-    eps = _EPS_BASE * max(1.0, scale * scale)
-
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    # eps-collinear input: the chain scan can drop true extremes when the
-    # transverse spread is below eps, so collapse to the segment directly.
-    # Its ends are the extremes along the axis of largest extent; the chord
-    # between the sorted end points can be short and point across the set.
-    d = pts[-1] - pts[0]
-    area = np.abs((pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0])
-    if float(np.max(area)) <= eps:
-        proj = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
-        lo_i, hi_i = int(np.argmin(proj)), int(np.argmax(proj))
-        if lo_i == hi_i:
-            return pts[[lo_i]]
-        return pts[[lo_i, hi_i]]
-
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    # sorted, so the least row equals the greatest only when all are equal
+    if np.all(pts[0] == pts[-1]):
+        return pts[:1]
     # the lower chain, then the upper one as the lower chain of the reversed points
     xs, ys = pts[:, 0], pts[:, 1]
-    lower = _chain_lower_hull(xs, ys, eps)
-    upper = _chain_lower_hull(xs[::-1], ys[::-1], eps)
+    lower = _chain_lower_hull(xs, ys, 0.0)
+    upper = _chain_lower_hull(xs[::-1], ys[::-1], 0.0)
     return pts[np.concatenate([lower[:-1], len(pts) - 1 - upper[:-1]])]
+
+
+# a float turn l - r is off by at most (3 + 16u)u (|l| + |r|), u = 2^-53
+# (Shewchuk 1997, Adaptive precision floating-point arithmetic and fast
+# robust geometric predicates). With coordinates within S of 0, |l| + |r|
+# <= 8 S^2 (1 + u); 9 S^2 covers that and the bound's rounding, _TINY the
+# products' underflow.
+_TURN_ERR = 9.0 * (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_TINY = float(np.finfo(float).tiny)
 
 
 def _chain_lower_hull(x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     """Indices of the lower hull of two or more points in lexicographic
     order (the upper hull for the reverse order), by the sequential
-    monotone chain: a point leaves when the turn from its predecessor to
-    the next point is at most eps (cross <= eps)."""
+    monotone chain: a point leaves when the exact turn from its predecessor
+    to the next point is at most eps.
+
+    The float turn decides when it clears eps by more than its rounding
+    bound; any other turn, NaN or inf from an overflowed product included,
+    is decided exactly by `_exact_turn_above`."""
     # plain floats: the same IEEE arithmetic as numpy scalars, without their
     # per-element overhead
     xs, ys = x.tolist(), y.tolist()
+    s = max(max(xs), -min(xs), max(ys), -min(ys))
+    # past about 1e153 a product can overflow, and every turn goes exact
+    err = _TURN_ERR * s * s + _TINY if 16.0 * s * s < math.inf else math.inf
+    hi, lo = math.nextafter(eps + err, math.inf), math.nextafter(eps - err, -math.inf)
     out = [0, 1]
     for i in range(2, len(xs)):
         xi, yi = xs[i], ys[i]
         while len(out) >= 2:
             o, a = out[-2], out[-1]
-            if (xs[a] - xs[o]) * (yi - ys[o]) - (ys[a] - ys[o]) * (xi - xs[o]) > eps:
+            c = (xs[a] - xs[o]) * (yi - ys[o]) - (ys[a] - ys[o]) * (xi - xs[o])
+            if c > hi or (not c < lo and _exact_turn_above(xs[o], ys[o], xs[a], ys[a], xi, yi, eps)):
                 break
             out.pop()
         out.append(i)
     return np.asarray(out)
+
+
+def _exact_turn_above(ox, oy, ax, ay, px, py, eps) -> bool:
+    """Whether the exact turn (a - o) x (p - o) exceeds eps."""
+    # a float difference is 0 only when its operands are equal, so a zero
+    # factor in each product makes the exact turn 0
+    if (ax == ox or py == oy) and (ay == oy or px == ox):
+        return 0.0 > eps
+    # rare enough that the import stays out of module load
+    from fractions import Fraction as F
+
+    return (F(ax) - F(ox)) * (F(py) - F(oy)) - (F(ay) - F(oy)) * (F(px) - F(ox)) > eps
 
 
 class ConvexBody:
@@ -237,7 +252,6 @@ def _segment_params(rx, ry, ex, ey, den):
 # check_MLC on ex_2_1 (calls of about 11 rows x 12 edges) went from 3 to 11 ms
 _LOCATE_MIN = 32
 _EPS_MACH8 = 8.0 * np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 
 
 def _located_inside(points: np.ndarray, stack: BodyStack) -> np.ndarray:
@@ -377,11 +391,6 @@ _START_AXIS = np.array([0, 1, 1, 0])
 _START_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 # the corners of _CORNER_SIGNS by quadrant, counterclockwise from (+, +)
 _CCW_CORNERS = np.array([0, 2, 3, 1])
-# a candidate turn within this many eps of 0 (but not 0) leaves the
-# inflation to the general hull: there the chains' scan order can decide
-# what stays. Thin bodies and box corners on nearly parallel edges make such
-# turns; check_MLC's smallest nonzero one is about 5800 eps.
-_LOOP_BAND = 1024.0
 
 
 def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
@@ -401,15 +410,12 @@ def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
     vertex, and at each vertex quadrant by quadrant from the quadrant q
     whose half-open arc (90q, 90(q + 1)] degrees holds the angle of n_in.
     The arc is open at its start: an n_in on an axis lies in two closed
-    quadrants, and the earlier one comes first. The loop then takes the
-    general hull's steps without its sort: exact repeats go, the hull's
-    two monotone chains, run on the loop from its lexicographically least
-    point to its greatest and back, drop every turn of at most the hull's
-    eps, and the result starts at the least point. Where the hull's sorted
-    scan could decide otherwise, the candidates go to the general hull:
-    for a segment or a single point (zero edges), for fewer than three
-    turning points, for a radius in (0, sqrt(eps)], whose own corners turn
-    by about eps, and for a nonzero turn within `_LOOP_BAND` eps of 0.
+    quadrants, and the earlier one comes first. Rounding each corner is
+    monotone in each coordinate, so the loop stays ordered along both
+    monotone chains of the hull, and the hull's exact chains run on it
+    without its sort: from the loop's lexicographically least point to its
+    greatest and back. The result starts at the least point. A segment or
+    a single point (zero edges) goes to the general hull.
     """
     if r_v < 0 or r_eta < 0:
         raise ValueError("inflation radii must be nonnegative")
@@ -435,31 +441,17 @@ def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
     slots = _CCW_CORNERS[(q[:, None] + np.arange(4)) % 4]
     keep = np.take_along_axis(candidate, slots, axis=1)
     loop = (verts[:, None, :] + corners[slots])[keep]
-    # exact repeats of the next point go, as in the hull's np.unique
+    # exact repeats of the next point go here, not through the chains' exact branch
     loop = loop[(loop != np.concatenate([loop[1:], loop[:1]])).any(axis=1)]
-    x, y = loop[:, 0], loop[:, 1]
-    ox, oy = np.concatenate([x[-1:], x[:-1]]), np.concatenate([y[-1:], y[:-1]])
-    px, py = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])
-    # each point's turn from its neighbours, as the hull's chains compute it
-    turn = (x - ox) * (py - oy) - (y - oy) * (px - ox)
-    scale = float(np.max(np.abs(loop)))
-    eps = _EPS_BASE * max(1.0, scale * scale)
-    band = np.sqrt(eps)
-    if (
-        not scale < np.inf  # the hull rejects a non-finite radius
-        or 0.0 < r_v <= band
-        or 0.0 < r_eta <= band
-        or np.count_nonzero(turn) < 3
-        or np.any((turn != 0.0) & (np.abs(turn) <= _LOOP_BAND * eps))
-    ):
-        return ConvexBody(loop)
+    if not np.isfinite(loop).all():
+        return ConvexBody(loop)  # the hull rejects a non-finite corner
     # the hull's two chains, on the loop from its lexicographically least
     # point to its greatest and on around to the least again
-    order = np.lexsort((y, x))
+    order = np.lexsort((loop[:, 1], loop[:, 0]))
     lo, hi = int(order[0]), (int(order[-1]) - int(order[0])) % len(loop)
     ring = np.concatenate([loop[lo:], loop[: lo + 1]])
-    lower = _chain_lower_hull(ring[: hi + 1, 0], ring[: hi + 1, 1], eps)
-    upper = hi + _chain_lower_hull(ring[hi:, 0], ring[hi:, 1], eps)
+    lower = _chain_lower_hull(ring[: hi + 1, 0], ring[: hi + 1, 1], 0.0)
+    upper = hi + _chain_lower_hull(ring[hi:, 0], ring[hi:, 1], 0.0)
     return ConvexBody._from_loop(ring[np.concatenate([lower[:-1], upper[:-1]])])
 
 

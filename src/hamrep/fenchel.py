@@ -525,8 +525,10 @@ def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:
 
     # The hull of these points is the lower chain from the left cap point
     # (or from the first node, when the graph ends below the cap) to the
-    # right cap point, closed by the cap edge: the same vertices, tolerance
-    # and start vertex as the general hull, without its sort or upper scan.
+    # right cap point, closed by the cap edge. Unlike the exact general
+    # hull, it drops turns up to eps, merging the rounding-noise vertices on
+    # the linear pieces of L: 9 vertices where the exact hull keeps 15 on
+    # ex_2_1's trusted slice at x = 0.15, capped at min L + 1.
     starts_on_cap = v_left < nodes[i0]
     pts = np.vstack(([top_left] if starts_on_cap else []) + [graph, top_right])
     scale = float(np.max(np.abs(pts)))

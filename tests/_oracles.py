@@ -4,19 +4,20 @@ Apart from the slice oracles, the ones handed a triple or an evaluator,
 and the former library kernels, nothing here calls into the package. The
 former library kernels are `support`, `restrict`, `project_point`,
 `inside_mask`, `body_scale`, the polygonized disc `ball`, the polygonized
-projection map `proj_map` with its `arc_deg` arc resolution, and the
-`half`-chain hull `half_chain_convex_hull`, and the box inflation
-`candidate_corner_inflate` that hulled its `inflate_candidates`: they
-left the package when nothing in it called them any more, or when one
-chain scan or one pass over an ordered loop replaced them, and they stay here as references on the package's bodies and grid
-functions. The slice oracles compose
+projection map `proj_map` with its `arc_deg` arc resolution, the box
+corners `inflate_candidates` that the inflation once hulled, and the
+eps-tolerant hull `numpy_row_convex_hull`: they left the package when
+nothing in it called them any more, or when one chain scan, one pass over
+an ordered loop or an exact orientation test replaced them, and they stay
+here as references on the package's bodies and grid functions. The slice
+oracles compose
 the package's grid primitives (a sampled H, its conjugate, its edge
 slopes) the way each caller once wrote them out inline, so the slice
 service can be held to them bit for bit. The conjugate oracles are a
 brute maximum over a dense p grid and the chunked all-pairs maximum over
 the finite nodes of a sampled function, the hull oracles are the
 sequential monotone chains (the lower chain over sorted x, and the
-general 2D hull scanning numpy rows), the Steiner oracles are the polygon
+general 2D hull with exact `Fraction` turns), the Steiner oracles are the polygon
 exterior-angle formula, a support-point quadrature over a polygonized
 E cap B(z, r) and the closed form written for one body alone, the
 Hausdorff oracle works on raw vertex arrays with segment arithmetic, the
@@ -32,6 +33,7 @@ these so a regression cannot certify itself.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,9 +117,9 @@ def monotone_chain_lower_hull(x, y, eps=0.0):
 
 def numpy_row_convex_hull(points):
     """2D convex hull (CCW from the lexicographically smallest vertex) by
-    the monotone chain over numpy row views, with the library's tolerance
-    1e-12 max(1, scale^2) and its collapse of an eps-collinear set to the
-    extremes along its widest axis."""
+    the monotone chain over numpy row views, with the former library
+    tolerance 1e-12 max(1, scale^2) and its collapse of an eps-collinear
+    set to the extremes along its widest axis."""
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) == 1:
         return pts
@@ -144,6 +146,32 @@ def numpy_row_convex_hull(points):
 
     hull = half(pts)[:-1] + half(pts[::-1])[:-1]
     return np.asarray(hull if hull else [pts[0], pts[-1]], dtype=float)
+
+
+def exact_convex_hull(points):
+    """2D convex hull (CCW from the lexicographically smallest vertex) by
+    the monotone chain over the rows in stable lexicographic order, each
+    turn an exact `Fraction` cross product of the doubles: a point leaves
+    when its turn is at most 0."""
+    rows = sorted(np.asarray(points, dtype=float).tolist(), key=lambda p: (p[0], p[1]))
+    if rows[0] == rows[-1]:
+        return np.asarray(rows[:1])
+    exact = [(Fraction(x), Fraction(y)) for x, y in rows]
+
+    def chain(order):
+        out = []
+        for i in order:
+            px, py = exact[i]
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = exact[out[-2]], exact[out[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    n = len(rows)
+    return np.asarray([rows[i] for i in chain(range(n)) + chain(range(n - 1, -1, -1))])
 
 
 def exterior_angle_steiner(verts):
@@ -380,12 +408,6 @@ def inflate_candidates(body, r_v, r_eta):
     axis_inside = (e_in[:, axis] * sign >= 0.0) & (e_out[:, axis] * sign <= 0.0)
     corners = np.array([[r_v, r_eta], [r_v, -r_eta], [-r_v, r_eta], [-r_v, -r_eta]], dtype=float)
     return (verts[:, None, :] + corners[None, :, :])[n_in_inside | axis_inside]
-
-
-def candidate_corner_inflate(body, r_v, r_eta):
-    """The former `convex_geom.minkowski_inflate`: the package's hull of
-    `inflate_candidates`."""
-    return cg.ConvexBody(inflate_candidates(body, r_v, r_eta))
 
 
 def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
@@ -768,46 +790,3 @@ def ball(center, radius, n=360):
     theta = 2.0 * np.pi * np.arange(n) / n
     pts = c[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return cg.ConvexBody(pts)
-
-
-def half_chain_convex_hull(points):
-    """2D convex hull by two scans of one `half` chain over plain float rows
-    (the former `convex_geom.convex_hull`, before its chains became index
-    scans of `_chain_lower_hull`), with the library's tolerance and its
-    collapse of an eps-collinear set."""
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
-    if pts.shape[0] == 1:
-        return pts
-    scale = float(np.max(np.abs(pts)))
-    eps = 1e-12 * max(1.0, scale * scale)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    d = pts[-1] - pts[0]
-    area = np.abs((pts[:, 0] - pts[0, 0]) * d[1] - (pts[:, 1] - pts[0, 1]) * d[0])
-    if float(np.max(area)) <= eps:
-        proj = pts[:, int(np.argmax(np.ptp(pts, axis=0)))]
-        lo_i, hi_i = int(np.argmin(proj)), int(np.argmax(proj))
-        if lo_i == hi_i:
-            return pts[[lo_i]]
-        return pts[[lo_i, hi_i]]
-
-    def half(seq):
-        out = []
-        for p in seq:
-            px, py = p
-            # pop a while o -> a -> p turns left by no more than eps
-            while len(out) >= 2:
-                (ox, oy), (ax, ay) = out[-2], out[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= eps:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    rows = pts.tolist()
-    lower = half(rows)
-    upper = half(rows[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if not hull:
-        hull = [pts[0], pts[-1]]
-    return np.asarray(hull, dtype=float)

@@ -20,12 +20,10 @@ from _oracles import (
     ball,
     body_scale,
     brute_hausdorff,
-    candidate_corner_inflate,
     dense_points_to_body,
+    exact_convex_hull,
     exterior_angle_steiner,
-    half_chain_convex_hull,
     inflate_candidates,
-    numpy_row_convex_hull,
     per_body_disc_steiner,
     proj_map,
     project_point,
@@ -63,27 +61,38 @@ def test_hull_collinear_input_keeps_extremes():
 
 
 def test_hull_eps_collinear_vertical_column():
-    # transverse spread far below eps once lost the segment endpoints
+    # 4.9e-17 off the column, far below the former collinearity tolerance
+    # 1e-12: the two points there are true vertices, and the hull keeps them
     pts = np.array(
         [[-4.9e-17, 2.625], [0.0, 0.0], [0.0, 3.0], [-4.9e-17, 2.9], [0.0, 1.7]]
     )
-    hull = cg.convex_hull(pts)
-    ys = sorted(v[1] for v in hull)
-    assert len(hull) == 2
-    assert ys[0] == 0.0 and ys[-1] == 3.0
+    assert cg.convex_hull(pts).tolist() == [[-4.9e-17, 2.625], [0.0, 0.0], [0.0, 3.0], [-4.9e-17, 2.9]]
 
 
 def test_hull_eps_collinear_column_with_level_sorted_ends():
-    # the lexicographic first and last points share y = 1.61, so their
-    # chord is horizontal: the segment must still run from (0, 0) to (0, 2.6)
+    # the lexicographic first and last points share y = 1.61, 4e-16 off the
+    # column on either side: a thin quadrilateral around the column
     pts = np.array([[-4e-16, 1.61], [0.0, 0.0], [0.0, 2.6], [0.0, 1.0], [4e-16, 1.61]])
-    hull = cg.convex_hull(pts)
-    assert {tuple(v) for v in hull} == {(0.0, 0.0), (0.0, 2.6)}
+    assert cg.convex_hull(pts).tolist() == [[-4e-16, 1.61], [0.0, 0.0], [4e-16, 1.61], [0.0, 2.6]]
 
 
 def test_hull_single_and_duplicate_points():
     assert cg.convex_hull(np.array([[2.0, 3.0]])).shape == (1, 2)
     assert cg.convex_hull(np.array([[2.0, 3.0], [2.0, 3.0]])).shape == (1, 2)
+    one = cg.convex_hull(np.array([[0.0, 3.0], [-0.0, 3.0]]))
+    assert one.shape == (1, 2) and not np.signbit(one[0, 0])
+
+
+def test_hull_keeps_a_fixed_row_of_rows_differing_in_the_sign_of_a_zero():
+    # such rows are equal, so the stable sort keeps their given order. The
+    # least vertex keeps the first of them, the rest of the lower chain and
+    # the greatest vertex the last, and the rest of the upper chain the first
+    pts = np.array(
+        [(-1.0, 0.0), (-1.0, -0.0), (0.0, -1.0), (-0.0, -1.0), (1.0, -0.0), (1.0, 0.0), (0.0, 1.0), (-0.0, 1.0)]
+    )
+    hull = cg.convex_hull(pts)
+    assert hull.tolist() == [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
+    assert np.signbit(hull).tolist() == [[True, False], [True, True], [False, False], [False, False]]
 
 
 def _sandwich_hull_input():
@@ -112,14 +121,6 @@ def _hull_point_sets():
     yield _sandwich_hull_input()
 
 
-def test_hull_matches_numpy_row_chain_bit_for_bit():
-    for pts in _hull_point_sets():
-        got = cg.convex_hull(pts)
-        want = numpy_row_convex_hull(pts)
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def _mlc_inflations(monkeypatch, names=("ex_2_1", "ex_2_2"), radii=(2.0,), n_triples=16):
     """The (body, r_v, r_eta) of check_MLC's inflations at seed 0."""
     seen = []
@@ -143,11 +144,35 @@ def _mlc_inflate_point_sets(monkeypatch):
     return [inflate_candidates(*call) for call in _mlc_inflations(monkeypatch)]
 
 
-def test_hull_matches_half_chain_hull_bit_for_bit(monkeypatch):
-    # the index chain run twice (lower, then on the reversed points) against
-    # the former two scans of one `half` chain over float rows
+def _adversarial_point_sets(rng):
+    """Slivers, lattices, clusters of tiny box corners around a few points,
+    and clouds near 1e150, 1e154 (where a turn's products overflow) and
+    1e-160 (where they underflow)."""
+    for n in (5, 40):
+        t = rng.uniform(-1.0, 1.0, n)
+        for noise in (1e-16, 1e-13, 1e-9):
+            yield np.stack([t, rng.uniform(-3.0, 3.0) * t + rng.normal(scale=noise, size=n)], axis=1)
+        yield np.round(rng.normal(scale=3.0, size=(n, 2))) * rng.choice([0.25, 0.5, 1.0])
+        centres = rng.normal(size=(n // 5, 2))
+        for r in (1e-16, 1e-13, 1e-11):
+            yield (centres[:, None, :] + r * cg._CORNER_SIGNS[None, :, :]).reshape(-1, 2)
+        for scale in (1e150, 1e154, 1e-160):
+            yield rng.normal(size=(n, 2)) * scale
+            yield np.round(rng.normal(scale=3.0, size=(n, 2))) * scale
+    # collinear, but the float turn at the middle point overflows to +inf
+    yield np.array([[-4.684012268785e152, -7.67586860027002e154], [0.0, 0.0], [1.873604907514e153, 3.070347440108008e155]])
+
+
+def _assert_same_loop(got, want):
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_hull_matches_exact_hull_bit_for_bit(monkeypatch):
+    # random, circular, lattice and noisy-square clouds, repeated x,
+    # collinear runs, adversarial sets and check_MLC's candidate corners
     rng = np.random.default_rng(11)
-    sets = list(_hull_point_sets())
+    sets = list(_hull_point_sets()) + list(_adversarial_point_sets(rng))
     for n in (2, 3, 7, 50, 300):
         sets.append(rng.normal(size=(n, 2)) * rng.uniform(0.1, 50.0))
         # repeated x: a few columns, and a rounded grid with duplicates
@@ -157,15 +182,12 @@ def test_hull_matches_half_chain_hull_bit_for_bit(monkeypatch):
         t = rng.uniform(-5.0, 5.0, n)
         sets.extend([np.stack([t, t], axis=1), np.stack([t, 0.3 * t + 1.0], axis=1)])
         sets.append(np.stack([np.full(n, 2.0), t], axis=1))
-    # a turn of exactly eps = 1e-12 at (0.5, 0), which the chain drops
+    # a turn of 1e-12 at (0.5, 0), once dropped as eps-collinear
     sets.append(np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [1.0, 2e-12]]))
     mlc = _mlc_inflate_point_sets(monkeypatch)
     assert len(mlc) >= 32
     for pts in sets + mlc:
-        got = cg.convex_hull(pts)
-        want = half_chain_convex_hull(pts)
-        assert got.shape == want.shape and np.array_equal(got, want), pts
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        _assert_same_loop(cg.convex_hull(pts), exact_convex_hull(pts))
 
 
 def test_hull_keeps_vertices_of_a_near_vertical_zigzag_column():
@@ -502,24 +524,37 @@ def _assert_locate_matches_scan(pts, stack) -> int:
 
 
 @pytest.fixture(scope="module")
-def production_point_queries(tmp_path_factory):
-    """(points, one-polygon stack) of every distance and containment call
-    that `represent` (both builders, production grids, at the 33-control
-    floor) and `check_MLC` make on ex_2_1 and ex_2_2 at seed 0."""
+def production_calls(tmp_path_factory):
+    """What `represent` (both builders, production grids, at the 33-control
+    floor) and `check_MLC` (R = 2, the default plan) pass to the geometry
+    kernels on ex_2_1 and ex_2_2 at seed 0: "queries", the (points,
+    one-polygon stack) of every distance and containment call; "hulls",
+    the points of every general hull; "inflations", the (body, r_v, r_eta)
+    of every box inflation."""
     from hamrep import cli
 
-    seen = []
-    real = cg._points_to_body
+    seen = {"queries": [], "hulls": [], "inflations": []}
+    real_query, real_hull, real_inflate = cg._points_to_body, cg.convex_hull, cg.minkowski_inflate
 
-    def spy(points, bodies, owner=None):
+    def query(points, bodies, owner=None):
         stack = bodies.stack if isinstance(bodies, cg.ConvexBody) else bodies
         if len(stack) == 1 and stack.counts[0] >= 3:
-            seen.append((np.array(points, dtype=float), stack))
-        return real(points, bodies, owner)
+            seen["queries"].append((np.array(points, dtype=float), stack))
+        return real_query(points, bodies, owner)
+
+    def hull(points):
+        seen["hulls"].append(np.array(points, dtype=float))
+        return real_hull(points)
+
+    def inflate(body, r_v, r_eta):
+        seen["inflations"].append((body, r_v, r_eta))
+        return real_inflate(body, r_v, r_eta)
 
     out = tmp_path_factory.mktemp("represent")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cg, "_points_to_body", spy)
+        mp.setattr(cg, "_points_to_body", query)
+        mp.setattr(cg, "convex_hull", hull)
+        mp.setattr(cg, "minkowski_inflate", inflate)
         for name in ("ex_2_1", "ex_2_2"):
             doc = {
                 "command": "represent",
@@ -534,11 +569,24 @@ def production_point_queries(tmp_path_factory):
     return seen
 
 
-def test_locate_step_matches_the_scan_on_production_bodies(production_point_queries):
-    settled = sum(_assert_locate_matches_scan(pts, stack) for pts, stack in production_point_queries)
-    rows = sum(len(pts) for pts, _ in production_point_queries)
+def test_locate_step_matches_the_scan_on_production_bodies(production_calls):
+    queries = production_calls["queries"]
+    settled = sum(_assert_locate_matches_scan(pts, stack) for pts, stack in queries)
+    rows = sum(len(pts) for pts, _ in queries)
     # the lift points are vertices of their rung polygons: most rows settle
-    assert len(production_point_queries) >= 40 and settled > rows // 2
+    assert len(queries) >= 40 and settled > rows // 2
+
+
+def test_hulls_and_inflations_match_the_exact_hull_on_production_inputs(production_calls):
+    # the general hulls (three sandwich hulls per definition, and the flat
+    # epigraph slices) and the 128 inflations of check_MLC, 64 per definition
+    hulls, inflations = production_calls["hulls"], production_calls["inflations"]
+    assert len(hulls) >= 6 and len(inflations) == 128
+    for pts in hulls:
+        _assert_same_loop(cg.convex_hull(pts), exact_convex_hull(pts))
+    for body, r_v, r_eta in inflations:
+        got = cg.minkowski_inflate(body, r_v, r_eta).vertices
+        _assert_same_loop(got, exact_convex_hull(inflate_candidates(body, r_v, r_eta)))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -752,7 +800,8 @@ def test_ball_and_inflate():
 
 def _assert_same_inflation(body, r_v, r_eta):
     # equal values; of two points that differ only in the sign of a zero
-    # coordinate, np.unique in the hull keeps either, and no distance reads it
+    # coordinate, the loop and the sorted hull of all corners may keep
+    # different ones, and no distance reads it
     got = cg.minkowski_inflate(body, r_v, r_eta).vertices
     want = all_corners_inflate(body, r_v, r_eta).vertices
     assert got.shape == want.shape and np.array_equal(got, want), (body.vertices, r_v, r_eta)
@@ -771,8 +820,8 @@ def test_minkowski_inflate_matches_all_corner_hull_on_zoo_mlc_polygons(monkeypat
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
 def test_minkowski_inflate_matches_all_corner_hull_on_random_bodies(seed):
-    # radii are 0 or at least 1e-3: far below the hull's eps band its rule
-    # can drop other points of one vertex's tiny corner cluster
+    # radii are 0, tiny (1e-16 to 1e-11: corner clusters within a few ulps
+    # of each vertex) or at least 1e-3
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
     circle = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -782,7 +831,10 @@ def test_minkowski_inflate_matches_all_corner_hull_on_random_bodies(seed):
         np.round(rng.normal(scale=3.0, size=(n, 2))),  # lattice: axis-parallel and collinear edges
     )
     shift = rng.uniform(-5.0, 5.0, 2)
-    radii = [0.0 if rng.random() < 0.3 else float(rng.uniform(1e-3, 5.0)) for _ in range(4)]
+    radii = [
+        float(rng.choice([0.0, 10.0 ** rng.uniform(-16, -11), rng.uniform(1e-3, 5.0)], p=[0.3, 0.3, 0.4]))
+        for _ in range(4)
+    ]
     for pts in clouds:
         body = cg.ConvexBody(pts + shift)
         for small in (body, cg.ConvexBody(body.vertices[:1]), cg.ConvexBody(body.vertices[:2])):
@@ -795,17 +847,6 @@ def _sixty_four_gon():
     # or two at the four vertices extreme along an axis
     ang = 2.0 * np.pi * (np.arange(64) + 0.25) / 64
     return cg.ConvexBody(np.stack([np.cos(ang), np.sin(ang)], axis=1))
-
-
-def test_minkowski_inflate_hulls_only_candidate_corners(monkeypatch):
-    # radii within sqrt(eps) = 1e-6 leave the inflation to the general
-    # hull, which then sees only the 64 + 4 candidate corners
-    body = _sixty_four_gon()
-    sizes = []
-    real = cg.convex_hull
-    monkeypatch.setattr(cg, "convex_hull", lambda pts: sizes.append(len(pts)) or real(pts))
-    cg.minkowski_inflate(body, 1e-7, 5e-8)
-    assert sizes == [64 + 4]
 
 
 def test_inflating_a_polygon_calls_no_hull(monkeypatch):
@@ -828,7 +869,7 @@ def _thin_or_lattice_body(rng):
     kind = int(rng.integers(0, 4))
     n = int(rng.integers(3, 30))
     if kind == 0:
-        # a sliver: its turns and its corners' turns near the hull's eps
+        # a sliver: its turns and its corners' turns within rounding of 0
         t = rng.uniform(-1.0, 1.0, n)
         pts = np.stack([t, rng.uniform(-3.0, 3.0) * t + rng.normal(scale=10.0 ** rng.uniform(-14, -3), size=n)], axis=1)
     elif kind == 1:
@@ -841,14 +882,18 @@ def _thin_or_lattice_body(rng):
     else:
         ang = rng.uniform(0.0, 2.0 * np.pi, n)
         pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return cg.ConvexBody(pts * 10.0 ** rng.uniform(-2, 4) + rng.uniform(-5.0, 5.0, 2))
+    # mostly moderate sizes; near 1e150 and 1e-160 the turns' products
+    # are huge or subnormal
+    scale = 10.0 ** float(rng.choice([rng.uniform(-2, 4), 150.0, -160.0], p=[0.8, 0.1, 0.1]))
+    return cg.ConvexBody(pts * scale + rng.uniform(-5.0, 5.0, 2) * scale)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(st.integers(0, 10_000))
 def test_minkowski_inflate_matches_candidate_corner_hull_bit_for_bit(seed):
-    # radii of every size, from the hull's eps band to beyond the body, and
-    # half and whole edge lengths, where corners of neighbours line up
+    # the exact hull of the candidate corners, for radii of every size, from
+    # a few ulps of the body to beyond it, and half and whole edge lengths,
+    # where corners of neighbours line up
     rng = np.random.default_rng(seed)
     body = _thin_or_lattice_body(rng)
     verts = body.vertices
@@ -861,22 +906,31 @@ def test_minkowski_inflate_matches_candidate_corner_hull_bit_for_bit(seed):
             return 0.0
         if u < 0.4 and np.any(edges > 0.0):
             return float(rng.choice(edges[edges > 0.0]) * rng.choice([0.25, 0.5, 1.0]))
-        return float(10.0 ** rng.uniform(-14, 1) * max(1.0, scale))
+        return float(10.0 ** rng.uniform(-16, 1) * scale)
 
     for _ in range(6):
         r_v, r_eta = radius(), radius()
         got = cg.minkowski_inflate(body, r_v, r_eta).vertices
-        want = candidate_corner_inflate(body, r_v, r_eta).vertices
-        assert got.shape == want.shape and np.array_equal(got, want), (verts, r_v, r_eta)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        _assert_same_loop(got, exact_convex_hull(inflate_candidates(body, r_v, r_eta)))
 
 
 def test_minkowski_inflate_matches_candidate_corner_hull_on_zoo_mlc_calls(monkeypatch):
     for body, r_v, r_eta in _mlc_inflations(monkeypatch, zoo.names(), (0.5, 2.0), 8):
         got = cg.minkowski_inflate(body, r_v, r_eta).vertices
-        want = candidate_corner_inflate(body, r_v, r_eta).vertices
-        assert got.shape == want.shape and np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        _assert_same_loop(got, exact_convex_hull(inflate_candidates(body, r_v, r_eta)))
+
+
+def test_thin_rectangle_keeps_the_four_corners_of_its_inflation():
+    # 3.8e-9 tall and inflated by a 407 tall box: each corner of the sum
+    # sits 3.8e-9 off the line through its neighbours, a turn below the
+    # former collinearity tolerance, which dropped two of them
+    x0, x1 = -181.93360828975824, -140.6416479491426
+    y0, y1 = -46.49001534547474, -46.490015341664844
+    r_v, r_eta = 0.0020359599147768584, 407.0106824703294
+    body = cg.ConvexBody(np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]]))
+    corners = [[x0 - r_v, y0 - r_eta], [x1 + r_v, y0 - r_eta], [x1 + r_v, y1 + r_eta], [x0 - r_v, y1 + r_eta]]
+    assert cg.minkowski_inflate(body, r_v, r_eta).vertices.tolist() == corners
+    assert all_corners_inflate(body, r_v, r_eta).vertices.tolist() == corners
 
 
 def test_intersect_and_containment():

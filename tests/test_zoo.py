@@ -14,6 +14,7 @@ from _oracles import (
     kink_window_min,
     per_set_check_LLC,
 )
+from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
 from hamrep import zoo
 from hamrep.errors import UnknownName
@@ -445,14 +446,39 @@ def test_blocked_window_min_matches_grid_ternary_search_bit_for_bit(name, oracle
     assert calls == ([(2, 3)] * 72 + [(1, 3)] if oracle else []) + [(n,)]
 
 
-def test_check_MLC_fails_on_a_nan_gap_and_names_its_triple():
-    # at R = 1e300 the v-window overflows and every containment gap is NaN
+def test_check_MLC_fails_on_a_nan_gap_and_names_its_triple(monkeypatch):
+    # the first triple's containment gap reads NaN
     spec = zoo.builtin("ex_2_1")
-    with np.errstate(all="ignore"):
-        rep = zoo.check_MLC(spec, R=1e300, samples=SMALL_PLAN)
-    t, x, y = SMALL_PLAN.triples(spec.t_range, 1e300)[0]
+    real = cg.containment_gap
+    calls = []
+
+    def nan_first(outer, inner):
+        calls.append(None)
+        return np.nan if len(calls) == 1 else real(outer, inner)
+
+    monkeypatch.setattr(cg, "containment_gap", nan_first)
+    rep = zoo.check_MLC(spec, R=2.0, samples=SMALL_PLAN)
+    t, x, y = SMALL_PLAN.triples(spec.t_range, 2.0)[0]
     assert rep.verdict == "fail" and np.isnan(rep.worst_margin)
     assert rep.witnesses == [{"t": t, "x": x, "y": y, "note": "containment gap is NaN"}]
+
+
+def test_check_MLC_epigraph_at_R_1e300_is_the_full_rectangle():
+    # at R = 1e300 ex_2_1's slice is 0 on the whole window [-1e300, 1e300],
+    # so capped 3 above its minimum its epigraph is a rectangle. A
+    # collinearity tolerance of 1e-12 scale^2 overflows to +inf there, and
+    # collapsed it to a segment whose containment gap read NaN
+    spec = zoo.builtin("ex_2_1")
+    slices = spec.slices()
+    t, x, y = SMALL_PLAN.triples(spec.t_range, 1e300)[0]
+    W = max(slices.halfwidth(t, x, 1e300), slices.halfwidth(t, y, 1e300))
+    Lx = slices.on_grid(t, x, 601, W, trusted=False)
+    E = fl.build_epigraph(Lx, Lx.min_value() + 3.0)
+    assert E.vertices.tolist() == [[-1e300, 0.0], [1e300, 0.0], [1e300, 3.0], [-1e300, 3.0]]
+    # the squared edge lengths overflow in the containment test
+    with np.errstate(over="ignore"):
+        rep = zoo.check_MLC(spec, R=1e300, samples=SMALL_PLAN)
+    assert rep.verdict == "pass" and rep.worst_margin == 0.0
 
 
 def test_check_MLC_fails_when_it_judges_no_triple():
