@@ -168,11 +168,18 @@ def _assert_same_loop(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_hull_matches_exact_hull_bit_for_bit(monkeypatch):
-    # random, circular, lattice and noisy-square clouds, repeated x,
-    # collinear runs, adversarial sets and check_MLC's candidate corners
+def test_hull_matches_numpy_row_chain_bit_for_bit():
+    # random, circular, lattice and noisy-square clouds against the chain
+    # over rows with exact Fraction turns
+    for pts in _hull_point_sets():
+        _assert_same_loop(cg.convex_hull(pts), exact_convex_hull(pts))
+
+
+def test_hull_matches_half_chain_hull_bit_for_bit(monkeypatch):
+    # the index chain run twice (lower, then on the reversed points) against
+    # two scans of one chain over rows with exact Fraction turns
     rng = np.random.default_rng(11)
-    sets = list(_hull_point_sets()) + list(_adversarial_point_sets(rng))
+    sets = []
     for n in (2, 3, 7, 50, 300):
         sets.append(rng.normal(size=(n, 2)) * rng.uniform(0.1, 50.0))
         # repeated x: a few columns, and a rounded grid with duplicates
@@ -187,6 +194,13 @@ def test_hull_matches_exact_hull_bit_for_bit(monkeypatch):
     mlc = _mlc_inflate_point_sets(monkeypatch)
     assert len(mlc) >= 32
     for pts in sets + mlc:
+        _assert_same_loop(cg.convex_hull(pts), exact_convex_hull(pts))
+
+
+def test_hull_matches_exact_hull_bit_for_bit():
+    # slivers, lattices, tiny corner clusters and clouds whose turns
+    # overflow or underflow
+    for pts in _adversarial_point_sets(np.random.default_rng(11)):
         _assert_same_loop(cg.convex_hull(pts), exact_convex_hull(pts))
 
 
