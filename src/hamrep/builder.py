@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import convex_geom as cg
-from .errors import BLCViolation, ConfigError, HypothesisViolation, MissingC
+from .errors import BLCViolation, ConfigError, MissingC
 from .fenchel import (
     ConvexGridFunction,
     EffectiveDomain,
@@ -36,14 +36,14 @@ from .fenchel import (
     build_epigraph,
     row_slabs,
 )
-from .report import CheckReport, Worst
+from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
-from .zoo import HamiltonianSpec, momentum_grid
+from .zoo import GridPolicy, HamiltonianSpec
 
 
 @dataclasses.dataclass(frozen=True)
 class Window:
-    t_range: tuple[float, float] = (0.0, 1.0)
+    t_range: tuple[float, float] = HamiltonianSpec.t_range
     x_range: tuple[float, float] = (-1.0, 1.0)
     p_range: tuple[float, float] = (-3.0, 3.0)
 
@@ -88,17 +88,6 @@ class ControlSet:
 
 
 @dataclasses.dataclass(frozen=True)
-class GridPolicy:
-    """Discretization knobs for the construction."""
-
-    p_count: int = 10001
-    v_count: int = 601
-
-    def p_grid(self) -> UniformGrid:
-        return momentum_grid(self.p_count)
-
-
-@dataclasses.dataclass(frozen=True)
 class ImageReport:
     domain: EffectiveDomain
     gap: float
@@ -124,7 +113,6 @@ class RepresentationTriple:
     e_eval: Callable  # (ts, xs, (q,) | (N, q)) -> (2,) | (N, 2)
     provenance: str
     source: HamiltonianSpec
-    caps: str
     scaling: Callable[[float, float], float] = lambda t, x: 1.0
     control_samples: Callable | None = None
     grid_h: float = 0.0
@@ -161,12 +149,6 @@ class RepresentationTriple:
         """The source's Lagrangian slices: a constructed triple's own, on its
         p-grid, else the source's on the default p-grid."""
         return self._core.slices if self._core is not None else self.source.slices()
-
-
-def _require_flags(spec: HamiltonianSpec, keys: tuple[str, ...]):
-    bad = [k for k in keys if not spec.flags.get(k, True)]
-    if bad:
-        raise HypothesisViolation(f"{spec.name} violates {bad}")
 
 
 # how far a sampled L may rise above lambda before BLCViolation
@@ -294,9 +276,6 @@ def _control_rows(a, kind: str):
     return a, rows
 
 
-_CAP_NOTE = "power-of-two ladder over max(|a_eta|, min L) + 3*(2 d) + 1"
-
-
 def build_noncompact(
     spec: HamiltonianSpec,
     grids: GridPolicy | None = None,
@@ -304,7 +283,6 @@ def build_noncompact(
 ) -> RepresentationTriple:
     """Full-space control representation: A = R^2, M = 1, e = Steiner point
     of P(a, truncated E_L(t,x)). Lift points a = (v, L(v)) map to themselves."""
-    _require_flags(spec, ("H1", "H2", "H3", "HLC"))
     policy = grids or GridPolicy()
     core = _SliceCore(spec, policy)
     plan = plan or APlan()
@@ -322,7 +300,6 @@ def build_noncompact(
         e_eval=e_eval,
         provenance="constructed-noncompact",
         source=spec,
-        caps=_CAP_NOTE,
         control_samples=samples,
         grid_h=core.grid_h,
         _core=core,
@@ -348,7 +325,6 @@ def build_compact(
     Requires the growth bound c(t) (MissingC otherwise) and the spec's
     Lagrangian bound lambda(t, x) (ConfigError otherwise); slices violating
     lambda raise BLCViolation when first touched."""
-    _require_flags(spec, ("H1", "H2", "H3", "H4", "HLC"))
     if spec.modulus.c is None:
         raise MissingC(f"{spec.name} carries no growth bound c(t)")
     if spec.lambda_bound is None:
@@ -380,7 +356,6 @@ def build_compact(
         e_eval=e_eval,
         provenance="constructed-compact",
         source=spec,
-        caps=_CAP_NOTE,
         scaling=M,
         control_samples=samples,
         grid_h=core.grid_h,
@@ -398,28 +373,18 @@ def build(
     return (build_compact if kind == "compact" else build_noncompact)(spec, grids, plan)
 
 
-def reconstruct_H(
-    triple: RepresentationTriple,
-    t: float,
-    x: float,
-    p: float,
-    a_samples: np.ndarray | None = None,
-) -> float:
-    """sup over the sample plan of p f(t,x,a) - l(t,x,a); monotone in the
-    plan and, for constructed triples, never above H(t,x,p) + grid error."""
-    _, F, L = triple.e_table(t, x, a_samples)
-    return float(np.max(p * F - L))
-
-
 def induced_H(
     triple: RepresentationTriple,
     t: float,
     x: float,
     p_values: np.ndarray,
+    a_samples: np.ndarray | None = None,
 ) -> np.ndarray:
-    """H induced by the triple: max over its default control samples of
-    p f - l."""
-    _, F, Lv = triple.e_table(t, x)
+    """H induced by the triple at each p: the max over the sample plan (the
+    default one when a_samples is None) of p f(t,x,a) - l(t,x,a); monotone
+    in the plan and, for constructed triples, never above H(t,x,p) + grid
+    error."""
+    _, F, Lv = triple.e_table(t, x, a_samples)
     p = np.asarray(p_values, dtype=float)
     return np.max(p[:, None] * F[None, :] - Lv[None, :], axis=1)
 
@@ -473,9 +438,9 @@ def verify_triple(
     window: Window,
     plan: SamplePlan | None = None,
     n_pairs: int = 48,
-    l_tol: float = 2e-2,
-    lip_slack: float = 5e-3,
-    image_gap_tol: float = 5e-2,
+    l_tol: float = TOLERANCES["l_lower"],
+    lip_slack: float = TOLERANCES["lip_slack"],
+    image_gap_tol: float = TOLERANCES["image_gap"],
 ) -> list[CheckReport]:
     """Five-way faithfulness audit of a representation triple.
 
@@ -570,7 +535,7 @@ def sandwich_check(
     triple: RepresentationTriple,
     t: float,
     x: float,
-    tol: float = 5e-2,
+    tol: float = TOLERANCES["sandwich"],
 ) -> CheckReport:
     """Two-sided inclusion audit for a compact-control triple at one (t, x):
     the bounded epigraph below lambda sits inside the hull of the sampled

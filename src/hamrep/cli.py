@@ -35,7 +35,7 @@ from .builder import (
 from .errors import ConfigError, HamrepError, UnknownName
 from .exprs import compile_expr, compile_hamiltonian
 from .fenchel import UniformGrid, epi_sum
-from .report import CheckReport, Worst, reports_to_json
+from .report import TOLERANCES, CheckReport, Worst, reports_to_json
 from .sampling import SamplePlan
 
 COMMANDS = ("conjugate", "check", "represent", "verify", "compactness", "stability", "zoo-list")
@@ -47,18 +47,20 @@ GRID_CAP = 20_001
 # finite there, while at R = 1e300 ex_2_2's MLC conjugates overflow to +inf
 R_CAP = 1e6
 
-# the tolerances each command reads, with their defaults; None lets the
-# check derive its own (mlc: 2h + 5e-4 from the v-grid spacing h)
-_TRIPLE_TOLERANCES = {"l_lower": 2e-2, "lip_slack": 5e-3, "image_gap": 5e-2}
+# the tolerances each command reads; their defaults are `report.TOLERANCES`
+_TRIPLE_TOLERANCES = ("l_lower", "lip_slack", "image_gap")
 _TOLERANCES = {
-    "conjugate": {"abs_err": 1e-2, "margin": 0.1, "episum": 2e-2},
-    "check": {"hlc": 1e-9, "llc": 2e-2, "mlc": None},
-    "represent": {"reconstruction": 5e-2, "soundness": 2e-2, **_TRIPLE_TOLERANCES, "sandwich": 5e-2},
+    "conjugate": ("abs_err", "margin", "episum"),
+    "check": ("hlc", "llc", "mlc"),
+    "represent": ("reconstruction", "soundness", *_TRIPLE_TOLERANCES, "sandwich"),
     "verify": _TRIPLE_TOLERANCES,
-    "compactness": {"lemma41": 2e-2, "blc": 2e-2, "blc_threshold": 1e3},
-    "stability": {"bound_slack": 5e-3, "decay_ratio": 0.3, "epigraph_abs": 5e-2},
-    "zoo-list": {},
+    "compactness": ("lemma41", "blc", "blc_threshold"),
+    "stability": ("bound_slack", "decay_ratio", "epigraph_abs"),
+    "zoo-list": (),
 }
+
+# every constructed triple's epigraph cap, as represent reports it
+_CAP_NOTE = "power-of-two ladder over max(|a_eta|, min L) + 3*(2 d) + 1"
 
 _TRIPLES = {
     "hat_rep_ex_2_1": zoo.hat_rep_ex_2_1,
@@ -74,8 +76,7 @@ class RunConfig:
     command: str
     hamiltonian: str | dict | list = "ex_2_2"
     window: Window = dataclasses.field(default_factory=Window)
-    v_count: int = 601
-    p_count: int = 10001
+    grids: GridPolicy = dataclasses.field(default_factory=GridPolicy)
     a_plan: APlan = dataclasses.field(default_factory=APlan)
     seed: int = 0
     output_dir: str = "out"
@@ -90,14 +91,11 @@ class RunConfig:
     geometry: bool = False
 
     def tol(self, name: str) -> float | None:
-        """The configured tolerance `name`, else the command's default."""
-        return self.tolerances.get(name, _TOLERANCES[self.command][name])
+        """The configured tolerance `name`, else its `report.TOLERANCES` default."""
+        return self.tolerances.get(name, TOLERANCES[name])
 
     def plan(self) -> SamplePlan:
         return SamplePlan(seed=self.seed)
-
-    def policy(self) -> GridPolicy:
-        return GridPolicy(p_count=self.p_count, v_count=self.v_count)
 
 
 def _range_pair(raw, name: str) -> tuple[float, float]:
@@ -245,8 +243,8 @@ def parse_config(doc: dict, seed: int | None = None, out: str | None = None, tol
         groups[group][field] = value
     cfg = RunConfig(
         **groups[""],
-        **groups["grids"],
         window=Window(**groups["window"]),
+        grids=GridPolicy(**groups["grids"]),
         a_plan=APlan(**groups["grids.a_plan"]),
         tolerances=groups["tolerances"],
     )
@@ -346,7 +344,7 @@ def _run_conjugate(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
     abs_tol = cfg.tol("abs_err")
     margin = cfg.tol("margin")
-    p_grid = cfg.policy().p_grid()
+    p_grid = cfg.grids.p_grid()
     t = _mid(cfg.window.t_range)
     reports: list[CheckReport] = []
     rows: list[tuple] = []
@@ -355,7 +353,7 @@ def _run_conjugate(cfg: RunConfig):
         numeric = dataclasses.replace(spec, oracle_L=None).slices(p_grid)
         # every x row's probes, queried at once with one x per probe
         probes = [
-            zoo.oracle_probe_values(numeric, t, float(x), margin=margin, count=min(cfg.v_count, 201))
+            zoo.oracle_probe_values(numeric, t, float(x), margin=margin, count=min(cfg.grids.v_count, 201))
             for x in _x_values(cfg)
         ]
         xs = np.repeat(_x_values(cfg), [len(vs) for vs in probes])
@@ -416,7 +414,7 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
         for h in (h_sum, spec.eval, h2)
     ]
     width = max(abs(s) for s in slices[0].trust(t, x)) + 0.5
-    lhs, f1, f2 = (sl.on_grid(t, x, cfg.v_count, width) for sl in slices)
+    lhs, f1, f2 = (sl.on_grid(t, x, cfg.grids.v_count, width) for sl in slices)
     rhs = epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)
     mismatch = int(np.sum(np.isfinite(lhs.values) != np.isfinite(rhs.values)))
@@ -437,7 +435,7 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
 def _run_check(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
     plan = cfg.plan()
-    p_grid = cfg.policy().p_grid()
+    p_grid = cfg.grids.p_grid()
     reports: list[CheckReport] = []
     for spec in specs:
         got = [
@@ -448,7 +446,7 @@ def _run_check(cfg: RunConfig):
                 cfg.R,
                 samples=plan,
                 p_grid=p_grid,
-                v_count=cfg.v_count,
+                v_count=cfg.grids.v_count,
                 tol=cfg.tol("mlc"),
             ),
         ]
@@ -487,7 +485,7 @@ def _run_represent(cfg: RunConfig):
     extra: dict = {"kind": cfg.kind}
     for spec in specs:
         for kind in _kinds(cfg):
-            triple = build(kind, spec, cfg.policy(), cfg.a_plan)
+            triple = build(kind, spec, cfg.grids, cfg.a_plan)
             rec_err = Worst("reconstruction_sup_error")
             sound = Worst("reconstruction_soundness")
             for x in _x_values(cfg):
@@ -504,7 +502,7 @@ def _run_represent(cfg: RunConfig):
                 for x in _x_values(cfg, 3):
                     local.append(sandwich_check(triple, t, float(x), tol=cfg.tol("sandwich")))
             reports.extend(_tag_reports(local, f"{spec.name}:{kind}") if multi else local)
-            extra[f"caps[{spec.name}:{kind}]"] = triple.caps
+            extra[f"caps[{spec.name}:{kind}]"] = _CAP_NOTE
     header = ["hamiltonian", "kind", "t", "x", "p", "H", "H_reconstructed", "abs_err"]
     return reports, header, rows, extra
 
@@ -516,7 +514,7 @@ def _run_verify(cfg: RunConfig):
     else:
         for spec in _resolve_specs(cfg, allow_all=False):
             for kind in _kinds(cfg):
-                jobs.append((f"{spec.name}:{kind}", build(kind, spec, cfg.policy(), cfg.a_plan)))
+                jobs.append((f"{spec.name}:{kind}", build(kind, spec, cfg.grids, cfg.a_plan)))
     reports: list[CheckReport] = []
     for tag, triple in jobs:
         local = _verify(cfg, triple)
@@ -535,22 +533,20 @@ _CERTIFIED_TRIPLES = ("hat_rep_ex_2_1", "circle_rep_ex_2_2")
 def _blc_probe(cfg: RunConfig, spec) -> CheckReport:
     return compactness.detect_blc_failure(
         spec,
-        t_range=cfg.window.t_range,
-        x_range=cfg.window.x_range,
+        window=cfg.window,
         threshold=cfg.tol("blc_threshold"),
         plan=cfg.plan(),
-        p_grid=cfg.policy().p_grid(),
+        p_grid=cfg.grids.p_grid(),
     )
 
 
 def _triple_audit(cfg: RunConfig, base, certify: bool):
     """Lemma 4.1 on a named triple and, with certify, the lambda bound
     extracted from its convexification with that bound's certificate."""
-    ranges = {"plan": cfg.plan(), "t_range": cfg.window.t_range, "x_range": cfg.window.x_range}
-    reports = [compactness.lemma41_check(base, tol=cfg.tol("lemma41"), **ranges)]
+    reports = [compactness.lemma41_check(base, cfg.plan(), cfg.window, tol=cfg.tol("lemma41"))]
     if not certify:
         return reports, None
-    lam = compactness.extract_lambda(compactness.convexify(base), tol=cfg.tol("blc"), **ranges)
+    lam = compactness.extract_lambda(compactness.convexify(base), cfg.plan(), cfg.window, tol=cfg.tol("blc"))
     return reports + [lam.certification], lam
 
 
@@ -607,7 +603,7 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
         kind=kind,
         window=cfg.window,
         plan=cfg.plan(),
-        policy=cfg.policy(),
+        policy=cfg.grids,
         bound_slack=cfg.tol("bound_slack"),
         fixed_t=fixed_t,
     )
@@ -623,7 +619,7 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
                 family,
                 window=cfg.window,
                 plan=cfg.plan(),
-                policy=cfg.policy(),
+                policy=cfg.grids,
                 abs_tol=cfg.tol("epigraph_abs"),
                 ratio=cfg.tol("decay_ratio"),
             )
@@ -666,7 +662,9 @@ def _run_zoo_list(cfg: RunConfig):
     rows: list[tuple] = []
     for name in zoo.names():
         spec = zoo.builtin(name)
-        flags = "+".join(k for k, v in sorted(spec.flags.items()) if v)
+        # H4 holds iff c(t) is given and BLC iff lambda is; H1-H3 and HLC are assumed
+        held = {"BLC": spec.lambda_bound is not None, "H4": spec.modulus.c is not None}
+        flags = "+".join(k for k in ("BLC", "H1", "H2", "H3", "H4", "HLC") if held.get(k, True))
         rows.append(("hamiltonian", name, flags, spec.notes))
     for name in sorted(_TRIPLES):
         rows.append(("triple", name, "", _TRIPLES[name]().provenance))

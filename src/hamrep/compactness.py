@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .builder import ControlSet, RepresentationTriple, lagrangian_access
+from .builder import ControlSet, RepresentationTriple, Window, lagrangian_access
 from .errors import ConfigError, NoncompactControl
 from .fenchel import UniformGrid
-from .report import CheckReport, Worst
+from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound
 
@@ -80,7 +80,6 @@ def convexify(base: RepresentationTriple) -> RepresentationTriple:
         e_eval=e_eval,
         provenance="convexified",
         source=base.source,
-        caps=base.caps,
         scaling=base.scaling,
         grid_h=base.grid_h,
     )
@@ -89,12 +88,12 @@ def convexify(base: RepresentationTriple) -> RepresentationTriple:
 def lemma41_check(
     triple: RepresentationTriple,
     plan: SamplePlan | None = None,
-    t_range: tuple[float, float] = (0.0, 1.0),
-    x_range: tuple[float, float] = (-1.0, 1.0),
-    tol: float = 2e-2,
+    window: Window | None = None,
+    tol: float = TOLERANCES["lemma41"],
 ) -> CheckReport:
     """Epigraph bound of any representation: L(t,x,f(t,x,a)) <= l(t,x,a),
-    on at most 256 evenly strided controls of each sampled slab's plan.
+    on at most 256 evenly strided controls of the plan of each of six
+    slabs drawn in window (default `Window()`).
 
     L comes from `lagrangian_access`: the source Hamiltonian's oracle or
     numeric conjugate. Values of f outside dom L count as +inf violations.
@@ -102,12 +101,13 @@ def lemma41_check(
     if triple.control.kind == "full_space":
         raise NoncompactControl("lemma41_check applies to compact control sets")
     plan = plan or SamplePlan()
+    window = window or Window()
     L_of = lagrangian_access(triple)
     rng = plan.rng(41)
     worst = Worst("lemma41_epigraph_bound")
     for _ in range(6):
-        t = float(rng.uniform(*t_range))
-        x = float(rng.uniform(*x_range))
+        t = float(rng.uniform(*window.t_range))
+        x = float(rng.uniform(*window.x_range))
         _, F, Lv = triple.e_table(t, x)
         if len(F) > 256:
             idx = np.linspace(0, len(F) - 1, 256).astype(int)
@@ -121,13 +121,13 @@ def lemma41_check(
 def extract_lambda(
     ct: RepresentationTriple,
     plan: SamplePlan | None = None,
-    t_range: tuple[float, float] = (0.0, 1.0),
-    x_range: tuple[float, float] = (-1.0, 1.0),
-    tol: float = 2e-2,
+    window: Window | None = None,
+    tol: float = TOLERANCES["blc"],
 ) -> LambdaBound:
     """Candidate Lagrangian bound lambda(t,x) = max of the convexified
     running cost over the sampled control plan, read from the triple's
-    table of each (t, x).
+    table of each (t, x). Its slabs are drawn in window (default
+    `Window()`).
 
     The returned bound carries a certification report: sampled L(t,x,v)
     stays below lambda(t,x) + tol at 401 points across dom L, plus an
@@ -139,12 +139,13 @@ def extract_lambda(
         return float(np.max(ct.e_table(t, x)[2]))
 
     plan = plan or SamplePlan()
+    window = window or Window()
     rng = plan.rng(33)
     L_of = lagrangian_access(ct)
     cert = Worst("blc_certificate")
     for _ in range(6):
-        t = float(rng.uniform(*t_range))
-        x = float(rng.uniform(*x_range))
+        t = float(rng.uniform(*window.t_range))
+        x = float(rng.uniform(*window.x_range))
         bound = lam(t, x)
         dom = ct.slices.domain(t, x)
         if not (np.isfinite(dom.lo) and np.isfinite(dom.hi)):
@@ -164,9 +165,9 @@ def extract_lambda(
 
     slopes = []
     for _ in range(12):
-        t = float(rng.uniform(*t_range))
-        x = float(rng.uniform(*x_range))
-        y = float(rng.uniform(*x_range))
+        t = float(rng.uniform(*window.t_range))
+        x = float(rng.uniform(*window.x_range))
+        y = float(rng.uniform(*window.x_range))
         if abs(x - y) > 1e-6:
             slopes.append(abs(lam(t, x) - lam(t, y)) / abs(x - y))
     slope = max(slopes) if slopes else 0.0
@@ -186,30 +187,30 @@ _BLC_MARGINS = (1e-1, 1e-2, 1e-3)
 
 def detect_blc_failure(
     spec: HamiltonianSpec,
-    t_range: tuple[float, float] = (0.0, 1.0),
-    x_range: tuple[float, float] = (-1.0, 1.0),
-    threshold: float = 1e3,
+    window: Window | None = None,
+    threshold: float = TOLERANCES["blc_threshold"],
     plan: SamplePlan | None = None,
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Interior-sup ladder for Lagrangian boundedness on the domain.
 
-    For each margin delta of 1e-1, 1e-2 and 1e-3, the domain of every
-    sampled slice is shrunk by delta at both ends and sup L is taken over
-    2001 points of it. Divergence (final sup past the threshold, or sup
-    growth of 8x per rung ending above half the threshold) yields the
-    violated verdict; otherwise the final sups double as a candidate
-    lambda. Both verdicts are findings, not failures. An
-    unbounded domain has no interior ladder and is skipped; a margin at
+    For each margin delta of 1e-1, 1e-2 and 1e-3, the domain of each of
+    eight slices drawn in window (default `Window()`) is shrunk by delta at
+    both ends and sup L is taken over 2001 points of it. Divergence (final
+    sup past the threshold, or sup growth of 8x per rung ending above half
+    the threshold) yields the violated verdict; otherwise the final sups
+    double as a candidate lambda. Both verdicts are findings, not failures.
+    An unbounded domain has no interior ladder and is skipped; a margin at
     which no slab is judged fails the probe. Numeric slices sample H on
     p_grid.
     """
     plan = plan or SamplePlan()
+    window = window or Window()
     rng = plan.rng(101)
     slices = spec.slices(p_grid)
     slabs = [
         (float(t), float(x))
-        for t, x in zip(rng.uniform(*t_range, 8), rng.uniform(*x_range, 8))
+        for t, x in zip(rng.uniform(*window.t_range, 8), rng.uniform(*window.x_range, 8))
     ]
     sups = []
     for delta in _BLC_MARGINS:

@@ -37,7 +37,8 @@ class UnknownName(HamrepError):
 
 
 class HypothesisViolation(HamrepError):
-    """Structural hypotheses required by a construction do not hold."""
+    """A perturbation family's convexity probe found a member that is not
+    finite or not convex in p; nothing else raises it."""
 
 
 class GridUnderflow(HamrepError):

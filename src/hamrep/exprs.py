@@ -250,13 +250,14 @@ def compile_hamiltonian(defn: dict):
 
     Required keys: "name" and "H" (expression over t, x, p). Optional:
     "k_R" over (R, t) and "w_R" over (R, t, r) (both default "0"),
-    "c" over (t), "lambda" over (t, x), "flags", "notes".
+    "c" over (t), "lambda" over (t, x), "notes". The spec meets H4 iff
+    "c" is given and BLC iff "lambda" is.
     """
     from .zoo import HamiltonianSpec, LambdaBound, ModulusData
 
     if not isinstance(defn, dict):
         raise ConfigError("hamiltonian definition must be a JSON object")
-    unknown = set(defn) - {"name", "H", "k_R", "w_R", "c", "lambda", "flags", "notes"}
+    unknown = set(defn) - {"name", "H", "k_R", "w_R", "c", "lambda", "notes"}
     if unknown:
         raise ConfigError(f"unknown hamiltonian definition key(s): {', '.join(sorted(unknown))}")
     name = defn.get("name")
@@ -283,19 +284,10 @@ def compile_hamiltonian(defn: dict):
         lam_fn = compile_expr(str(defn["lambda"]), ("t", "x"))
         lam_eval = _checked(lam_fn, "lambda", ("t", "x"), nonnegative=False)
         lam = LambdaBound(eval=lam_eval, note="config-supplied bound")
-    flags = {"H1": True, "H2": True, "H3": True, "H4": c_fn is not None, "HLC": True, "BLC": lam is not None}
-    user_flags = defn.get("flags", {})
-    if not isinstance(user_flags, dict) or not all(isinstance(v, bool) for v in user_flags.values()):
-        raise ConfigError('"flags" must be an object of JSON booleans')
-    unknown = [repr(k) for k in user_flags if k not in flags]
-    if unknown:
-        raise ConfigError(f"unknown flag(s) {', '.join(unknown)}; know {', '.join(flags)}")
-    flags.update(user_flags)
     return HamiltonianSpec(
         name=name,
         eval=ev,
         modulus=modulus,
         lambda_bound=lam,
-        flags=flags,
         notes=str(defn.get("notes", "config-defined Hamiltonian")),
     )

@@ -10,9 +10,23 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
 from typing import Any
 
 import numpy as np
+
+
+# every acceptance tolerance by its config name, with its default: each check
+# defaults to its entry, and None lets the check derive its own (mlc: 2h + 5e-4
+# from the v-grid spacing h)
+TOLERANCES = types.MappingProxyType({
+    "abs_err": 1e-2, "margin": 0.1, "episum": 2e-2,  # conjugate
+    "hlc": 1e-9, "llc": 2e-2, "mlc": None,  # check
+    "reconstruction": 5e-2, "soundness": 2e-2, "sandwich": 5e-2,  # represent
+    "l_lower": 2e-2, "lip_slack": 5e-3, "image_gap": 5e-2,  # represent, verify
+    "lemma41": 2e-2, "blc": 2e-2, "blc_threshold": 1e3,  # compactness
+    "bound_slack": 5e-3, "decay_ratio": 0.3, "epigraph_abs": 5e-2,  # stability
+})
 
 
 def sanitize(obj: Any) -> Any:

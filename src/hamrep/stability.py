@@ -26,7 +26,7 @@ from .builder import (
 )
 from .errors import HypothesisViolation
 from .fenchel import build_epigraph
-from .report import CheckReport, Worst
+from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound, builtin
 
@@ -84,7 +84,7 @@ class PerturbationFamily:
 
     def validate(
         self,
-        p_range: tuple[float, float] = (-3.0, 3.0),
+        p_range: tuple[float, float] = Window.p_range,
         plan: SamplePlan | None = None,
     ) -> CheckReport:
         """Sampled midpoint-convexity and finiteness probe of every H_i; a
@@ -96,7 +96,7 @@ class PerturbationFamily:
             spec = self.spec_for(i)
             for _ in range(40):
                 t = float(rng.uniform(*self.base.t_range))
-                x = float(rng.uniform(-1.0, 1.0))
+                x = float(rng.uniform(*Window.x_range))
                 p, q = rng.uniform(*p_range, 2)
                 vals = np.asarray(
                     spec.eval(t, x, np.array([p, q, 0.5 * (p + q)])), dtype=float
@@ -166,7 +166,7 @@ class StabilityReport:
     kind: str
     rows: list[IndexRow]
 
-    def decay_report(self, ratio: float = 0.3) -> CheckReport:
+    def decay_report(self, ratio: float = TOLERANCES["decay_ratio"]) -> CheckReport:
         rows = sorted(self.rows, key=lambda r: r.i)
         first, last = rows[0].sup_e_err, rows[-1].sup_e_err
         ok = last <= ratio * first if first > 0 else last == 0.0
@@ -217,7 +217,7 @@ def representation_convergence(
     plan: SamplePlan | None = None,
     policy: GridPolicy | None = None,
     n_slabs: int = 3,
-    bound_slack: float = 5e-3,
+    bound_slack: float = TOLERANCES["bound_slack"],
     fixed_t: float | None = None,
 ) -> StabilityReport:
     """Uniform-convergence audit e_i -> e over a fixed (t, x, a) sample plan.
@@ -270,8 +270,8 @@ def epigraph_limit_check(
     window: Window | None = None,
     plan: SamplePlan | None = None,
     policy: GridPolicy | None = None,
-    abs_tol: float = 5e-2,
-    ratio: float = 0.3,
+    abs_tol: float = TOLERANCES["epigraph_abs"],
+    ratio: float = TOLERANCES["decay_ratio"],
 ) -> CheckReport:
     """Set-limit diagnostic: along (t_i, x_i) -> (t, x), the distances
     d(y, E_{L_i}(t_i, x_i)) approach d(y, E_L(t, x)) for five seeded probe

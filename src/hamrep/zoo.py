@@ -22,11 +22,23 @@ import numpy as np
 from . import convex_geom as cg
 from .errors import ConfigError, UnknownName
 from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
-from .report import CheckReport, Worst
+from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
 
 
-def momentum_grid(count: int = 10001) -> UniformGrid:
+@dataclasses.dataclass(frozen=True)
+class GridPolicy:
+    """Discretization knobs: p_count nodes on the p-grid of every H sample,
+    v_count on the v-grid of every Lagrangian slice."""
+
+    p_count: int = 10001
+    v_count: int = 601
+
+    def p_grid(self) -> UniformGrid:
+        return momentum_grid(self.p_count)
+
+
+def momentum_grid(count: int = GridPolicy.p_count) -> UniformGrid:
     """The p-grid every H sample lives on: count nodes over [-50, 50]."""
     return UniformGrid(-50.0, 50.0, count)
 
@@ -77,9 +89,6 @@ class HamiltonianSpec:
     oracle_dom: Callable | None = None  # (t, x) -> EffectiveDomain
     alt_oracle_L: Callable | None = None
     lambda_bound: LambdaBound | None = None
-    flags: dict = dataclasses.field(
-        default_factory=lambda: {"H1": True, "H2": True, "H3": True, "H4": True, "HLC": True, "BLC": True}
-    )
     notes: str = ""
 
     def slices(self, p_grid: UniformGrid | None = None) -> LagrangianSlices:
@@ -145,14 +154,12 @@ def _ex_2_3() -> HamiltonianSpec:
         safe = np.where(inside, v, 1.0)
         return np.where(inside, 1.0 / safe + np.abs(x), np.inf)
 
-    flags = {"H1": True, "H2": True, "H3": True, "H4": True, "HLC": True, "BLC": False}
     return HamiltonianSpec(
         name="ex_2_3",
         eval=ev,
         modulus=ModulusData(k_R=lambda R, t: 0.0, w_R=lambda R, t, r: r, c=lambda t: 1.0),
         oracle_L=oL,
         oracle_dom=lambda t, x: EffectiveDomain(0.0, 1.0, False, True),
-        flags=flags,
         notes="L = 1/v + |x| on (0, 1]: open lower end, no bounded lambda",
     )
 
@@ -173,14 +180,12 @@ def _ex_2_4() -> HamiltonianSpec:
             return EffectiveDomain(0.0, 0.0, True, True)
         return EffectiveDomain(-abs(x), abs(x), False, False)
 
-    flags = {"H1": True, "H2": True, "H3": True, "H4": True, "HLC": True, "BLC": False}
     return HamiltonianSpec(
         name="ex_2_4",
         eval=ev,
         modulus=ModulusData(k_R=lambda R, t: 1.0, w_R=lambda R, t, r: 0.0, c=lambda t: 1.0),
         oracle_L=oL,
         oracle_dom=dom,
-        flags=flags,
         notes="L = |v|/(|x| - |v|) on the open interval (-|x|, |x|)",
     )
 
@@ -195,7 +200,6 @@ def _ex_2_5() -> HamiltonianSpec:
     def alt(t, x, v):
         return (1.0 + t) * np.asarray(v, dtype=float) ** 2 + np.abs(x)
 
-    flags = {"H1": True, "H2": True, "H3": True, "H4": False, "HLC": True, "BLC": False}
     return HamiltonianSpec(
         name="ex_2_5",
         eval=ev,
@@ -203,7 +207,6 @@ def _ex_2_5() -> HamiltonianSpec:
         oracle_L=oL,
         oracle_dom=lambda t, x: EffectiveDomain(-np.inf, np.inf, False, False),
         alt_oracle_L=alt,
-        flags=flags,
         notes=(
             "quadratic-in-p with full-space Lagrangian domain, no growth bound "
             "(H4 missing); primary oracle is the directly derived conjugate "
@@ -288,7 +291,7 @@ def oracle_probe_values(
     slices: LagrangianSlices,
     t: float,
     x: float,
-    margin: float = 0.1,
+    margin: float = TOLERANCES["margin"],
     count: int = 201,
 ) -> np.ndarray:
     """Velocity probes where a numeric conjugate can be held to its oracle.
@@ -317,7 +320,7 @@ def check_HLC(
     R: float,
     samples: SamplePlan | None = None,
     modulus: ModulusData | None = None,
-    tol: float = 1e-9,
+    tol: float = TOLERANCES["hlc"],
 ) -> CheckReport:
     """Value-level continuity: |H(t,x,p) - H(t,y,p)| <= k|p||x-y| + w(|x-y|)
     on seeded triples and seeded p in [-10, 10]; pass when the worst
@@ -342,7 +345,7 @@ def check_LLC(
     R: float,
     samples: SamplePlan | None = None,
     modulus: ModulusData | None = None,
-    tol: float = 2e-2,
+    tol: float = TOLERANCES["llc"],
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
     """Lagrangian-level continuity: every v in dom L(t,x) admits u within
@@ -417,8 +420,8 @@ def check_MLC(
     samples: SamplePlan | None = None,
     modulus: ModulusData | None = None,
     p_grid: UniformGrid | None = None,
-    v_count: int = 601,
-    tol: float | None = None,
+    v_count: int = GridPolicy.v_count,
+    tol: float | None = TOLERANCES["mlc"],
 ) -> CheckReport:
     """Epigraph-level continuity: the truncated E_L(t,x) sits inside the
     (k|x-y|, w)-inflation of E_L(t,y) truncated w higher; E_L(t,x) is
@@ -450,7 +453,7 @@ def check_MLC(
     return worst.report(bound, "no triple judged: the sample plan is empty")
 
 
-def _triple_from_formulas(control, f, l, source, note=""):
+def _triple_from_formulas(control, f, l, source):
     """User triple whose numpy formulas f and l map (t, x) and an (N, q)
     stack of control rows to (N,) arrays, elementwise in t and x; e_eval
     takes one control (q,) or a stack (N, q), with a scalar or per-row
@@ -472,7 +475,6 @@ def _triple_from_formulas(control, f, l, source, note=""):
         e_eval=e_eval,
         provenance="user",
         source=source,
-        caps=note,
         grid_h=0.0,
     )
 
@@ -497,7 +499,7 @@ def hat_rep_ex_2_1(n_side: int = 21):
     def l(t, x, a):
         return abs(a[:, 0]) + abs(a[:, 1]) * (1.0 - abs(a[:, 0]))
 
-    return _triple_from_formulas(control, f, l, builtin("ex_2_1"), "square control grid")
+    return _triple_from_formulas(control, f, l, builtin("ex_2_1"))
 
 
 def circle_rep_ex_2_2():
@@ -520,7 +522,7 @@ def circle_rep_ex_2_2():
     def l(t, x, a):
         return a[:, 1] + abs(x)
 
-    return _triple_from_formulas(control, f, l, builtin("ex_2_2"), "unit-circle control")
+    return _triple_from_formulas(control, f, l, builtin("ex_2_2"))
 
 
 def family_p_abs(h=0.0, k=0.0):
@@ -545,4 +547,4 @@ def family_p_abs(h=0.0, k=0.0):
     def l(t, x, a):
         return (1.0 - abs(a[:, 0])) * k_fn(x)
 
-    return _triple_from_formulas(control, f, l, builtin("abs_p"), "interval control family")
+    return _triple_from_formulas(control, f, l, builtin("abs_p"))

@@ -16,13 +16,13 @@ from hamrep.builder import (
     build_compact,
     build_noncompact,
     image_of_controls,
-    reconstruct_H,
+    induced_H,
     sandwich_check,
     scaling_bound,
     verify_triple,
 )
 from hamrep.compactness import convexify
-from hamrep.errors import BLCViolation, ConfigError, HypothesisViolation, MissingC
+from hamrep.errors import BLCViolation, ConfigError, MissingC
 from hamrep.zoo import LambdaBound, ModulusData
 
 T0 = 0.5
@@ -53,11 +53,10 @@ def _reconstruction_errors(triple, xs):
     spec = triple.source
     errs, sound = [], []
     for x in xs:
-        for p in P_SET:
-            want = float(np.asarray(spec.eval(T0, x, np.array([p])))[0])
-            got = reconstruct_H(triple, T0, x, p)
-            errs.append(abs(got - want))
-            sound.append(got - want)
+        want = np.asarray(spec.eval(T0, x, np.array(P_SET)), dtype=float)
+        got = induced_H(triple, T0, x, P_SET)
+        errs.append(float(np.max(np.abs(got - want))))
+        sound.append(float(np.max(got - want)))
     return max(errs), max(sound)
 
 
@@ -82,10 +81,9 @@ def test_compact_reconstruction_ex_2_2(ex22_compact_fast):
 def test_reconstruction_monotone_in_sample_plan(ex22_noncompact_fast):
     triple = ex22_noncompact_fast
     subset = triple.control.samples(APlan(n_box=4))
-    for p in P_SET:
-        small = reconstruct_H(triple, T0, 0.5, p, a_samples=subset)
-        full = reconstruct_H(triple, T0, 0.5, p)
-        assert small <= full + 1e-12
+    small = induced_H(triple, T0, 0.5, P_SET, a_samples=subset)
+    full = induced_H(triple, T0, 0.5, P_SET)
+    assert np.all(small <= full + 1e-12)
 
 
 def test_e_eval_fixes_epigraph_points(ex22_noncompact_fast):
@@ -176,7 +174,6 @@ def test_e_table_rejects_e_eval_breaking_the_shape_contract():
         e_eval=lambda t, x, a: np.array([0.0, 0.0]),
         provenance="user",
         source=zoo.builtin("abs_p"),
-        caps="",
     )
     with pytest.raises(ConfigError, match=r"\(N, 2\)"):
         bad.e_table(T0, 0.0)
@@ -365,12 +362,12 @@ def test_scaling_bound_formula():
 
 
 def test_builders_enforce_flags():
-    with pytest.raises(HypothesisViolation):
+    # the compact builder needs H4 (a c(t)) and BLC (a lambda): ex_2_5 lacks
+    # c, ex_2_3 lambda
+    with pytest.raises(MissingC):
         build_compact(zoo.builtin("ex_2_5"), grids=FAST_POLICY)
-    spec = zoo.builtin("ex_2_2")
-    hlc_off = dataclasses.replace(spec, flags={**spec.flags, "HLC": False})
-    with pytest.raises(HypothesisViolation):
-        build_noncompact(hlc_off, grids=FAST_POLICY)
+    with pytest.raises(ConfigError, match="no lambda bound"):
+        build_compact(zoo.builtin("ex_2_3"), grids=FAST_POLICY)
 
 
 def test_compact_requires_growth_bound():
@@ -398,7 +395,7 @@ def test_noncompact_without_c_derives_v_window():
     spec = zoo.builtin("ex_2_5")
     triple = build_noncompact(spec, plan=FAST_APLAN)
     want = float(np.asarray(spec.eval(T0, 0.7, np.array([1.0])))[0])
-    assert reconstruct_H(triple, T0, 0.7, 1.0) == pytest.approx(want, abs=5e-2)
+    assert induced_H(triple, T0, 0.7, [1.0])[0] == pytest.approx(want, abs=5e-2)
     # H = p^2 / 3 - 0.7 has edge slopes near +-50 / 1.5 on the [-50, 50] window
     grid = triple._core.slice(T0, 0.7).grid
     assert grid.hi == -grid.lo == pytest.approx(50.0 / 1.5 + 1.0, abs=1e-2)

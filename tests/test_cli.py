@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamrep import cli
-from hamrep.builder import APlan, Window
+from hamrep.builder import APlan, GridPolicy, Window
 from hamrep.errors import ConfigError
+from hamrep.report import TOLERANCES
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,7 +30,7 @@ def test_parse_defaults():
     assert cfg.window.t_range == (0.0, 1.0)
     assert cfg.window.x_range == (-1.0, 1.0)
     assert cfg.window.p_range == (-3.0, 3.0)
-    assert (cfg.v_count, cfg.p_count) == (601, 10001)
+    assert (cfg.grids.v_count, cfg.grids.p_count) == (601, 10001)
     assert cfg.seed == 0
     assert cfg.output_dir == "out"
     assert cfg.kind == "noncompact"
@@ -110,7 +111,7 @@ def test_parse_accepts_gated_shapes():
     assert _parse(command="compactness", triple="all").triple == "all"
     assert _parse(command="stability", family="all").family == "all"
     # detect_blc_failure reads p_count under triple "all"; a named triple reads no grid
-    assert _parse(command="compactness", triple="all", grids={"p_count": 801}).p_count == 801
+    assert _parse(command="compactness", triple="all", grids={"p_count": 801}).grids.p_count == 801
     with pytest.raises(ConfigError, match='"grids.v_count" has no effect next to a "triple"'):
         _parse(command="verify", triple="hat_rep_ex_2_1", grids={"v_count": 201})
     assert _parse(command="stability", family="ex_2_6_absx", kind="compact", fixed_t=0.5).fixed_t == 0.5
@@ -407,7 +408,7 @@ def _readme_key_table() -> dict[str, list[str]]:
 
 def _config_default(key: str):
     group, _, name = key.rpartition(".")
-    owner = {"": cli.RunConfig, "grids": cli.RunConfig, "window": Window, "grids.a_plan": APlan}[group]
+    owner = {"": cli.RunConfig, "grids": GridPolicy, "window": Window, "grids.a_plan": APlan}[group]
     field = {f.name: f for f in dataclasses.fields(owner)}[name]
     if field.default is not dataclasses.MISSING:
         return field.default
@@ -424,8 +425,7 @@ def test_readme_lists_every_key_with_its_default_bounds_and_readers():
             if isinstance(bound, int) and not isinstance(bound, bool):
                 assert str(bound) in value, key
         if key.startswith("tolerances."):
-            want = cli._TOLERANCES[commands[0]][key.split(".", 1)[1]]
-            assert all(cli._TOLERANCES[c][key.split(".", 1)[1]] == want for c in commands)
+            want = TOLERANCES[key.split(".", 1)[1]]
             assert default.startswith("derived") if want is None else float(default.strip("`")) == want, key
         else:
             want = _config_default(key)

@@ -159,7 +159,6 @@ def test_lemma41_fails_below_epigraph():
         e_eval=lambda t, x, a: np.stack([a[..., 0], np.full(a.shape[:-1], -0.3)], axis=-1),
         provenance="user",
         source=zoo.builtin("abs_p"),
-        caps="deliberately broken",
     )
     report = lemma41_check(bad, plan=PLAN)
     assert report.verdict == "fail"

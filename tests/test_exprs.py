@@ -1,4 +1,5 @@
 import inspect
+import json
 import sys
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamrep import cli
 from hamrep.errors import ConfigError
 from hamrep.exprs import compile_expr, compile_hamiltonian, compile_piecewise
 
@@ -118,7 +120,8 @@ def test_compile_hamiltonian_full_spec():
         }
     )
     assert spec.name == "toy"
-    assert spec.flags["H4"] and spec.flags["BLC"]
+    # H4 and BLC hold: a c(t) and a lambda are given
+    assert spec.modulus.c is not None and spec.lambda_bound is not None
     vals = spec.eval(0.5, -0.5, np.array([0.0]))
     assert vals[0] == pytest.approx(0.5)
     assert spec.modulus.w_R(2.0, 0.5, 0.25) == pytest.approx(0.25)
@@ -127,8 +130,9 @@ def test_compile_hamiltonian_full_spec():
 
 def test_compile_hamiltonian_defaults_flags():
     spec = compile_hamiltonian({"name": "bare", "H": "abs(p)", "k_R": "0", "w_R": "r"})
-    assert not spec.flags["H4"]
-    assert not spec.flags["BLC"]
+    # without "c" and "lambda", H4 and BLC do not hold
+    assert spec.modulus.c is None
+    assert spec.lambda_bound is None
 
 
 def test_compile_hamiltonian_rejects_unknown_keys():
@@ -136,14 +140,16 @@ def test_compile_hamiltonian_rejects_unknown_keys():
         compile_hamiltonian({"name": "x", "H": "p", "bogus": 1})
 
 
-def test_compile_hamiltonian_flags_are_json_booleans():
-    base = {"name": "x", "H": "abs(p)"}
-    assert not compile_hamiltonian(dict(base, flags={"H4": False}, c="1")).flags["H4"]
-    # the string "false" is truthy: it must not set H4
-    with pytest.raises(ConfigError, match="JSON booleans"):
-        compile_hamiltonian(dict(base, flags={"H4": "false"}))
-    with pytest.raises(ConfigError, match="unknown flag"):
-        compile_hamiltonian(dict(base, flags={"H5": True}))
+def test_compile_hamiltonian_flags_are_json_booleans(tmp_path, capsys):
+    # hypotheses are read off "c" and "lambda": a "flags" object is an unknown key
+    defn = {"name": "x", "H": "abs(p)", "flags": {"H4": False}}
+    with pytest.raises(ConfigError, match="unknown hamiltonian definition key"):
+        compile_hamiltonian(defn)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"command": "check", "hamiltonian": defn}), encoding="utf-8")
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == "error: unknown hamiltonian definition key(s): flags"
 
 
 @pytest.mark.parametrize("src", ["-" * 5000 + "p", "abs(" * 2000 + "p" + ")" * 2000])

@@ -3,18 +3,20 @@ function and class of the package, and every public method and property of
 its classes, is read somewhere in the package other than inside its own
 definition; and every defaulted parameter of a public function or method
 is set by some call in the package or its tests, and so is every defaulted
-public field of its dataclasses."""
+public field of its dataclasses. Every tolerance default is read off the
+one table `report.TOLERANCES`."""
 
 import ast
 import collections
 import pathlib
 
+from hamrep import cli, report
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "hamrep"
 TESTS = pathlib.Path(__file__).resolve().parent
 
-# library API with callers outside the package only: criterion 05
-# reconstructs H one (t, x, p) at a time
-CALLED_FROM_OUTSIDE = {"reconstruct_H"}
+# library API with callers outside the package only
+CALLED_FROM_OUTSIDE: set[str] = set()
 
 # methods with callers outside the package only: criterion 02's halved-k
 # mutation builds its modulus through `scaled`, from the tests
@@ -197,3 +199,33 @@ def _minus_inf_starts() -> list[str]:
 def test_only_worst_starts_a_margin_at_minus_inf():
     # a hand-written worst-margin loop lets a NaN through (nan > worst is False)
     assert _minus_inf_starts() == []
+
+
+def _tolerance_defaults() -> tuple[list[str], list[str]]:
+    """Defaulted parameters of public functions and methods named tol,
+    *_tol, *_slack, ratio, threshold or margin: those whose default is not
+    a `TOLERANCES[...]` subscript, and those whose default is."""
+    off, on = [], []
+    for module, owner, fn in _public_functions():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+        pairs += [(p, d) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for param, default in pairs:
+            name = param.arg
+            if name in ("tol", "ratio", "threshold", "margin") or name.endswith(("_tol", "_slack")):
+                table = isinstance(default, ast.Subscript) and ast.unparse(default.value) == "TOLERANCES"
+                (on if table else off).append(f"{module}:{owner + '.' if owner else ''}{fn.name}({name})")
+    return off, on
+
+
+def test_every_tolerance_default_reads_the_table():
+    # a second copy of a default lets a contract change land in one place only
+    off, on = _tolerance_defaults()
+    assert off == []
+    assert len(on) >= 15, on
+
+
+def test_cli_tolerance_names_are_the_table_keys():
+    read = [name for names in cli._TOLERANCES.values() for name in names]
+    assert set(read) == set(report.TOLERANCES)
