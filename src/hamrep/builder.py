@@ -541,14 +541,12 @@ def sandwich_check(
     the bounded epigraph below lambda sits inside the hull of the sampled
     e-values, which sits inside the (truncated) epigraph, both within tol.
     """
-    from .fenchel import build_bounded_epigraph
-
     core: _SliceCore | None = triple._core
     if core is None or core.lam is None:
         raise ConfigError("sandwich_check needs a compact-control constructed triple")
     fn = core.slice(t, x)
     lam_val = float(core.lam(t, x))
-    lower = build_bounded_epigraph(fn, lam_val)
+    lower = build_epigraph(fn, lam_val)
     _, F, Lv = triple.e_table(t, x)
     hull = cg.ConvexBody(np.stack([F, Lv], axis=1))
     cap = float(np.max(Lv)) + 1.0

@@ -21,9 +21,9 @@ from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound
 
 
-def simplex_weights(denom: int = 8) -> np.ndarray:
-    """Barycentric grid on the 1-simplex: (j/denom, 1 - j/denom)."""
-    a = np.arange(denom + 1) / denom
+def simplex_weights() -> np.ndarray:
+    """Barycentric grid on the 1-simplex: (j/8, 1 - j/8), j = 0, ..., 8."""
+    a = np.arange(9) / 8
     return np.stack([a, 1.0 - a], axis=1)
 
 

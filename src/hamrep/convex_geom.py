@@ -176,32 +176,18 @@ class BodyStack:
         # a[b, j] and b[b, j]: indices into the vertex list of the start and
         # end of the edge in column j (the edge out of vertex j; pads take
         # column 0, and a point's edge ends where it starts)
-        if len(verts) == 1:
-            V = verts[0]
-            n = len(V)
-            self.counts = np.array([n])
-            if n >= 3:
-                a = np.arange(n)[None, :]
-                b = a + 1
-                b[0, -1] = 0
-                self.valid = np.ones((1, n), dtype=bool)
-            else:
-                a, b = np.zeros((1, n), dtype=np.intp), np.full((1, n), n - 1)
-                self.valid = np.arange(n)[None, :] < n - 1
-            scale = np.array([max(1.0, float(np.max(np.abs(V))))])
-        else:
-            self.counts = counts = np.array([len(v) for v in verts])
-            V = np.concatenate(verts)
-            start = np.cumsum(counts) - counts
-            col = np.arange(int(counts.max()))
-            self.valid = col < np.where(counts >= 3, counts, counts - 1)[:, None]
-            a = np.where(self.valid, start[:, None] + col, start[:, None])
-            b = a + 1
-            # the last vertex of a polygon wraps to the first, a point to itself
-            polygon, point = counts >= 3, counts == 1
-            b[polygon, counts[polygon] - 1] = start[polygon]
-            b[point] = start[point, None]
-            scale = np.maximum(np.maximum.reduceat(np.abs(V).ravel(), 2 * start), 1.0)
+        self.counts = counts = np.array([len(v) for v in verts])
+        V = np.concatenate(verts)
+        start = np.cumsum(counts) - counts
+        col = np.arange(int(counts.max()))
+        self.valid = col < np.where(counts >= 3, counts, counts - 1)[:, None]
+        a = np.where(self.valid, start[:, None] + col, start[:, None])
+        b = a + 1
+        # the last vertex of a polygon wraps to the first, a point to itself
+        polygon, point = counts >= 3, counts == 1
+        b[polygon, counts[polygon] - 1] = start[polygon]
+        b[point] = start[point, None]
+        scale = np.maximum(np.maximum.reduceat(np.abs(V).ravel(), 2 * start), 1.0)
         vx, vy = V[:, 0].copy(), V[:, 1].copy()
         self.ax, self.ay = vx[a], vy[a]
         self.ex, self.ey = vx[b] - self.ax, vy[b] - self.ay

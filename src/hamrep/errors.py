@@ -25,11 +25,7 @@ class UnboundedSummand(HamrepError):
 
 
 class CapTooLow(HamrepError):
-    """Epigraph truncation height at or below the function minimum."""
-
-
-class EmptyResult(HamrepError):
-    """A bounded epigraph slice is empty at the requested level."""
+    """Epigraph truncation height below the function minimum."""
 
 
 class UnknownName(HamrepError):

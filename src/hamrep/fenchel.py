@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .convex_geom import _EPS_BASE, ConvexBody, _chain_lower_hull
-from .errors import CapTooLow, EmptyResult, GridUnderflow, ImproperFunction, UnboundedSummand
+from .errors import CapTooLow, GridUnderflow, ImproperFunction, UnboundedSummand
 
 INF_THRESHOLD = 1e12
 
@@ -87,13 +87,13 @@ class ConvexGridFunction:
     Values may be +inf (never -inf, never NaN); values at or above 1e12
     become +inf, and the finite nodes must form one contiguous run, whose
     bounds are kept so that `finite_slice` and `min_value` read plain
-    slices. With convex_flag set, midpoint convexity on the finite nodes is
-    validated to 1e-9 at construction.
+    slices. Convexity is not checked: a conjugate is convex by construction,
+    and the tests hold every Lagrangian slice to it.
     """
 
-    __slots__ = ("grid", "values", "convex_flag", "_run", "_hull")
+    __slots__ = ("grid", "values", "_run", "_hull")
 
-    def __init__(self, grid: UniformGrid, values, convex_flag: bool = False):
+    def __init__(self, grid: UniformGrid, values):
         vals = np.asarray(values, dtype=float).copy()
         if vals.shape != (grid.count,):
             raise ValueError(f"values shape {vals.shape} vs grid count {grid.count}")
@@ -112,15 +112,8 @@ class ConvexGridFunction:
             first, last = int(idx[0]), int(idx[-1]) + 1
             if last - first != len(idx):
                 raise ImproperFunction("finite nodes must be contiguous")
-        if convex_flag and last - first >= 3:
-            f = vals[first:last]
-            defect = 2.0 * f[1:-1] - f[:-2] - f[2:]
-            tol = 1e-9 * max(1.0, float(np.max(np.abs(f))))
-            if float(np.max(defect)) > 2.0 * tol:
-                raise ValueError("convex_flag set but midpoint convexity fails")
         self.grid = grid
         self.values = vals
-        self.convex_flag = bool(convex_flag)
         self._run = slice(first, last)
         self._hull = None
 
@@ -237,15 +230,6 @@ def conjugate_values(fn: ConvexGridFunction, points) -> np.ndarray:
     return out
 
 
-def conjugate(fn: ConvexGridFunction, out_grid: UniformGrid) -> ConvexGridFunction:
-    """Discrete Legendre-Fenchel conjugate onto out_grid.
-
-    The max runs over the finite nodes of fn only; results at or above
-    1e12 are promoted to +inf. The output is convex by construction.
-    """
-    return ConvexGridFunction(out_grid, conjugate_values(fn, out_grid.nodes()), convex_flag=True)
-
-
 # (v, u) pairs per block of `epi_sum`: each temporary stays near 128 kB, in
 # cache. On criterion 3's case a call took 4 ms, against 10 ms at 1 << 16
 # and 14 ms with 1,000,000 pairs, whose temporaries set `continuity`'s peak
@@ -276,8 +260,7 @@ def epi_sum(f1: ConvexGridFunction, f2: ConvexGridFunction) -> ConvexGridFunctio
         out[s : s + chunk] = np.min(vals, axis=1)
     if not np.any(np.isfinite(out)):
         raise ImproperFunction("epigraphical sum is +inf on the whole window")
-    convex = f1.convex_flag and f2.convex_flag
-    return ConvexGridFunction(f1.grid, out, convex_flag=False if not convex else True)
+    return ConvexGridFunction(f1.grid, out)
 
 
 def slope_range(fn: ConvexGridFunction) -> tuple[float, float]:
@@ -419,8 +402,6 @@ class LagrangianSlices:
         v = np.asarray(v, dtype=float)
         if self.spec.oracle_L is not None:
             return self.spec.oracle_L(ts, xs, v)
-        if np.ndim(ts) == 0 and np.ndim(xs) == 0:
-            return conjugate_values(self._kept_sample(ts, xs), v)
         t, x = np.broadcast_arrays(np.asarray(ts, dtype=float), np.asarray(xs, dtype=float))
         pairs, slab_of = row_slabs(t.ravel(), x.ravel(), t.size)
         ids = np.broadcast_to(slab_of.reshape(t.shape), v.shape).ravel()
@@ -487,20 +468,27 @@ class LagrangianSlices:
         s_lo, s_hi = slope_range(hfn)
         w = self._halfwidth(t, abs(x), lambda: (s_lo, s_hi)) if halfwidth is None else halfwidth
         grid = UniformGrid(-w, w, count)
-        raw = conjugate(hfn, grid)
-        if not trusted:
-            return raw
         nodes = grid.nodes()
-        lo, hi = _widened_chords(hfn.finite_slice()[1], self.p_grid.h)
-        keep = (nodes >= lo) & (nodes <= hi)
-        if not np.any(keep):
-            if s_lo > grid.hi or s_hi < grid.lo:
-                raise GridUnderflow(f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window")
-            keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
-        return ConvexGridFunction(grid, np.where(keep, raw.values, np.inf))
+        vals = conjugate_values(hfn, nodes)
+        if trusted:
+            lo, hi = _widened_chords(hfn.finite_slice()[1], self.p_grid.h)
+            keep = (nodes >= lo) & (nodes <= hi)
+            if not np.any(keep):
+                if s_lo > grid.hi or s_hi < grid.lo:
+                    raise GridUnderflow(f"trusted domain [{s_lo:.3g}, {s_hi:.3g}] misses the window")
+                keep[int(np.argmin(np.abs(nodes - 0.5 * (s_lo + s_hi))))] = True
+            vals[~keep] = np.inf
+        return ConvexGridFunction(grid, vals)
 
 
-def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:
+def build_epigraph(fn: ConvexGridFunction, cap: float) -> ConvexBody:
+    """Polygon for {(v, eta) : fn(v) <= eta <= cap}: the truncated epigraph,
+    or at a cap equal to min fn its argmin segment or point (the bounded
+    slice below lambda of a compact triple may be one). Raises CapTooLow
+    when the cap is below min fn.
+    """
+    if cap < fn.min_value():
+        raise CapTooLow(f"cap {cap} < min value {fn.min_value()}")
     nodes = fn.grid.nodes()
     vals = fn.values
     finite = np.isfinite(vals)
@@ -542,22 +530,3 @@ def _truncated_polygon(fn: ConvexGridFunction, cap: float) -> ConvexBody:
     if len(loop) < 3 or float(np.max(spread)) <= eps:
         return ConvexBody(np.vstack([pts, top_left]))
     return ConvexBody._from_loop(loop)
-
-
-def build_epigraph(fn: ConvexGridFunction, eta_cap: float) -> ConvexBody:
-    """Polygon for {(v, eta) : fn(v) <= eta <= eta_cap}.
-
-    Raises CapTooLow when the cap does not rise strictly above min fn.
-    """
-    if eta_cap <= fn.min_value():
-        raise CapTooLow(f"eta_cap {eta_cap} <= min value {fn.min_value()}")
-    return _truncated_polygon(fn, eta_cap)
-
-
-def build_bounded_epigraph(fn: ConvexGridFunction, lambda_val: float) -> ConvexBody:
-    """Polygon for the slice {fn <= eta <= lambda_val}; lambda_val may sit
-    exactly at min fn (degenerate argmin segment). Raises EmptyResult when
-    the slice is empty."""
-    if lambda_val < fn.min_value():
-        raise EmptyResult(f"lambda {lambda_val} < min value {fn.min_value()}")
-    return _truncated_polygon(fn, lambda_val)

@@ -52,14 +52,6 @@ class ModulusData:
     w_R: Callable[[float, float, float], float]
     c: Callable[[float], float] | None = None
 
-    def scaled(self, factor: float) -> "ModulusData":
-        k, w = self.k_R, self.w_R
-        return ModulusData(
-            k_R=lambda R, t: factor * k(R, t),
-            w_R=lambda R, t, r: factor * w(R, t, r),
-            c=self.c,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class LambdaBound:
@@ -319,7 +311,6 @@ def check_HLC(
     spec: HamiltonianSpec,
     R: float,
     samples: SamplePlan | None = None,
-    modulus: ModulusData | None = None,
     tol: float = TOLERANCES["hlc"],
 ) -> CheckReport:
     """Value-level continuity: |H(t,x,p) - H(t,y,p)| <= k|p||x-y| + w(|x-y|)
@@ -328,7 +319,7 @@ def check_HLC(
     first (t, x, y, p) is the witness; a run that judges no sample (no
     triple or no p in the plan) fails."""
     plan = samples or SamplePlan()
-    mod = modulus or spec.modulus
+    mod = spec.modulus
     worst = Worst("hlc", nan_note="excess is NaN")
     ps = plan.p_values(10.0)
     for t, x, y in plan.triples(spec.t_range, R):
@@ -344,7 +335,6 @@ def check_LLC(
     spec: HamiltonianSpec,
     R: float,
     samples: SamplePlan | None = None,
-    modulus: ModulusData | None = None,
     tol: float = TOLERANCES["llc"],
     p_grid: UniformGrid | None = None,
 ) -> CheckReport:
@@ -357,10 +347,10 @@ def check_LLC(
     the probes of every (triple, direction), then one `window_min` call over
     all their windows, and the worst excess is taken in loop order. L, its
     domain and the window that clamps an unbounded domain come from the
-    spec's slices on p_grid; modulus overrides k_R and w_R only. A run that
-    judges no sample (every probe window or slice empty) fails."""
+    spec's slices on p_grid, and k and w from its modulus. A run that judges
+    no sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
-    mod = modulus or spec.modulus
+    mod = spec.modulus
     slices = spec.slices(p_grid)
     fracs = plan.unit_fractions()
     probed: list = []  # (t, a, b, k|a-b|, w(|a-b|), probes)
@@ -418,7 +408,6 @@ def check_MLC(
     spec: HamiltonianSpec,
     R: float,
     samples: SamplePlan | None = None,
-    modulus: ModulusData | None = None,
     p_grid: UniformGrid | None = None,
     v_count: int = GridPolicy.v_count,
     tol: float | None = TOLERANCES["mlc"],
@@ -431,7 +420,7 @@ def check_MLC(
     containment gap fails the run and its first triple is the witness; a
     run that judges no triple fails."""
     plan = samples or SamplePlan()
-    mod = modulus or spec.modulus
+    mod = spec.modulus
     slices = spec.slices(p_grid)
     worst = Worst("mlc", nan_note="containment gap is NaN")
     h_used = 0.0

@@ -2,7 +2,9 @@
 
 Apart from the slice oracles, the ones handed a triple or an evaluator,
 and the former library kernels, nothing here calls into the package. The
-former library kernels are `support`, `restrict`, `project_point`,
+former library kernels are `support`, `restrict`, the grid conjugate
+`grid_conjugate` with the `midpoint_defect` bound it was once checked
+against, the modulus scaling `scaled_modulus`, `project_point`,
 `inside_mask`, `body_scale`, the polygonized disc `ball`, the polygonized
 projection map `proj_map` with its `arc_deg` arc resolution, the box
 corners `inflate_candidates` that the inflation once hulled, and the
@@ -32,6 +34,7 @@ evaluator the test passes in). Tests compare library output against
 these so a regression cannot certify itself.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -616,7 +619,7 @@ def inline_lagrangian_slice(h_eval, t, x, p_grid, v_grid, trusted=True):
     bound 4 eps (|H_a| + |H_b|)/h of its difference quotient (the node
     nearest their midpoint kept when no node lies between them)."""
     hfn = inline_h_slice(h_eval, t, x, p_grid)
-    raw = fl.conjugate(hfn, v_grid)
+    raw = grid_conjugate(hfn, v_grid)
     if not trusted:
         return raw
     s_lo, s_hi = inline_widened_trust(hfn)
@@ -697,7 +700,30 @@ def restrict(fn, lo, hi):
     nodes = fn.grid.nodes()
     vals = fn.values.copy()
     vals[(nodes < lo) | (nodes > hi)] = np.inf
-    return fl.ConvexGridFunction(fn.grid, vals, convex_flag=fn.convex_flag)
+    return fl.ConvexGridFunction(fn.grid, vals)
+
+
+def grid_conjugate(fn, out_grid):
+    """The discrete conjugate of fn at the nodes of out_grid, as a grid
+    function (the former `fenchel.conjugate`)."""
+    return fl.ConvexGridFunction(out_grid, fl.conjugate_values(fn, out_grid.nodes()))
+
+
+def midpoint_defect(fn):
+    """The largest midpoint defect 2 f_i - f_(i-1) - f_(i+1) over the
+    finite run of fn, and the bound 2e-9 max(1, max |f|) that the former
+    `convex_flag` check held a convex grid function to."""
+    _, f = fn.finite_slice()
+    if len(f) < 3:
+        return 0.0, 0.0
+    return float(np.max(2.0 * f[1:-1] - f[:-2] - f[2:])), 2e-9 * max(1.0, float(np.max(np.abs(f))))
+
+
+def scaled_modulus(mod, factor):
+    """The modulus with k_R and w_R times factor and c kept (the former
+    `zoo.ModulusData.scaled`): criterion 02's halved-k mutation at 0.5."""
+    k, w = mod.k_R, mod.w_R
+    return dataclasses.replace(mod, k_R=lambda R, t: factor * k(R, t), w_R=lambda R, t, r: factor * w(R, t, r))
 
 
 def inside_mask(points, body):

@@ -29,7 +29,7 @@ from hamrep.builder import (
 from hamrep.exprs import compile_expr
 from hamrep.sampling import SamplePlan
 
-from _oracles import exterior_angle_steiner, restrict
+from _oracles import exterior_angle_steiner, grid_conjugate, restrict, scaled_modulus
 
 T_MID = 0.5
 X_FIVE = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -114,14 +114,14 @@ def test_criterion_02_continuity_equivalence_checks():
         ):
             if not rep.passed:
                 base_failures.append(f"{rep.check}[{name}]")
-    spec = zoo.builtin("ex_2_1")
-    half = spec.modulus.scaled(0.5)
+    base = zoo.builtin("ex_2_1")
+    half = dataclasses.replace(base, modulus=scaled_modulus(base.modulus, 0.5))
     surviving = [
         rep.check
         for rep in (
-            zoo.check_HLC(spec, R=2.0, samples=plan, modulus=half),
-            zoo.check_LLC(spec, R=2.0, samples=plan, modulus=half),
-            zoo.check_MLC(spec, R=2.0, samples=plan, modulus=half),
+            zoo.check_HLC(half, R=2.0, samples=plan),
+            zoo.check_LLC(half, R=2.0, samples=plan),
+            zoo.check_MLC(half, R=2.0, samples=plan),
         )
         if rep.passed
     ]
@@ -150,9 +150,9 @@ def test_criterion_03_sum_conjugate_epi_sum_identity():
     sum_fn = fl.ConvexGridFunction(grid, h1_vals + h2_vals)
     width = max(abs(s) for s in fl.slope_range(sum_fn)) + 0.5
     v_grid = fl.UniformGrid(-width, width, 601)
-    lhs = restrict(fl.conjugate(sum_fn, v_grid), *fl.slope_range(sum_fn))
-    f1 = restrict(fl.conjugate(h1_fn, v_grid), *fl.slope_range(h1_fn))
-    f2 = restrict(fl.conjugate(h2_fn, v_grid), *fl.slope_range(h2_fn))
+    lhs = restrict(grid_conjugate(sum_fn, v_grid), *fl.slope_range(sum_fn))
+    f1 = restrict(grid_conjugate(h1_fn, v_grid), *fl.slope_range(h1_fn))
+    f2 = restrict(grid_conjugate(h2_fn, v_grid), *fl.slope_range(h2_fn))
     rhs = fl.epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)
     mismatch = int(np.sum(np.isfinite(lhs.values) != np.isfinite(rhs.values)))

@@ -23,7 +23,7 @@ PLAN = SamplePlan(seed=0)
 
 
 def test_simplex_weights_partition():
-    w = simplex_weights(8)
+    w = simplex_weights()
     assert w.shape == (9, 2)
     assert np.allclose(w.sum(axis=1), 1.0)
     assert np.all(w >= 0.0)

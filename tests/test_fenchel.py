@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hamrep import fenchel as fl
 from hamrep import zoo
 from hamrep.builder import build_compact, build_noncompact
-from hamrep.errors import ImproperFunction, UnboundedSummand
+from hamrep.errors import CapTooLow, ImproperFunction, UnboundedSummand
 from hamrep.exprs import compile_hamiltonian
 
 from _oracles import (
@@ -19,6 +19,8 @@ from _oracles import (
     brute_conjugate_values,
     body_scale,
     brute_hausdorff,
+    grid_conjugate,
+    midpoint_defect,
     monotone_chain_lower_hull,
     numpy_row_convex_hull,
     restrict,
@@ -67,7 +69,7 @@ def test_restrict_drops_outside_nodes():
 
 def test_conjugate_quadratic_closed_form():
     # (p^2/2)* = v^2/2
-    L = fl.conjugate(_on_grid(lambda p: 0.5 * p * p), V_GRID)
+    L = grid_conjugate(_on_grid(lambda p: 0.5 * p * p), V_GRID)
     vs = V_GRID.nodes()
     assert float(np.max(np.abs(L.values - 0.5 * vs * vs))) <= 1e-5
 
@@ -75,7 +77,7 @@ def test_conjugate_quadratic_closed_form():
 def test_conjugate_abs_window_form_and_trust_restriction():
     # over the window, |p|* = max(0, 50(|v| - 1)); inside the slope trust
     # interval [-1, 1] this is the indicator value 0
-    L = fl.conjugate(_on_grid(np.abs), V_GRID)
+    L = grid_conjugate(_on_grid(np.abs), V_GRID)
     vs = V_GRID.nodes()
     want = np.maximum(0.0, 50.0 * (np.abs(vs) - 1.0))
     assert float(np.max(np.abs(L.values - want))) <= 1e-9
@@ -89,7 +91,7 @@ def test_conjugate_abs_window_form_and_trust_restriction():
 def test_conjugate_linear_window_form():
     # (0.5 p)* over the window is the cone 50|v - 0.5|; restricting to
     # the slope trust interval collapses the domain to the single slope
-    L = fl.conjugate(_on_grid(lambda p: 0.5 * p), V_GRID)
+    L = grid_conjugate(_on_grid(lambda p: 0.5 * p), V_GRID)
     vs = V_GRID.nodes()
     want = 50.0 * np.abs(vs - 0.5)
     assert float(np.max(np.abs(L.values - want))) <= 1e-6
@@ -125,12 +127,17 @@ def test_improper_values_rejected_at_construction(values):
         fl.ConvexGridFunction(fl.UniformGrid(-2.0, 2.0, 5), values)
 
 
-def test_convexity_failure_rejected_on_the_finite_run():
-    g = fl.UniformGrid(-2.0, 2.0, 5)
-    with pytest.raises(ValueError, match="midpoint convexity"):
-        fl.ConvexGridFunction(g, [np.inf, 0.0, 1.0, 0.0, np.inf], convex_flag=True)
-    # the +inf ends are not part of the run the check reads
-    fl.ConvexGridFunction(g, [np.inf, 1.0, 0.0, 1.0, 1e12], convex_flag=True)
+@pytest.mark.parametrize("name", zoo.names())
+def test_every_lagrangian_slice_is_midpoint_convex(name):
+    # L = H* is convex by construction, so nothing checks it at run time;
+    # every on_grid slice, raw and trusted, meets the bound the former
+    # construction-time check held a convex grid function to
+    slices = zoo.builtin(name).slices()
+    for t in (0.25, 0.75):
+        for x in (-1.0, 0.0, 0.6):
+            for trusted in (False, True):
+                defect, bound = midpoint_defect(slices.on_grid(t, x, zoo.GridPolicy.v_count, trusted=trusted))
+                assert defect <= bound, (t, x, trusted, defect, bound)
 
 
 def test_finite_run_is_kept_for_slices_and_minimum():
@@ -160,7 +167,7 @@ def test_grid_nodes_are_built_once_and_read_only():
 def test_conjugate_matches_brute_force(a, b, c):
     # (a(p-b)^2 + c)* at probe slopes, against the dense-grid oracle
     h = lambda p: a * (p - b) ** 2 + c
-    L = fl.conjugate(_on_grid(h), V_GRID)
+    L = grid_conjugate(_on_grid(h), V_GRID)
     for v in (-1.5, -0.4, 0.0, 0.7, 1.5):
         want = brute_conjugate(h, v)
         assert float(L(np.array([v]))[0]) == pytest.approx(want, abs=2e-3)
@@ -172,7 +179,7 @@ def test_fenchel_young_inequality(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(0.3, 2.0), rng.uniform(-1.5, 1.5)
     h = _on_grid(lambda p: a * np.abs(p - b))
-    L = fl.conjugate(h, V_GRID)
+    L = grid_conjugate(h, V_GRID)
     ps = rng.uniform(-3.0, 3.0, 16)
     vs = rng.uniform(-1.9, 1.9, 16)
     hp = h(ps)
@@ -185,7 +192,7 @@ def test_fenchel_young_inequality(seed):
 
 def test_biconjugate_recovers_convex_function():
     h = _on_grid(lambda p: np.sqrt(1.0 + p * p))
-    bc = fl.conjugate(fl.conjugate(h, P_GRID), P_GRID)
+    bc = grid_conjugate(grid_conjugate(h, P_GRID), P_GRID)
     fin = np.isfinite(bc.values)
     err = np.abs(bc.values[fin] - h.values[fin])
     ps = P_GRID.nodes()[fin]
@@ -199,7 +206,7 @@ def test_biconjugate_recovers_convex_function():
 def test_biconjugate_is_convex_envelope():
     # double well: envelope is 0 on [-1, 1]
     h = _on_grid(lambda p: np.minimum((p - 1.0) ** 2, (p + 1.0) ** 2))
-    bc = fl.conjugate(fl.conjugate(h, P_GRID), P_GRID)
+    bc = grid_conjugate(grid_conjugate(h, P_GRID), P_GRID)
     ps = P_GRID.nodes()
     flat = np.abs(ps) <= 0.9
     assert float(np.max(np.abs(bc.values[flat]))) <= 1e-3
@@ -210,9 +217,11 @@ def test_biconjugate_is_convex_envelope():
 
 
 def test_conjugate_values_matches_conjugate():
+    # one query over every node of a grid gives, node by node, the value
+    # a query at that node alone gives
     h = _on_grid(lambda p: np.sqrt(1.0 + p * p))
-    L = fl.conjugate(h, V_GRID)
-    vals = fl.conjugate_values(h, V_GRID.nodes())
+    L = grid_conjugate(h, V_GRID)
+    vals = np.array([fl.conjugate_values(h, [v])[0] for v in V_GRID.nodes()])
     assert np.array_equal(L.values, vals)
 
 
@@ -297,7 +306,7 @@ def test_conjugate_hull_is_built_once_per_function(monkeypatch):
     fn = _on_grid(lambda p: np.maximum(np.abs(p) - 1.0, 0.0))
     first = fl.conjugate_values(fn, np.array([0.5]))
     again = fl.conjugate_values(fn, np.array([0.5, -2.0]))
-    fl.conjugate(fn, V_GRID)
+    grid_conjugate(fn, V_GRID)
     assert built == [P_GRID.count]
     assert again[0] == first[0]
 
@@ -317,9 +326,9 @@ def test_epi_sum_against_sum_conjugate():
     h2 = lambda p: 0.5 * np.abs(p) + 0.1
     # window conjugates are finite past the certifiable slopes, so each
     # factor is restricted to its own trust interval first
-    f1 = restrict(fl.conjugate(_on_grid(h1), V_GRID), *fl.slope_range(_on_grid(h1)))
-    f2 = restrict(fl.conjugate(_on_grid(h2), V_GRID), *fl.slope_range(_on_grid(h2)))
-    lhs = fl.conjugate(_on_grid(lambda p: h1(p) + h2(p)), V_GRID)
+    f1 = restrict(grid_conjugate(_on_grid(h1), V_GRID), *fl.slope_range(_on_grid(h1)))
+    f2 = restrict(grid_conjugate(_on_grid(h2), V_GRID), *fl.slope_range(_on_grid(h2)))
+    lhs = grid_conjugate(_on_grid(lambda p: h1(p) + h2(p)), V_GRID)
     rhs = fl.epi_sum(f1, f2)
     assert float(rhs(np.array([0.0]))[0]) == pytest.approx(EPISUM_SUM_AT_ZERO, abs=1e-9)
     vs = V_GRID.nodes()
@@ -330,7 +339,7 @@ def test_epi_sum_against_sum_conjugate():
 
 def test_epi_sum_identity_element():
     # indicator of {0} is the identity for epi-sum at grid nodes
-    f = fl.conjugate(_on_grid(lambda p: 0.5 * p * p), V_GRID)
+    f = grid_conjugate(_on_grid(lambda p: 0.5 * p * p), V_GRID)
     ind = np.full(V_GRID.count, np.inf)
     ind[V_GRID.count // 2] = 0.0
     delta = fl.ConvexGridFunction(V_GRID, ind)
@@ -355,7 +364,7 @@ def test_epi_sum_interval_indicators():
 
 
 def test_epi_sum_unbounded_summand_raises():
-    f = fl.conjugate(_on_grid(lambda p: 0.5 * p * p), V_GRID)
+    f = grid_conjugate(_on_grid(lambda p: 0.5 * p * p), V_GRID)
     slope = fl.ConvexGridFunction(V_GRID, -3.0 * V_GRID.nodes())
     with pytest.raises(UnboundedSummand):
         fl.epi_sum(f, slope)
@@ -370,8 +379,8 @@ def test_epi_sum_blocks_give_the_one_table_minimum():
     h12 = fl.ConvexGridFunction(P_GRID, h1.values + h2.values)
     width = max(abs(s) for s in fl.slope_range(h12)) + 0.5
     v_grid = fl.UniformGrid(-width, width, 601)
-    f1 = restrict(fl.conjugate(h1, v_grid), *fl.slope_range(h1))
-    f2 = restrict(fl.conjugate(h2, v_grid), *fl.slope_range(h2))
+    f1 = restrict(grid_conjugate(h1, v_grid), *fl.slope_range(h1))
+    f2 = restrict(grid_conjugate(h2, v_grid), *fl.slope_range(h2))
     u, fu = f1.finite_slice()
     assert len(v_grid.nodes()) * len(u) > 4 * fl._EPI_BLOCK
     table = fu[None, :] + f2(v_grid.nodes()[:, None] - u[None, :])
@@ -537,7 +546,7 @@ def test_epigraph_polygons_match_general_hull_on_production_slices():
         bodies = [(fl.build_epigraph(fn, lmin + 2.0**j), lmin + 2.0**j) for j in range(6)]
         if triple.control.kind == "unit_ball":
             lam = float(triple.source.lambda_bound.eval(t, x))
-            bodies.append((fl.build_bounded_epigraph(fn, lam), lam))
+            bodies.append((fl.build_epigraph(fn, lam), lam))
         for epi, cap in bodies:
             want = numpy_row_convex_hull(_epigraph_points(fn, cap))
             got = epi.vertices
@@ -553,7 +562,11 @@ def test_epigraph_polygons_match_general_hull_on_production_slices():
 def test_bounded_epigraph_truncates_at_lambda():
     g = fl.UniformGrid(-2.0, 2.0, 5)
     f = fl.ConvexGridFunction(g, np.array([np.inf, 1.0, 0.0, 1.0, np.inf]))
-    B = fl.build_bounded_epigraph(f, 0.5)
+    B = fl.build_epigraph(f, 0.5)
     heights = B.vertices[:, 1]
     assert float(np.max(heights)) <= 0.5 + 1e-12
     assert (0.0, 0.0) in {tuple(v) for v in B.vertices}
+    # a cap at the minimum leaves the argmin point; one below it, nothing
+    assert fl.build_epigraph(f, 0.0).vertices.tolist() == [[0.0, 0.0]]
+    with pytest.raises(CapTooLow):
+        fl.build_epigraph(f, -1e-12)

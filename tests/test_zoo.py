@@ -13,6 +13,7 @@ from _oracles import (
     inline_h_slice,
     kink_window_min,
     per_set_check_LLC,
+    scaled_modulus,
 )
 from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
@@ -110,7 +111,7 @@ def test_slices_domain_routes():
 
 def test_modulus_scaled_halves_k_and_w_keeps_c():
     mod = zoo.builtin("ex_2_2").modulus
-    half = mod.scaled(0.5)
+    half = scaled_modulus(mod, 0.5)
     assert half.k_R(2.0, 0.5) == pytest.approx(0.5 * mod.k_R(2.0, 0.5))
     assert half.w_R(2.0, 0.5, 0.3) == pytest.approx(0.5 * mod.w_R(2.0, 0.5, 0.3))
     assert half.c(0.5) == mod.c(0.5)
@@ -127,10 +128,10 @@ def test_continuity_checks_pass(name):
 @pytest.mark.parametrize("name", ["ex_2_1", "ex_2_2"])
 def test_continuity_checks_fail_on_halved_modulus(name):
     spec = zoo.builtin(name)
-    half = spec.modulus.scaled(0.5)
-    assert zoo.check_HLC(spec, R=2.0, samples=SMALL_PLAN, modulus=half).verdict == "fail"
-    assert zoo.check_LLC(spec, R=2.0, samples=SMALL_PLAN, modulus=half).verdict == "fail"
-    assert zoo.check_MLC(spec, R=2.0, samples=SMALL_PLAN, modulus=half).verdict == "fail"
+    half = dataclasses.replace(spec, modulus=scaled_modulus(spec.modulus, 0.5))
+    assert zoo.check_HLC(half, R=2.0, samples=SMALL_PLAN).verdict == "fail"
+    assert zoo.check_LLC(half, R=2.0, samples=SMALL_PLAN).verdict == "fail"
+    assert zoo.check_MLC(half, R=2.0, samples=SMALL_PLAN).verdict == "fail"
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
