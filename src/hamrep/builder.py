@@ -31,6 +31,7 @@ from .errors import BLCViolation, ConfigError, MissingC
 from .fenchel import (
     ConvexGridFunction,
     EffectiveDomain,
+    GridPolicy,
     LagrangianSlices,
     UniformGrid,
     build_epigraph,
@@ -38,7 +39,7 @@ from .fenchel import (
 )
 from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
-from .zoo import GridPolicy, HamiltonianSpec
+from .zoo import HamiltonianSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,7 +148,7 @@ class RepresentationTriple:
     @functools.cached_property
     def slices(self) -> LagrangianSlices:
         """The source's Lagrangian slices: a constructed triple's own, on its
-        p-grid, else the source's on the default p-grid."""
+        grids, else the source's on the default grids."""
         return self._core.slices if self._core is not None else self.source.slices()
 
 
@@ -172,14 +173,13 @@ class _SliceCore:
     build's core holds the spec's bound lambda and checks each slice
     against it."""
 
-    def __init__(self, spec: HamiltonianSpec, policy: GridPolicy, lam: Callable | None = None):
-        self.policy = policy
+    def __init__(self, spec: HamiltonianSpec, grids: GridPolicy, lam: Callable | None = None):
         self.lam = lam
-        self.slices = spec.slices(policy.p_grid())
+        self.slices = spec.slices(grids)
         # v-grid spacing at mid-time and x = 0, reported as the triple's grid_h
         t0 = 0.5 * (spec.t_range[0] + spec.t_range[1])
         w = self.slices.halfwidth(t0, 0.0)
-        self.grid_h = UniformGrid(-w, w, policy.v_count).h
+        self.grid_h = UniformGrid(-w, w, grids.v_count).h
         self._kept: dict[tuple[float, float], ConvexGridFunction] = {}
         self._epis: dict[tuple[float, float, int], cg.ConvexBody] = {}
 
@@ -189,7 +189,7 @@ class _SliceCore:
         fn = self._kept.get(key)
         if fn is not None:
             return fn
-        fn = self.slices.on_grid(t, x, self.policy.v_count)
+        fn = self.slices.on_grid(t, x)
         if self.lam is not None:
             finite = fn.values[np.isfinite(fn.values)]
             excess = float(np.max(finite)) - float(self.lam(t, x))
@@ -283,8 +283,7 @@ def build_noncompact(
 ) -> RepresentationTriple:
     """Full-space control representation: A = R^2, M = 1, e = Steiner point
     of P(a, truncated E_L(t,x)). Lift points a = (v, L(v)) map to themselves."""
-    policy = grids or GridPolicy()
-    core = _SliceCore(spec, policy)
+    core = _SliceCore(spec, grids or GridPolicy())
     plan = plan or APlan()
     control = ControlSet("full_space", 2)
 
@@ -329,8 +328,7 @@ def build_compact(
         raise MissingC(f"{spec.name} carries no growth bound c(t)")
     if spec.lambda_bound is None:
         raise ConfigError(f"{spec.name} has no lambda bound")
-    policy = grids or GridPolicy()
-    core = _SliceCore(spec, policy, lam=spec.lambda_bound.eval)
+    core = _SliceCore(spec, grids or GridPolicy(), lam=spec.lambda_bound.eval)
     plan = plan or APlan()
     control = ControlSet("unit_ball", 2)
 

@@ -34,7 +34,7 @@ from .builder import (
 )
 from .errors import ConfigError, HamrepError, UnknownName
 from .exprs import compile_expr, compile_hamiltonian
-from .fenchel import UniformGrid, epi_sum
+from .fenchel import epi_sum
 from .report import TOLERANCES, CheckReport, Worst, reports_to_json
 from .sampling import SamplePlan
 
@@ -305,18 +305,9 @@ def _ham_tag(cfg: RunConfig) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", raw)
 
 
-# numpy 2 writes a numpy scalar's repr as np.float64(0.5), so these are
-# written as Python floats
-_FLOATS = (float, np.floating)
-
-
 def _fmt_cell(v) -> str:
-    if isinstance(v, _FLOATS):
-        v = float(v)
-        if math.isfinite(v):
-            return repr(v)
-        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
-    # comma is the separator; free text swaps it for ";" to stay one cell
+    # str spells a float or numpy float64 as repr(float(v)) does; comma is
+    # the separator, so free text swaps it for ";" to stay one cell
     return str(v).replace(",", ";")
 
 
@@ -344,18 +335,14 @@ def _run_conjugate(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
     abs_tol = cfg.tol("abs_err")
     margin = cfg.tol("margin")
-    p_grid = cfg.grids.p_grid()
     t = _mid(cfg.window.t_range)
     reports: list[CheckReport] = []
     rows: list[tuple] = []
     for spec in specs:
         # without oracle_L the slices' L is the numeric conjugate
-        numeric = dataclasses.replace(spec, oracle_L=None).slices(p_grid)
+        numeric = dataclasses.replace(spec, oracle_L=None).slices(cfg.grids)
         # every x row's probes, queried at once with one x per probe
-        probes = [
-            zoo.oracle_probe_values(numeric, t, float(x), margin=margin, count=min(cfg.grids.v_count, 201))
-            for x in _x_values(cfg)
-        ]
+        probes = [zoo.oracle_probe_values(numeric, t, float(x), margin=margin) for x in _x_values(cfg)]
         xs = np.repeat(_x_values(cfg), [len(vs) for vs in probes])
         vs = np.concatenate(probes)
         ln = np.asarray(numeric.values(t, xs, vs), dtype=float)
@@ -393,12 +380,12 @@ def _run_conjugate(cfg: RunConfig):
             match.see(err, {"abs_tol": abs_tol, "margin": margin})
             reports.append(match.report(abs_tol))
     if cfg.summand is not None:
-        reports.append(_episum_identity(cfg, specs[0], p_grid, t, rows))
+        reports.append(_episum_identity(cfg, specs[0], t, rows))
     header = ["hamiltonian", "t", "x", "v", "L_numeric", "L_oracle", "abs_err"]
     return reports, header, rows, {}
 
 
-def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: list) -> CheckReport:
+def _episum_identity(cfg: RunConfig, spec, t: float, rows: list) -> CheckReport:
     """Conjugation turns sums into epigraphical sums: compare the numeric
     conjugate of H + summand against the epi-sum of the two conjugates,
     each restricted to its edge-slope trust interval."""
@@ -410,11 +397,11 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
         return np.asarray(spec.eval(t, x, p), dtype=float) + np.asarray(h2(t, x, p), dtype=float)
 
     slices = [
-        dataclasses.replace(spec, eval=h, oracle_L=None, oracle_dom=None).slices(p_grid)
+        dataclasses.replace(spec, eval=h, oracle_L=None, oracle_dom=None).slices(cfg.grids)
         for h in (h_sum, spec.eval, h2)
     ]
     width = max(abs(s) for s in slices[0].trust(t, x)) + 0.5
-    lhs, f1, f2 = (sl.on_grid(t, x, cfg.grids.v_count, width) for sl in slices)
+    lhs, f1, f2 = (sl.on_grid(t, x, width) for sl in slices)
     rhs = epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)
     mismatch = int(np.sum(np.isfinite(lhs.values) != np.isfinite(rhs.values)))
@@ -435,20 +422,12 @@ def _episum_identity(cfg: RunConfig, spec, p_grid: UniformGrid, t: float, rows: 
 def _run_check(cfg: RunConfig):
     specs = _resolve_specs(cfg, allow_all=True)
     plan = cfg.plan()
-    p_grid = cfg.grids.p_grid()
     reports: list[CheckReport] = []
     for spec in specs:
         got = [
             zoo.check_HLC(spec, cfg.R, samples=plan, tol=cfg.tol("hlc")),
-            zoo.check_LLC(spec, cfg.R, samples=plan, tol=cfg.tol("llc"), p_grid=p_grid),
-            zoo.check_MLC(
-                spec,
-                cfg.R,
-                samples=plan,
-                p_grid=p_grid,
-                v_count=cfg.grids.v_count,
-                tol=cfg.tol("mlc"),
-            ),
+            zoo.check_LLC(spec, cfg.R, samples=plan, tol=cfg.tol("llc"), grids=cfg.grids),
+            zoo.check_MLC(spec, cfg.R, samples=plan, grids=cfg.grids, tol=cfg.tol("mlc")),
         ]
         reports.extend(_tag_reports(got, spec.name) if len(specs) > 1 else got)
     if cfg.geometry:
@@ -536,7 +515,7 @@ def _blc_probe(cfg: RunConfig, spec) -> CheckReport:
         window=cfg.window,
         threshold=cfg.tol("blc_threshold"),
         plan=cfg.plan(),
-        p_grid=cfg.grids.p_grid(),
+        grids=cfg.grids,
     )
 
 
@@ -603,7 +582,7 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
         kind=kind,
         window=cfg.window,
         plan=cfg.plan(),
-        policy=cfg.grids,
+        grids=cfg.grids,
         bound_slack=cfg.tol("bound_slack"),
         fixed_t=fixed_t,
     )
@@ -619,7 +598,7 @@ def _stability_single(cfg: RunConfig, name: str, kind: str, fixed_t: float | Non
                 family,
                 window=cfg.window,
                 plan=cfg.plan(),
-                policy=cfg.grids,
+                grids=cfg.grids,
                 abs_tol=cfg.tol("epigraph_abs"),
                 ratio=cfg.tol("decay_ratio"),
             )
@@ -759,8 +738,6 @@ def main(argv: list[str] | None = None) -> int:
                 tols[name] = float(value)
             except ValueError:
                 raise ConfigError(f"--tol {name}: {value!r} is not a number") from None
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .builder import ControlSet, RepresentationTriple, Window, lagrangian_access
 from .errors import ConfigError, NoncompactControl
-from .fenchel import UniformGrid
+from .fenchel import GridPolicy
 from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
 from .zoo import HamiltonianSpec, LambdaBound
@@ -190,7 +190,7 @@ def detect_blc_failure(
     window: Window | None = None,
     threshold: float = TOLERANCES["blc_threshold"],
     plan: SamplePlan | None = None,
-    p_grid: UniformGrid | None = None,
+    grids: GridPolicy | None = None,
 ) -> CheckReport:
     """Interior-sup ladder for Lagrangian boundedness on the domain.
 
@@ -202,12 +202,12 @@ def detect_blc_failure(
     double as a candidate lambda. Both verdicts are findings, not failures.
     An unbounded domain has no interior ladder and is skipped; a margin at
     which no slab is judged fails the probe. Numeric slices sample H on
-    p_grid.
+    the p-grid of grids.
     """
     plan = plan or SamplePlan()
     window = window or Window()
     rng = plan.rng(101)
-    slices = spec.slices(p_grid)
+    slices = spec.slices(grids)
     slabs = [
         (float(t), float(x))
         for t, x in zip(rng.uniform(*window.t_range, 8), rng.uniform(*window.x_range, 8))

@@ -405,6 +405,9 @@ def minkowski_inflate(body: ConvexBody, r_v: float, r_eta: float) -> ConvexBody:
     """
     if r_v < 0 or r_eta < 0:
         raise ValueError("inflation radii must be nonnegative")
+    # a subnormal radius moves a corner off its vertex only where that
+    # coordinate is 0 or subnormal, and the float turns there underflow to 0
+    r_v, r_eta = (0.0 if r < _TINY else r for r in (r_v, r_eta))
     verts = body.vertices
     e_out = np.concatenate([verts[1:], verts[:1]]) - verts
     e_in = np.concatenate([e_out[-1:], e_out[:-1]])

@@ -72,6 +72,19 @@ class UniformGrid:
 
 
 @dataclasses.dataclass(frozen=True)
+class GridPolicy:
+    """Discretization knobs: p_count nodes on the p-grid of every H sample,
+    v_count on the v-grid of every Lagrangian slice."""
+
+    p_count: int = 10001
+    v_count: int = 601
+
+    def p_grid(self) -> UniformGrid:
+        """The p-grid every H sample lives on: p_count nodes over [-50, 50]."""
+        return UniformGrid(-50.0, 50.0, self.p_count)
+
+
+@dataclasses.dataclass(frozen=True)
 class EffectiveDomain:
     """Interval hull of the finite nodes, with advisory endpoint flags."""
 
@@ -337,7 +350,8 @@ def row_slabs(ts, xs, n: int):
 class LagrangianSlices:
     """The Lagrangian slices L(t, x, .) = H(t, x, .)* of one Hamiltonian
     spec (a `zoo.HamiltonianSpec`: eval, oracle_L, oracle_dom, modulus.c)
-    on one p-grid.
+    on the grids of one `GridPolicy`: H sampled on its p-grid, L on
+    v-grids of its v_count nodes.
 
     L comes from oracle_L and the domain from oracle_dom when the spec has
     them, else from H(t, x, .) sampled on the p-grid, whose conjugate is
@@ -348,9 +362,10 @@ class LagrangianSlices:
     cache the grid slices they reuse.
     """
 
-    def __init__(self, spec, p_grid: UniformGrid):
+    def __init__(self, spec, grids: GridPolicy):
         self.spec = spec
-        self.p_grid = p_grid
+        self.grids = grids
+        self.p_grid = grids.p_grid()
         self._kept: dict[tuple[float, float], ConvexGridFunction] = {}
 
     def _sample(self, t: float, x: float) -> ConvexGridFunction:
@@ -446,15 +461,8 @@ class LagrangianSlices:
             m, _ = _convex_argmin(f, np.clip(c_lo, lo, hi), np.clip(c_hi, lo, hi))
         return _finite(self.values(ts, xs, np.clip(m[slab_of], u0, u1)))
 
-    def on_grid(
-        self,
-        t: float,
-        x: float,
-        count: int,
-        halfwidth: float | None = None,
-        trusted: bool = True,
-    ) -> ConvexGridFunction:
-        """Numeric L(t, x, .) on the v-grid of count nodes over [-w, w].
+    def on_grid(self, t: float, x: float, halfwidth: float | None = None, trusted: bool = True) -> ConvexGridFunction:
+        """Numeric L(t, x, .) on the v-grid of v_count nodes over [-w, w].
 
         w is halfwidth, or the half-width rule at r = |x| when it is None,
         read from a fresh sample. The raw slice (trusted False) is the grid
@@ -467,7 +475,7 @@ class LagrangianSlices:
         hfn = self._sample(t, x)
         s_lo, s_hi = slope_range(hfn)
         w = self._halfwidth(t, abs(x), lambda: (s_lo, s_hi)) if halfwidth is None else halfwidth
-        grid = UniformGrid(-w, w, count)
+        grid = UniformGrid(-w, w, self.grids.v_count)
         nodes = grid.nodes()
         vals = conjugate_values(hfn, nodes)
         if trusted:

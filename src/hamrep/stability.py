@@ -65,7 +65,6 @@ class PerturbationFamily:
             eval=ev,
             oracle_L=None,
             oracle_dom=None,
-            alt_oracle_L=None,
             lambda_bound=base.lambda_bound if self.lam_per_index is None else self.lam_per_index(i),
             notes=f"perturbed member {i} of family {self.name}",
         )
@@ -78,7 +77,6 @@ class PerturbationFamily:
             name=f"{self.base.name}+limit",
             oracle_L=None,
             oracle_dom=None,
-            alt_oracle_L=None,
             notes=f"limit member of family {self.name}",
         )
 
@@ -215,14 +213,14 @@ def representation_convergence(
     kind: str = "noncompact",
     window: Window | None = None,
     plan: SamplePlan | None = None,
-    policy: GridPolicy | None = None,
+    grids: GridPolicy | None = None,
     n_slabs: int = 3,
     bound_slack: float = TOLERANCES["bound_slack"],
     fixed_t: float | None = None,
 ) -> StabilityReport:
     """Uniform-convergence audit e_i -> e over a fixed (t, x, a) sample plan.
 
-    All members and the limit are built with identical grid policies, so a
+    All members and the limit are built on identical grids, so a
     zero perturbation reproduces the limit bit for bit. Each row also
     carries the worst margin of the Steiner-composition bound
     |e_i - e| <= 5(n+1) [H(E_i, E) + |M_i - M| |a|] + bound_slack.
@@ -231,7 +229,6 @@ def representation_convergence(
         raise ValueError("representation_convergence judges nothing without a slab")
     window = window or Window()
     plan = plan or SamplePlan()
-    policy = policy or GridPolicy()
     probe = family.validate(window.p_range, plan)
     if not probe.passed:
         raise HypothesisViolation(f"family {family.name}: convexity probe failed")
@@ -239,11 +236,11 @@ def representation_convergence(
     a_plan = _stability_a_plan(kind)
     n1 = family.base.n + 1
 
-    limit = build(kind, family.limit_spec(), policy)
+    limit = build(kind, family.limit_spec(), grids)
     a_samples = limit.control.samples(a_plan)
 
     def measure(i: int) -> IndexRow:
-        tri = build(kind, family.spec_for(i), policy)
+        tri = build(kind, family.spec_for(i), grids)
         sups = []  # per slab: sup |e_i - e|, |f_i - f|, |l_i - l|, H(E_i, E)
         bound = Worst("steiner_composition_bound")
         for t, x in slabs:
@@ -269,19 +266,18 @@ def epigraph_limit_check(
     family: PerturbationFamily,
     window: Window | None = None,
     plan: SamplePlan | None = None,
-    policy: GridPolicy | None = None,
+    grids: GridPolicy | None = None,
     abs_tol: float = TOLERANCES["epigraph_abs"],
     ratio: float = TOLERANCES["decay_ratio"],
 ) -> CheckReport:
     """Set-limit diagnostic: along (t_i, x_i) -> (t, x), the distances
     d(y, E_{L_i}(t_i, x_i)) approach d(y, E_L(t, x)) for five seeded probe
     points y. Each L_i is the trusted v-grid slice of the member's own
-    slices on the policy's grids, as a noncompact build samples it. Pass
+    slices on grids, as a noncompact build samples it. Pass
     iff the final-index error is both <= ratio times the first-index error
     and <= abs_tol."""
     window = window or Window()
     plan = plan or SamplePlan()
-    policy = policy or GridPolicy()
     rng = plan.rng(97)
     t_lo, t_hi = window.t_range
     x_lo, x_hi = window.x_range
@@ -290,7 +286,7 @@ def epigraph_limit_check(
     dt, dx = 0.3 * (t_hi - t_star), 0.3 * (x_hi - x_star)
 
     def slice_of(spec, t, x):
-        return spec.slices(policy.p_grid()).on_grid(t, x, policy.v_count)
+        return spec.slices(grids).on_grid(t, x)
 
     f0 = slice_of(family.limit_spec(), t_star, x_star)
     lmin = f0.min_value()

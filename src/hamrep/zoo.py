@@ -21,26 +21,9 @@ import numpy as np
 
 from . import convex_geom as cg
 from .errors import ConfigError, UnknownName
-from .fenchel import EffectiveDomain, LagrangianSlices, UniformGrid, build_epigraph
+from .fenchel import EffectiveDomain, GridPolicy, LagrangianSlices, build_epigraph
 from .report import TOLERANCES, CheckReport, Worst
 from .sampling import SamplePlan
-
-
-@dataclasses.dataclass(frozen=True)
-class GridPolicy:
-    """Discretization knobs: p_count nodes on the p-grid of every H sample,
-    v_count on the v-grid of every Lagrangian slice."""
-
-    p_count: int = 10001
-    v_count: int = 601
-
-    def p_grid(self) -> UniformGrid:
-        return momentum_grid(self.p_count)
-
-
-def momentum_grid(count: int = GridPolicy.p_count) -> UniformGrid:
-    """The p-grid every H sample lives on: count nodes over [-50, 50]."""
-    return UniformGrid(-50.0, 50.0, count)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,10 +66,10 @@ class HamiltonianSpec:
     lambda_bound: LambdaBound | None = None
     notes: str = ""
 
-    def slices(self, p_grid: UniformGrid | None = None) -> LagrangianSlices:
-        """The Lagrangian slices of this Hamiltonian on p_grid (default
-        `momentum_grid()`); build one per check, triple or command."""
-        return LagrangianSlices(self, p_grid or momentum_grid())
+    def slices(self, grids: GridPolicy | None = None) -> LagrangianSlices:
+        """The Lagrangian slices of this Hamiltonian on grids (default
+        `GridPolicy()`); build one per check, triple or command."""
+        return LagrangianSlices(self, grids or GridPolicy())
 
 
 def _ex_2_1() -> HamiltonianSpec:
@@ -284,17 +267,16 @@ def oracle_probe_values(
     t: float,
     x: float,
     margin: float = TOLERANCES["margin"],
-    count: int = 201,
 ) -> np.ndarray:
     """Velocity probes where a numeric conjugate can be held to its oracle.
 
-    Points sit at least `margin` inside the slices' bounded domain and
-    inside the edge-slope trust interval of the sampled H slice; outside
-    that interval the p-window cannot resolve the conjugate (the missing
-    slopes live beyond the window ends), so comparisons there test the
-    window, not the transform. Steep Lagrangians such as 1/v near v = 0
-    shrink the probe set accordingly. Degenerate domains return their
-    single point.
+    min(v_count, 201) points, v_count of the slices' grids, sit evenly at
+    least `margin` inside the slices' bounded domain and inside the
+    edge-slope trust interval of the sampled H slice; outside that
+    interval the p-window cannot resolve the conjugate (the missing slopes
+    live beyond the window ends), so comparisons there test the window,
+    not the transform. Steep Lagrangians such as 1/v near v = 0 shrink the
+    probe set accordingly. Degenerate domains return their single point.
     """
     s_lo, s_hi = slices.trust(t, x)
     lo, hi = slices.bounded_domain(t, x)
@@ -304,7 +286,7 @@ def oracle_probe_values(
     vhi = min(hi - margin, s_hi)
     if vhi <= vlo:
         return np.array([0.5 * (max(lo, s_lo) + min(hi, s_hi))])
-    return np.linspace(vlo, vhi, count)
+    return np.linspace(vlo, vhi, min(slices.grids.v_count, 201))
 
 
 def check_HLC(
@@ -336,7 +318,7 @@ def check_LLC(
     R: float,
     samples: SamplePlan | None = None,
     tol: float = TOLERANCES["llc"],
-    p_grid: UniformGrid | None = None,
+    grids: GridPolicy | None = None,
 ) -> CheckReport:
     """Lagrangian-level continuity: every v in dom L(t,x) admits u within
     k|x-y| of v with L(t,y,u) <= L(t,x,v) + w(|x-y|). Each probe v gets the
@@ -347,11 +329,11 @@ def check_LLC(
     the probes of every (triple, direction), then one `window_min` call over
     all their windows, and the worst excess is taken in loop order. L, its
     domain and the window that clamps an unbounded domain come from the
-    spec's slices on p_grid, and k and w from its modulus. A run that judges
+    spec's slices on grids, and k and w from its modulus. A run that judges
     no sample (every probe window or slice empty) fails."""
     plan = samples or SamplePlan()
     mod = spec.modulus
-    slices = spec.slices(p_grid)
+    slices = spec.slices(grids)
     fracs = plan.unit_fractions()
     probed: list = []  # (t, a, b, k|a-b|, w(|a-b|), probes)
     for t, x, y in plan.triples(spec.t_range, R):
@@ -408,8 +390,7 @@ def check_MLC(
     spec: HamiltonianSpec,
     R: float,
     samples: SamplePlan | None = None,
-    p_grid: UniformGrid | None = None,
-    v_count: int = GridPolicy.v_count,
+    grids: GridPolicy | None = None,
     tol: float | None = TOLERANCES["mlc"],
 ) -> CheckReport:
     """Epigraph-level continuity: the truncated E_L(t,x) sits inside the
@@ -421,14 +402,14 @@ def check_MLC(
     run that judges no triple fails."""
     plan = samples or SamplePlan()
     mod = spec.modulus
-    slices = spec.slices(p_grid)
+    slices = spec.slices(grids)
     worst = Worst("mlc", nan_note="containment gap is NaN")
     h_used = 0.0
     for t, x, y in plan.triples(spec.t_range, R):
         W = max(slices.halfwidth(t, x, R), slices.halfwidth(t, y, R))
-        h_used = max(h_used, UniformGrid(-W, W, v_count).h)
-        Lx = slices.on_grid(t, x, v_count, W, trusted=False)
-        Ly = slices.on_grid(t, y, v_count, W, trusted=False)
+        Lx = slices.on_grid(t, x, W, trusted=False)
+        Ly = slices.on_grid(t, y, W, trusted=False)
+        h_used = max(h_used, Lx.grid.h)
         d = abs(x - y)
         kd = mod.k_R(R, t) * d
         w = mod.w_R(R, t, d)

@@ -65,13 +65,13 @@ def _criterion(num: int):
 @_criterion(1)
 def test_criterion_01_conjugate_oracle_suite():
     started = time.perf_counter()
-    grid = fl.UniformGrid(-50.0, 50.0, 10001)
+    grids = fl.GridPolicy()
     worst = -np.inf
     for name in ("ex_2_1", "ex_2_2", "ex_2_3", "ex_2_4", "ex_2_6"):
         spec = zoo.builtin(name)
-        numeric = dataclasses.replace(spec, oracle_L=None).slices(grid)
+        numeric = dataclasses.replace(spec, oracle_L=None).slices(grids)
         for x in X_FIVE:
-            vs = zoo.oracle_probe_values(numeric, T_MID, x, margin=0.1, count=201)
+            vs = zoo.oracle_probe_values(numeric, T_MID, x, margin=0.1)
             got = np.asarray(numeric.values(T_MID, x, vs), dtype=float)
             want = np.asarray(spec.oracle_L(T_MID, x, vs), dtype=float)
             if not (np.all(np.isfinite(got)) and np.all(np.isfinite(want))):
@@ -79,10 +79,10 @@ def test_criterion_01_conjugate_oracle_suite():
             worst = max(worst, float(np.max(np.abs(got - want))))
     # dual-form case: the numeric conjugate must match exactly one closed form
     spec5 = zoo.builtin("ex_2_5")
-    numeric5 = dataclasses.replace(spec5, oracle_L=None).slices(grid)
+    numeric5 = dataclasses.replace(spec5, oracle_L=None).slices(grids)
     err_derived = err_printed = -np.inf
     for x in X_FIVE:
-        vs = zoo.oracle_probe_values(numeric5, T_MID, x, margin=0.1, count=201)
+        vs = zoo.oracle_probe_values(numeric5, T_MID, x, margin=0.1)
         got = np.asarray(numeric5.values(T_MID, x, vs), dtype=float)
         derived = np.asarray(spec5.oracle_L(T_MID, x, vs), dtype=float)
         printed = np.asarray(spec5.alt_oracle_L(T_MID, x, vs), dtype=float)

@@ -262,9 +262,9 @@ def test_epigraphs_and_their_inflations_are_convex_ccw_loops(name, t, x, trusted
     # check_MLC window; ex_2_1's piecewise-linear slices carry rounding noise
     slices = _SLICES[name]
     if trusted:
-        fn = slices.on_grid(t, x, 601)
+        fn = slices.on_grid(t, x)
     else:
-        fn = slices.on_grid(t, x, 601, slices.halfwidth(t, x, 2.0), trusted=False)
+        fn = slices.on_grid(t, x, slices.halfwidth(t, x, 2.0), trusted=False)
     body = fl.build_epigraph(fn, fn.min_value() + rise)
     if len(body.vertices) >= 3:
         _assert_convex_ccw_loop(body.vertices)
@@ -272,6 +272,20 @@ def test_epigraphs_and_their_inflations_are_convex_ccw_loops(name, t, x, trusted
         inflated = cg.minkowski_inflate(body, *radii)
         if len(inflated.vertices) >= 3:
             _assert_convex_ccw_loop(inflated.vertices)
+
+
+@pytest.mark.parametrize("name", sorted(_SLICES))
+def test_a_subnormal_inflation_keeps_the_loop_convex_in_floats(name):
+    # at x = 0 both slices have a vertex at v = 0, where a radius of 5e-324
+    # moved the corners off the vertex to +-5e-324: exact turns, but float
+    # turns of 0 (ex_2_2) or a turn sum 0.04 short of one revolution (ex_2_1)
+    slices = _SLICES[name]
+    fn = slices.on_grid(0.0, 0.0, slices.halfwidth(0.0, 0.0, 2.0), trusted=False)
+    body = fl.build_epigraph(fn, fn.min_value() + 1.0)
+    for radii in ((5e-324, 0.0), (0.0, 5e-324), (5e-324, 5e-324)):
+        inflated = cg.minkowski_inflate(body, *radii)
+        _assert_convex_ccw_loop(inflated.vertices)
+        assert np.array_equal(inflated.vertices, cg.minkowski_inflate(body, 0.0, 0.0).vertices)
 
 
 def test_hull_rejects_bad_input():

@@ -1,7 +1,8 @@
-"""Registry of config-defined Hamiltonians that should pass their audits.
+"""Registry of config-defined Hamiltonians that should pass their audits,
+and of those that break a hypothesis and should fail them.
 
-Each definition holds the paper's hypotheses by construction and runs at
-default grids through `parse_config` and `run`. A definition that fails
+Each passing definition holds the paper's hypotheses by construction and
+runs at default grids through `parse_config` and `run`. A definition that fails
 today is a strict expected failure whose reason names the ROADMAP item that
 will mend it, so that the mend flips it to an unexpected pass. A family
 with a parameter runs as a seeded hypothesis test over its draws.
@@ -73,6 +74,20 @@ _DEFINITIONS = [
 @pytest.mark.parametrize("doc", _DEFINITIONS)
 def test_definition_passes_at_default_grids(doc):
     assert _run(doc) == (0, [])
+
+
+# min(p^2, 1 + |p|/10) is not convex in p (H1): its conjugate is that of the
+# convex envelope H**, so every continuity check holds on it
+_NONCONVEX = {"name": "nc", "H": "min(p^2, 1 + abs(p)/10)", "k_R": "0", "w_R": "0", "c": "1", "lambda": "1"}
+
+
+@_known_failure(
+    "ROADMAP item 3: nothing samples convexity in p, so check passes hlc, llc and mlc and exits 0; "
+    "represent (kind both) exits 2 on reconstruction_sup_error alone and does not say why"
+)
+def test_nonconvex_definition_fails_check():
+    code, _ = _run({"command": "check", "hamiltonian": _NONCONVEX})
+    assert code != 0
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)

@@ -136,7 +136,7 @@ def test_every_lagrangian_slice_is_midpoint_convex(name):
     for t in (0.25, 0.75):
         for x in (-1.0, 0.0, 0.6):
             for trusted in (False, True):
-                defect, bound = midpoint_defect(slices.on_grid(t, x, zoo.GridPolicy.v_count, trusted=trusted))
+                defect, bound = midpoint_defect(slices.on_grid(t, x, trusted=trusted))
                 assert defect <= bound, (t, x, trusted, defect, bound)
 
 

@@ -32,6 +32,7 @@ from hamrep.errors import GridUnderflow
 from hamrep.sampling import SamplePlan
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hamrep"
+GRIDS = GridPolicy()
 P_GRID = fl.UniformGrid(-50.0, 50.0, 10001)
 V_COUNT = 601
 T0 = 0.5
@@ -71,13 +72,13 @@ def test_builder_slices_match_inline_path(name):
 @pytest.mark.parametrize("name", ALL)
 def test_numeric_evaluators_and_probes_match_inline_path(name):
     spec = zoo.builtin(name)
-    numeric = dataclasses.replace(spec, oracle_L=None, oracle_dom=None).slices(P_GRID)
+    numeric = dataclasses.replace(spec, oracle_L=None, oracle_dom=None).slices(GRIDS)
     vs = np.linspace(-2.0, 2.0, 41)
     for x in XS:
         hfn = inline_h_slice(spec.eval, T0, x, P_GRID)
         assert np.array_equal(numeric.values(T0, x, vs), fl.conjugate_values(hfn, vs))
         assert numeric.domain(T0, x) == fl.EffectiveDomain(*inline_widened_trust(hfn))
-        got = zoo.oracle_probe_values(spec.slices(P_GRID), T0, x)
+        got = zoo.oracle_probe_values(spec.slices(GRIDS), T0, x)
         assert np.array_equal(got, inline_probe_values(spec, T0, x, P_GRID))
 
 
@@ -89,7 +90,7 @@ def test_check_MLC_slices_match_inline_path(name, monkeypatch):
     monkeypatch.setattr(zoo, "build_epigraph", lambda fn, cap: seen.append(fn) or real(fn, cap))
     plan = SamplePlan(seed=0, n_triples=3)
     R = 2.0
-    zoo.check_MLC(spec, R, samples=plan, p_grid=P_GRID, v_count=V_COUNT)
+    zoo.check_MLC(spec, R, samples=plan, grids=GRIDS)
     triples = plan.triples(spec.t_range, R)
     assert len(seen) == 2 * len(triples)
     for (t, x, y), got_x, got_y in zip(triples, seen[0::2], seen[1::2]):
@@ -113,10 +114,10 @@ def test_trusted_slice_keeps_the_nodes_on_exact_trust_ends():
     # ex_2_1's trust interval at x = 1 is [-1, 1], but its edge-slope
     # quotients read -0.999999999999801 and 0.9999999999990905; the
     # trusted slice still keeps the nodes at -1 and 1 (L = 1 at both)
-    slices = zoo.builtin("ex_2_1").slices(P_GRID)
+    slices = zoo.builtin("ex_2_1").slices(GridPolicy(v_count=201))
     s_lo, s_hi = slices.trust(T0, 1.0)
     assert -1.0 < s_lo and s_hi < 1.0
-    fn = slices.on_grid(T0, 1.0, 201, 2.0)
+    fn = slices.on_grid(T0, 1.0, 2.0)
     kept = fn.grid.nodes()[np.isfinite(fn.values)]
     assert kept[0] == -1.0 and kept[-1] == 1.0
     assert fn.values[np.isfinite(fn.values)][[0, -1]].tolist() == [1.0, 1.0]
@@ -136,15 +137,15 @@ def _recording_spec(name, **stripped):
 
 
 def test_numeric_slices_use_the_callers_p_grid():
-    grid = fl.UniformGrid(-50.0, 50.0, 201)
+    grids = GridPolicy(p_count=201)
     plan = SamplePlan(seed=0, n_triples=4)
     spec, sizes = _recording_spec("ex_2_2", oracle_L=None, oracle_dom=None)
-    zoo.check_LLC(spec, 2.0, samples=plan, p_grid=grid)
+    zoo.check_LLC(spec, 2.0, samples=plan, grids=grids)
     assert sizes and {n for n in sizes if n > 1} == {201}
     # ex_2_5 keeps its unbounded oracle domain and has no c(t), so the
     # probe window comes from the H slice's edge slopes
     spec, sizes = _recording_spec("ex_2_5", oracle_L=None)
-    zoo.check_LLC(spec, 2.0, samples=plan, p_grid=grid)
+    zoo.check_LLC(spec, 2.0, samples=plan, grids=grids)
     assert sizes and {n for n in sizes if n > 1} == {201}
 
     spec, sizes = _recording_spec("ex_2_2", oracle_L=None, oracle_dom=None)
@@ -158,7 +159,7 @@ def test_pointwise_queries_share_one_H_sample_per_point():
     # ex_2_5 without oracles has no c(t) either, so every query below
     # needs the H sample
     spec, sizes = _recording_spec("ex_2_5", oracle_L=None, oracle_dom=None)
-    slices = spec.slices(P_GRID)
+    slices = spec.slices(GRIDS)
     hfn = inline_h_slice(spec.eval, T0, 0.4, P_GRID)
     sizes.clear()
     trust = slices.trust(T0, 0.4)
@@ -171,8 +172,8 @@ def test_pointwise_queries_share_one_H_sample_per_point():
     assert np.array_equal(slices.values(T0, 0.4, [0.0, 1.0]), fl.conjugate_values(hfn, [0.0, 1.0]))
     assert sizes == [P_GRID.count]
     # on_grid keeps nothing: each call samples H afresh
-    slices.on_grid(T0, 0.4, V_COUNT)
-    slices.on_grid(T0, 0.4, V_COUNT)
+    slices.on_grid(T0, 0.4)
+    slices.on_grid(T0, 0.4)
     assert sizes == [P_GRID.count] * 3
 
 
@@ -185,7 +186,7 @@ def test_per_row_values_match_per_point_calls_bit_for_bit(name, oracle):
     spec = zoo.builtin(name)
     if not oracle:
         spec = dataclasses.replace(spec, oracle_L=None, oracle_dom=None)
-    slices = spec.slices(P_GRID)
+    slices = spec.slices(GRIDS)
     pairs = [(0.0, 0.4), (T0, 0.0), (1.0, -0.7), (T0, 0.4), (0.0, 0.0), (T0, 0.0), (0.3, -0.7)]
     ts, xs = (np.array(col)[:, None] for col in zip(*pairs))
     # each row: a v-grid past dom L, then v = x, v = -x and v = -0.0

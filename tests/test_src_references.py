@@ -4,7 +4,9 @@ its classes, is read somewhere in the package other than inside its own
 definition; and every defaulted parameter of a public function or method
 is set by some call in the package, and so is every defaulted public field
 of its dataclasses, but for an allow-list of knobs that only the tests set.
-Every tolerance default is read off the one table `report.TOLERANCES`."""
+Every tolerance default is read off the one table `report.TOLERANCES`. No
+function takes a piece of the grid policy apart from its `GridPolicy`, and
+only `GridPolicy.p_grid` builds the p-window."""
 
 import ast
 import collections
@@ -249,3 +251,45 @@ def test_every_tolerance_default_reads_the_table():
 def test_cli_tolerance_names_are_the_table_keys():
     read = [name for names in cli._TOLERANCES.values() for name in names]
     assert set(read) == set(report.TOLERANCES)
+
+
+# grid parameters the one `GridPolicy` parameter, named grids, replaced
+SPLIT_GRID_PARAMETERS = {"p_grid", "v_count", "policy"}
+
+
+def _split_grid_parameters() -> list[str]:
+    """Parameters of the package's functions and methods, private ones
+    included, that carry a piece of the grid policy (a dataclass field such
+    as `GridPolicy.v_count` is not a parameter)."""
+    found = []
+    for module, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                args = fn.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                found += [f"{module}:{getattr(fn, 'name', 'lambda')}({n})" for n in names if n in SPLIT_GRID_PARAMETERS]
+    return found
+
+
+def test_the_grid_policy_is_the_only_grid_parameter():
+    # choosing the p-grid and the v-count is one decision, made once per
+    # command in its config; a loose p_grid or count lets callers split it
+    assert _split_grid_parameters() == []
+
+
+def _p_window_sites() -> list[str]:
+    """Where the package spells the p-window: each `UniformGrid(-50.0, 50.0,
+    ...)` call, by the classes and functions that hold it, outermost first."""
+    sites = []
+    for module, tree in _trees().items():
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("UniformGrid"):
+                if ast.unparse(node).partition("(")[2].startswith("-50.0, 50.0"):
+                    owner = ".".join(d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno)
+                    sites.append(f"{module}:{owner}")
+    return sites
+
+
+def test_only_grid_policy_builds_the_p_window():
+    assert _p_window_sites() == ["fenchel.py:GridPolicy.p_grid"]

@@ -71,18 +71,18 @@ def test_validate_flags_concave_perturbation():
     )
     assert fam.validate(plan=PLAN).verdict == "fail"
     with pytest.raises(HypothesisViolation):
-        representation_convergence(fam, policy=COARSE, plan=PLAN, n_slabs=1)
+        representation_convergence(fam, grids=COARSE, plan=PLAN, n_slabs=1)
 
 
 def test_convergence_refuses_to_judge_no_slab():
     # with no slab every row would read -inf and the bound a vacuous pass
     with pytest.raises(ValueError, match="without a slab"):
-        representation_convergence(named_family("ex_2_2_zero"), policy=COARSE, plan=PLAN, n_slabs=0)
+        representation_convergence(named_family("ex_2_2_zero"), grids=COARSE, plan=PLAN, n_slabs=0)
 
 
 def test_zero_perturbation_is_exactly_zero():
     report = representation_convergence(
-        named_family("ex_2_2_zero"), policy=COARSE, plan=PLAN, n_slabs=2
+        named_family("ex_2_2_zero"), grids=COARSE, plan=PLAN, n_slabs=2
     )
     assert [r.i for r in report.rows] == list(DEFAULT_INDICES)
     for row in report.rows:
@@ -97,7 +97,7 @@ def test_zero_perturbation_is_exactly_zero():
 
 def test_decay_and_bound_ex_2_2_cos():
     report = representation_convergence(
-        named_family("ex_2_2_cos"), policy=COARSE, plan=PLAN, n_slabs=2
+        named_family("ex_2_2_cos"), grids=COARSE, plan=PLAN, n_slabs=2
     )
     rows = report.rows
     assert rows[0].sup_e_err > 0.0
@@ -112,7 +112,7 @@ def test_decay_and_bound_ex_2_2_cos():
 
 def test_compact_route_lambda_family():
     report = representation_convergence(
-        named_family("ex_2_2_lambda"), kind="compact", policy=COARSE, plan=PLAN, n_slabs=2
+        named_family("ex_2_2_lambda"), kind="compact", grids=COARSE, plan=PLAN, n_slabs=2
     )
     rows = report.rows
     assert report.kind == "compact"
@@ -123,14 +123,14 @@ def test_compact_route_lambda_family():
 
 def test_fixed_t_pins_time_slice():
     report = representation_convergence(
-        named_family("ex_2_6_absx"), fixed_t=0.5, policy=COARSE, plan=PLAN
+        named_family("ex_2_6_absx"), fixed_t=0.5, grids=COARSE, plan=PLAN
     )
     assert all(np.isfinite(r.sup_e_err) for r in report.rows)
     assert report.rows[-1].sup_e_err <= 0.3 * report.rows[0].sup_e_err
 
 
 def test_epigraph_limit_check_ex_2_2_cos():
-    report = epigraph_limit_check(named_family("ex_2_2_cos"), policy=COARSE, plan=PLAN)
+    report = epigraph_limit_check(named_family("ex_2_2_cos"), grids=COARSE, plan=PLAN)
     assert report.check == "epigraph_limit[ex_2_2_cos]"
     assert report.verdict == "pass"
     errs = [w["worst_distance_err"] for w in report.witnesses]

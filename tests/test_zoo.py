@@ -45,7 +45,7 @@ def test_builtin_unknown_name():
 def test_oracle_L_matches_brute_conjugate(name):
     spec = zoo.builtin(name)
     t, x = 0.5, 0.7
-    probes = zoo.oracle_probe_values(spec.slices(), t, x, count=25)
+    probes = zoo.oracle_probe_values(spec.slices(fl.GridPolicy(v_count=25)), t, x)
     want = np.array([brute_conjugate(lambda ps: spec.eval(t, x, ps), v) for v in probes])
     got = np.asarray(spec.oracle_L(t, x, probes), dtype=float)
     assert np.all(np.isfinite(got))
@@ -94,7 +94,7 @@ def test_slices_numeric_values_route(name):
     spec = zoo.builtin(name)
     t, x = 0.5, 0.7
     numeric = dataclasses.replace(spec, oracle_L=None).slices()
-    probes = zoo.oracle_probe_values(spec.slices(), t, x, count=17)
+    probes = zoo.oracle_probe_values(spec.slices(fl.GridPolicy(v_count=17)), t, x)
     got = np.asarray(numeric.values(t, x, probes), dtype=float)
     want = np.asarray(spec.oracle_L(t, x, probes), dtype=float)
     assert np.max(np.abs(got - want)) <= 1e-2
@@ -141,7 +141,7 @@ def test_oracle_probes_stay_inside_domain(seed):
     spec = zoo.builtin("ex_2_2")
     t = float(rng.uniform(0.05, 0.95))
     x = float(rng.uniform(-2.0, 2.0))
-    probes = zoo.oracle_probe_values(spec.slices(), t, x, count=9)
+    probes = zoo.oracle_probe_values(spec.slices(fl.GridPolicy(v_count=9)), t, x)
     dom = spec.oracle_dom(t, x)
     assert np.all(probes >= dom.lo - 1e-12)
     assert np.all(probes <= dom.hi + 1e-12)
@@ -385,8 +385,7 @@ def test_window_min_matches_grid_ternary_search(spec):
     assert np.max(np.abs(got[fin] - want[fin])) <= 1e-12
     if spec.oracle_L is None:
         # the numeric minimum is exact: the lowest value over every kink
-        grid = zoo.momentum_grid()
-        exact = [kink_window_min(inline_h_slice(spec.eval, t[i], x[i], grid), u0[i : i + 1], u1[i : i + 1]) for i in range(len(t))]
+        exact = [kink_window_min(inline_h_slice(spec.eval, t[i], x[i], slices.p_grid), u0[i : i + 1], u1[i : i + 1]) for i in range(len(t))]
         assert np.array_equal(got, np.concatenate(exact))
 
 
@@ -473,7 +472,7 @@ def test_check_MLC_epigraph_at_R_1e300_is_the_full_rectangle():
     slices = spec.slices()
     t, x, y = SMALL_PLAN.triples(spec.t_range, 1e300)[0]
     W = max(slices.halfwidth(t, x, 1e300), slices.halfwidth(t, y, 1e300))
-    Lx = slices.on_grid(t, x, 601, W, trusted=False)
+    Lx = slices.on_grid(t, x, W, trusted=False)
     E = fl.build_epigraph(Lx, Lx.min_value() + 3.0)
     assert E.vertices.tolist() == [[-1e300, 0.0], [1e300, 0.0], [1e300, 3.0], [-1e300, 3.0]]
     # the squared edge lengths overflow in the containment test
