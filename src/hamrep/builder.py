@@ -13,9 +13,11 @@ stacked, so a batch makes two distance calls and one Steiner call. Then
 f(t, x, a) and l(t, x, a) are the two components of e, and H is
 recovered as the sup of p f - l over the control samples.
 
-Two control regimes ship: full-space controls with identity scaling, and
+One construction, `build(kind, ...)`, serves both control regimes of the
+paper: full-space controls with identity scaling (kind "noncompact"), and
 unit-ball controls scaled by M(t, x) large enough that the scaled ball
-covers the bounded epigraph slice below a bound lambda.
+covers the bounded epigraph slice below a bound lambda (kind "compact").
+The compact e(t, x, a) is the noncompact e(t, x, M(t, x) a), bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class APlan:
     """Deterministic control-sample layout."""
 
     n_box: int = 41
-    box_half: float = 3.0
     n_radii: int = 8
     n_angles: int = 40  # multiple of 4 keeps the axes in the polar grid
 
@@ -70,7 +71,7 @@ class ControlSet:
     def samples(self, plan: APlan | None = None) -> np.ndarray:
         plan = plan or APlan()
         if self.kind == "full_space":
-            side = np.linspace(-plan.box_half, plan.box_half, plan.n_box)
+            side = np.linspace(-3.0, 3.0, plan.n_box)
             g = np.meshgrid(side, side, indexing="ij")
             return np.stack([g[0].ravel(), g[1].ravel()], axis=1)
         if self.kind == "unit_ball":
@@ -125,24 +126,19 @@ class RepresentationTriple:
             return self.control_samples(t, x)
         return self.control.samples()
 
-    def e_table(self, t: float, x: float, a_samples: np.ndarray | None = None):
-        """(A, F, L) arrays over the sample plan; cached for the default plan."""
-        key = None
-        if a_samples is None:
-            key = (float(t), float(x))
-            if key in self._tables:
-                return self._tables[key]
-            a_samples = self.default_samples(t, x)
-        A = np.atleast_2d(np.asarray(a_samples, dtype=float))
+    def e_table(self, t: float, x: float):
+        """(A, F, L) arrays over the default sample plan, kept per (t, x)."""
+        key = (float(t), float(x))
+        if key in self._tables:
+            return self._tables[key]
+        A = np.atleast_2d(np.asarray(self.default_samples(t, x), dtype=float))
         E = np.asarray(self.e_eval(t, x, A), dtype=float)
         if E.shape != (len(A), 2):
             raise ConfigError(
                 f"e_eval must map an (N, q) control stack to (N, 2) points; "
                 f"got shape {E.shape} for N = {len(A)}"
             )
-        out = (A, E[:, 0].copy(), E[:, 1].copy())
-        if key is not None:
-            self._tables[key] = out
+        out = self._tables[key] = (A, E[:, 0].copy(), E[:, 1].copy())
         return out
 
     @functools.cached_property
@@ -169,9 +165,8 @@ def _rung_index(caps: np.ndarray, lmin) -> np.ndarray:
 
 
 class _SliceCore:
-    """Shared slice/epigraph machinery behind both builders; a compact
-    build's core holds the spec's bound lambda and checks each slice
-    against it."""
+    """The slice/epigraph machinery of one `build`; a compact build's core
+    holds the spec's bound lambda and checks each slice against it."""
 
     def __init__(self, spec: HamiltonianSpec, grids: GridPolicy, lam: Callable | None = None):
         self.lam = lam
@@ -262,49 +257,6 @@ class _SliceCore:
         return np.stack([nodes, vals], axis=1)
 
 
-def _control_rows(a, kind: str):
-    """A control point (2,) or stack (N, 2) as an array and its (N, 2)
-    rows; ConfigError on another shape, or naming the first row with a
-    non-finite coordinate."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim > 2 or a.shape[-1:] != (2,):
-        raise ConfigError(f"{kind} control points are 2-vectors")
-    rows = a.reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if len(bad):
-        raise ConfigError(f"{kind} control row {bad[0]} is not finite: {rows[bad[0]].tolist()}")
-    return a, rows
-
-
-def build_noncompact(
-    spec: HamiltonianSpec,
-    grids: GridPolicy | None = None,
-    plan: APlan | None = None,
-) -> RepresentationTriple:
-    """Full-space control representation: A = R^2, M = 1, e = Steiner point
-    of P(a, truncated E_L(t,x)). Lift points a = (v, L(v)) map to themselves."""
-    core = _SliceCore(spec, grids or GridPolicy())
-    plan = plan or APlan()
-    control = ControlSet("full_space", 2)
-
-    def e_eval(ts, xs, a):
-        z, rows = _control_rows(a, "full-space")
-        return core.e_points(ts, xs, rows).reshape(z.shape)
-
-    def samples(t, x):
-        return np.concatenate([control.samples(plan), core.lift_points(t, x)], axis=0)
-
-    return RepresentationTriple(
-        control=control,
-        e_eval=e_eval,
-        provenance="constructed-noncompact",
-        source=spec,
-        control_samples=samples,
-        grid_h=core.grid_h,
-        _core=core,
-    )
-
-
 def scaling_bound(spec: HamiltonianSpec, t: float, x: float) -> float:
     """M(t,x) = |lambda| + |H(t,x,0)| + c(t)(1+|x|) + 1, lambda the spec's
     bound: the scaled unit ball then covers the bounded epigraph slice
@@ -314,45 +266,61 @@ def scaling_bound(spec: HamiltonianSpec, t: float, x: float) -> float:
     return abs(lam) + abs(h0) + float(spec.modulus.c(t)) * (1.0 + abs(x)) + 1.0
 
 
-def build_compact(
+def build(
+    kind: str,
     spec: HamiltonianSpec,
     grids: GridPolicy | None = None,
     plan: APlan | None = None,
 ) -> RepresentationTriple:
-    """Unit-ball control representation scaled by M(t, x).
+    """The constructed triple of kind "noncompact" or "compact": e(t, x, a)
+    is the Steiner point of P(M(t, x) a, truncated E_L(t, x)).
 
-    Requires the growth bound c(t) (MissingC otherwise) and the spec's
-    Lagrangian bound lambda(t, x) (ConfigError otherwise); slices violating
-    lambda raise BLCViolation when first touched."""
-    if spec.modulus.c is None:
+    Noncompact: A = R^2 and M = 1, so lift points a = (v, L(v)) map to
+    themselves. Compact: A is the unit ball and M = `scaling_bound`; it
+    requires the growth bound c(t) (MissingC otherwise) and the spec's
+    Lagrangian bound lambda(t, x) (ConfigError otherwise), and slices
+    violating lambda raise BLCViolation when first touched. Its lift points
+    inside the scaled ball, divided by M, join the sample plan."""
+    if kind not in ("noncompact", "compact"):
+        raise ConfigError(f"unknown construction kind {kind!r}")
+    compact = kind == "compact"
+    if compact and spec.modulus.c is None:
         raise MissingC(f"{spec.name} carries no growth bound c(t)")
-    if spec.lambda_bound is None:
+    if compact and spec.lambda_bound is None:
         raise ConfigError(f"{spec.name} has no lambda bound")
-    core = _SliceCore(spec, grids or GridPolicy(), lam=spec.lambda_bound.eval)
+    core = _SliceCore(spec, grids or GridPolicy(), lam=spec.lambda_bound.eval if compact else None)
     plan = plan or APlan()
-    control = ControlSet("unit_ball", 2)
+    control = ControlSet("unit_ball" if compact else "full_space", 2)
 
     def M(t, x):
-        return scaling_bound(spec, t, x)
+        return scaling_bound(spec, t, x) if compact else 1.0
 
     def e_eval(ts, xs, a):
-        a, rows = _control_rows(a, "unit-ball")
-        if np.any(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] > 1.0 + 1e-9):
+        a = np.asarray(a, dtype=float)
+        if a.ndim > 2 or a.shape[-1:] != (2,):
+            raise ConfigError(f"{kind} control points are 2-vectors")
+        rows = a.reshape(-1, 2)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if len(bad):
+            raise ConfigError(f"{kind} control row {bad[0]} is not finite: {rows[bad[0]].tolist()}")
+        if compact and np.any(rows[:, 0] * rows[:, 0] + rows[:, 1] * rows[:, 1] > 1.0 + 1e-9):
             raise ConfigError("control point outside the unit ball")
+        # M = 1 leaves every finite row bit for bit as it is
         slabs, slab_of = row_slabs(ts, xs, len(rows))
         m = np.array([M(t, x) for t, x in slabs])[slab_of, None]
         return core.e_points(ts, xs, m * rows).reshape(a.shape)
 
     def samples(t, x):
-        m = M(t, x)
         lifts = core.lift_points(t, x)
-        lifts = lifts[np.linalg.norm(lifts, axis=1) <= m] / m
+        if compact:
+            m = M(t, x)
+            lifts = lifts[np.linalg.norm(lifts, axis=1) <= m] / m
         return np.concatenate([control.samples(plan), lifts], axis=0)
 
     return RepresentationTriple(
         control=control,
         e_eval=e_eval,
-        provenance="constructed-compact",
+        provenance=f"constructed-{kind}",
         source=spec,
         scaling=M,
         control_samples=samples,
@@ -361,28 +329,11 @@ def build_compact(
     )
 
 
-def build(
-    kind: str,
-    spec: HamiltonianSpec,
-    grids: GridPolicy | None = None,
-    plan: APlan | None = None,
-) -> RepresentationTriple:
-    """The triple of either construction: kind "compact" or "noncompact"."""
-    return (build_compact if kind == "compact" else build_noncompact)(spec, grids, plan)
-
-
-def induced_H(
-    triple: RepresentationTriple,
-    t: float,
-    x: float,
-    p_values: np.ndarray,
-    a_samples: np.ndarray | None = None,
-) -> np.ndarray:
-    """H induced by the triple at each p: the max over the sample plan (the
-    default one when a_samples is None) of p f(t,x,a) - l(t,x,a); monotone
-    in the plan and, for constructed triples, never above H(t,x,p) + grid
-    error."""
-    _, F, Lv = triple.e_table(t, x, a_samples)
+def induced_H(triple: RepresentationTriple, t: float, x: float, p_values: np.ndarray) -> np.ndarray:
+    """H induced by the triple at each p: the max over the default sample
+    plan of p f(t,x,a) - l(t,x,a); monotone in the plan and, for
+    constructed triples, never above H(t,x,p) + grid error."""
+    _, F, Lv = triple.e_table(t, x)
     p = np.asarray(p_values, dtype=float)
     return np.max(p[:, None] * F[None, :] - Lv[None, :], axis=1)
 

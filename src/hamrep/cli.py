@@ -168,7 +168,6 @@ _KEYS = {
         ("conjugate", "check", "represent", "verify", "compactness", "stability"),
     ),
     "grids.a_plan.n_box": (_int_field, (6,), _BUILDERS),
-    "grids.a_plan.box_half": (_float_field, (True,), _BUILDERS),
     "grids.a_plan.n_radii": (_int_field, (2,), _BUILDERS),
     "grids.a_plan.n_angles": (_int_field, (8,), _BUILDERS),
     "seed": (_int_field, (0,), COMMANDS),

@@ -179,7 +179,6 @@ def compile_expr(src: str, variables: tuple[str, ...] = ("t", "x", "p")) -> Call
             out = np.broadcast_to(out, shape).copy()
         return out
 
-    fn.source = src
     return fn
 
 

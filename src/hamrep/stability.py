@@ -238,20 +238,20 @@ def representation_convergence(
 
     limit = build(kind, family.limit_spec(), grids)
     a_samples = limit.control.samples(a_plan)
+    norms = np.linalg.norm(a_samples, axis=1)
 
     def measure(i: int) -> IndexRow:
         tri = build(kind, family.spec_for(i), grids)
         sups = []  # per slab: sup |e_i - e|, |f_i - f|, |l_i - l|, H(E_i, E)
         bound = Worst("steiner_composition_bound")
         for t, x in slabs:
-            _, F_i, L_i = tri.e_table(t, x, a_samples)
-            _, F_0, L_0 = limit.e_table(t, x, a_samples)
+            F_i, L_i = tri.e_eval(t, x, a_samples).T
+            F_0, L_0 = limit.e_eval(t, x, a_samples).T
             e_err = np.hypot(F_i - F_0, L_i - L_0)
             hd = _common_cap_hausdorff(tri, limit, t, x)
             dF, dL = np.abs(F_i - F_0), np.abs(L_i - L_0)
             sups.append((float(np.max(e_err)), float(np.max(dF)), float(np.max(dL)), hd))
             dM = abs(tri.scaling(t, x) - limit.scaling(t, x))
-            norms = np.linalg.norm(np.atleast_2d(a_samples), axis=1)
             bound.see(float(np.max(e_err - (5.0 * n1 * (hd + dM * norms) + bound_slack))))
         return IndexRow(i, *(max(col) for col in zip(*sups)), bound.margin)
 

@@ -30,7 +30,8 @@ discrete conjugate, the Lipschitz oracle audits verify_triple's pairs one contro
 at a time through e_eval, and the representation oracles evaluate one
 control at a time in scalar floats (the hand-written triples from their
 formulas, a convexified triple from one evaluation per atom of a base
-evaluator the test passes in). Tests compare library output against
+evaluator the test passes in), and the induced H over an explicit
+control plan reads one e_eval call. Tests compare library output against
 these so a regression cannot certify itself.
 """
 
@@ -582,6 +583,15 @@ def convexified_points(point_of, packed_rows, q):
         fb, lb = (float(v) for v in point_of(b))
         out[r] = (float(al[0] * fa + al[1] * fb), float(al[0] * la + al[1] * lb))
     return out
+
+
+def plan_induced_H(triple, t, x, p_values, a_samples):
+    """H induced by the triple over an explicit control plan at one (t, x):
+    the max over the rows a of p f(t, x, a) - l(t, x, a), from one e_eval
+    call on the whole plan."""
+    E = np.asarray(triple.e_eval(t, x, a_samples), dtype=float)
+    p = np.asarray(p_values, dtype=float)
+    return np.max(p[:, None] * E[None, :, 0] - E[None, :, 1], axis=1)
 
 
 def first_appearance_slabs(ts, xs, n):

@@ -20,8 +20,7 @@ from hamrep import fenchel as fl
 from hamrep import stability
 from hamrep.builder import (
     Window,
-    build_compact,
-    build_noncompact,
+    build,
     image_of_controls,
     induced_H,
     sandwich_check,
@@ -189,9 +188,9 @@ def test_criterion_04_geometry_suite():
 def default_triples():
     # production grids and a-plans; shared across criteria 5, 6, 7
     return {
-        (name, kind): builder(zoo.builtin(name))
+        (name, kind): build(kind, zoo.builtin(name))
         for name in ("ex_2_1", "ex_2_2")
-        for kind, builder in (("noncompact", build_noncompact), ("compact", build_compact))
+        for kind in ("noncompact", "compact")
     }
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import per_pair_lipschitz, point_polygon_distance, quadrature_disc_steiner
+from _oracles import per_pair_lipschitz, plan_induced_H, point_polygon_distance, quadrature_disc_steiner
 from conftest import FAST_APLAN, FAST_PLAN, FAST_POLICY
 from hamrep import zoo
 from hamrep.builder import (
@@ -13,8 +13,7 @@ from hamrep.builder import (
     ControlSet,
     RepresentationTriple,
     Window,
-    build_compact,
-    build_noncompact,
+    build,
     image_of_controls,
     induced_H,
     sandwich_check,
@@ -30,10 +29,10 @@ P_SET = (-3.0, -1.0, 0.0, 1.0, 3.0)
 
 
 def test_control_set_sample_layouts():
-    plan = APlan(n_box=5, box_half=2.0, n_radii=3, n_angles=8)
+    plan = APlan(n_box=5, n_radii=3, n_angles=8)
     box = ControlSet("full_space", 2).samples(plan)
     assert box.shape == (25, 2)
-    assert np.max(np.abs(box)) == pytest.approx(2.0)
+    assert np.array_equal(np.unique(box), np.linspace(-3.0, 3.0, 5))
     ball = ControlSet("unit_ball", 2).samples(plan)
     assert ball.shape == (25, 2)
     assert np.allclose(ball[0], 0.0)
@@ -81,7 +80,7 @@ def test_compact_reconstruction_ex_2_2(ex22_compact_fast):
 def test_reconstruction_monotone_in_sample_plan(ex22_noncompact_fast):
     triple = ex22_noncompact_fast
     subset = triple.control.samples(APlan(n_box=4))
-    small = induced_H(triple, T0, 0.5, P_SET, a_samples=subset)
+    small = plan_induced_H(triple, T0, 0.5, P_SET, subset)
     full = induced_H(triple, T0, 0.5, P_SET)
     assert np.all(small <= full + 1e-12)
 
@@ -102,8 +101,7 @@ def test_e_eval_fixes_epigraph_points(ex22_noncompact_fast):
 def test_e_table_selections_match_quadrature_oracle(name, kind, x):
     # production grids; for ex_2_1 at x = 0, dom L = {0} and every epigraph
     # on the cap ladder is a 2-vertex segment
-    build = build_noncompact if kind == "noncompact" else build_compact
-    triple = build(zoo.builtin(name), plan=APlan(n_box=9, n_radii=4, n_angles=12))
+    triple = build(kind, zoo.builtin(name), plan=APlan(n_box=9, n_radii=4, n_angles=12))
     core = triple._core
     A, F, L = triple.e_table(T0, x)
     Z = A * triple.scaling(T0, x)
@@ -140,6 +138,27 @@ def test_e_table_matches_single_control_e_eval(ex22_noncompact_fast, ex22_compac
             single = np.asarray(triple.e_eval(T0, x, A[i]))
             assert single.shape == (2,)
             assert single[0] == F[i] and single[1] == L[i]
+
+
+@pytest.mark.parametrize("name", ["ex_2_1", "ex_2_2", "ex_2_6"])
+def test_compact_selection_is_the_noncompact_one_at_scaled_controls(name):
+    # the one construction: compact e(t, x, a) is noncompact e(t, x, M(t, x) a)
+    spec = zoo.builtin(name)
+    noncompact, compact = (build(kind, spec, grids=FAST_POLICY, plan=FAST_APLAN) for kind in ("noncompact", "compact"))
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(20, 2))
+    A *= rng.uniform(0.0, 1.0, (20, 1)) / np.linalg.norm(A, axis=1, keepdims=True)
+    ts, xs = rng.uniform(0.0, 1.0, 20), rng.uniform(-1.0, 1.0, 20)
+    M = np.array([compact.scaling(t, x) for t, x in zip(ts.tolist(), xs.tolist())])
+    assert np.array_equal(compact.e_eval(ts, xs, A), noncompact.e_eval(ts, xs, M[:, None] * A))
+    # the compact default plan, its lift points included
+    A = compact.default_samples(T0, 0.3)
+    assert np.array_equal(compact.e_eval(T0, 0.3, A), noncompact.e_eval(T0, 0.3, compact.scaling(T0, 0.3) * A))
+
+
+def test_build_rejects_an_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown construction kind 'both'"):
+        build("both", zoo.builtin("ex_2_2"), grids=FAST_POLICY)
 
 
 def test_e_eval_validates_controls(ex22_noncompact_fast, ex22_compact_fast):
@@ -206,7 +225,7 @@ def test_verify_triple_noncompact(ex22_noncompact_fast):
 
 def test_verify_triple_skips_f_growth_without_c():
     # ex_2_5 carries no c(t), so the growth bound (H4) cannot be judged
-    triple = build_noncompact(zoo.builtin("ex_2_5"), grids=FAST_POLICY, plan=FAST_APLAN)
+    triple = build("noncompact", zoo.builtin("ex_2_5"), grids=FAST_POLICY, plan=FAST_APLAN)
     reports = verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=2)
     growth = next(r for r in reports if r.check == "triple_f_growth")
     assert growth.verdict == "skipped" and growth.worst_margin == 0.0 and growth.passed
@@ -230,7 +249,7 @@ def test_verify_triple_fails_lipschitz_on_a_nan_modulus():
     # k_R = NaN makes every Lipschitz bound NaN, which `nan > worst` used to drop
     base = zoo.builtin("ex_2_2")
     spec = dataclasses.replace(base, modulus=dataclasses.replace(base.modulus, k_R=lambda R, t: float("nan")))
-    triple = build_noncompact(spec, grids=FAST_POLICY, plan=FAST_APLAN)
+    triple = build("noncompact", spec, grids=FAST_POLICY, plan=FAST_APLAN)
     reports = {r.check: r for r in verify_triple(triple, Window(), plan=FAST_PLAN, n_pairs=4)}
     lip = reports["triple_lipschitz"]
     assert lip.verdict == "fail" and np.isnan(lip.worst_margin)
@@ -292,22 +311,25 @@ def test_per_row_e_eval_validates_controls(ex22_compact_fast):
 def _lipschitz_cases():
     near_zero = Window(x_range=(-0.15, 0.15))
     return [
-        ("ex_2_2", build_noncompact, Window()),
-        ("ex_2_2", build_compact, Window()),
+        ("ex_2_2", "noncompact", Window()),
+        ("ex_2_2", "compact", Window()),
         # ex_2_1 near x = 0: two-vertex slices mixed with small polygons
-        ("ex_2_1", build_noncompact, near_zero),
-        ("ex_2_1", build_compact, near_zero),
+        ("ex_2_1", "noncompact", near_zero),
+        ("ex_2_1", "compact", near_zero),
         # a formula triple passes per-row (t, x) through its numpy formulas
         ("hat_rep_ex_2_1", None, Window()),
     ]
 
 
-@pytest.mark.parametrize("name, build, window", _lipschitz_cases())
-def test_verify_triple_lipschitz_matches_per_pair_oracle(name, build, window):
+# each constructed case's id names its construction, build_<kind>
+@pytest.mark.parametrize(
+    "name, kind, window", _lipschitz_cases(), ids=lambda v: f"build_{v}" if v in ("noncompact", "compact") else None
+)
+def test_verify_triple_lipschitz_matches_per_pair_oracle(name, kind, window):
     def fresh():
-        if build is None:
+        if kind is None:
             return getattr(zoo, name)()
-        return build(zoo.builtin(name), grids=FAST_POLICY, plan=FAST_APLAN)
+        return build(kind, zoo.builtin(name), grids=FAST_POLICY, plan=FAST_APLAN)
 
     reports = {r.check: r for r in verify_triple(fresh(), window, plan=FAST_PLAN, n_pairs=24)}
     got = reports["triple_lipschitz"]
@@ -319,7 +341,7 @@ def test_verify_triple_lipschitz_matches_per_pair_oracle(name, build, window):
 def test_verify_triple_batches_each_side_of_the_pairs(monkeypatch):
     # one per-row e_eval call per side; every other call is one of
     # e_table's control stacks at one (t, x)
-    triple = build_compact(zoo.builtin("ex_2_2"), grids=FAST_POLICY, plan=FAST_APLAN)
+    triple = build("compact", zoo.builtin("ex_2_2"), grids=FAST_POLICY, plan=FAST_APLAN)
     rows, singles = [], []
     e_eval = triple.e_eval
 
@@ -344,7 +366,7 @@ def test_sandwich_ex_2_2(ex22_compact_fast, x):
 
 def test_sandwich_degenerate_slice_ex_2_1():
     # dom L(t, 0) = {0}: the e-sample hull collapses to a vertical segment
-    triple = build_compact(zoo.builtin("ex_2_1"), grids=FAST_POLICY, plan=FAST_APLAN)
+    triple = build("compact", zoo.builtin("ex_2_1"), grids=FAST_POLICY, plan=FAST_APLAN)
     report = sandwich_check(triple, T0, 0.0)
     assert report.verdict == "pass"
 
@@ -365,9 +387,9 @@ def test_builders_enforce_flags():
     # the compact builder needs H4 (a c(t)) and BLC (a lambda): ex_2_5 lacks
     # c, ex_2_3 lambda
     with pytest.raises(MissingC):
-        build_compact(zoo.builtin("ex_2_5"), grids=FAST_POLICY)
+        build("compact", zoo.builtin("ex_2_5"), grids=FAST_POLICY)
     with pytest.raises(ConfigError, match="no lambda bound"):
-        build_compact(zoo.builtin("ex_2_3"), grids=FAST_POLICY)
+        build("compact", zoo.builtin("ex_2_3"), grids=FAST_POLICY)
 
 
 def test_compact_requires_growth_bound():
@@ -375,17 +397,17 @@ def test_compact_requires_growth_bound():
     mod = spec.modulus
     no_c = dataclasses.replace(spec, modulus=ModulusData(k_R=mod.k_R, w_R=mod.w_R, c=None))
     with pytest.raises(MissingC):
-        build_compact(no_c, grids=FAST_POLICY)
+        build("compact", no_c, grids=FAST_POLICY)
 
 
 def test_compact_requires_lambda():
     with pytest.raises(ConfigError):
-        build_compact(zoo.builtin("ex_2_3"), grids=FAST_POLICY)
+        build("compact", zoo.builtin("ex_2_3"), grids=FAST_POLICY)
 
 
 def test_compact_raises_on_violated_lambda():
     spec = dataclasses.replace(zoo.builtin("ex_2_2"), lambda_bound=LambdaBound(eval=lambda t, x: -5.0))
-    triple = build_compact(spec, grids=FAST_POLICY, plan=FAST_APLAN)
+    triple = build("compact", spec, grids=FAST_POLICY, plan=FAST_APLAN)
     with pytest.raises(BLCViolation):
         triple.e_table(T0, 0.5)
 
@@ -393,7 +415,7 @@ def test_compact_raises_on_violated_lambda():
 def test_noncompact_without_c_derives_v_window():
     # ex_2_5 has no c(t): the v-window comes from the H slice's edge slopes
     spec = zoo.builtin("ex_2_5")
-    triple = build_noncompact(spec, plan=FAST_APLAN)
+    triple = build("noncompact", spec, plan=FAST_APLAN)
     want = float(np.asarray(spec.eval(T0, 0.7, np.array([1.0])))[0])
     assert induced_H(triple, T0, 0.7, [1.0])[0] == pytest.approx(want, abs=5e-2)
     # H = p^2 / 3 - 0.7 has edge slopes near +-50 / 1.5 on the [-50, 50] window

@@ -59,7 +59,7 @@ _BAD_CONFIGS = [
     ({"command": "conjugate", "grids": {"p_count": True}}, "grids.p_count must be an integer"),
     ({"command": "represent", "grids": {"a_plan": {"n_box": 5}}}, "n_box must be an integer >= 6"),
     ({"command": "represent", "grids": {"a_plan": {"n_angles": 4}}}, "n_angles must be an integer >= 8"),
-    ({"command": "represent", "grids": {"a_plan": {"box_half": 0.0}}}, "box_half must be a finite positive"),
+    ({"command": "represent", "grids": {"a_plan": {"box_half": 3.0}}}, "unknown config key 'grids.a_plan.box_half'"),
     ({"command": "conjugate", "seed": -1}, "seed must be an integer >= 0"),
     ({"command": "conjugate", "seed": True}, "seed must be an integer >= 0"),
     ({"command": "conjugate", "tolerances": {"abs_err": "tight"}}, "tolerances.abs_err must be a finite"),

@@ -90,7 +90,7 @@ def test_convexified_constructed_triple_matches_per_control_oracle(ex22_compact_
     ct = convexify(base)
     t, x = 0.4, -0.3
     packed = ct.control.points[::97]
-    _, F, Lv = ct.e_table(t, x, packed)
+    F, Lv = ct.e_eval(t, x, packed).T
     want = convexified_points(lambda a: base.e_eval(t, x, a), packed, 2)
     assert np.array_equal(F, want[:, 0])
     assert np.array_equal(Lv, want[:, 1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hamrep import fenchel as fl
 from hamrep import zoo
-from hamrep.builder import build_compact, build_noncompact
+from hamrep.builder import build
 from hamrep.errors import CapTooLow, ImproperFunction, UnboundedSummand
 from hamrep.exprs import compile_hamiltonian
 
@@ -532,11 +532,11 @@ def _production_epigraph_cases():
     x_sets = {"ex_2_1": (-1.0, -0.5, 0.0, 0.5, 1.0), "ex_2_2": (-1.0, 0.0, 1.0)}
     for name, xs in x_sets.items():
         spec = zoo.builtin(name)
-        for triple in (build_noncompact(spec), build_compact(spec)):
+        for triple in (build("noncompact", spec), build("compact", spec)):
             for x in xs:
                 yield triple, 0.5, x
     for x in (0.15, 1.0):
-        yield build_noncompact(zoo.builtin("ex_2_6")), 0.5, x
+        yield build("noncompact", zoo.builtin("ex_2_6")), 0.5, x
 
 
 def test_epigraph_polygons_match_general_hull_on_production_slices():

@@ -27,7 +27,7 @@ from _oracles import (
 from conftest import FAST_APLAN
 from hamrep import fenchel as fl
 from hamrep import zoo
-from hamrep.builder import GridPolicy, Window, build_noncompact, verify_triple
+from hamrep.builder import GridPolicy, Window, build, verify_triple
 from hamrep.errors import GridUnderflow
 from hamrep.sampling import SamplePlan
 
@@ -58,7 +58,7 @@ def test_builder_slices_match_inline_path(name):
     # at slope 0.3 the one-point domain falls between v-nodes, so the
     # slice keeps the node nearest to it
     spec = _line(0.3) if name == "line" else zoo.builtin(name)
-    core = build_noncompact(spec)._core
+    core = build("noncompact", spec)._core
     for x in XS:
         c = spec.modulus.c
         if c is not None:
@@ -107,7 +107,7 @@ def test_check_MLC_slices_match_inline_path(name, monkeypatch):
 def test_builder_slice_raises_when_the_domain_misses_the_window():
     # dom L = {5} lies outside the v-window [-2.4, 2.4] at x = 0.4
     with pytest.raises(GridUnderflow):
-        build_noncompact(_line(5.0))._core.slice(T0, 0.4)
+        build("noncompact", _line(5.0))._core.slice(T0, 0.4)
 
 
 def test_trusted_slice_keeps_the_nodes_on_exact_trust_ends():
@@ -149,7 +149,7 @@ def test_numeric_slices_use_the_callers_p_grid():
     assert sizes and {n for n in sizes if n > 1} == {201}
 
     spec, sizes = _recording_spec("ex_2_2", oracle_L=None, oracle_dom=None)
-    triple = build_noncompact(spec, grids=GridPolicy(p_count=201, v_count=201), plan=FAST_APLAN)
+    triple = build("noncompact", spec, grids=GridPolicy(p_count=201, v_count=201), plan=FAST_APLAN)
     reports = verify_triple(triple, Window(), plan=SamplePlan(seed=0), n_pairs=4)
     assert "triple_image_gap" in [r.check for r in reports]
     assert sizes and {n for n in sizes if n > 1} == {201}

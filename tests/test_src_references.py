@@ -5,8 +5,9 @@ definition; and every defaulted parameter of a public function or method
 is set by some call in the package, and so is every defaulted public field
 of its dataclasses, but for an allow-list of knobs that only the tests set.
 Every tolerance default is read off the one table `report.TOLERANCES`. No
-function takes a piece of the grid policy apart from its `GridPolicy`, and
-only `GridPolicy.p_grid` builds the p-window."""
+function takes a piece of the grid policy apart from its `GridPolicy`,
+only `GridPolicy.p_grid` builds the p-window, and only `builder.build`
+builds the slice machinery `_SliceCore` of a constructed triple."""
 
 import ast
 import collections
@@ -95,16 +96,13 @@ def test_every_public_method_is_read_in_the_package():
 
 def _calls_by_name(directories) -> dict[str, list[ast.Call]]:
     """Every call in the modules of the directories, by the name it calls:
-    a bare name, or the last attribute of a dotted one. A call of a
-    conditional expression, as `builder.build` dispatches, counts under
-    both of its callees."""
+    a bare name, or the last attribute of a dotted one."""
     found: dict[str, list[ast.Call]] = collections.defaultdict(list)
     for path in (path for directory in directories for path in sorted(directory.glob("*.py"))):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
-                for callee in (func.body, func.orelse) if isinstance(func, ast.IfExp) else (func,):
-                    found[callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")].append(node)
+                found[func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")].append(node)
     return found
 
 
@@ -172,7 +170,6 @@ def _never_set_fields(calls) -> list[str]:
 
 # defaulted knobs that no package call sets, with what the tests set them for
 SET_ONLY_BY_TESTS = {
-    "builder.py:induced_H(a_samples)": "a sub-plan shows the induced H monotone in the plan",
     "builder.py:verify_triple(n_pairs)": "2-24 Lipschitz pairs keep a triple's audit fast, and 0 must fail",
     "cli.py:main(argv)": "the console entry point reads sys.argv; the tests pass theirs",
     "convex_geom.py:geometry_suite(n_pairs)": "40 pairs keep the suite's unit tests fast, and 0 must fail",
@@ -277,19 +274,26 @@ def test_the_grid_policy_is_the_only_grid_parameter():
     assert _split_grid_parameters() == []
 
 
-def _p_window_sites() -> list[str]:
-    """Where the package spells the p-window: each `UniformGrid(-50.0, 50.0,
-    ...)` call, by the classes and functions that hold it, outermost first."""
+def _call_sites(callee: str, args_start: str = "") -> list[str]:
+    """Where the package calls `callee` (bare or dotted) with arguments that
+    start with args_start, by the classes and functions that hold each call,
+    outermost first."""
     sites = []
     for module, tree in _trees().items():
         defs = [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("UniformGrid"):
-                if ast.unparse(node).partition("(")[2].startswith("-50.0, 50.0"):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == callee:
+                if ast.unparse(node).partition("(")[2].startswith(args_start):
                     owner = ".".join(d.name for d in defs if d.lineno <= node.lineno <= d.end_lineno)
                     sites.append(f"{module}:{owner}")
     return sites
 
 
 def test_only_grid_policy_builds_the_p_window():
-    assert _p_window_sites() == ["fenchel.py:GridPolicy.p_grid"]
+    assert _call_sites("UniformGrid", "-50.0, 50.0") == ["fenchel.py:GridPolicy.p_grid"]
+
+
+def test_only_build_builds_a_slice_core():
+    # both representations come from one construction; a second builder
+    # of the slice machinery would split it again
+    assert _call_sites("_SliceCore") == ["builder.py:build"]
