@@ -387,7 +387,10 @@ def _run_conjugate(cfg: RunConfig):
 def _episum_identity(cfg: RunConfig, spec, t: float, rows: list) -> CheckReport:
     """Conjugation turns sums into epigraphical sums: compare the numeric
     conjugate of H + summand against the epi-sum of the two conjugates,
-    each restricted to its edge-slope trust interval."""
+    each restricted to its edge-slope trust interval, on the slice
+    service's v-window of the sum. The base's c(t) bounds neither the
+    sum's domain nor the summand's, so the derived specs drop it and the
+    half-width is read off the sum's own H sample."""
     x = _mid(cfg.window.x_range)
     tol = cfg.tol("episum")
     h2 = compile_expr(cfg.summand, ("t", "x", "p"))
@@ -395,11 +398,12 @@ def _episum_identity(cfg: RunConfig, spec, t: float, rows: list) -> CheckReport:
     def h_sum(t, x, p):
         return np.asarray(spec.eval(t, x, p), dtype=float) + np.asarray(h2(t, x, p), dtype=float)
 
+    modulus = dataclasses.replace(spec.modulus, c=None)
     slices = [
-        dataclasses.replace(spec, eval=h, oracle_L=None, oracle_dom=None).slices(cfg.grids)
+        dataclasses.replace(spec, eval=h, modulus=modulus, oracle_L=None, oracle_dom=None).slices(cfg.grids)
         for h in (h_sum, spec.eval, h2)
     ]
-    width = max(abs(s) for s in slices[0].trust(t, x)) + 0.5
+    width = slices[0].halfwidth(t, x)
     lhs, f1, f2 = (sl.on_grid(t, x, width) for sl in slices)
     rhs = epi_sum(f1, f2)
     both = np.isfinite(lhs.values) & np.isfinite(rhs.values)

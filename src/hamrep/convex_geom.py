@@ -689,16 +689,9 @@ def geometry_suite(plan=None, n_pairs: int = 200) -> list:
     tri = ConvexBody(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     # exterior angles pi/2, 3pi/4, 3pi/4 weight the vertices into
     # (3pi/4)(1, 1) / (2pi)
-    oracle = np.array([0.375, 0.375])
-    tri_err = float(np.linalg.norm(steiner(tri) - oracle))
-    reports.append(
-        CheckReport(
-            "steiner_triangle_oracle",
-            tri_err,
-            "pass" if tri_err <= 1e-12 else "fail",
-            [{"oracle": [float(oracle[0]), float(oracle[1])]}],
-        )
-    )
+    oracle = Worst("steiner_triangle_oracle")
+    oracle.see(float(np.linalg.norm(steiner(tri) - [0.375, 0.375])), {"oracle": [0.375, 0.375]})
+    reports.append(oracle.report(1e-12))
 
     shifts = rng.uniform(-3.0, 3.0, (len(pairs), 2))
     radii = rng.uniform(0.1, 3.0, (len(pairs), 2))

@@ -213,15 +213,12 @@ def compile_piecewise(defn, variables: tuple[str, ...] = ("t", "x", "p")) -> Cal
         )
 
     def fn(*values):
-        gvals = [g(*values) for g, _ in compiled[:-1]]
-        vals = [c(*values) for _, c in compiled]
-        # constant pieces must still broadcast against array-valued guards
-        shape = np.broadcast_shapes(*[np.asarray(v).shape for v in vals + gvals])
-        out = np.broadcast_to(np.asarray(vals[-1], dtype=float), shape).copy()
-        taken = np.zeros(shape, dtype=bool)
-        for gval, val in zip(gvals, vals[:-1]):
-            mask = np.broadcast_to(np.asarray(gval, dtype=bool), shape) & ~taken
-            out[mask] = np.broadcast_to(np.asarray(val, dtype=float), shape)[mask]
+        # every guard and value comes at the broadcast shape of the inputs
+        out = np.array(compiled[-1][1](*values), dtype=float)
+        taken = np.zeros(out.shape, dtype=bool)
+        for guard, value in compiled[:-1]:
+            mask = np.asarray(guard(*values), dtype=bool) & ~taken
+            out[mask] = np.asarray(value(*values), dtype=float)[mask]
             taken |= mask
         return out
 

@@ -325,9 +325,10 @@ def check_LLC(
     window [v - k|x-y|, v + k|x-y|] cut to dom L(t,y), an unbounded end at
     +-1e6, and the exact minimum of L(t,y,.) over it from
     `LagrangianSlices.window_min`; an empty window counts as +inf excess, a
-    NaN one (a NaN k_R) as NaN. L is queried per row: one `values` call over
-    the probes of every (triple, direction), then one `window_min` call over
-    all their windows, and the worst excess is taken in loop order. L, its
+    NaN one (a NaN k_R) as NaN. The probes form one table, a row per probed
+    (triple, direction) and a column per probe: one `values` call reads L
+    over it, one `window_min` call minimizes over the windows of its finite
+    entries, and the worst excess is taken in row order. L, its
     domain and the window that clamps an unbounded domain come from the
     spec's slices on grids, and k and w from its modulus. A run that judges
     no sample (every probe window or slice empty) fails."""
@@ -335,55 +336,39 @@ def check_LLC(
     mod = spec.modulus
     slices = spec.slices(grids)
     fracs = plan.unit_fractions()
-    probed: list = []  # (t, a, b, k|a-b|, w(|a-b|), probes)
+    rows = []  # per probed direction: t, a, b, k|a-b|, w(|a-b|), probe range, search range
     for t, x, y in plan.triples(spec.t_range, R):
         for a, b in ((x, y), (y, x)):
             d = abs(a - b)
             dom_a = slices.domain(t, a)
             # an unbounded slice is probed on a finite window, closed at the clamps
             lo, hi = slices.bounded_domain(t, a)
-            lo_closed = dom_a.lo_closed or not np.isfinite(dom_a.lo)
-            hi_closed = dom_a.hi_closed or not np.isfinite(dom_a.hi)
             inset = 1e-4 * max(hi - lo, 1e-12)
-            lo_s = lo + (0.0 if lo_closed else inset)
-            hi_s = hi - (0.0 if hi_closed else inset)
+            lo_s = lo + (0.0 if dom_a.lo_closed or not np.isfinite(dom_a.lo) else inset)
+            hi_s = hi - (0.0 if dom_a.hi_closed or not np.isfinite(dom_a.hi) else inset)
             if lo_s <= hi_s:
-                vs = lo_s + fracs * (hi_s - lo_s)
-                probed.append((t, a, b, mod.k_R(R, t) * d, mod.w_R(R, t, d), vs))
-    T, A = np.array([p[:2] for p in probed], dtype=float).reshape(-1, 2).T
-    V = np.array([p[5] for p in probed], dtype=float).reshape(len(probed), len(fracs))
+                # an unbounded search domain is cut at +-1e6
+                dom_b = slices.domain(t, b)
+                blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
+                bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
+                rows.append((t, a, b, mod.k_R(R, t) * d, mod.w_R(R, t, d), lo_s, hi_s, blo, bhi))
+    T, A, B, KD, W, LO, HI, BLO, BHI = np.array(rows, dtype=float).reshape(-1, 9).T
+    V = LO[:, None] + fracs * (HI - LO)[:, None]
     LA = np.asarray(slices.values(T[:, None], A[:, None], V), dtype=float)
-    judged: list = []  # (t, a, b, w, probes, L(t, a, probes), u0, u1)
-    for (t, a, b, kd, w, vs), la in zip(probed, LA):
-        keep = np.isfinite(la)
-        if not np.any(keep):
-            continue
-        # an unbounded search domain is cut at +-1e6
-        dom_b = slices.domain(t, b)
-        blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
-        bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
-        vs_f = vs[keep]
-        judged.append((t, a, b, w, vs_f, la[keep], np.maximum(vs_f - kd, blo), np.minimum(vs_f + kd, bhi)))
+    # the judged entries, row by row: (direction i, probe j)
+    i, j = np.nonzero(np.isfinite(LA))
     worst = Worst("llc", nan_note="search window or excess is NaN")
-    if not judged:
-        return worst.report(tol, "no sample judged: every probe window or Lagrangian slice was empty")
-    t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
-    lens = [len(vs) for vs in vs_s]
-    u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
-    best = slices.window_min(np.repeat(t_s, lens), np.repeat(b_s, lens), u0, np.maximum(u1, u0))
-    excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
-    # a NaN window has no minimum to compare
-    excess[np.isnan(u0) | np.isnan(u1)] = np.nan
-    # the first worst entry of the flat excess is the first in loop order
-    ends = np.cumsum(lens)
-
-    def witness(k):
-        g = int(np.searchsorted(ends, k, side="right"))
-        j = k - (ends[g] - lens[g])
-        return {"t": float(t_s[g]), "x": float(a_s[g]), "y": float(b_s[g]), "v": float(vs_s[g][j])}
-
-    worst.see(excess, witness)
-    return worst.report(tol)
+    if i.size:
+        v = V[i, j]
+        u0, u1 = np.maximum(v - KD[i], BLO[i]), np.minimum(v + KD[i], BHI[i])
+        best = slices.window_min(T[i], B[i], u0, np.maximum(u1, u0))
+        excess = np.where(u0 > u1, np.inf, best - LA[i, j] - W[i])
+        # a NaN window has no minimum to compare
+        excess[np.isnan(u0) | np.isnan(u1)] = np.nan
+        worst.see(
+            excess, lambda k: {"t": float(T[i[k]]), "x": float(A[i[k]]), "y": float(B[i[k]]), "v": float(v[k])}
+        )
+    return worst.report(tol, "no sample judged: every probe window or Lagrangian slice was empty")
 
 
 def check_MLC(

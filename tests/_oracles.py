@@ -1,8 +1,8 @@
 """Reference values recomputed from first principles for the test suite.
 
 Apart from the slice oracles, the ones handed a triple or an evaluator,
-and the former library kernels, nothing here calls into the package. The
-former library kernels are `support`, `restrict`, the grid conjugate
+the former `check_LLC` loop and the former library kernels, nothing here
+calls into the package. The former library kernels are `support`, `restrict`, the grid conjugate
 `grid_conjugate` with the `midpoint_defect` bound it was once checked
 against, the modulus scaling `scaled_modulus`, `project_point`,
 `inside_mask`, `body_scale`, the polygonized disc `ball`, the polygonized
@@ -26,7 +26,9 @@ Hausdorff oracle works on raw vertex arrays with segment arithmetic, the
 distance oracle measures every point against every edge before its inside
 test, the LLC window oracles are the former grid plus ternary search,
 each window on its own, and the exact minimum over every kink of a
-discrete conjugate, the Lipschitz oracle audits verify_triple's pairs one control
+discrete conjugate, the LLC loop oracle is `check_LLC` as it was written
+before its probe table, two hand-kept lists over the same slice-service
+queries, the Lipschitz oracle audits verify_triple's pairs one control
 at a time through e_eval, and the representation oracles evaluate one
 control at a time in scalar floats (the hand-written triples from their
 formulas, a convexified triple from one evaluation per atom of a base
@@ -44,6 +46,7 @@ import numpy as np
 from hamrep import convex_geom as cg
 from hamrep import fenchel as fl
 from hamrep.errors import DimMismatch
+from hamrep.report import TOLERANCES, Worst
 
 # sup over |p| <= 50 of (0.1 p - H_2_3(t, 0, p)) sits at p = -50 where
 # H = -2 sqrt(50); the true L(0.1) = 10 needs slope 100, outside the
@@ -484,6 +487,65 @@ def per_set_check_LLC(spec, R, samples, p_grid=None, tol=2e-2):
     if n_judged == 0:
         return -np.inf, "fail", []
     return worst, "pass" if worst <= tol else "fail", wit
+
+
+def loop_check_LLC(spec, R, samples):
+    """check_LLC as the package wrote it before its probe table: two
+    hand-kept lists, one of the probed (triple, direction) sets and one of
+    the sets with a finite L, unpacked into eight sequences, with the
+    witness found by a cumsum walk over the set lengths. It reads L
+    through the same slice-service queries (one `values` call, one
+    `window_min` call) and keeps the worst excess in loop order through
+    one `Worst`, on the default grids and tolerance. Returns the report."""
+    mod = spec.modulus
+    slices = spec.slices()
+    tol = TOLERANCES["llc"]
+    fracs = samples.unit_fractions()
+    probed = []  # (t, a, b, k|a-b|, w(|a-b|), probes)
+    for t, x, y in samples.triples(spec.t_range, R):
+        for a, b in ((x, y), (y, x)):
+            d = abs(a - b)
+            dom_a = slices.domain(t, a)
+            lo, hi = slices.bounded_domain(t, a)
+            lo_closed = dom_a.lo_closed or not np.isfinite(dom_a.lo)
+            hi_closed = dom_a.hi_closed or not np.isfinite(dom_a.hi)
+            inset = 1e-4 * max(hi - lo, 1e-12)
+            lo_s = lo + (0.0 if lo_closed else inset)
+            hi_s = hi - (0.0 if hi_closed else inset)
+            if lo_s <= hi_s:
+                vs = lo_s + fracs * (hi_s - lo_s)
+                probed.append((t, a, b, mod.k_R(R, t) * d, mod.w_R(R, t, d), vs))
+    T, A = np.array([p[:2] for p in probed], dtype=float).reshape(-1, 2).T
+    V = np.array([p[5] for p in probed], dtype=float).reshape(len(probed), len(fracs))
+    LA = np.asarray(slices.values(T[:, None], A[:, None], V), dtype=float)
+    judged = []  # (t, a, b, w, probes, L(t, a, probes), u0, u1)
+    for (t, a, b, kd, w, vs), la in zip(probed, LA):
+        keep = np.isfinite(la)
+        if not np.any(keep):
+            continue
+        dom_b = slices.domain(t, b)
+        blo = dom_b.lo if np.isfinite(dom_b.lo) else -1e6
+        bhi = dom_b.hi if np.isfinite(dom_b.hi) else 1e6
+        vs_f = vs[keep]
+        judged.append((t, a, b, w, vs_f, la[keep], np.maximum(vs_f - kd, blo), np.minimum(vs_f + kd, bhi)))
+    worst = Worst("llc", nan_note="search window or excess is NaN")
+    if not judged:
+        return worst.report(tol, "no sample judged: every probe window or Lagrangian slice was empty")
+    t_s, a_s, b_s, w_s, vs_s, la_s, u0_s, u1_s = zip(*judged)
+    lens = [len(vs) for vs in vs_s]
+    u0, u1 = np.concatenate(u0_s), np.concatenate(u1_s)
+    best = slices.window_min(np.repeat(t_s, lens), np.repeat(b_s, lens), u0, np.maximum(u1, u0))
+    excess = np.where(u0 > u1, np.inf, best - np.concatenate(la_s) - np.repeat(w_s, lens))
+    excess[np.isnan(u0) | np.isnan(u1)] = np.nan
+    ends = np.cumsum(lens)
+
+    def witness(k):
+        g = int(np.searchsorted(ends, k, side="right"))
+        j = k - (ends[g] - lens[g])
+        return {"t": float(t_s[g]), "x": float(a_s[g]), "y": float(b_s[g]), "v": float(vs_s[g][j])}
+
+    worst.see(excess, witness)
+    return worst.report(tol)
 
 
 def per_pair_lipschitz(triple, window, plan, n_pairs=48, lip_slack=5e-3):

@@ -316,6 +316,19 @@ def test_main_constant_summand(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_episum_identity_reads_the_window_off_the_sum(tmp_path):
+    # dom L of ex_2_2 + 2|p| is [-3, 3], beyond the base's c(t) = 1: on the
+    # slice service's window, read off the sum's own sample, the identity
+    # holds and no node is finite on one side only (a window of max |trust|
+    # + 0.5 read 0.0345 there, with 2 such nodes)
+    doc = {"command": "conjugate", "hamiltonian": "ex_2_2", "summand": "2*abs(p)"}
+    assert cli.run(cli.parse_config(doc, out=str(tmp_path)), quiet=True) == 0
+    report = json.loads((tmp_path / "conjugate_ex_2_2_0.json").read_text())
+    [episum] = [r for r in report["reports"] if r["check"] == "episum_identity"]
+    assert episum["verdict"] == "pass" and episum["worst_margin"] <= 1e-3
+    assert episum["witnesses"][0]["inf_mismatch_nodes"] == 0
+
+
 def test_main_constant_hamiltonian(tmp_path, capsys):
     # H = 1 has L = -1 at v = 0 and +inf elsewhere
     doc = {

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from _oracles import (
     grid_ternary_window_min,
     inline_h_slice,
     kink_window_min,
+    loop_check_LLC,
     per_set_check_LLC,
     scaled_modulus,
 )
@@ -290,6 +293,39 @@ def test_check_LLC_searches_point_windows_with_the_others():
     searched_t = calls[-2][1]
     assert np.any(searched_t < 0.5) and np.any(searched_t >= 0.5)
     assert n_slices <= n_sets < n_windows <= n_sets * n_probes
+
+
+def _stripped(spec):
+    return dataclasses.replace(spec, name=f"{spec.name}_numeric", oracle_L=None, oracle_dom=None)
+
+
+_EX_2_2 = zoo.builtin("ex_2_2")
+# every builtin on the oracle route and stripped to the numeric one, the
+# accept_02_mutation definition, the affine-in-p definition whose margin is
+# +inf and a NaN k_R, on the default plan, and an empty plan; each at seeds
+# 0 and 1000
+LOOP_LLC_SPECS = [
+    *(zoo.builtin(name) for name in zoo.names()),
+    *(_stripped(zoo.builtin(name)) for name in zoo.names()),
+    compile_hamiltonian(
+        json.loads((pathlib.Path(__file__).parents[1] / "configs" / "accept_02_mutation.json").read_text())["hamiltonian"]
+    ),
+    compile_hamiltonian({"name": "affine_in_p", "H": "-p/2 + abs(x)/4", "k_R": "0", "w_R": "r/4"}),
+    dataclasses.replace(
+        _EX_2_2, name="nan_k_R", modulus=dataclasses.replace(_EX_2_2.modulus, k_R=lambda R, t: float("nan"))
+    ),
+]
+LOOP_LLC_CASES = [(spec, 64) for spec in LOOP_LLC_SPECS] + [(dataclasses.replace(_EX_2_2, name="empty_plan"), 0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1000])
+@pytest.mark.parametrize("spec, n_triples", LOOP_LLC_CASES, ids=[spec.name for spec, _ in LOOP_LLC_CASES])
+def test_check_LLC_table_matches_the_loop_bit_for_bit(spec, n_triples, seed):
+    plan = SamplePlan(seed=seed, n_triples=n_triples)
+    rep = zoo.check_LLC(spec, 2.0, samples=plan)
+    want = loop_check_LLC(spec, 2.0, plan)
+    assert np.float64(rep.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
+    assert (rep.verdict, rep.witnesses) == (want.verdict, want.witnesses)
 
 
 # every builtin on both routes
